@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import jordan_product, lie_bracket, trace_form
+from .algebra import jordan_product, lie_bracket
 from .kernel import (
     eig_hermitian,
     frobenius,
@@ -55,11 +55,11 @@ def commutation_defect(xi, a) -> float:
     return max(frobenius(jr - rj), frobenius(jr - closed))
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
+def hermitian_basis(n: int) -> np.ndarray:
     """Orthonormal basis of n x n Hermitians under the trace form <.,.>.
 
     Generalized Gell-Mann matrices scaled to <e, e> = 1 (Frobenius norm
-    sqrt(2)), plus the normalized identity.
+    sqrt(2)), plus the normalized identity, stacked with shape (n^2, n, n).
     """
     basis = [np.eye(n, dtype=complex) * math.sqrt(2.0 / n)]
     for k in range(1, n):
@@ -75,19 +75,21 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
             t[j, k] = -1j
             t[k, j] = 1j
             basis.append(t)
-    return basis
+    return np.array(basis)
 
 
 def vectorize(m, basis) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in an orthonormal basis."""
-    return np.array([trace_form(e, m) for e in basis])
+    """Real coordinates <e_k, M> of a Hermitian matrix in an orthonormal basis.
+
+    The basis is stacked as (k, n, n); a stack of matrices (..., n, n) gives
+    coordinates (..., k).
+    """
+    return np.einsum("kij,...ji->...k", np.asarray(basis), m).real / 2
 
 
 def devectorize(coords, basis) -> np.ndarray:
-    out = np.zeros_like(basis[0])
-    for c, e in zip(coords, basis):
-        out = out + c * e
-    return out
+    """Sum_k c_k e_k; coordinates (..., k) give matrices (..., n, n)."""
+    return np.tensordot(coords, np.asarray(basis), axes=(-1, 0))
 
 
 KINDS = ("Lambda", "R", "Zero", "One")
@@ -99,7 +101,7 @@ class DistributionBasis:
 
     point: np.ndarray
     kind: str
-    basis: list
+    basis: np.ndarray  # (rank, n, n)
     rank: int
 
 
@@ -110,9 +112,10 @@ def _image_columns(mat, tol):
     return u[:, : int(np.sum(s > tol * s[0]))]
 
 
-def _map_matrix(xi, basis, tensor):
-    cols = [vectorize(tensor(xi, e), basis) for e in basis]
-    return np.column_stack(cols)
+def _map_matrix(xi, basis):
+    """Coordinate matrices of jhat_xi and rhat_xi; column k is the image of e_k."""
+    ex, xe = basis @ xi, xi @ basis
+    return vectorize(-1j * (ex - xe), basis).T, vectorize((ex + xe) / 2, basis).T
 
 
 def distribution_basis(xi, kind: str, tol: float = TAU_RANK) -> DistributionBasis:
@@ -122,8 +125,7 @@ def distribution_basis(xi, kind: str, tol: float = TAU_RANK) -> DistributionBasi
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     n = xi.shape[0]
     basis = hermitian_basis(n)
-    mj = _map_matrix(xi, basis, jhat)
-    mr = _map_matrix(xi, basis, rhat)
+    mj, mr = _map_matrix(xi, basis)
     if kind == "Lambda":
         img = _image_columns(mj, tol)
     elif kind == "R":
@@ -149,8 +151,8 @@ def distribution_basis(xi, kind: str, tol: float = TAU_RANK) -> DistributionBasi
             else:
                 cand = uj @ null_vecs[: uj.shape[1]]
                 img = _image_columns(cand, tol)
-    mats = [devectorize(img[:, k], basis) for k in range(img.shape[1])]
-    return DistributionBasis(point=xi, kind=kind, basis=mats, rank=len(mats))
+    return DistributionBasis(point=xi, kind=kind, basis=devectorize(img.T, basis),
+                             rank=img.shape[1])
 
 
 def membership_residual(vector, dist: DistributionBasis) -> float:
@@ -158,9 +160,7 @@ def membership_residual(vector, dist: DistributionBasis) -> float:
     norm = frobenius(vector)
     if norm == 0.0:
         return 0.0
-    residual = vector
-    for e in dist.basis:
-        residual = residual - trace_form(e, residual) * e
+    residual = vector - devectorize(vectorize(vector, dist.basis), dist.basis)
     return frobenius(residual) / norm
 
 

@@ -24,6 +24,7 @@ from .kernel import (
     dagger,
     eig_hermitian,
     frobenius,
+    is_hermitian,
     make_rng,
     require_same_dim,
     serialize_matrix,
@@ -103,7 +104,9 @@ TAU_TRACE = 1e-10
 
 
 def is_state(xi, tol: float = TAU_PSD) -> bool:
-    """True iff xi is positive semidefinite and unit trace within tol."""
+    """True iff xi is Hermitian, positive semidefinite and unit trace within tol."""
+    if not is_hermitian(xi, tol):
+        return False
     dec = eig_hermitian(xi)
     return bool(dec.eigenvalues[0] >= -tol and abs(np.trace(xi).real - 1.0) <= tol)
 

@@ -18,6 +18,7 @@ drifting baseline for convergence measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,15 +63,22 @@ class EvolutionSpec:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.steps + 1)
 
+    @cached_property
+    def decomposition(self):
+        """Eigendecomposition of H, computed once and shared by every flow of this spec."""
+        return eig_hermitian(self.hamiltonian)
 
-def _propagators(spec: EvolutionSpec):
-    # one eigendecomposition of H, reused for every sample
-    dec = eig_hermitian(spec.hamiltonian)
-    v = dec.eigenvectors
-    vd = dagger(v)
-    for t in spec.times():
-        phases = np.exp(-1j * t * dec.eigenvalues / spec.hbar)
-        yield t, (v * phases) @ vd
+
+def _spectral_phases(spec: EvolutionSpec):
+    dec = spec.decomposition
+    phases = np.exp(-1j * np.outer(spec.times(), dec.eigenvalues) / spec.hbar)
+    return dec.eigenvectors, phases
+
+
+def _propagators(spec: EvolutionSpec) -> np.ndarray:
+    """U(t) at every sample time, shape (steps+1, n, n)."""
+    v, phases = _spectral_phases(spec)
+    return (v * phases[:, None, :]) @ dagger(v)
 
 
 def schrodinger_flow(spec: EvolutionSpec, psi0) -> np.ndarray:
@@ -79,7 +87,9 @@ def schrodinger_flow(spec: EvolutionSpec, psi0) -> np.ndarray:
     n = require_square(spec.hamiltonian).shape[0]
     if psi0.shape != (n,):
         raise DimensionError(f"state has shape {psi0.shape}, Hamiltonian dim {n}")
-    return np.array([u @ psi0 for _, u in _propagators(spec)])
+    # psi(t) = V diag(phases(t)) V^dag psi0, all samples in one product
+    v, phases = _spectral_phases(spec)
+    return (phases * (dagger(v) @ psi0)) @ v.T
 
 
 def _check_dim(spec: EvolutionSpec, m) -> np.ndarray:
@@ -93,13 +103,15 @@ def _check_dim(spec: EvolutionSpec, m) -> np.ndarray:
 def heisenberg_flow(spec: EvolutionSpec, a0) -> np.ndarray:
     """Samples of A(t) = U(t)^dag A0 U(t), shape (steps+1, n, n)."""
     a0 = _check_dim(spec, a0)
-    return np.array([dagger(u) @ a0 @ u for _, u in _propagators(spec)])
+    u = _propagators(spec)
+    return dagger(u) @ a0 @ u
 
 
 def vonneumann_flow(spec: EvolutionSpec, xi0) -> np.ndarray:
     """Samples of xi(t) = U(t) xi0 U(t)^dag, shape (steps+1, n, n)."""
     xi0 = _check_dim(spec, xi0)
-    return np.array([u @ xi0 @ dagger(u) for _, u in _propagators(spec)])
+    u = _propagators(spec)
+    return u @ xi0 @ dagger(u)
 
 
 def exact_flow(spec: EvolutionSpec, initial) -> np.ndarray:
@@ -147,18 +159,25 @@ def rk4_flow(spec: EvolutionSpec, initial) -> Rk4Result:
     traj = np.array(samples)
     drift = {}
     if spec.picture == "schrodinger":
-        norms = np.linalg.norm(traj, axis=1)
-        drift["norm"] = float(np.max(np.abs(norms - norms[0])))
+        drift["norm"] = _max_deviation(np.linalg.norm(traj, axis=1))
     else:
-        traces = np.array([np.trace(m).real for m in traj])
-        drift["trace"] = float(np.max(np.abs(traces - traces[0])))
-        w0 = eig_hermitian((traj[0] + dagger(traj[0])) / 2).eigenvalues
-        spectrum_dev = 0.0
-        for m in traj:
-            w = eig_hermitian((m + dagger(m)) / 2).eigenvalues
-            spectrum_dev = max(spectrum_dev, float(np.max(np.abs(w - w0))))
-        drift["spectrum"] = spectrum_dev
+        drift["trace"] = _max_deviation(_traces(traj))
+        drift["spectrum"] = _spectrum_deviation(traj)
     return Rk4Result(times=spec.times(), trajectory=traj, drift=drift)
+
+
+def _max_deviation(values) -> float:
+    """Largest deviation of a sampled quantity from its initial sample."""
+    return float(np.max(np.abs(values - values[0])))
+
+
+def _traces(traj) -> np.ndarray:
+    return np.trace(traj, axis1=-2, axis2=-1).real
+
+
+def _spectrum_deviation(traj) -> float:
+    # eig_hermitian diagonalizes the Hermitian part of every sample in one call
+    return _max_deviation(eig_hermitian(traj).eigenvalues)
 
 
 def mu_relatedness_check(spec: EvolutionSpec, psi0, n_observables: int = 3,
@@ -180,11 +199,10 @@ def mu_relatedness_check(spec: EvolutionSpec, psi0, n_observables: int = 3,
     obs = [random_hermitian(n, seed, 77, j) for j in range(n_observables)]
     exp_res = 0.0
     for a0 in obs:
-        a_t = heisenberg_flow(spec, a0)
-        for p, a in zip(psis, a_t):
-            lhs = float(np.vdot(p, a0 @ p).real)
-            rhs = float(np.vdot(psi0, a @ psi0).real)
-            exp_res = max(exp_res, abs(lhs - rhs) / max(1.0, scale * frobenius(a0)))
+        # <psi(t)|A0 psi(t)> against <psi0|A(t) psi0> at every sample
+        lhs = np.einsum("ti,ij,tj->t", psis.conj(), a0, psis).real
+        rhs = np.einsum("i,tij,j->t", psi0.conj(), heisenberg_flow(spec, a0), psi0).real
+        exp_res = max(exp_res, float(np.max(np.abs(lhs - rhs))) / max(1.0, scale * frobenius(a0)))
 
     report = VerificationReport(
         title="momentum-map relatedness of flows",
@@ -217,27 +235,19 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
     )
     h = spec.hamiltonian
     if spec.picture == "schrodinger":
-        norms = np.linalg.norm(traj, axis=1)
-        report.add("state_norm", float(np.max(np.abs(norms - norms[0]))))
+        report.add("state_norm", _max_deviation(np.linalg.norm(traj, axis=1)))
         e_h = np.array([kahler.expectation(h, p) for p in traj])
-        report.add("energy_expectation", float(np.max(np.abs(e_h - e_h[0]))))
+        report.add("energy_expectation", _max_deviation(e_h))
     elif spec.picture == "vonneumann":
-        traces = np.array([np.trace(m).real for m in traj])
-        report.add("trace", float(np.max(np.abs(traces - traces[0]))))
-        w0 = eig_hermitian(traj[0]).eigenvalues
-        report.add("spectrum", max(
-            float(np.max(np.abs(eig_hermitian(m).eigenvalues - w0))) for m in traj))
-        e_h = np.array([float(np.trace(m @ h).real) for m in traj])
-        report.add("energy_expectation", float(np.max(np.abs(e_h - e_h[0]))))
-        purity = np.array([float(np.trace(m @ m).real) for m in traj])
-        report.add("purity", float(np.max(np.abs(purity - purity[0]))))
+        report.add("trace", _max_deviation(_traces(traj)))
+        report.add("spectrum", _spectrum_deviation(traj))
+        report.add("energy_expectation", _max_deviation(_traces(traj @ h)))
+        report.add("purity", _max_deviation(_traces(traj @ traj)))
     else:
         # Heisenberg: H itself and the spectrum of each observable are constant
-        report.add("hamiltonian_constant", max(
-            frobenius(m - h) for m in heisenberg_flow(spec, h)))
-        w0 = eig_hermitian(traj[0]).eigenvalues
-        report.add("spectrum", max(
-            float(np.max(np.abs(eig_hermitian(m).eigenvalues - w0))) for m in traj))
+        report.add("hamiltonian_constant",
+                   float(np.max(np.linalg.norm(heisenberg_flow(spec, h) - h, axis=(1, 2)))))
+        report.add("spectrum", _spectrum_deviation(traj))
 
     from .algebra import jordan_product
     from .kernel import unitary_exp

@@ -179,12 +179,18 @@ def expectation(a, psi) -> float:
 
 
 def dispersion(a, psi) -> float:
-    """Variance <A^2> - <A>^2 in the (projectivized) state psi."""
+    """Variance <A^2> - <A>^2 in the (projectivized) state psi.
+
+    Evaluated as ||(A - <A>) psi||^2 / ||psi||^2, which is non-negative and
+    free of the cancellation between <A^2> and <A>^2.
+    """
     a = require_square(a)
+    psi = _as_vector(psi)
     n2 = _norm2(psi)
-    apsi = a @ _as_vector(psi)
+    apsi = a @ psi
     mean = float(np.vdot(psi, apsi).real / n2)
-    return float(np.vdot(apsi, apsi).real / n2) - mean * mean
+    centered = apsi - mean * psi
+    return float(np.vdot(centered, centered).real / n2)
 
 
 def gradient_field_e(a, psi) -> np.ndarray:

@@ -188,3 +188,9 @@ class TestVerifyDualGeometry:
     def test_suite_passes(self, n):
         report = dual.verify_dual_geometry(n, trials=25, seed=n, tol=1e-9)
         assert report.passed, report.summary()
+
+
+class TestIsStateInputs:
+    def test_non_hermitian_rejected(self):
+        # PSD-looking Hermitian part and unit trace, but not Hermitian itself
+        assert not dual.is_state(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))

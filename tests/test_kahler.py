@@ -292,3 +292,11 @@ class TestEigensolver:
             a, random_complex_vector(3, 59), direction="ascent",
             deflate=[top.eigenvector])
         assert interior.eigenvalue == pytest.approx(0.5, abs=1e-8)
+
+
+class TestDispersionCancellation:
+    def test_large_scale_eigenvector_non_negative(self):
+        a = random_hermitian(4, 3) * 1e8
+        v = eig_hermitian(a).eigenvectors[:, 0]
+        d = kahler.dispersion(a, v)
+        assert 0.0 <= d <= 1e-12 * np.linalg.norm(a) ** 2

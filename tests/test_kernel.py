@@ -161,3 +161,46 @@ class TestMatrixJson:
     def test_vector_round_trip(self):
         v = np.array([1.0 + 2.0j, -0.5j])
         assert np.array_equal(parse_vector(serialize_matrix(v)), v)
+
+
+class TestEigHermitianInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        a = random_hermitian(3, 1)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match=r"non-finite entries at \[\(1, 2\)\]"):
+            eig_hermitian(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_stack_rejected(self, bad):
+        stack = np.array([random_hermitian(3, 2, k) for k in range(4)])
+        stack[2, 0, 1] = complex(0.0, bad)
+        with pytest.raises(ValueError, match=r"non-finite entries at \[\(2, 0, 1\)\]"):
+            eig_hermitian(stack)
+
+    def test_stack_matches_per_slice_calls(self):
+        stack = np.array([random_hermitian(5, 3, k) for k in range(6)]).reshape(2, 3, 5, 5)
+        dec = eig_hermitian(stack)
+        assert dec.eigenvalues.shape == (2, 3, 5)
+        assert dec.eigenvectors.shape == (2, 3, 5, 5)
+        for idx in np.ndindex(2, 3):
+            single = eig_hermitian(stack[idx])
+            assert np.allclose(dec.eigenvalues[idx], single.eigenvalues, rtol=0, atol=1e-13)
+            # compare rank-one projectors: eigenvector phases are arbitrary
+            for v, w in zip(dec.eigenvectors[idx].T, single.eigenvectors.T):
+                assert np.allclose(np.outer(v, v.conj()), np.outer(w, w.conj()), atol=1e-12)
+
+    def test_stack_reconstruct_acts_per_slice(self):
+        stack = np.array([random_hermitian(4, 4, k) for k in range(3)])
+        assert np.linalg.norm(eig_hermitian(stack).reconstruct() - stack) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            eig_hermitian(np.zeros(shape))
+
+
+class TestParseDim:
+    def test_boolean_dim_rejected(self):
+        with pytest.raises(MatrixParseError, match="'dim'"):
+            parse_matrix(b'{"dim": true, "data": [[[1, 0]]]}')
