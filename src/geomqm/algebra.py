@@ -14,12 +14,12 @@ and the su(2) coordinate brackets come out as {x, y} = 2z and cyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import frobenius, make_rng, random_hermitian, require_same_dim
-from .report import VerificationReport
+from .kernel import frobenius, random_hermitian, require_same_dim
+from .report import VerificationReport, run_suite
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,6 @@ def verify_jordan_lie(
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
 
     def bracket(a, b):
         out = lie_bracket(a, b)
@@ -92,55 +90,32 @@ def verify_jordan_lie(
         return out
 
     hbar = CONVENTIONS.hbar
-    worst: dict[str, float] = {}
 
-    def record(name, value):
-        worst[name] = max(worst.get(name, 0.0), value)
-
-    for k in range(trials):
+    def trial(k):
         a = random_hermitian(n, seed, k, 0)
         b = random_hermitian(n, seed, k, 1)
         c = random_hermitian(n, seed, k, 2)
         na, nb, nc = frobenius(a), frobenius(b), frobenius(c)
 
         jac = bracket(bracket(a, b), c) + bracket(bracket(b, c), a) + bracket(bracket(c, a), b)
-        record("jacobi", _rel(frobenius(jac), na, nb, nc))
-
-        record("jordan_commutativity",
-               _rel(frobenius(jordan_product(a, b) - jordan_product(b, a)), na, nb))
-
         a2 = jordan_product(a, a)
         jid = jordan_product(jordan_product(a, b), a2) - jordan_product(a, jordan_product(b, a2))
-        record("jordan_identity", _rel(frobenius(jid), na, na, na, nb))
-
         inv_lie = trace_form(bracket(a, b), c) - trace_form(a, bracket(b, c))
-        record("trace_invariance_lie", _rel(abs(inv_lie), na, nb, nc))
         inv_jor = trace_form(jordan_product(a, b), c) - trace_form(a, jordan_product(b, c))
-        record("trace_invariance_jordan", _rel(abs(inv_jor), na, nb, nc))
-
         leib = bracket(a, jordan_product(b, c)) \
             - jordan_product(bracket(a, b), c) - jordan_product(b, bracket(a, c))
-        record("leibniz", _rel(frobenius(leib), na, nb, nc))
-
         assoc = associator_defect(a, b, c) - (hbar / 4) * bracket(bracket(a, c), b)
-        record("associator", _rel(frobenius(assoc), na, nb, nc))
+        return {
+            "jacobi": _rel(frobenius(jac), na, nb, nc),
+            "jordan_commutativity":
+                _rel(frobenius(jordan_product(a, b) - jordan_product(b, a)), na, nb),
+            "jordan_identity": _rel(frobenius(jid), na, na, na, nb),
+            "trace_invariance_lie": _rel(abs(inv_lie), na, nb, nc),
+            "trace_invariance_jordan": _rel(abs(inv_jor), na, nb, nc),
+            "leibniz": _rel(frobenius(leib), na, nb, nc),
+            "associator": _rel(frobenius(assoc), na, nb, nc),
+        }
 
-    report = VerificationReport(
-        title="Jordan-Lie identity suite",
-        seed=seed,
-        trials=trials,
-        tol=tol,
-        conventions=CONVENTIONS.to_dict(),
-        details={"dim": n, "bracket_perturbation": bracket_perturbation},
-    )
-    for name in (
-        "jacobi",
-        "jordan_commutativity",
-        "jordan_identity",
-        "trace_invariance_lie",
-        "trace_invariance_jordan",
-        "leibniz",
-        "associator",
-    ):
-        report.add(name, worst[name])
-    return report
+    return run_suite("Jordan-Lie identity suite", trials, seed, tol, trial,
+                     conventions=CONVENTIONS.to_dict(),
+                     details={"dim": n, "bracket_perturbation": bracket_perturbation})

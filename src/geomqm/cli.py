@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,12 +23,10 @@ from .kernel import (
     MatrixParseError,
     NumericalError,
     eig_hermitian,
-    frobenius,
     is_hermitian,
     parse_matrix,
     parse_vector,
     random_complex_vector,
-    random_hermitian,
 )
 
 EXIT_OK = 0
@@ -41,21 +38,11 @@ class CliError(Exception):
     """Usage or input error; maps to exit code 2."""
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GEOMQM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--tol", type=float, default=1e-9, help="identity tolerance (default 1e-9)")
     p.add_argument("--json", action="store_true", help="emit the JSON report instead of text")
     p.add_argument("--output", type=Path, default=None, help="write the report to this path")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="worker count; trials are gathered in deterministic order "
-                        "(default from GEOMQM_THREADS, else 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +131,6 @@ def _payload(args, reports, results=None, trials=None) -> dict:
         "seed": args.seed,
         "tol": args.tol,
         "trials": trials if trials is not None else getattr(args, "trials", 1),
-        "threads": args.threads,
         "conventions": CONVENTIONS.to_dict(),
         "reports": [r.to_dict() for r in reports],
         "results": results or {},
@@ -158,64 +144,27 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     n, trials, seed, tol = args.dim, args.trials, args.seed, args.tol
-
     reports = [
         verify_jordan_lie(n, trials, seed, tol),
         dual.verify_dual_geometry(n, trials, seed, tol),
+        dist.verify_commutation(n, trials, seed, tol),
+        *(dist.involutivity_evidence(kind, max(2, min(n, 4)), min(trials, 25), seed, tol)
+          for kind in dist.KINDS),
+        kahler.verify_pullbacks(n, trials, seed, tol),
     ]
-
-    from .report import VerificationReport
-
-    comm = VerificationReport(title="tensor commutation relation", seed=seed,
-                              trials=trials, tol=tol, conventions=CONVENTIONS.to_dict())
-    worst = 0.0
-    for k in range(trials):
-        xi = random_hermitian(n, seed, k, 10)
-        a = random_hermitian(n, seed, k, 11)
-        scale = max(1.0, frobenius(a) * frobenius(xi) ** 2)
-        worst = max(worst, dist.commutation_defect(xi, a) / scale)
-    comm.add("jhat_rhat_commutation", worst)
-    reports.append(comm)
-
-    inv_n = min(n, 4) if n >= 2 else 2
-    inv_trials = min(trials, 25)
-    for kind in dist.KINDS:
-        reports.append(dist.involutivity_evidence(kind, inv_n, inv_trials, seed, tol))
-
-    pull = VerificationReport(title="momentum-map pullback identities", seed=seed,
-                              trials=trials, tol=tol, conventions=CONVENTIONS.to_dict())
-    worst3 = [0.0, 0.0, 0.0]
-    for k in range(trials):
-        a = random_hermitian(n, seed, k, 20)
-        b = random_hermitian(n, seed, k, 21)
-        psi = random_complex_vector(n, seed, k, 22)
-        rep = kahler.pullback_checks(a, b, psi, tol)
-        for i, c in enumerate(rep.checks):
-            worst3[i] = max(worst3[i], c.max_residual)
-    for name, w in zip(("pullback_hat_equals_quadratic", "pullback_poisson_bracket",
-                        "pullback_jordan_metric"), worst3):
-        pull.add(name, w)
-    reports.append(pull)
-
     text = "\n\n".join(r.summary() for r in reports)
     _emit(args, _payload(args, reports), text)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
 def _write_trajectory_csv(path: Path, times, traj) -> None:
+    # column_stack + tolist keeps Python floats, which csv writes as repr()
+    flat = np.ascontiguousarray(traj, dtype=complex).reshape(len(times), -1)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        flat0 = np.asarray(traj[0]).reshape(-1)
-        header = ["t"]
-        for i in range(flat0.size):
-            header += [f"re_{i}", f"im_{i}"]
-        writer.writerow(header)
-        for t, sample in zip(times, traj):
-            flat = np.asarray(sample).reshape(-1)
-            row = [repr(float(t))]
-            for z in flat:
-                row += [repr(float(z.real)), repr(float(z.imag))]
-            writer.writerow(row)
+        writer.writerow(["t"] + [f"{part}_{i}" for i in range(flat.shape[1])
+                                 for part in ("re", "im")])
+        writer.writerows(np.column_stack([times, flat.view(float)]).tolist())
 
 
 def cmd_evolve(args) -> int:
@@ -236,11 +185,8 @@ def cmd_evolve(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
 
-    if args.method == "rk4":
-        result = dynamics.rk4_flow(spec, initial)
-        traj = result.trajectory
-    else:
-        traj = dynamics.exact_flow(spec, initial)
+    flow = dynamics.rk4_flow if args.method == "rk4" else dynamics.exact_flow
+    traj = flow(spec, initial)
 
     reports = [dynamics.conserved_report(spec, traj, seed=args.seed, tol=args.tol)]
     if args.check_mu:

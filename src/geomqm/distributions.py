@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import jordan_product, lie_bracket
+from .algebra import CONVENTIONS, jordan_product, lie_bracket
 from .kernel import (
     eig_hermitian,
     frobenius,
@@ -29,7 +29,7 @@ from .kernel import (
     require_same_dim,
     unitary_exp,
 )
-from .report import VerificationReport
+from .report import VerificationReport, run_suite
 
 TAU_RANK = 1e-8
 
@@ -53,6 +53,19 @@ def commutation_defect(xi, a) -> float:
     rj = rhat(xi, jhat(xi, a))
     closed = lie_bracket(a, xi @ xi) / 2
     return max(frobenius(jr - rj), frobenius(jr - closed))
+
+
+def verify_commutation(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
+    """Scaled commutation defect of jhat and rhat at seeded random points."""
+
+    def trial(k):
+        xi = random_hermitian(n, seed, k, 10)
+        a = random_hermitian(n, seed, k, 11)
+        scale = max(1.0, frobenius(a) * frobenius(xi) ** 2)
+        return {"jhat_rhat_commutation": commutation_defect(xi, a) / scale}
+
+    return run_suite("tensor commutation relation", trials, seed, tol, trial,
+                     conventions=CONVENTIONS.to_dict())
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -216,6 +229,15 @@ def _commutator_value(kind, xi, a, b):
     raise ValueError(kind)
 
 
+def _involutivity_inputs(kind, n, seed, k):
+    """Trial k's point and observable pair, from the (seed, k, ...) substreams."""
+    if kind == "R":
+        xi = _random_r_singular_point(n, seed, k, 0)
+    else:
+        xi = _random_generic_point(n, seed, k, 0)
+    return xi, random_hermitian(n, seed, k, 1), random_hermitian(n, seed, k, 2)
+
+
 def involutivity_evidence(
     kind: str,
     n: int,
@@ -233,22 +255,9 @@ def involutivity_evidence(
         raise ValueError(f"dimension must be >= 2, got {n}")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    report = VerificationReport(
-        title=f"involutivity evidence: D_{kind}",
-        seed=seed,
-        trials=trials,
-        tol=tol,
-        details={"dim": n, "kind": kind},
-    )
-    worst = 0.0
-    best_witness = None
-    for k in range(trials):
-        if kind == "R":
-            xi = _random_r_singular_point(n, seed, k, 0)
-        else:
-            xi = _random_generic_point(n, seed, k, 0)
-        a = random_hermitian(n, seed, k, 1)
-        b = random_hermitian(n, seed, k, 2)
+
+    def trial(k):
+        xi, a, b = _involutivity_inputs(kind, n, seed, k)
         dist = distribution_basis(xi, kind)
         if kind == "One":
             values = [
@@ -258,15 +267,20 @@ def involutivity_evidence(
             ]
         else:
             values = [_commutator_value(kind, xi, a, b)]
-        for value in values:
-            res = membership_residual(value, dist)
-            worst = max(worst, res)
-            if best_witness is None or res > best_witness[0]:
-                best_witness = (res, xi, a, b)
+        # np.max, unlike max(), propagates a NaN residual
+        return {f"commutators_tangent_to_D_{kind}":
+                np.max([membership_residual(v, dist) for v in values])}
+
+    report = run_suite(f"involutivity evidence: D_{kind}", trials, seed, tol, trial,
+                       details={"dim": n, "kind": kind})
     if kind == "R":
-        res, xi, a, b = best_witness
+        best = report.checks[0]
+        res, k = best.max_residual, best.worst_trial
+        xi, a, b = _involutivity_inputs(kind, n, seed, k)
         # passes when a witness with residual > 10*tol was found
-        report.add("non_involutivity_witness_found", 0.0 if res > 10 * tol else float("inf"))
+        report.checks.clear()
+        report.add("non_involutivity_witness_found", 0.0 if res > 10 * tol else float("inf"),
+                   worst_trial=k)
         report.details["witness_residual"] = res
         report.details["witness_matrices"] = {
             "xi_real": xi.real.tolist(),
@@ -276,8 +290,6 @@ def involutivity_evidence(
             "b_real": b.real.tolist(),
             "b_imag": b.imag.tolist(),
         }
-    else:
-        report.add(f"commutators_tangent_to_D_{kind}", worst)
     return report
 
 

@@ -19,17 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import jordan_product, lie_bracket, trace_form
+from .algebra import CONVENTIONS, jordan_product, lie_bracket, trace_form
 from .kernel import (
     dagger,
     eig_hermitian,
     frobenius,
     is_hermitian,
     make_rng,
+    random_hermitian,
     require_same_dim,
     serialize_matrix,
     unitary_exp,
 )
+from .report import VerificationReport, run_suite
 
 
 def hat_eval(a, xi) -> float:
@@ -179,57 +181,33 @@ class GoldenTables:
         }
 
 
-def verify_dual_geometry(n: int, trials: int, seed: int, tol: float = 1e-9):
+def verify_dual_geometry(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """Randomized residuals for the dual-space tensor identities."""
-    from .algebra import CONVENTIONS
-    from .kernel import random_hermitian
-    from .report import VerificationReport
 
-    worst: dict[str, float] = {}
-
-    def record(name, value):
-        worst[name] = max(worst.get(name, 0.0), value)
-
-    for k in range(trials):
+    def trial(k):
         a = random_hermitian(n, seed, k, 0)
         b = random_hermitian(n, seed, k, 1)
         c = random_hermitian(n, seed, k, 2)
         xi = random_hermitian(n, seed, k, 3)
         scale = max(1.0, frobenius(a) * frobenius(b) * frobenius(xi))
-
-        record("hat_of_bracket",
-               abs(lambda_eval(a, b, xi) - hat_eval(lie_bracket(a, b), xi)) / scale)
-        record("star_decomposition",
-               abs(star_eval(a, b, xi) - (r_eval(a, b, xi) / 2 + 1j * lambda_eval(a, b, xi) / 2))
-               / scale)
+        star = star_eval(a, b, xi)
         sj, sl = star_generators(a, b)
-        record("nonlocal_closure",
-               abs(star_eval(a, b, xi) - (hat_eval(sj, xi) + 1j * hat_eval(sl, xi))) / scale)
-        record("bilinearity_symmetry", abs(hat_eval(a, xi) - hat_eval(xi, a)) / scale)
         cyc = (lambda_eval(lie_bracket(a, b), c, xi)
                + lambda_eval(lie_bracket(b, c), a, xi)
                + lambda_eval(lie_bracket(c, a), b, xi))
-        record("function_bracket_jacobi", abs(cyc) / max(1.0, scale * frobenius(c)))
-        record("r_flow_invariance", r_invariance_defect(c, a, b, xi))
+        return {
+            "hat_of_bracket":
+                abs(lambda_eval(a, b, xi) - hat_eval(lie_bracket(a, b), xi)) / scale,
+            "star_decomposition":
+                abs(star - (r_eval(a, b, xi) / 2 + 1j * lambda_eval(a, b, xi) / 2)) / scale,
+            "nonlocal_closure": abs(star - (hat_eval(sj, xi) + 1j * hat_eval(sl, xi))) / scale,
+            "bilinearity_symmetry": abs(hat_eval(a, xi) - hat_eval(xi, a)) / scale,
+            "function_bracket_jacobi": abs(cyc) / max(1.0, scale * frobenius(c)),
+            "r_flow_invariance": r_invariance_defect(c, a, b, xi),
+        }
 
-    report = VerificationReport(
-        title="dual-space tensor identities",
-        seed=seed,
-        trials=trials,
-        tol=tol,
-        conventions=CONVENTIONS.to_dict(),
-        details={"dim": n},
-    )
-    for name in (
-        "hat_of_bracket",
-        "star_decomposition",
-        "nonlocal_closure",
-        "bilinearity_symmetry",
-        "function_bracket_jacobi",
-        "r_flow_invariance",
-    ):
-        report.add(name, worst[name])
-    return report
+    return run_suite("dual-space tensor identities", trials, seed, tol, trial,
+                     conventions=CONVENTIONS.to_dict(), details={"dim": n})
 
 
 def su2_golden_tables() -> GoldenTables:

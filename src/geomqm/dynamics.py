@@ -17,7 +17,7 @@ drifting baseline for convergence measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -132,18 +132,11 @@ def _rhs(spec: EvolutionSpec):
     return lambda y: lie_bracket(h, y) / hbar
 
 
-@dataclass
-class Rk4Result:
-    times: np.ndarray
-    trajectory: np.ndarray
-    drift: dict = field(default_factory=dict)
-
-
-def rk4_flow(spec: EvolutionSpec, initial) -> Rk4Result:
+def rk4_flow(spec: EvolutionSpec, initial) -> np.ndarray:
     """Classic fourth-order integration of the picture's linear equation.
 
-    Drift diagnostics record the per-sample deviation of the quantities the
-    exact flow conserves (norm, or trace and spectrum).
+    Returns the samples like ``exact_flow``; ``conserved_report`` measures
+    their drift from the quantities the exact flow conserves.
     """
     rhs = _rhs(spec)
     y = np.asarray(initial, dtype=complex).copy()
@@ -156,14 +149,7 @@ def rk4_flow(spec: EvolutionSpec, initial) -> Rk4Result:
         k4 = rhs(y + dt * k3)
         y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         samples.append(y.copy())
-    traj = np.array(samples)
-    drift = {}
-    if spec.picture == "schrodinger":
-        drift["norm"] = _max_deviation(np.linalg.norm(traj, axis=1))
-    else:
-        drift["trace"] = _max_deviation(_traces(traj))
-        drift["spectrum"] = _spectrum_deviation(traj)
-    return Rk4Result(times=spec.times(), trajectory=traj, drift=drift)
+    return np.array(samples)
 
 
 def _max_deviation(values) -> float:

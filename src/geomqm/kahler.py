@@ -22,8 +22,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import CONVENTIONS
-from .kernel import DimensionError, NumericalError, dagger, frobenius, require_square
-from .report import VerificationReport
+from .kernel import (
+    DimensionError,
+    NumericalError,
+    frobenius,
+    random_complex_vector,
+    random_hermitian,
+    require_square,
+)
+from .report import VerificationReport, run_suite
 from . import dual
 
 TAU_NORM = 1e-12
@@ -136,29 +143,37 @@ def momentum_map(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def pullback_checks(a, b, psi, tol: float = 1e-9) -> VerificationReport:
-    """The three momentum-map pullback identities at one point."""
+def _pullback_residuals(a, b, psi) -> dict:
     a, b = require_square(a), require_square(b)
     psi = _as_vector(psi)
     rho = momentum_map(psi)
     fa, fb = QuadraticForm(a), QuadraticForm(b)
     scale = max(1.0, frobenius(a) * frobenius(b) * float(np.vdot(psi, psi).real))
+    brackets = function_brackets(fa, fb, psi)
+    return {
+        "pullback_hat_equals_quadratic": abs(dual.hat_eval(a, rho) - fa.value(psi)) / scale,
+        "pullback_poisson_bracket": abs(dual.lambda_eval(a, b, rho) - brackets.poisson) / scale,
+        "pullback_jordan_metric": abs(dual.r_eval(a, b, rho) - brackets.symmetric) / scale,
+    }
 
-    r1 = abs(dual.hat_eval(a, rho) - fa.value(psi))
-    r2 = abs(dual.lambda_eval(a, b, rho) - function_brackets(fa, fb, psi).poisson)
-    r3 = abs(dual.r_eval(a, b, rho) - function_brackets(fa, fb, psi).symmetric)
 
-    report = VerificationReport(
-        title="momentum-map pullback identities",
-        seed=0,
-        trials=1,
-        tol=tol,
-        conventions=CONVENTIONS.to_dict(),
-    )
-    report.add("pullback_hat_equals_quadratic", r1 / scale)
-    report.add("pullback_poisson_bracket", r2 / scale)
-    report.add("pullback_jordan_metric", r3 / scale)
-    return report
+def pullback_checks(a, b, psi, tol: float = 1e-9) -> VerificationReport:
+    """The three momentum-map pullback identities at one point."""
+    return run_suite("momentum-map pullback identities", 1, 0, tol,
+                     lambda _: _pullback_residuals(a, b, psi),
+                     conventions=CONVENTIONS.to_dict())
+
+
+def verify_pullbacks(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
+    """The pullback identities at seeded random observables and points of C^n."""
+
+    def trial(k):
+        return _pullback_residuals(random_hermitian(n, seed, k, 20),
+                                   random_hermitian(n, seed, k, 21),
+                                   random_complex_vector(n, seed, k, 22))
+
+    return run_suite("momentum-map pullback identities", trials, seed, tol, trial,
+                     conventions=CONVENTIONS.to_dict())
 
 
 # --- expectation, dispersion, eigensolving -----------------------------------

@@ -69,11 +69,6 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     return frobenius(m - dagger(m)) <= tol * max(1.0, frobenius(m))
 
 
-def hermitian_part(m) -> np.ndarray:
-    m = require_square(m)
-    return (m + dagger(m)) / 2
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues ascending, eigenvectors as orthonormal columns.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -14,6 +15,7 @@ class IdentityCheck:
     name: str
     max_residual: float
     tol: float
+    worst_trial: int | None = None  # first trial reaching max_residual
 
     @property
     def passed(self) -> bool:
@@ -21,13 +23,16 @@ class IdentityCheck:
 
     def to_dict(self) -> dict:
         res = self.max_residual
-        return {
+        out = {
             "name": self.name,
             # keep the payload strict JSON: encode non-finite residuals as text
             "max_residual": res if math.isfinite(res) else repr(res),
             "tol": self.tol,
             "passed": self.passed,
         }
+        if self.worst_trial is not None:
+            out["worst_trial"] = self.worst_trial
+        return out
 
 
 @dataclass
@@ -42,8 +47,10 @@ class VerificationReport:
     checks: list[IdentityCheck] = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def add(self, name: str, max_residual: float, tol: float | None = None) -> IdentityCheck:
-        check = IdentityCheck(name, float(max_residual), float(self.tol if tol is None else tol))
+    def add(self, name: str, max_residual: float, tol: float | None = None,
+            worst_trial: int | None = None) -> IdentityCheck:
+        check = IdentityCheck(name, float(max_residual), float(self.tol if tol is None else tol),
+                              worst_trial)
         self.checks.append(check)
         return check
 
@@ -70,6 +77,41 @@ class VerificationReport:
         lines = [f"{self.title}  (seed={self.seed}, trials={self.trials}, tol={self.tol:g})"]
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            lines.append(f"  [{status}] {c.name}: max residual {c.max_residual:.3e} (tol {c.tol:g})")
+            where = "" if c.worst_trial is None else f" at trial {c.worst_trial}"
+            lines.append(f"  [{status}] {c.name}: max residual {c.max_residual:.3e}{where} "
+                         f"(tol {c.tol:g})")
         lines.append(f"  => {'all identities pass' if self.passed else 'FAILURES present'}")
         return "\n".join(lines)
+
+
+def run_suite(
+    title: str,
+    trials: int,
+    seed: int,
+    tol: float,
+    trial: Callable[[int], dict],
+    conventions: dict | None = None,
+    details: dict | None = None,
+) -> VerificationReport:
+    """Run ``trial(k)`` for every k < trials and keep each check's worst residual.
+
+    ``trial(k)`` returns ``{check name: scaled residual}`` computed from the
+    ``(seed, k, ...)`` RNG substreams, so any trial can be replayed alone.
+    Checks appear in the order of the first trial's dict.  NaN counts as worse
+    than every number, so a suite that produces one fails; each check records
+    the first trial at which its maximum occurs.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    worst: dict[str, tuple[float, int]] = {}
+    for k in range(trials):
+        for name, value in trial(k).items():
+            value = float(value)
+            best = worst.get(name)
+            if best is None or value > best[0] or (math.isnan(value) and not math.isnan(best[0])):
+                worst[name] = (value, k)
+    report = VerificationReport(title=title, seed=seed, trials=trials, tol=tol,
+                                conventions=conventions or {}, details=details or {})
+    for name, (value, k) in worst.items():
+        report.add(name, value, worst_trial=k)
+    return report

@@ -200,7 +200,7 @@ def test_criterion_09_rk4_convergence_order():
     for steps in (50, 100):
         spec = EvolutionSpec(hamiltonian=h, t_final=4.0, steps=steps)
         exact = schrodinger_flow(spec, psi0)
-        approx = rk4_flow(spec, psi0).trajectory
+        approx = rk4_flow(spec, psi0)
         errors.append(np.max(np.abs(exact - approx)))
     order = float(np.log2(errors[0] / errors[1]))
     report_line(9, f"RK4 measured order {order:.3f}", abs(order - 4.0) <= 0.2)

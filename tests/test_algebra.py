@@ -99,6 +99,13 @@ class TestVerifySuite:
         failed = {c.name for c in report.checks if not c.passed}
         assert "jacobi" in failed
 
+    def test_nan_residual_fails(self):
+        # a NaN residual is the worst value, never one that a max() drops
+        report = verify_jordan_lie(2, trials=3, seed=0, bracket_perturbation=float("nan"))
+        assert not report.passed
+        jacobi = next(c for c in report.checks if c.name == "jacobi")
+        assert np.isnan(jacobi.max_residual)
+
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_random_dimensions(self, n):
         assert verify_jordan_lie(n, trials=20, seed=n).passed

@@ -7,6 +7,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from geomqm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
+from geomqm.dynamics import EvolutionSpec, heisenberg_flow
 from geomqm.kernel import random_hermitian, serialize_matrix
 from conftest import PAULI_X, PAULI_Z
 
@@ -147,6 +148,24 @@ class TestEvolve:
         assert code == EXIT_OK
         assert "not a density matrix" in capsys.readouterr().err
 
+    def test_csv_matches_repr_reference(self, capsys, tmp_path):
+        h0, a0 = random_hermitian(3, 6), random_hermitian(3, 7)
+        a0[0, 0] = 0.0
+        a0[1, 2], a0[2, 1] = 1e-300 + 2e-300j, 1e-300 - 2e-300j
+        h = write_matrix(tmp_path / "h.json", h0)
+        a = write_matrix(tmp_path / "a.json", a0)
+        csv_path = tmp_path / "traj.csv"
+        code = run(["evolve", "--picture", "heisenberg", "--hamiltonian", h, "--initial", a,
+                    "--t", "0.5", "--steps", "4", "--csv", str(csv_path)])
+        assert code == EXIT_OK
+        spec = EvolutionSpec(hamiltonian=h0, t_final=0.5, steps=4, picture="heisenberg")
+        rows = [",".join(["t"] + [f"{p}_{i}" for i in range(9) for p in ("re", "im")])]
+        for t, sample in zip(spec.times(), heisenberg_flow(spec, a0)):
+            rows.append(",".join([repr(float(t))] + [repr(float(getattr(z, p)))
+                                                     for z in sample.reshape(-1)
+                                                     for p in ("real", "imag")]))
+        assert csv_path.read_bytes() == ("\r\n".join(rows) + "\r\n").encode()
+
     def test_rk4_method(self, capsys, tmp_path):
         h = write_matrix(tmp_path / "h.json", random_hermitian(2, 5))
         psi = write_matrix(tmp_path / "psi.json", np.array([1.0, 0.0], dtype=complex))
@@ -170,10 +189,27 @@ class TestDeterminism:
                          "--seed", "2")
         assert p1 != p2
 
-    def test_threads_flag_does_not_change_results(self, capsys):
-        _, p1 = run_json(capsys, "verify", "--dim", "2", "--trials", "10",
-                         "--threads", "1")
-        _, p2 = run_json(capsys, "verify", "--dim", "2", "--trials", "10",
-                         "--threads", "4")
-        p1.pop("threads"), p2.pop("threads")
-        assert p1 == p2
+    def test_threads_option_removed(self, capsys):
+        assert run(["verify", "--dim", "2", "--trials", "2", "--threads", "2"]) == EXIT_USAGE
+
+
+def _declared_keys_written(node, instances, where="payload"):
+    """Walk the schema next to the JSON values found at each of its nodes."""
+    if "properties" in node:
+        objects = [x for x in instances if isinstance(x, dict)]
+        declared = set(node["properties"])
+        written = set().union(*(x.keys() for x in objects))
+        assert written <= declared, f"{where}: undeclared keys {written - declared}"
+        assert declared <= written, f"{where}: declared but never written {declared - written}"
+        for key, sub in node["properties"].items():
+            _declared_keys_written(sub, [x[key] for x in objects if key in x], f"{where}.{key}")
+    if "items" in node:
+        items = [item for x in instances if isinstance(x, list) for item in x]
+        _declared_keys_written(node["items"], items, f"{where}[]")
+
+
+def test_schema_matches_written_keys(capsys, schema):
+    payloads = [run_json(capsys, "verify", "--dim", "2", "--trials", "3")[1],
+                run_json(capsys, "su2demo")[1]]
+    assert any("worst_trial" in c for p in payloads for r in p["reports"] for c in r["checks"])
+    _declared_keys_written(schema, payloads)

@@ -115,6 +115,35 @@ class TestInvolutivity:
         assert report.details["witness_residual"] > 1e-8
         assert "xi_real" in report.details["witness_matrices"]
 
+    def test_r_witness_is_first_worst_trial(self):
+        n, trials, seed = 3, 8, 5
+        residuals, points = [], []
+        for k in range(trials):
+            xi = dist._random_r_singular_point(n, seed, k, 0)
+            a, b = random_hermitian(n, seed, k, 1), random_hermitian(n, seed, k, 2)
+            value = dist._commutator_value("R", xi, a, b)
+            residuals.append(dist.membership_residual(value, dist.distribution_basis(xi, "R")))
+            points.append(xi)
+        k = int(np.argmax(residuals))
+        report = dist.involutivity_evidence("R", n, trials, seed)
+        assert report.checks[0].worst_trial == k
+        assert report.details["witness_residual"] == residuals[k]
+        assert report.details["witness_matrices"]["xi_real"] == points[k].real.tolist()
+
+    def test_nan_membership_residual_fails(self, monkeypatch):
+        # One checks three commutator values per trial; make the middle one NaN
+        calls = []
+        real = dist.membership_residual
+
+        def probe(vector, basis):
+            calls.append(None)
+            return float("nan") if len(calls) % 3 == 2 else real(vector, basis)
+
+        monkeypatch.setattr(dist, "membership_residual", probe)
+        report = dist.involutivity_evidence("One", 2, trials=3, seed=0)
+        assert np.isnan(report.checks[0].max_residual)
+        assert not report.passed
+
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             dist.involutivity_evidence("bogus", 2, 1, 0)

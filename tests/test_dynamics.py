@@ -146,7 +146,7 @@ class TestRk4:
         psi0 = random_complex_vector(2, 15)
         spec = make_spec(h, t_final=1.0, steps=400)
         exact = schrodinger_flow(spec, psi0)
-        approx = rk4_flow(spec, psi0).trajectory
+        approx = rk4_flow(spec, psi0)
         assert np.max(np.abs(exact - approx)) <= 1e-8
 
     @pytest.mark.parametrize("picture", ["schrodinger", "heisenberg", "vonneumann"])
@@ -158,18 +158,20 @@ class TestRk4:
         for steps in (40, 80):
             spec = make_spec(h, t_final=2.0, steps=steps, picture=picture)
             exact = exact_flow(spec, init)
-            approx = rk4_flow(spec, init).trajectory
+            approx = rk4_flow(spec, init)
             errors.append(np.max(np.abs(exact - approx)))
         order = np.log2(errors[0] / errors[1])
         assert order == pytest.approx(4.0, abs=0.2)
 
     def test_drift_diagnostics_present(self):
         h = random_hermitian(2, 19)
-        res = rk4_flow(make_spec(h, steps=50), random_complex_vector(2, 20))
-        assert "norm" in res.drift and res.drift["norm"] < 1e-6
-        res2 = rk4_flow(make_spec(h, steps=50, picture="vonneumann"),
-                        random_hermitian(2, 21))
-        assert {"trace", "spectrum"} <= set(res2.drift)
+        spec = make_spec(h, steps=50)
+        rep = conserved_report(spec, rk4_flow(spec, random_complex_vector(2, 20)))
+        drift = {c.name: c.max_residual for c in rep.checks}
+        assert "state_norm" in drift and drift["state_norm"] < 1e-6
+        spec2 = make_spec(h, steps=50, picture="vonneumann")
+        rep2 = conserved_report(spec2, rk4_flow(spec2, random_hermitian(2, 21)))
+        assert {"trace", "spectrum"} <= {c.name for c in rep2.checks}
 
 
 class TestMuRelatedness:
@@ -224,5 +226,5 @@ class TestConservedReport:
         h = 5.0 * random_hermitian(2, 70)
         psi0 = random_complex_vector(2, 71)
         spec = make_spec(h, t_final=10.0, steps=10)
-        report = conserved_report(spec, rk4_flow(spec, psi0).trajectory, seed=4)
+        report = conserved_report(spec, rk4_flow(spec, psi0), seed=4)
         assert not report.passed

@@ -143,6 +143,19 @@ class TestPullbacks:
         report = kahler.pullback_checks(np.eye(3), np.eye(3), psi)
         assert report.passed
 
+    def test_suite_is_worst_of_pointwise_checks(self):
+        n, trials, seed = 3, 10, 4
+        worst = {}
+        for k in range(trials):
+            point = kahler.pullback_checks(random_hermitian(n, seed, k, 20),
+                                           random_hermitian(n, seed, k, 21),
+                                           random_complex_vector(n, seed, k, 22))
+            for c in point.checks:
+                worst[c.name] = max(worst.get(c.name, 0.0), c.max_residual)
+        report = kahler.verify_pullbacks(n, trials, seed)
+        assert {c.name: c.max_residual for c in report.checks} == worst
+        assert report.passed and report.trials == trials
+
 
 class TestExpectationDispersion:
     def test_eigenvector_gives_eigenvalue(self):
