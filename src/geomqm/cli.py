@@ -168,6 +168,8 @@ def _write_trajectory_csv(path: Path, times, traj) -> None:
 
 
 def cmd_evolve(args) -> int:
+    if args.check_mu and args.picture != "schrodinger":
+        raise CliError("--check-mu requires --picture schrodinger")
     h = _read_matrix(args.hamiltonian)
     if not is_hermitian(h, 1e-8):
         raise CliError(f"{args.hamiltonian}: Hamiltonian is not Hermitian")
@@ -190,8 +192,6 @@ def cmd_evolve(args) -> int:
 
     reports = [dynamics.conserved_report(spec, traj, seed=args.seed, tol=args.tol)]
     if args.check_mu:
-        if args.picture != "schrodinger":
-            raise CliError("--check-mu requires --picture schrodinger")
         reports.append(dynamics.mu_relatedness_check(spec, initial, seed=args.seed,
                                                      tol=args.tol))
 

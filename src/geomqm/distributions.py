@@ -4,9 +4,17 @@ The (1,1)-tensors at a point xi act on observables as
   jhat_xi(A) = [A, xi]_-        (image: the Lambda distribution)
   rhat_xi(A) = A o xi           (image: the R distribution)
 with the intersection (Zero) and sum (One) built from the two images.
-Everything is vectorized over an orthonormal Hermitian basis so that the
-trace form becomes the standard real inner product, and images are read
-off from singular value decompositions.
+
+Both maps are diagonal in the eigenframe of xi = V diag(lam) V^dag.  On the
+Hermitian matrices of V^dag . V supported on the matrix-unit pair {i, j},
+jhat acts by -i(lam_j - lam_i) and rhat by (lam_i + lam_j)/2, so each
+distribution is a coordinate subspace {V X V^dag : X[~mask] = 0} for a
+boolean pair mask:
+  Lambda: |lam_i - lam_j| > cut     R: |lam_i + lam_j| > cut
+  Zero:   both                      One: either
+with cut = tol * max(1, max_i |lam_i|).  One eigendecomposition gives all
+four exactly, and since conjugation by V preserves the trace form, the
+orthogonal projection onto a distribution is a mask on V^dag v V.
 
 Involutivity is sampled evidence: the distributions are spanned by global
 polynomial vector fields whose commutators have closed forms, and the
@@ -15,18 +23,20 @@ commutator values are tested for pointwise membership at random points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import CONVENTIONS, jordan_product, lie_bracket
 from .kernel import (
+    dagger,
     eig_hermitian,
     frobenius,
+    is_hermitian,
     make_rng,
     random_hermitian,
     require_same_dim,
+    require_square,
     unitary_exp,
 )
 from .report import VerificationReport, run_suite
@@ -68,104 +78,53 @@ def verify_commutation(n: int, trials: int, seed: int, tol: float = 1e-9) -> Ver
                      conventions=CONVENTIONS.to_dict())
 
 
-def hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of n x n Hermitians under the trace form <.,.>.
-
-    Generalized Gell-Mann matrices scaled to <e, e> = 1 (Frobenius norm
-    sqrt(2)), plus the normalized identity, stacked with shape (n^2, n, n).
-    """
-    basis = [np.eye(n, dtype=complex) * math.sqrt(2.0 / n)]
-    for k in range(1, n):
-        d = np.zeros((n, n), dtype=complex)
-        d[np.diag_indices(n)] = [1.0] * k + [-float(k)] + [0.0] * (n - k - 1)
-        basis.append(d * math.sqrt(2.0 / (k * (k + 1))))
-    for j in range(n):
-        for k in range(j + 1, n):
-            s = np.zeros((n, n), dtype=complex)
-            s[j, k] = s[k, j] = 1.0
-            basis.append(s)
-            t = np.zeros((n, n), dtype=complex)
-            t[j, k] = -1j
-            t[k, j] = 1j
-            basis.append(t)
-    return np.array(basis)
-
-
-def vectorize(m, basis) -> np.ndarray:
-    """Real coordinates <e_k, M> of a Hermitian matrix in an orthonormal basis.
-
-    The basis is stacked as (k, n, n); a stack of matrices (..., n, n) gives
-    coordinates (..., k).
-    """
-    return np.einsum("kij,...ji->...k", np.asarray(basis), m).real / 2
-
-
-def devectorize(coords, basis) -> np.ndarray:
-    """Sum_k c_k e_k; coordinates (..., k) give matrices (..., n, n)."""
-    return np.tensordot(coords, np.asarray(basis), axes=(-1, 0))
-
-
 KINDS = ("Lambda", "R", "Zero", "One")
 
 
 @dataclass(frozen=True)
 class DistributionBasis:
-    """Orthonormal basis of one distribution at a point."""
+    """One distribution at a point, as a pair mask in the point's eigenframe.
+
+    The distribution is {V X V^dag : X Hermitian, X[~mask] = 0}, where the
+    columns of ``frame`` are the eigenvectors V of ``point``.  The mask is
+    symmetric, so its number of True entries is the real dimension.
+    """
 
     point: np.ndarray
     kind: str
-    basis: np.ndarray  # (rank, n, n)
-    rank: int
+    frame: np.ndarray  # (n, n)
+    mask: np.ndarray  # (n, n) bool
+
+    @property
+    def rank(self) -> int:
+        return int(self.mask.sum())
 
 
-def _image_columns(mat, tol):
-    u, s, _ = np.linalg.svd(mat)
-    if s.size == 0 or s[0] == 0.0:
-        return u[:, :0]
-    return u[:, : int(np.sum(s > tol * s[0]))]
+def _hermitian_point(xi) -> np.ndarray:
+    xi = require_square(xi)
+    # the tolerance cmd_distributions applies to --point
+    if not (np.isfinite(xi).all() and is_hermitian(xi, 1e-8)):
+        raise ValueError("the point must be a finite Hermitian matrix")
+    return xi
 
 
-def _map_matrix(xi, basis):
-    """Coordinate matrices of jhat_xi and rhat_xi; column k is the image of e_k."""
-    ex, xe = basis @ xi, xi @ basis
-    return vectorize(-1j * (ex - xe), basis).T, vectorize((ex + xe) / 2, basis).T
+def _rank_cutoff(eigenvalues, tol: float) -> float:
+    """tol * max(1, max |lam|): spectral quantities at or below it count as 0."""
+    return tol * max(1.0, float(np.max(np.abs(eigenvalues), initial=0.0)))
 
 
 def distribution_basis(xi, kind: str, tol: float = TAU_RANK) -> DistributionBasis:
-    """Basis and rank of one of the four distributions at xi."""
-    xi = require_same_dim(xi)[0]
+    """Eigenframe and pair mask of one of the four distributions at xi."""
+    xi = _hermitian_point(xi)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    n = xi.shape[0]
-    basis = hermitian_basis(n)
-    mj, mr = _map_matrix(xi, basis)
-    if kind == "Lambda":
-        img = _image_columns(mj, tol)
-    elif kind == "R":
-        img = _image_columns(mr, tol)
-    elif kind == "One":
-        img = _image_columns(np.hstack([mj, mr]), tol)
-    else:
-        uj = _image_columns(mj, tol)
-        ur = _image_columns(mr, tol)
-        if uj.shape[1] == 0 or ur.shape[1] == 0:
-            img = uj[:, :0]
-        else:
-            # x = UJ a = UR b: null space of [UJ, -UR] yields the intersection
-            stacked = np.hstack([uj, -ur])
-            u, s, vh = np.linalg.svd(stacked)
-            null_mask = np.concatenate([
-                s <= tol * (s[0] if s.size else 1.0),
-                np.ones(vh.shape[0] - s.size, dtype=bool),
-            ])
-            null_vecs = vh[null_mask].conj().T
-            if null_vecs.shape[1] == 0:
-                img = uj[:, :0]
-            else:
-                cand = uj @ null_vecs[: uj.shape[1]]
-                img = _image_columns(cand, tol)
-    return DistributionBasis(point=xi, kind=kind, basis=devectorize(img.T, basis),
-                             rank=img.shape[1])
+    dec = eig_hermitian(xi)
+    w = dec.eigenvalues
+    cut = _rank_cutoff(w, tol)
+    lam = np.abs(w[:, None] - w[None, :]) > cut
+    r = np.abs(w[:, None] + w[None, :]) > cut
+    mask = {"Lambda": lam, "R": r, "Zero": lam & r, "One": lam | r}[kind]
+    return DistributionBasis(point=xi, kind=kind, frame=dec.eigenvectors, mask=mask)
 
 
 def membership_residual(vector, dist: DistributionBasis) -> float:
@@ -173,8 +132,8 @@ def membership_residual(vector, dist: DistributionBasis) -> float:
     norm = frobenius(vector)
     if norm == 0.0:
         return 0.0
-    residual = vector - devectorize(vectorize(vector, dist.basis), dist.basis)
-    return frobenius(residual) / norm
+    v = dist.frame
+    return frobenius((dagger(v) @ vector @ v)[~dist.mask]) / norm
 
 
 def _random_generic_point(n, seed, *key, gap=1e-6, attempts=100):
@@ -295,9 +254,9 @@ def involutivity_evidence(
 
 def orbit_invariants(xi, tol: float = TAU_RANK) -> dict:
     """Unitary-orbit label (spectrum) and GL-orbit label (rank, signature)."""
-    xi = require_same_dim(xi)[0]
+    xi = _hermitian_point(xi)
     w = eig_hermitian(xi).eigenvalues
-    cutoff = tol * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
+    cutoff = _rank_cutoff(w, tol)
     npos = int(np.sum(w > cutoff))
     nneg = int(np.sum(w < -cutoff))
     return {

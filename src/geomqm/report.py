@@ -8,6 +8,17 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 
+def _strict_json(value):
+    """Non-finite floats, also inside dicts and lists, as their text: strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     """Residual of one identity over a batch of trials."""
@@ -22,11 +33,9 @@ class IdentityCheck:
         return self.max_residual <= self.tol
 
     def to_dict(self) -> dict:
-        res = self.max_residual
         out = {
             "name": self.name,
-            # keep the payload strict JSON: encode non-finite residuals as text
-            "max_residual": res if math.isfinite(res) else repr(res),
+            "max_residual": _strict_json(self.max_residual),
             "tol": self.tol,
             "passed": self.passed,
         }
@@ -66,7 +75,7 @@ class VerificationReport:
             "tol": self.tol,
             "conventions": self.conventions,
             "checks": [c.to_dict() for c in self.checks],
-            "details": self.details,
+            "details": _strict_json(self.details),
             "passed": self.passed,
         }
 

@@ -7,6 +7,12 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def closed_form_projection(vectors, d):
+    """V (mask * V^dag v V) V^dag: projection onto the distribution d."""
+    v = d.frame
+    return v @ ((v.conj().T @ vectors @ v) * d.mask) @ v.conj().T
+
+
 @pytest.fixture
 def pauli():
     return {"u": PAULI_U, "x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}

@@ -6,6 +6,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from geomqm import dynamics
 from geomqm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow
 from geomqm.kernel import random_hermitian, serialize_matrix
@@ -139,6 +140,16 @@ class TestEvolve:
         code = run(["evolve", "--hamiltonian", h, "--initial", a,
                     "--picture", "heisenberg", "--check-mu"])
         assert code == EXIT_USAGE
+
+    def test_check_mu_wrong_picture_does_no_work(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dynamics, "conserved_report", lambda *a, **k: calls.append(a))
+        h = write_matrix(tmp_path / "h.json", PAULI_Z)
+        a = write_matrix(tmp_path / "a.json", PAULI_X)
+        code = run(["evolve", "--hamiltonian", h, "--initial", a,
+                    "--picture", "heisenberg", "--check-mu"])
+        assert code == EXIT_USAGE
+        assert calls == []
 
     def test_vonneumann_non_state_warns(self, capsys, tmp_path):
         h = write_matrix(tmp_path / "h.json", PAULI_Z)

@@ -4,7 +4,8 @@ import pytest
 from geomqm import distributions as dist
 from geomqm.algebra import trace_form
 from geomqm.kernel import eig_hermitian, random_hermitian
-from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, closed_form_projection
+import svd_oracle as oracle
 
 
 class TestTensors:
@@ -46,9 +47,11 @@ class TestCommutation:
 
 
 class TestHermitianBasis:
+    """The Gell-Mann basis of the SVD oracle."""
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orthonormal_under_trace_form(self, n):
-        basis = dist.hermitian_basis(n)
+        basis = oracle.hermitian_basis(n)
         assert len(basis) == n * n
         for i, e in enumerate(basis):
             for j, f in enumerate(basis):
@@ -56,9 +59,9 @@ class TestHermitianBasis:
                 assert trace_form(e, f) == pytest.approx(expected, abs=1e-12)
 
     def test_vectorize_round_trip(self):
-        basis = dist.hermitian_basis(3)
+        basis = oracle.hermitian_basis(3)
         m = random_hermitian(3, 6)
-        assert np.allclose(dist.devectorize(dist.vectorize(m, basis), basis), m)
+        assert np.allclose(oracle.devectorize(oracle.vectorize(m, basis), basis), m)
 
 
 class TestRanks:
@@ -88,17 +91,75 @@ class TestRanks:
         xi = random_hermitian(3, 31)
         one = dist.distribution_basis(xi, "One")
         for kind in ("Lambda", "R"):
-            sub = dist.distribution_basis(xi, kind)
-            for v in sub.basis:
+            for v in oracle.basis_matrices(xi, kind):
                 assert dist.membership_residual(v, one) <= 1e-9
 
     def test_basis_orthonormal(self):
+        # the oracle's basis is orthonormal and spans the closed-form subspace
         xi = random_hermitian(4, 32)
         d = dist.distribution_basis(xi, "Lambda")
-        for i, e in enumerate(d.basis):
-            for j, f in enumerate(d.basis):
+        basis = oracle.basis_matrices(xi, "Lambda")
+        assert len(basis) == d.rank
+        for i, e in enumerate(basis):
+            for j, f in enumerate(basis):
                 expected = 1.0 if i == j else 0.0
                 assert trace_form(e, f) == pytest.approx(expected, abs=1e-10)
+        assert np.max(np.abs(closed_form_projection(basis, d) - basis)) <= 1e-12
+
+    @pytest.mark.parametrize("c", [2.0, 1e-3])
+    def test_scalar_point(self, c):
+        # U(cI)U^dag is scalar up to round-off: Lambda and Zero vanish, R fills
+        u = dist.unitary_from_seed(4, 33)
+        xi = u @ (c * np.eye(4)) @ u.conj().T
+        ranks = {k: dist.distribution_basis(xi, k).rank for k in dist.KINDS}
+        assert ranks == {"Lambda": 0, "Zero": 0, "R": 16, "One": 16}
+        assert ranks == {k: oracle.distribution_columns(xi, k).shape[1] for k in dist.KINDS}
+
+    @pytest.mark.parametrize("top", [5.0, 0.5])
+    @pytest.mark.parametrize("factor, lambda_rank", [(1.001, 12), (0.999, 10)])
+    def test_gap_at_cutoff(self, top, factor, lambda_rank):
+        # cut = TAU_RANK * max(1, max|lam|); one gap sits just above or below it
+        gap = factor * dist.TAU_RANK * max(1.0, top)
+        u = dist.unitary_from_seed(4, 34)
+        xi = (u * np.array([0.1, 0.1 + gap, top / 2, top])) @ u.conj().T
+        ranks = {k: dist.distribution_basis(xi, k).rank for k in dist.KINDS}
+        assert ranks == {"Lambda": lambda_rank, "Zero": lambda_rank, "R": 16, "One": 16}
+        assert ranks == {k: oracle.distribution_columns(xi, k).shape[1] for k in dist.KINDS}
+
+
+class TestInputGuards:
+    POINT = random_hermitian(3, 50)
+
+    @pytest.mark.parametrize("entry", [
+        lambda xi: dist.distribution_basis(xi, "Lambda"),
+        dist.orbit_invariants,
+    ])
+    def test_non_hermitian_rejected_before_work(self, entry, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dist, "eig_hermitian", lambda *a: calls.append(a))
+        xi = self.POINT + 1e-3 * np.triu(np.ones((3, 3)), 1)
+        with pytest.raises(ValueError):
+            entry(xi)
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", [
+        lambda xi: dist.distribution_basis(xi, "R"),
+        dist.orbit_invariants,
+    ])
+    def test_hermitian_within_cli_tolerance_accepted(self, entry):
+        # the CLI accepts ||xi - xi^dag||_F <= 1e-8 * max(1, ||xi||_F)
+        entry(self.POINT + 1e-10 * np.triu(np.ones((3, 3)), 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [
+        lambda xi: dist.distribution_basis(xi, "One"),
+        dist.orbit_invariants,
+    ])
+    def test_non_finite_rejected(self, entry, bad):
+        xi = self.POINT.copy()
+        xi[1, 1] = bad
+        with pytest.raises(ValueError):
+            entry(xi)
 
 
 class TestInvolutivity:

@@ -1,7 +1,9 @@
+import json
 import math
 
 import pytest
 
+from geomqm.algebra import verify_jordan_lie
 from geomqm.report import run_suite
 
 
@@ -35,3 +37,22 @@ class TestRunSuite:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_suite("probe", 0, 0, 1e-9, lambda k: {"a": 0.0})
+
+
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+class TestStrictJson:
+    def test_non_finite_detail_is_text(self):
+        report = verify_jordan_lie(2, 3, 0, bracket_perturbation=float("nan"))
+        payload = json.loads(report.to_json(), parse_constant=reject_constant)
+        assert payload["details"]["bracket_perturbation"] == "nan"
+
+    def test_non_finite_witness_residual_is_text(self):
+        report = run_suite("probe", 1, 0, 1e-9, lambda k: {"a": 0.0},
+                           details={"witness_residual": float("nan"),
+                                    "nested": {"values": [1.0, float("-inf")]}})
+        payload = json.loads(report.to_json(), parse_constant=reject_constant)
+        assert payload["details"] == {"witness_residual": "nan",
+                                      "nested": {"values": [1.0, "-inf"]}}
