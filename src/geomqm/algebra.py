@@ -1,7 +1,7 @@
 """Jordan-Lie algebra structure on Hermitian observables.
 
-The two products, the invariant trace form, the associator defect and a
-randomized identity-verification suite.
+The two products, the invariant trace form and the associator defect, which
+also take (..., n, n) stacks, and a randomized identity-verification suite.
 
 Sign conventions (recorded in ConventionSet and every report):
   [A, B]_- := -i (AB - BA)      Hermitian-valued Lie bracket
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import frobenius, random_hermitian, require_same_dim
+from .kernel import frobenius, random_hermitian_stack, require_same_dim, scalar_or_stack
 from .report import VerificationReport, run_suite
 
 
@@ -51,10 +51,10 @@ def jordan_product(a, b) -> np.ndarray:
     return (a @ b + b @ a) / 2
 
 
-def trace_form(a, b) -> float:
-    """<A, B> = Tr(AB)/2; symmetric, real on Hermitian inputs."""
+def trace_form(a, b):
+    """<A, B> = Tr(AB)/2; symmetric, real on Hermitian inputs; an array over stacks."""
     a, b = require_same_dim(a, b)
-    return float((np.trace(a @ b) / 2).real)
+    return scalar_or_stack((np.trace(a @ b, axis1=-2, axis2=-1) / 2).real)
 
 
 def associator_defect(a, b, c) -> np.ndarray:
@@ -63,9 +63,8 @@ def associator_defect(a, b, c) -> np.ndarray:
     return jordan_product(jordan_product(a, b), c) - jordan_product(a, jordan_product(b, c))
 
 
-def _rel(residual: float, *norms: float) -> float:
-    scale = max(1.0, float(np.prod(norms)))
-    return residual / scale
+def _rel(residual, *norms):
+    return residual / np.maximum(1.0, np.prod(norms, axis=0))
 
 
 def verify_jordan_lie(
@@ -91,10 +90,8 @@ def verify_jordan_lie(
 
     hbar = CONVENTIONS.hbar
 
-    def trial(k):
-        a = random_hermitian(n, seed, k, 0)
-        b = random_hermitian(n, seed, k, 1)
-        c = random_hermitian(n, seed, k, 2)
+    def trial(ks):
+        a, b, c = (random_hermitian_stack(n, seed, ks, j) for j in range(3))
         na, nb, nc = frobenius(a), frobenius(b), frobenius(c)
 
         jac = bracket(bracket(a, b), c) + bracket(bracket(b, c), a) + bracket(bracket(c, a), b)
@@ -116,6 +113,6 @@ def verify_jordan_lie(
             "associator": _rel(frobenius(assoc), na, nb, nc),
         }
 
-    return run_suite("Jordan-Lie identity suite", trials, seed, tol, trial,
+    return run_suite("Jordan-Lie identity suite", n, trials, seed, tol, trial,
                      conventions=CONVENTIONS.to_dict(),
                      details={"dim": n, "bracket_perturbation": bracket_perturbation})

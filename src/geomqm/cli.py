@@ -28,6 +28,7 @@ from .kernel import (
     parse_vector,
     random_complex_vector,
 )
+from .report import VerificationReport
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -99,18 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_matrix(path: Path) -> np.ndarray:
+def _read(path: Path, parse=parse_matrix) -> np.ndarray:
     try:
-        return parse_matrix(path.read_bytes())
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
-    except MatrixParseError as exc:
-        raise CliError(f"{path}: {exc}")
-
-
-def _read_vector(path: Path) -> np.ndarray:
-    try:
-        return parse_vector(path.read_bytes())
+        return parse(path.read_bytes())
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
     except MatrixParseError as exc:
@@ -170,13 +162,13 @@ def _write_trajectory_csv(path: Path, times, traj) -> None:
 def cmd_evolve(args) -> int:
     if args.check_mu and args.picture != "schrodinger":
         raise CliError("--check-mu requires --picture schrodinger")
-    h = _read_matrix(args.hamiltonian)
+    h = _read(args.hamiltonian)
     if not is_hermitian(h, 1e-8):
         raise CliError(f"{args.hamiltonian}: Hamiltonian is not Hermitian")
     if args.picture == "schrodinger":
-        initial = _read_vector(args.initial)
+        initial = _read(args.initial, parse_vector)
     else:
-        initial = _read_matrix(args.initial)
+        initial = _read(args.initial)
         if args.picture == "vonneumann" and not dual.is_state(initial, 1e-8):
             print("warning: initial dual element is not a density matrix; "
                   "evolving anyway", file=sys.stderr)
@@ -207,7 +199,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    a = _read_matrix(args.operator)
+    a = _read(args.operator)
     if not is_hermitian(a, 1e-8):
         raise CliError(f"{args.operator}: operator is not Hermitian")
     n = a.shape[0]
@@ -223,8 +215,6 @@ def cmd_eigen(args) -> int:
     oracle = eig_hermitian(a).eigenvalues
     reference = oracle[-1] if args.direction == "ascent" else oracle[0]
     disp = kahler.dispersion(a, res.eigenvector)
-
-    from .report import VerificationReport
 
     rep = VerificationReport(title="gradient-flow eigensolve", seed=args.seed, trials=1,
                              tol=args.tol, conventions=CONVENTIONS.to_dict(),
@@ -251,15 +241,13 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_star(args) -> int:
-    a, b, xi = (_read_matrix(p) for p in (args.a, args.b, args.xi))
+    a, b, xi = (_read(p) for p in (args.a, args.b, args.xi))
     for path, m in ((args.a, a), (args.b, b), (args.xi, xi)):
         if not is_hermitian(m, 1e-8):
             raise CliError(f"{path}: matrix is not Hermitian")
     value = dual.star_eval(a, b, xi)
     jordan_part = dual.r_eval(a, b, xi) / 2
     lie_part = dual.lambda_eval(a, b, xi) / 2
-    from .report import VerificationReport
-
     rep = VerificationReport(title="star product decomposition", seed=args.seed, trials=1,
                              tol=args.tol, conventions=CONVENTIONS.to_dict())
     rep.add("star_equals_r_half_plus_i_lambda_half",
@@ -274,7 +262,7 @@ def cmd_star(args) -> int:
 
 
 def cmd_distributions(args) -> int:
-    xi = _read_matrix(args.point)
+    xi = _read(args.point)
     if not is_hermitian(xi, 1e-8):
         raise CliError(f"{args.point}: matrix is not Hermitian")
     n = xi.shape[0]
@@ -304,8 +292,6 @@ def cmd_su2demo(args) -> int:
         ("x", "y"): {"z": 1j},
         ("z", "x"): {"y": 1j},
     }
-    from .report import VerificationReport
-
     rep = VerificationReport(title="2-level golden star values", seed=args.seed, trials=1,
                              tol=1e-12, conventions=CONVENTIONS.to_dict())
     for (na, nb), expected in golden.items():

@@ -35,8 +35,10 @@ from .kernel import (
     is_hermitian,
     make_rng,
     random_hermitian,
+    random_hermitian_stack,
     require_same_dim,
     require_square,
+    scalar_or_stack,
     unitary_exp,
 )
 from .report import VerificationReport, run_suite
@@ -46,35 +48,33 @@ TAU_RANK = 1e-8
 
 def jhat(xi, a) -> np.ndarray:
     """[A, xi]_- : the Poisson tensor contracted with the hat differential."""
-    xi, a = require_same_dim(xi, a)
     return lie_bracket(a, xi)
 
 
 def rhat(xi, a) -> np.ndarray:
     """A o xi : the Jordan tensor contracted with the hat differential."""
-    xi, a = require_same_dim(xi, a)
     return jordan_product(a, xi)
 
 
-def commutation_defect(xi, a) -> float:
-    """Residual of jhat o rhat = rhat o jhat = (1/2)[A, xi^2]_-."""
+def commutation_defect(xi, a):
+    """Residual of jhat o rhat = rhat o jhat = (1/2)[A, xi^2]_-; NaN stays NaN."""
     xi, a = require_same_dim(xi, a)
     jr = jhat(xi, rhat(xi, a))
     rj = rhat(xi, jhat(xi, a))
     closed = lie_bracket(a, xi @ xi) / 2
-    return max(frobenius(jr - rj), frobenius(jr - closed))
+    return scalar_or_stack(np.maximum(frobenius(jr - rj), frobenius(jr - closed)))
 
 
 def verify_commutation(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """Scaled commutation defect of jhat and rhat at seeded random points."""
 
-    def trial(k):
-        xi = random_hermitian(n, seed, k, 10)
-        a = random_hermitian(n, seed, k, 11)
-        scale = max(1.0, frobenius(a) * frobenius(xi) ** 2)
+    def trial(ks):
+        xi = random_hermitian_stack(n, seed, ks, 10)
+        a = random_hermitian_stack(n, seed, ks, 11)
+        scale = np.maximum(1.0, frobenius(a) * frobenius(xi) ** 2)
         return {"jhat_rhat_commutation": commutation_defect(xi, a) / scale}
 
-    return run_suite("tensor commutation relation", trials, seed, tol, trial,
+    return run_suite("tensor commutation relation", n, trials, seed, tol, trial,
                      conventions=CONVENTIONS.to_dict())
 
 
@@ -92,48 +92,47 @@ class DistributionBasis:
 
     point: np.ndarray
     kind: str
-    frame: np.ndarray  # (n, n)
-    mask: np.ndarray  # (n, n) bool
+    frame: np.ndarray  # (..., n, n)
+    mask: np.ndarray  # (..., n, n) bool
 
     @property
-    def rank(self) -> int:
-        return int(self.mask.sum())
+    def rank(self):
+        return scalar_or_stack(self.mask.sum(axis=(-2, -1)), int)
 
 
 def _hermitian_point(xi) -> np.ndarray:
     xi = require_square(xi)
-    # the tolerance cmd_distributions applies to --point
-    if not (np.isfinite(xi).all() and is_hermitian(xi, 1e-8)):
+    if not np.all(is_hermitian(xi, 1e-8)):  # the tolerance cmd_distributions applies
         raise ValueError("the point must be a finite Hermitian matrix")
     return xi
 
 
-def _rank_cutoff(eigenvalues, tol: float) -> float:
+def _rank_cutoff(eigenvalues, tol: float):
     """tol * max(1, max |lam|): spectral quantities at or below it count as 0."""
-    return tol * max(1.0, float(np.max(np.abs(eigenvalues), initial=0.0)))
+    return tol * np.maximum(1.0, np.max(np.abs(eigenvalues), axis=-1, initial=0.0))
 
 
 def distribution_basis(xi, kind: str, tol: float = TAU_RANK) -> DistributionBasis:
-    """Eigenframe and pair mask of one of the four distributions at xi."""
+    """Eigenframe and pair mask of one of the four distributions at xi (or a stack)."""
     xi = _hermitian_point(xi)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     dec = eig_hermitian(xi)
     w = dec.eigenvalues
-    cut = _rank_cutoff(w, tol)
-    lam = np.abs(w[:, None] - w[None, :]) > cut
-    r = np.abs(w[:, None] + w[None, :]) > cut
+    cut = _rank_cutoff(w, tol)[..., None, None]
+    lam = np.abs(w[..., :, None] - w[..., None, :]) > cut
+    r = np.abs(w[..., :, None] + w[..., None, :]) > cut
     mask = {"Lambda": lam, "R": r, "Zero": lam & r, "One": lam | r}[kind]
     return DistributionBasis(point=xi, kind=kind, frame=dec.eigenvectors, mask=mask)
 
 
-def membership_residual(vector, dist: DistributionBasis) -> float:
-    """Relative distance of a tangent vector from the distribution subspace."""
-    norm = frobenius(vector)
-    if norm == 0.0:
-        return 0.0
+def membership_residual(vector, dist: DistributionBasis):
+    """Relative distance of a tangent vector from the distribution subspace (0 for 0)."""
     v = dist.frame
-    return frobenius((dagger(v) @ vector @ v)[~dist.mask]) / norm
+    outside = frobenius((dagger(v) @ vector @ v) * ~dist.mask)
+    norm = frobenius(vector)
+    return scalar_or_stack(np.divide(outside, norm, out=np.zeros_like(outside),
+                                     where=norm != 0.0))
 
 
 def _random_generic_point(n, seed, *key, gap=1e-6, attempts=100):
@@ -188,13 +187,11 @@ def _commutator_value(kind, xi, a, b):
     raise ValueError(kind)
 
 
-def _involutivity_inputs(kind, n, seed, k):
-    """Trial k's point and observable pair, from the (seed, k, ...) substreams."""
-    if kind == "R":
-        xi = _random_r_singular_point(n, seed, k, 0)
-    else:
-        xi = _random_generic_point(n, seed, k, 0)
-    return xi, random_hermitian(n, seed, k, 1), random_hermitian(n, seed, k, 2)
+def _involutivity_inputs(kind, n, seed, ks):
+    """Stacked points and observable pairs of trials ks, from the (seed, k, ...) substreams."""
+    point = _random_r_singular_point if kind == "R" else _random_generic_point
+    xi = np.array([point(n, seed, k, 0) for k in ks])
+    return xi, random_hermitian_stack(n, seed, ks, 1), random_hermitian_stack(n, seed, ks, 2)
 
 
 def involutivity_evidence(
@@ -215,8 +212,8 @@ def involutivity_evidence(
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
-    def trial(k):
-        xi, a, b = _involutivity_inputs(kind, n, seed, k)
+    def trial(ks):
+        xi, a, b = _involutivity_inputs(kind, n, seed, ks)
         dist = distribution_basis(xi, kind)
         if kind == "One":
             values = [
@@ -228,27 +225,22 @@ def involutivity_evidence(
             values = [_commutator_value(kind, xi, a, b)]
         # np.max, unlike max(), propagates a NaN residual
         return {f"commutators_tangent_to_D_{kind}":
-                np.max([membership_residual(v, dist) for v in values])}
+                np.max([membership_residual(v, dist) for v in values], axis=0)}
 
-    report = run_suite(f"involutivity evidence: D_{kind}", trials, seed, tol, trial,
+    report = run_suite(f"involutivity evidence: D_{kind}", n, trials, seed, tol, trial,
                        details={"dim": n, "kind": kind})
     if kind == "R":
         best = report.checks[0]
         res, k = best.max_residual, best.worst_trial
-        xi, a, b = _involutivity_inputs(kind, n, seed, k)
         # passes when a witness with residual > 10*tol was found
         report.checks.clear()
         report.add("non_involutivity_witness_found", 0.0 if res > 10 * tol else float("inf"),
                    worst_trial=k)
         report.details["witness_residual"] = res
-        report.details["witness_matrices"] = {
-            "xi_real": xi.real.tolist(),
-            "xi_imag": xi.imag.tolist(),
-            "a_real": a.real.tolist(),
-            "a_imag": a.imag.tolist(),
-            "b_real": b.real.tolist(),
-            "b_imag": b.imag.tolist(),
-        }
+        report.details["witness_matrices"] = {  # xi_real, xi_imag, a_real, ..., b_imag
+            f"{name}_{part}": getattr(m[0], part).tolist()
+            for name, m in zip(("xi", "a", "b"), _involutivity_inputs(kind, n, seed, [k]))
+            for part in ("real", "imag")}
     return report
 
 

@@ -5,7 +5,7 @@ A(xi) = Tr(xi A)/2, so observables, dual points and density matrices share
 one matrix type.  On top of that pairing live the linear "hat" functions,
 the Poisson bivector, the symmetric Jordan tensor, the non-local star
 product, Hamiltonian vector fields on the dual, state predicates, and the
-golden coefficient tables for the 2-level system.
+golden coefficient tables for the 2-level system.  Evaluators map stacks to arrays.
 
 Star normalization: (A * B)(xi) = Tr(xi A B)/2, so that
   star = r/2 + i lambda/2
@@ -26,8 +26,9 @@ from .kernel import (
     frobenius,
     is_hermitian,
     make_rng,
-    random_hermitian,
+    random_hermitian_stack,
     require_same_dim,
+    scalar_or_stack,
     serialize_matrix,
     unitary_exp,
 )
@@ -47,13 +48,13 @@ def lambda_eval(a, b, xi) -> float:
 def r_eval(a, b, xi) -> float:
     """Symmetric Jordan tensor: Tr(xi (AB+BA))/2 = 2 hat(A o B) at xi."""
     a, b, xi = require_same_dim(a, b, xi)
-    return float((np.trace(xi @ (a @ b + b @ a)) / 2).real)
+    return scalar_or_stack((np.trace(xi @ (a @ b + b @ a), axis1=-2, axis2=-1) / 2).real)
 
 
 def star_eval(a, b, xi) -> complex:
     """Non-local product of hat functions: Tr(xi A B)/2."""
     a, b, xi = require_same_dim(a, b, xi)
-    return complex(np.trace(xi @ a @ b) / 2)
+    return scalar_or_stack(np.trace(xi @ a @ b, axis1=-2, axis2=-1) / 2, complex)
 
 
 def star_generators(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +68,6 @@ def star_generators(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def hamiltonian_field_dual(h, xi) -> np.ndarray:
     """Value at xi of the Hamiltonian vector field of hat(H): [H, xi]_-."""
-    h, xi = require_same_dim(h, xi)
     return lie_bracket(h, xi)
 
 
@@ -85,8 +85,8 @@ def r_invariance_defect(h, a, b, xi, step: float | None = None) -> float:
         bdot = lie_bracket(h, b)
         xidot = lie_bracket(h, xi)
         total = r_eval(adot, b, xi) + r_eval(a, bdot, xi) + r_eval(a, b, xidot)
-        scale = max(1.0, frobenius(h) * frobenius(a) * frobenius(b) * frobenius(xi))
-        return abs(total) / scale
+        scale = np.maximum(1.0, frobenius(h) * frobenius(a) * frobenius(b) * frobenius(xi))
+        return scalar_or_stack(abs(total) / scale)
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
 
@@ -184,12 +184,9 @@ class GoldenTables:
 def verify_dual_geometry(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """Randomized residuals for the dual-space tensor identities."""
 
-    def trial(k):
-        a = random_hermitian(n, seed, k, 0)
-        b = random_hermitian(n, seed, k, 1)
-        c = random_hermitian(n, seed, k, 2)
-        xi = random_hermitian(n, seed, k, 3)
-        scale = max(1.0, frobenius(a) * frobenius(b) * frobenius(xi))
+    def trial(ks):
+        a, b, c, xi = (random_hermitian_stack(n, seed, ks, j) for j in range(4))
+        scale = np.maximum(1.0, frobenius(a) * frobenius(b) * frobenius(xi))
         star = star_eval(a, b, xi)
         sj, sl = star_generators(a, b)
         cyc = (lambda_eval(lie_bracket(a, b), c, xi)
@@ -202,11 +199,11 @@ def verify_dual_geometry(n: int, trials: int, seed: int, tol: float = 1e-9) -> V
                 abs(star - (r_eval(a, b, xi) / 2 + 1j * lambda_eval(a, b, xi) / 2)) / scale,
             "nonlocal_closure": abs(star - (hat_eval(sj, xi) + 1j * hat_eval(sl, xi))) / scale,
             "bilinearity_symmetry": abs(hat_eval(a, xi) - hat_eval(xi, a)) / scale,
-            "function_bracket_jacobi": abs(cyc) / max(1.0, scale * frobenius(c)),
+            "function_bracket_jacobi": abs(cyc) / np.maximum(1.0, scale * frobenius(c)),
             "r_flow_invariance": r_invariance_defect(c, a, b, xi),
         }
 
-    return run_suite("dual-space tensor identities", trials, seed, tol, trial,
+    return run_suite("dual-space tensor identities", n, trials, seed, tol, trial,
                      conventions=CONVENTIONS.to_dict(), details={"dim": n})
 
 

@@ -27,8 +27,11 @@ from .kernel import (
     NumericalError,
     frobenius,
     random_complex_vector,
-    random_hermitian,
+    random_hermitian_stack,
+    require_matrix,
+    require_same_dim,
     require_square,
+    scalar_or_stack,
 )
 from .report import VerificationReport, run_suite
 from . import dual
@@ -41,6 +44,18 @@ def _as_vector(psi) -> np.ndarray:
     if psi.ndim != 1:
         raise DimensionError(f"expected a vector, got shape {psi.shape}")
     return psi
+
+
+def _as_vectors(psi) -> np.ndarray:
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim < 1:
+        raise DimensionError(f"expected a vector or a stack of them, got shape {psi.shape}")
+    return psi
+
+
+def _inner(u, v):
+    """<u, v> over the last axis: a complex for two vectors, an array over stacks."""
+    return scalar_or_stack((u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0], complex)
 
 
 def _pair(u, v):
@@ -81,24 +96,23 @@ def j_apply(u) -> np.ndarray:
 
 
 class QuadraticForm:
-    """f_A(psi) = <psi|A psi>/2 with its exact gradient A psi."""
+    """f_A(psi) = <psi|A psi>/2 with its exact gradient A psi; also over stacks of A and psi."""
 
     def __init__(self, a):
         self.a = require_square(a)
 
-    def value(self, psi) -> float:
-        psi = _as_vector(psi)
-        return float(np.vdot(psi, self.a @ psi).real / 2)
+    def value(self, psi):
+        return _inner(np.asarray(psi, dtype=complex), self.gradient(psi)).real / 2
 
     def gradient(self, psi) -> np.ndarray:
-        return self.a @ _as_vector(psi)
+        return (self.a @ _as_vectors(psi)[..., None])[..., 0]
 
 
 class RayleighQuotient:
     """e_A(psi) = <psi|A psi>/<psi|psi> with its exact gradient."""
 
     def __init__(self, a):
-        self.a = require_square(a)
+        self.a = require_matrix(a)
 
     def value(self, psi) -> float:
         return expectation(self.a, psi)
@@ -126,11 +140,9 @@ def function_brackets(f1, f2, psi) -> FunctionBrackets:
 
     Evaluated from exact gradients.  The Hermitian bracket decomposes as
     symmetric + i*poisson; for quadratic fields it equals twice the star
-    product pulled back through the momentum map.
+    product pulled back through the momentum map; arrays over stacks of points.
     """
-    g1 = _as_vector(f1.gradient(psi))
-    g2 = _as_vector(f2.gradient(psi))
-    h = complex(np.vdot(g1, g2))
+    h = _inner(f1.gradient(psi), f2.gradient(psi))
     return FunctionBrackets(poisson=h.imag, symmetric=h.real, hermitian=h)
 
 
@@ -138,17 +150,17 @@ def function_brackets(f1, f2, psi) -> FunctionBrackets:
 
 
 def momentum_map(psi) -> np.ndarray:
-    """psi -> |psi><psi| into the dual space; equivariant, trace = ||psi||^2."""
-    psi = _as_vector(psi)
-    return np.outer(psi, psi.conj())
+    """psi -> |psi><psi| into the dual space; equivariant, trace = ||psi||^2; also over stacks."""
+    psi = _as_vectors(psi)
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def _pullback_residuals(a, b, psi) -> dict:
-    a, b = require_square(a), require_square(b)
-    psi = _as_vector(psi)
+    a, b = require_same_dim(a, b)
+    psi = _as_vectors(psi)
     rho = momentum_map(psi)
     fa, fb = QuadraticForm(a), QuadraticForm(b)
-    scale = max(1.0, frobenius(a) * frobenius(b) * float(np.vdot(psi, psi).real))
+    scale = np.maximum(1.0, frobenius(a) * frobenius(b) * _inner(psi, psi).real)
     brackets = function_brackets(fa, fb, psi)
     return {
         "pullback_hat_equals_quadratic": abs(dual.hat_eval(a, rho) - fa.value(psi)) / scale,
@@ -159,7 +171,8 @@ def _pullback_residuals(a, b, psi) -> dict:
 
 def pullback_checks(a, b, psi, tol: float = 1e-9) -> VerificationReport:
     """The three momentum-map pullback identities at one point."""
-    return run_suite("momentum-map pullback identities", 1, 0, tol,
+    psi = _as_vector(psi)
+    return run_suite("momentum-map pullback identities", psi.shape[0], 1, 0, tol,
                      lambda _: _pullback_residuals(a, b, psi),
                      conventions=CONVENTIONS.to_dict())
 
@@ -167,12 +180,12 @@ def pullback_checks(a, b, psi, tol: float = 1e-9) -> VerificationReport:
 def verify_pullbacks(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """The pullback identities at seeded random observables and points of C^n."""
 
-    def trial(k):
-        return _pullback_residuals(random_hermitian(n, seed, k, 20),
-                                   random_hermitian(n, seed, k, 21),
-                                   random_complex_vector(n, seed, k, 22))
+    def trial(ks):
+        return _pullback_residuals(random_hermitian_stack(n, seed, ks, 20),
+                                   random_hermitian_stack(n, seed, ks, 21),
+                                   np.array([random_complex_vector(n, seed, k, 22) for k in ks]))
 
-    return run_suite("momentum-map pullback identities", trials, seed, tol, trial,
+    return run_suite("momentum-map pullback identities", n, trials, seed, tol, trial,
                      conventions=CONVENTIONS.to_dict())
 
 
@@ -189,7 +202,7 @@ def _norm2(psi) -> float:
 
 def expectation(a, psi) -> float:
     """Rayleigh quotient <psi|A psi>/<psi|psi>; scale invariant."""
-    a = require_square(a)
+    a = require_matrix(a)
     return float(np.vdot(psi, a @ psi).real / _norm2(psi))
 
 
@@ -199,7 +212,7 @@ def dispersion(a, psi) -> float:
     Evaluated as ||(A - <A>) psi||^2 / ||psi||^2, which is non-negative and
     free of the cancellation between <A^2> and <A>^2.
     """
-    a = require_square(a)
+    a = require_matrix(a)
     psi = _as_vector(psi)
     n2 = _norm2(psi)
     apsi = a @ psi
@@ -220,7 +233,7 @@ def hamiltonian_field_e(a, psi) -> np.ndarray:
 
 def hamiltonian_field_f(a, psi) -> np.ndarray:
     """Hamiltonian vector field of f_A under omega: psi -> -i A psi."""
-    a = require_square(a)
+    a = require_matrix(a)
     return -1j * (a @ _as_vector(psi))
 
 
@@ -249,7 +262,7 @@ def eigensolve_gradient_flow(
     eigenvectors, extending the critical-point picture to interior
     eigenvalues.
     """
-    a = require_square(a)
+    a = require_matrix(a)
     if direction not in ("ascent", "descent"):
         raise ValueError(f"direction must be 'ascent' or 'descent', got {direction!r}")
     sign = 1.0 if direction == "ascent" else -1.0

@@ -1,8 +1,9 @@
 """Dense complex linear-algebra substrate.
 
-Hermitian predicates, the Hermitian eigendecomposition (LAPACK, over single
-matrices or stacks), the unitary exponential, seeded random generation and
-the matrix JSON wire format used by every other module and by the CLI.
+Hermitian predicates, the Hermitian eigendecomposition (LAPACK), the unitary
+exponential, seeded random generation and the matrix JSON wire format used
+by every other module and by the CLI.  The validators, predicates and norms
+take a single matrix or a (..., n, n) stack and check a stack once.
 
 All functions are pure; the only state is the seed passed explicitly.
 
@@ -39,22 +40,38 @@ class MatrixParseError(ValueError):
     """Malformed matrix JSON; message carries the offending position."""
 
 
-def frobenius(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
+def scalar_or_stack(values, kind=float):
+    """One matrix's 0-d result as a Python ``kind``; a stack's results as an array."""
+    values = np.asarray(values)
+    return kind(values) if values.ndim == 0 else values
+
+
+def frobenius(m):
+    """Frobenius norm of a matrix; an array of norms over a (..., n, n) stack."""
+    return scalar_or_stack(np.linalg.norm(np.asarray(m), axis=(-2, -1)))
 
 
 def require_square(m) -> np.ndarray:
+    """A square matrix or a (..., n, n) stack of them, as a complex array."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return m
+
+
+def require_matrix(m) -> np.ndarray:
+    """One square matrix, not a stack, as a complex array."""
+    m = require_square(m)
+    if m.ndim != 2:
+        raise DimensionError(f"expected one square matrix, got shape {m.shape}")
     return m
 
 
 def require_same_dim(*ms) -> list[np.ndarray]:
+    """Matrices and stacks of one dimension n; every stack has the same shape."""
     out = [require_square(m) for m in ms]
-    dims = {m.shape[0] for m in out}
-    if len(dims) > 1:
-        raise DimensionError(f"dimension mismatch: {sorted(dims)}")
+    if len({m.shape[-1] for m in out}) > 1 or len({m.shape for m in out if m.ndim > 2}) > 1:
+        raise DimensionError(f"dimension mismatch: {[m.shape for m in out]}")
     return out
 
 
@@ -63,10 +80,13 @@ def dagger(m) -> np.ndarray:
     return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ||M - M^dag||_F <= tol * max(1, ||M||_F)."""
+def is_hermitian(m, tol: float = DEFAULT_TOL):
+    """True iff M is finite and ||M - M^dag||_F <= tol * max(1, ||M||_F); per matrix of a stack."""
     m = require_square(m)
-    return frobenius(m - dagger(m)) <= tol * max(1.0, frobenius(m))
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    m = np.where(finite[..., None, None], m, 0)  # no arithmetic on non-finite entries
+    close = frobenius(m - dagger(m)) <= tol * np.maximum(1.0, frobenius(m))
+    return scalar_or_stack(finite & close, bool)
 
 
 @dataclass(frozen=True)
@@ -92,9 +112,7 @@ def eig_hermitian(a) -> SpectralDecomposition:
     (``numpy.linalg.eigh``), which handles a whole stack at once.  Input
     that is not square or has non-finite entries is rejected first.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    a = require_square(a)
     bad = ~np.isfinite(a)
     if bad.any():
         where = [tuple(int(i) for i in idx) for idx in np.argwhere(bad)[:5]]
@@ -119,13 +137,23 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entries)))
 
 
-def random_hermitian(n: int, seed: int, *key: int) -> np.ndarray:
-    """(G + G^dag)/2 for G with iid standard complex Gaussian entries."""
+def _random_hermitians(n: int, seed: int, keys) -> np.ndarray:
+    """(G + G^dag)/2 per key, Re G then Im G drawn from substream (seed, *key)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    rng = make_rng(seed, *key)
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    xy = np.array([make_rng(seed, *key).standard_normal((2, n, n)) for key in keys])
+    g = (xy[:, 0] + 1j * xy[:, 1]) / math.sqrt(2.0)
     return (g + dagger(g)) / 2
+
+
+def random_hermitian(n: int, seed: int, *key: int) -> np.ndarray:
+    """(G + G^dag)/2 for G with iid standard complex Gaussian entries."""
+    return _random_hermitians(n, seed, [key])[0]
+
+
+def random_hermitian_stack(n: int, seed: int, ks, *key: int) -> np.ndarray:
+    """``random_hermitian(n, seed, k, *key)`` for every k in ks, stacked: (len(ks), n, n)."""
+    return _random_hermitians(n, seed, [(k, *key) for k in ks])
 
 
 def random_complex_vector(n: int, seed: int, *key: int) -> np.ndarray:

@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 
 def _strict_json(value):
     """Non-finite floats, also inside dicts and lists, as their text: strict JSON."""
@@ -93,31 +95,41 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+CHUNK_ELEMENTS = 2**14  # matrix entries per chunk: a suite's memory does not grow with trials
+
+
 def run_suite(
     title: str,
+    dim: int,
     trials: int,
     seed: int,
     tol: float,
-    trial: Callable[[int], dict],
+    trial: Callable[[np.ndarray], dict],
     conventions: dict | None = None,
     details: dict | None = None,
 ) -> VerificationReport:
-    """Run ``trial(k)`` for every k < trials and keep each check's worst residual.
+    """Run ``trial(ks)`` over the trial indices k < trials; keep each check's worst residual.
 
-    ``trial(k)`` returns ``{check name: scaled residual}`` computed from the
-    ``(seed, k, ...)`` RNG substreams, so any trial can be replayed alone.
-    Checks appear in the order of the first trial's dict.  NaN counts as worse
-    than every number, so a suite that produces one fails; each check records
-    the first trial at which its maximum occurs.
+    ``trial(ks)`` takes an int array of indices and returns ``{check name:
+    len(ks) scaled residuals}``.  Trial k's residuals come from the
+    ``(seed, k, ...)`` RNG substreams alone, so any trial replays by itself.
+    The indices arrive in order, in chunks of max(1, CHUNK_ELEMENTS // dim**2).
+    Checks keep the first chunk's order.  NaN counts as worse than every
+    number, so a suite that produces one fails; each check records the
+    first trial at which its maximum occurs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    step = max(1, CHUNK_ELEMENTS // dim**2)
     worst: dict[str, tuple[float, int]] = {}
-    for k in range(trials):
-        for name, value in trial(k).items():
-            value = float(value)
-            best = worst.get(name)
-            if best is None or value > best[0] or (math.isnan(value) and not math.isnan(best[0])):
+    for start in range(0, trials, step):
+        ks = np.arange(start, min(start + step, trials))
+        for name, values in trial(ks).items():
+            values = np.asarray(values, dtype=float).reshape(ks.shape)
+            i = int(np.argmax(values))  # the first NaN if there is one, else the first maximum
+            value, k = float(values[i]), int(ks[i])
+            # a later chunk takes over only when strictly worse; NaN is worse than any number
+            if name not in worst or np.argmax([worst[name][0], value]) == 1:
                 worst[name] = (value, k)
     report = VerificationReport(title=title, seed=seed, trials=trials, tol=tol,
                                 conventions=conventions or {}, details=details or {})

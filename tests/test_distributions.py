@@ -192,13 +192,14 @@ class TestInvolutivity:
         assert report.details["witness_matrices"]["xi_real"] == points[k].real.tolist()
 
     def test_nan_membership_residual_fails(self, monkeypatch):
-        # One checks three commutator values per trial; make the middle one NaN
+        # One checks three commutator values per trial stack; make the middle one NaN
         calls = []
         real = dist.membership_residual
 
         def probe(vector, basis):
             calls.append(None)
-            return float("nan") if len(calls) % 3 == 2 else real(vector, basis)
+            residuals = real(vector, basis)
+            return np.full_like(residuals, np.nan) if len(calls) % 3 == 2 else residuals
 
         monkeypatch.setattr(dist, "membership_residual", probe)
         report = dist.involutivity_evidence("One", 2, trials=3, seed=0)

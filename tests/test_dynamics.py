@@ -184,6 +184,16 @@ class TestMuRelatedness:
             report = mu_relatedness_check(spec, psi0, seed=seed)
             assert report.passed, report.summary()
 
+    def test_nan_state_fails_both_checks(self):
+        # a NaN residual used to be dropped by max(0.0, nan), reporting 0.0 as a pass
+        spec = make_spec(random_hermitian(3, 65), t_final=1.0, steps=4)
+        report = mu_relatedness_check(spec, np.array([np.nan, 1.0, 0.0]))
+        assert [c.name for c in report.checks] == [
+            "mu_of_schrodinger_equals_vonneumann_of_mu",
+            "heisenberg_schrodinger_expectations_agree"]
+        assert all(np.isnan(c.max_residual) and not c.passed for c in report.checks)
+        assert not report.passed
+
     def test_wrong_orientation_detected(self):
         # reversing time in one picture must break the relatedness
         h = random_hermitian(2, 62)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from geomqm.kernel import (
     serialize_matrix,
     unitary_exp,
 )
+from geomqm import dual
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -28,6 +30,19 @@ class TestIsHermitian:
 
     def test_pauli_y(self):
         assert is_hermitian(PAULI_Y, 1e-14)
+
+    @pytest.mark.parametrize("where", [(0, 2), (1, 1)])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_is_false_without_warnings(self, bad, where):
+        # off the diagonal, inf - 0 gave inf <= tol * inf, so the answer was True;
+        # on it, inf - inf warned
+        m = np.eye(3, dtype=complex)
+        m[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_hermitian(m) is False
+            assert not dual.is_state(m)
+            assert is_hermitian(np.stack([np.eye(3), m, np.eye(3)])).tolist() == [True, False, True]
 
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):

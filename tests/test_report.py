@@ -1,14 +1,25 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from geomqm import report as report_module
 from geomqm.algebra import verify_jordan_lie
 from geomqm.report import run_suite
 
 
+def zeros(ks):
+    return {"a": np.zeros(len(ks))}
+
+
 def suite(values_by_trial, tol=1e-9):
-    return run_suite("probe", len(values_by_trial), 0, tol, lambda k: values_by_trial[k])
+    """run_suite over per-trial dicts, handed over as one residual array per check."""
+    def trial(ks):
+        return {name: np.array([values_by_trial[k][name] for k in ks])
+                for name in values_by_trial[0]}
+
+    return run_suite("probe", 1, len(values_by_trial), 0, tol, trial)
 
 
 class TestRunSuite:
@@ -29,14 +40,42 @@ class TestRunSuite:
         assert check.to_dict()["max_residual"] == "nan"
 
     def test_report_fields(self):
-        report = run_suite("probe", 2, 7, 1e-3, lambda k: {"a": 0.0},
+        report = run_suite("probe", 1, 2, 7, 1e-3, zeros,
                            conventions={"hbar": 1.0}, details={"dim": 3})
         assert (report.title, report.seed, report.trials, report.tol) == ("probe", 7, 2, 1e-3)
         assert report.conventions == {"hbar": 1.0} and report.details == {"dim": 3}
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            run_suite("probe", 0, 0, 1e-9, lambda k: {"a": 0.0})
+            run_suite("probe", 1, 0, 0, 1e-9, zeros)
+
+
+class TestChunks:
+    def test_chunk_size_from_dim(self):
+        for dim, trials, expected in ((4, 2500, [1024, 1024, 452]), (1, 3, [3]),
+                                      (200, 3, [1, 1, 1])):
+            sizes = []
+
+            def trial(ks):
+                sizes.append(len(ks))
+                return zeros(ks)
+
+            run_suite("probe", dim, trials, 0, 1e-9, trial)
+            assert sizes == expected
+
+    @pytest.mark.parametrize("elements", [1, 2, 3])
+    def test_worst_trial_across_chunks(self, monkeypatch, elements):
+        values = [{"a": 1.0, "b": 5.0}, {"a": 3.0, "b": float("nan")}, {"a": 2.0, "b": 7.0},
+                  {"a": 3.0, "b": float("nan")}, {"a": 0.5, "b": 9.0}]
+        monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", elements)
+        report = suite(values)
+        assert report.checks[0].max_residual == 3.0
+        assert [c.worst_trial for c in report.checks] == [1, 1]
+        assert math.isnan(report.checks[1].max_residual)
+
+    def test_residuals_must_match_chunk(self):
+        with pytest.raises(ValueError):
+            run_suite("probe", 1, 3, 0, 1e-9, lambda ks: {"a": np.zeros(len(ks) + 1)})
 
 
 def reject_constant(name):
@@ -50,7 +89,7 @@ class TestStrictJson:
         assert payload["details"]["bracket_perturbation"] == "nan"
 
     def test_non_finite_witness_residual_is_text(self):
-        report = run_suite("probe", 1, 0, 1e-9, lambda k: {"a": 0.0},
+        report = run_suite("probe", 1, 1, 0, 1e-9, zeros,
                            details={"witness_residual": float("nan"),
                                     "nested": {"values": [1.0, float("-inf")]}})
         payload = json.loads(report.to_json(), parse_constant=reject_constant)

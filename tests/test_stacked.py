@@ -1,12 +1,27 @@
 """Stacked code paths against one-matrix-at-a-time loop references."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from geomqm import distributions as dist
-from geomqm.algebra import trace_form
+from geomqm import kahler
+from geomqm import report as report_module
+from geomqm.algebra import jordan_product, lie_bracket, trace_form, verify_jordan_lie
+from geomqm.dual import verify_dual_geometry
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow, schrodinger_flow, vonneumann_flow
-from geomqm.kernel import random_complex_vector, random_hermitian, unitary_exp
+from geomqm.kahler import verify_pullbacks
+from geomqm.kernel import (
+    DimensionError,
+    frobenius,
+    is_hermitian,
+    random_complex_vector,
+    random_hermitian,
+    random_hermitian_stack,
+    require_same_dim,
+    unitary_exp,
+)
 import svd_oracle as oracle
 
 
@@ -93,3 +108,128 @@ class TestBatchedFlows:
         traj = vonneumann_flow(spec, xi0)
         for xi, u in zip(traj, self.propagators(spec)):
             assert np.max(np.abs(xi - u @ xi0 @ u.conj().T)) <= 1e-12
+
+
+STACK_SHAPES = [(), (7,), (2, 3)]
+
+
+def per_slice(f, *stacks):
+    """f applied to each (n, n) slice of equally shaped stacks, with the stack shape restored."""
+    flat = [s.reshape(-1, *s.shape[-2:]) for s in stacks]
+    out = np.array([f(*ms) for ms in zip(*flat)])
+    return out.reshape(stacks[0].shape[:-2] + out.shape[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("lead", STACK_SHAPES)
+class TestStackedProducts:
+    """Stack-aware products, norms and predicates equal a per-slice loop bit for bit."""
+
+    def stacks(self, n, lead, count=2):
+        size = int(np.prod(lead, dtype=int))
+        return [random_hermitian_stack(n, 11, range(size), n, j).reshape(*lead, n, n)
+                for j in range(count)]
+
+    @pytest.mark.parametrize("f", [lie_bracket, jordan_product, trace_form])
+    def test_binary(self, n, lead, f):
+        a, b = self.stacks(n, lead)
+        assert np.array_equal(f(a, b), per_slice(f, a, b))
+
+    def test_frobenius(self, n, lead):
+        (a,) = self.stacks(n, lead, 1)
+        assert np.array_equal(frobenius(a), per_slice(frobenius, a))
+
+    def test_is_hermitian(self, n, lead):
+        a, b = self.stacks(n, lead)
+        m = a.copy()
+        m.reshape(-1, n, n)[::2] += 1e-3j * b.reshape(-1, n, n)[::2]  # every other slice
+        for x in (a, m):
+            assert np.array_equal(is_hermitian(x), per_slice(is_hermitian, x))
+
+
+def test_single_matrix_keeps_python_scalars():
+    a, b = random_hermitian(3, 12, 0), random_hermitian(3, 12, 1)
+    assert type(trace_form(a, b)) is float and type(frobenius(a)) is float
+    assert type(is_hermitian(a)) is bool and type(dist.commutation_defect(a, b)) is float
+
+
+class TestRequireSameDim:
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            require_same_dim(np.zeros((7, 2, 2)), np.zeros((7, 3, 3)))
+
+    @pytest.mark.parametrize("shapes", [((7, 2, 2), (3, 2, 2)), ((7, 2, 2), (2, 3, 2, 2)),
+                                        ((1, 2, 2), (7, 2, 2))])
+    def test_stack_shape_mismatch(self, shapes):
+        with pytest.raises(DimensionError):
+            require_same_dim(*(np.zeros(s) for s in shapes))
+
+    def test_products_validate_before_broadcasting(self):
+        # numpy would broadcast (1, 2, 2) against (7, 2, 2); the validator rejects it first
+        with pytest.raises(DimensionError):
+            lie_bracket(np.zeros((1, 2, 2)), np.zeros((7, 2, 2)))
+
+    def test_single_matrix_pairs_with_stack(self):
+        a, b = require_same_dim(np.eye(2), np.zeros((7, 2, 2)))
+        assert a.shape == (2, 2) and b.shape == (7, 2, 2)
+
+
+def test_random_hermitian_stack_replays_per_trial_draws():
+    ks = np.array([0, 3, 4, 9])
+    stack = random_hermitian_stack(4, 21, ks, 5, 6)
+    for k, m in zip(ks, stack):
+        assert np.array_equal(m, random_hermitian(4, 21, k, 5, 6))
+
+
+def test_commutation_defect_keeps_nan():
+    xi = random_hermitian_stack(3, 2, range(4), 10)
+    a = random_hermitian_stack(3, 2, range(4), 11)
+    a[2, 0, 1] = np.nan
+    defect = dist.commutation_defect(xi, a)
+    assert np.isnan(defect[2]) and np.isfinite(defect[[0, 1, 3]]).all()
+    assert np.isnan(dist.commutation_defect(xi[2], a[2]))
+
+
+SUITES = {
+    "jordan_lie": verify_jordan_lie,
+    "dual_geometry": verify_dual_geometry,
+    "commutation": dist.verify_commutation,
+    **{f"involutivity_{kind}": partial(dist.involutivity_evidence, kind) for kind in dist.KINDS},
+    "pullbacks": verify_pullbacks,
+}
+
+
+def summary(report):
+    return [(c.name, c.max_residual, c.worst_trial) for c in report.checks], report.details
+
+
+@pytest.mark.parametrize("name", SUITES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_suite_independent_of_chunks_and_replays_worst_trial(monkeypatch, name, n):
+    suite, trials, seed = SUITES[name], 12, 5
+    report = suite(n, trials, seed)
+    for elements in (1, 5 * n * n):  # chunks of 1 and of 5 trials
+        monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", elements)
+        assert summary(suite(n, trials, seed)) == summary(report)
+    monkeypatch.undo()
+    for check in report.checks:
+        rerun = suite(n, check.worst_trial + 1, seed)
+        (again,) = [c for c in rerun.checks if c.name == check.name]
+        assert (again.max_residual, again.worst_trial) == (check.max_residual, check.worst_trial)
+
+
+STACK = np.stack([np.eye(2), np.eye(2)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kahler.expectation(STACK, np.ones(2)),
+    lambda: kahler.dispersion(STACK, np.ones(2)),
+    lambda: kahler.eigensolve_gradient_flow(STACK, np.ones(2)),
+    lambda: kahler.hamiltonian_field_f(STACK, np.ones(2)),
+    lambda: kahler.RayleighQuotient(STACK[:1]),
+    lambda: EvolutionSpec(hamiltonian=STACK, t_final=1.0, steps=2),
+    lambda: heisenberg_flow(EvolutionSpec(hamiltonian=np.eye(2), t_final=1.0, steps=2), STACK),
+])
+def test_single_matrix_entry_points_reject_stacks(call):
+    with pytest.raises(DimensionError):
+        call()
