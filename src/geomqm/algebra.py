@@ -3,7 +3,7 @@
 The two products, the invariant trace form and the associator defect, which
 also take (..., n, n) stacks, and a randomized identity-verification suite.
 
-Sign conventions (recorded in ConventionSet and every report):
+Sign conventions (ConventionSet, defined in .report and recorded in every report):
   [A, B]_- := -i (AB - BA)      Hermitian-valued Lie bracket
   A o B    := (AB + BA) / 2     Jordan product
   <A, B>   := Tr(AB) / 2        invariant trace form
@@ -14,29 +14,10 @@ and the su(2) coordinate brackets come out as {x, y} = 2z and cyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernel import frobenius, random_hermitian_stack, require_same_dim, scalar_or_stack
-from .report import VerificationReport, run_suite
-
-
-@dataclass(frozen=True)
-class ConventionSet:
-    """Frozen normalization constants; carried into every report."""
-
-    hbar: float = 1.0
-    lie_sign: str = "[A,B]_- = -i(AB - BA)"
-    # ratio G(de_A, de_A) / dispersion on unit vectors, fixed once by the
-    # n=2 finite-difference oracle in the test suite
-    kappa: float = 4.0
-
-    def to_dict(self) -> dict:
-        return {"hbar": self.hbar, "lie_sign": self.lie_sign, "kappa": self.kappa}
-
-
-CONVENTIONS = ConventionSet()
+from .report import CONVENTIONS, ConventionSet, VerificationReport, run_suite  # noqa: F401
 
 
 def lie_bracket(a, b) -> np.ndarray:
@@ -114,5 +95,4 @@ def verify_jordan_lie(
         }
 
     return run_suite("Jordan-Lie identity suite", n, trials, seed, tol, trial,
-                     conventions=CONVENTIONS.to_dict(),
                      details={"dim": n, "bracket_perturbation": bracket_perturbation})

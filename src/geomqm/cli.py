@@ -39,6 +39,17 @@ class CliError(Exception):
     """Usage or input error; maps to exit code 2."""
 
 
+def _positive(convert, zero_ok: bool = False):
+    """argparse ``type=``: a ``convert`` number above 0, or at least 0 with ``zero_ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not (value >= 0 if zero_ok else value > 0):  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be {'>= 0' if zero_ok else '> 0'}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" message names it
+    return parse
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--tol", type=float, default=1e-9, help="identity tolerance (default 1e-9)")
@@ -56,8 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the full identity-verification suites")
-    p.add_argument("--dim", type=int, default=4, help="matrix dimension (default 4)")
-    p.add_argument("--trials", type=int, default=100, help="random trials (default 100)")
+    p.add_argument("--dim", type=_positive(int), default=4, help="matrix dimension (default 4)")
+    p.add_argument("--trials", type=_positive(int), default=100,
+                   help="random trials (default 100)")
     _add_common(p)
 
     p = sub.add_parser("evolve", help="evolve a state/observable/dual element")
@@ -79,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="extremal eigenpair by the gradient flow of e_A")
     p.add_argument("--operator", type=Path, required=True, help="matrix JSON file")
     p.add_argument("--direction", choices=("ascent", "descent"), default="descent")
-    p.add_argument("--step", type=float, default=None, help="default 0.1/||A||_F")
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--step", type=_positive(float), default=None, help="default 0.1/||A||_F")
+    p.add_argument("--max-iter", type=_positive(int, zero_ok=True), default=100_000)
     _add_common(p)
 
     p = sub.add_parser("star", help="star product of two observables at a dual point")
@@ -91,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distributions", help="distribution ranks and orbit invariants at a point")
     p.add_argument("--point", type=Path, required=True)
-    p.add_argument("--trials", type=int, default=20, help="involutivity trials (default 20)")
+    p.add_argument("--trials", type=_positive(int), default=20,
+                   help="involutivity trials (default 20)")
     _add_common(p)
 
     p = sub.add_parser("su2demo", help="golden coefficient tables of the 2-level system")
@@ -131,10 +144,6 @@ def _payload(args, reports, results=None, trials=None) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.dim < 1:
-        raise CliError(f"--dim must be >= 1, got {args.dim}")
-    if args.trials < 1:
-        raise CliError(f"--trials must be >= 1, got {args.trials}")
     n, trials, seed, tol = args.dim, args.trials, args.seed, args.tol
     reports = [
         verify_jordan_lie(n, trials, seed, tol),
@@ -167,6 +176,8 @@ def cmd_evolve(args) -> int:
         raise CliError(f"{args.hamiltonian}: Hamiltonian is not Hermitian")
     if args.picture == "schrodinger":
         initial = _read(args.initial, parse_vector)
+        if np.linalg.norm(initial) <= kahler.TAU_NORM:
+            raise CliError(f"{args.initial}: initial state is zero to within {kahler.TAU_NORM:g}")
     else:
         initial = _read(args.initial)
         if args.picture == "vonneumann" and not dual.is_state(initial, 1e-8):
@@ -174,8 +185,7 @@ def cmd_evolve(args) -> int:
                   "evolving anyway", file=sys.stderr)
     try:
         spec = dynamics.EvolutionSpec(hamiltonian=h, t_final=args.t, steps=args.steps,
-                                      hbar=args.hbar, picture=args.picture,
-                                      method=args.method)
+                                      hbar=args.hbar, picture=args.picture)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -217,8 +227,7 @@ def cmd_eigen(args) -> int:
     disp = kahler.dispersion(a, res.eigenvector)
 
     rep = VerificationReport(title="gradient-flow eigensolve", seed=args.seed, trials=1,
-                             tol=args.tol, conventions=CONVENTIONS.to_dict(),
-                             details={"direction": args.direction,
+                             tol=args.tol, details={"direction": args.direction,
                                       "iterations": res.iterations})
     rep.add("eigen_residual", res.residual)
     rep.add("oracle_agreement", abs(res.eigenvalue - reference),
@@ -249,7 +258,7 @@ def cmd_star(args) -> int:
     jordan_part = dual.r_eval(a, b, xi) / 2
     lie_part = dual.lambda_eval(a, b, xi) / 2
     rep = VerificationReport(title="star product decomposition", seed=args.seed, trials=1,
-                             tol=args.tol, conventions=CONVENTIONS.to_dict())
+                             tol=args.tol)
     rep.add("star_equals_r_half_plus_i_lambda_half",
             abs(value - (jordan_part + 1j * lie_part)))
     results = {"star_re": value.real, "star_im": value.imag,
@@ -293,7 +302,7 @@ def cmd_su2demo(args) -> int:
         ("z", "x"): {"y": 1j},
     }
     rep = VerificationReport(title="2-level golden star values", seed=args.seed, trials=1,
-                             tol=1e-12, conventions=CONVENTIONS.to_dict())
+                             tol=1e-12)
     for (na, nb), expected in golden.items():
         coeffs = tables.star_coefficients(na, nb)
         residual = max(abs(coeffs[name] - expected.get(name, 0.0)) for name in dual.SU2_NAMES)

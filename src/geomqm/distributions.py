@@ -12,7 +12,7 @@ distribution is a coordinate subspace {V X V^dag : X[~mask] = 0} for a
 boolean pair mask:
   Lambda: |lam_i - lam_j| > cut     R: |lam_i + lam_j| > cut
   Zero:   both                      One: either
-with cut = tol * max(1, max_i |lam_i|).  One eigendecomposition gives all
+with cut = TAU_RANK * max(1, max_i |lam_i|).  One eigendecomposition gives all
 four exactly, and since conjugation by V preserves the trace form, the
 orthogonal projection onto a distribution is a mask on V^dag v V.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CONVENTIONS, jordan_product, lie_bracket
+from .algebra import jordan_product, lie_bracket
 from .kernel import (
     dagger,
     eig_hermitian,
@@ -44,6 +44,8 @@ from .kernel import (
 from .report import VerificationReport, run_suite
 
 TAU_RANK = 1e-8
+GENERIC_GAP = 1e-6  # least eigenvalue spacing of a sampled generic point
+GENERIC_ATTEMPTS = 100
 
 
 def jhat(xi, a) -> np.ndarray:
@@ -74,8 +76,7 @@ def verify_commutation(n: int, trials: int, seed: int, tol: float = 1e-9) -> Ver
         scale = np.maximum(1.0, frobenius(a) * frobenius(xi) ** 2)
         return {"jhat_rhat_commutation": commutation_defect(xi, a) / scale}
 
-    return run_suite("tensor commutation relation", n, trials, seed, tol, trial,
-                     conventions=CONVENTIONS.to_dict())
+    return run_suite("tensor commutation relation", n, trials, seed, tol, trial)
 
 
 KINDS = ("Lambda", "R", "Zero", "One")
@@ -107,19 +108,22 @@ def _hermitian_point(xi) -> np.ndarray:
     return xi
 
 
-def _rank_cutoff(eigenvalues, tol: float):
-    """tol * max(1, max |lam|): spectral quantities at or below it count as 0."""
-    return tol * np.maximum(1.0, np.max(np.abs(eigenvalues), axis=-1, initial=0.0))
+def _rank_cutoff(eigenvalues):
+    """TAU_RANK * max(1, max |lam|): spectral quantities at or below it count as 0."""
+    return TAU_RANK * np.maximum(1.0, np.max(np.abs(eigenvalues), axis=-1, initial=0.0))
 
 
-def distribution_basis(xi, kind: str, tol: float = TAU_RANK) -> DistributionBasis:
-    """Eigenframe and pair mask of one of the four distributions at xi (or a stack)."""
+def distribution_basis(xi, kind: str) -> DistributionBasis:
+    """Eigenframe and pair mask of one of the four distributions at xi (or a stack).
+
+    Eigenvalue sums and differences at or below _rank_cutoff count as zero.
+    """
     xi = _hermitian_point(xi)
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     dec = eig_hermitian(xi)
     w = dec.eigenvalues
-    cut = _rank_cutoff(w, tol)[..., None, None]
+    cut = _rank_cutoff(w)[..., None, None]
     lam = np.abs(w[..., :, None] - w[..., None, :]) > cut
     r = np.abs(w[..., :, None] + w[..., None, :]) > cut
     mask = {"Lambda": lam, "R": r, "Zero": lam & r, "One": lam | r}[kind]
@@ -135,12 +139,12 @@ def membership_residual(vector, dist: DistributionBasis):
                                      where=norm != 0.0))
 
 
-def _random_generic_point(n, seed, *key, gap=1e-6, attempts=100):
+def _random_generic_point(n, seed, *key):
     # distinct-eigenvalue rejection keeps samples off degenerate strata
-    for k in range(attempts):
+    for k in range(GENERIC_ATTEMPTS):
         xi = random_hermitian(n, seed, *key, k)
         w = eig_hermitian(xi).eigenvalues
-        if np.min(np.diff(w)) > gap:
+        if np.min(np.diff(w)) > GENERIC_GAP:
             return xi
     raise RuntimeError("failed to sample a point with distinct eigenvalues")
 
@@ -244,11 +248,11 @@ def involutivity_evidence(
     return report
 
 
-def orbit_invariants(xi, tol: float = TAU_RANK) -> dict:
+def orbit_invariants(xi) -> dict:
     """Unitary-orbit label (spectrum) and GL-orbit label (rank, signature)."""
     xi = _hermitian_point(xi)
     w = eig_hermitian(xi).eigenvalues
-    cutoff = _rank_cutoff(w, tol)
+    cutoff = _rank_cutoff(w)
     npos = int(np.sum(w > cutoff))
     nneg = int(np.sum(w < -cutoff))
     return {

@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import CONVENTIONS
 from .kernel import (
     DimensionError,
     NumericalError,
@@ -173,8 +172,7 @@ def pullback_checks(a, b, psi, tol: float = 1e-9) -> VerificationReport:
     """The three momentum-map pullback identities at one point."""
     psi = _as_vector(psi)
     return run_suite("momentum-map pullback identities", psi.shape[0], 1, 0, tol,
-                     lambda _: _pullback_residuals(a, b, psi),
-                     conventions=CONVENTIONS.to_dict())
+                     lambda _: _pullback_residuals(a, b, psi))
 
 
 def verify_pullbacks(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
@@ -185,8 +183,7 @@ def verify_pullbacks(n: int, trials: int, seed: int, tol: float = 1e-9) -> Verif
                                    random_hermitian_stack(n, seed, ks, 21),
                                    np.array([random_complex_vector(n, seed, k, 22) for k in ks]))
 
-    return run_suite("momentum-map pullback identities", n, trials, seed, tol, trial,
-                     conventions=CONVENTIONS.to_dict())
+    return run_suite("momentum-map pullback identities", n, trials, seed, tol, trial)
 
 
 # --- expectation, dispersion, eigensolving -----------------------------------

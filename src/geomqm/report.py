@@ -22,6 +22,23 @@ def _strict_json(value):
 
 
 @dataclass(frozen=True)
+class ConventionSet:
+    """Frozen normalization constants; recorded in every report."""
+
+    hbar: float = 1.0
+    lie_sign: str = "[A,B]_- = -i(AB - BA)"
+    # ratio G(de_A, de_A) / dispersion on unit vectors, fixed once by the
+    # n=2 finite-difference oracle in the test suite
+    kappa: float = 4.0
+
+    def to_dict(self) -> dict:
+        return {"hbar": self.hbar, "lie_sign": self.lie_sign, "kappa": self.kappa}
+
+
+CONVENTIONS = ConventionSet()
+
+
+@dataclass(frozen=True)
 class IdentityCheck:
     """Residual of one identity over a batch of trials."""
 
@@ -48,13 +65,12 @@ class IdentityCheck:
 
 @dataclass
 class VerificationReport:
-    """Identity residuals plus everything needed to reproduce them."""
+    """Identity residuals plus everything needed to reproduce them, CONVENTIONS included."""
 
     title: str
     seed: int
     trials: int
     tol: float
-    conventions: dict = field(default_factory=dict)
     checks: list[IdentityCheck] = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
@@ -75,7 +91,7 @@ class VerificationReport:
             "seed": self.seed,
             "trials": self.trials,
             "tol": self.tol,
-            "conventions": self.conventions,
+            "conventions": CONVENTIONS.to_dict(),
             "checks": [c.to_dict() for c in self.checks],
             "details": _strict_json(self.details),
             "passed": self.passed,
@@ -105,7 +121,6 @@ def run_suite(
     seed: int,
     tol: float,
     trial: Callable[[np.ndarray], dict],
-    conventions: dict | None = None,
     details: dict | None = None,
 ) -> VerificationReport:
     """Run ``trial(ks)`` over the trial indices k < trials; keep each check's worst residual.
@@ -116,7 +131,8 @@ def run_suite(
     The indices arrive in order, in chunks of max(1, CHUNK_ELEMENTS // dim**2).
     Checks keep the first chunk's order.  NaN counts as worse than every
     number, so a suite that produces one fails; each check records the
-    first trial at which its maximum occurs.
+    first trial at which its maximum occurs.  The report records CONVENTIONS
+    itself.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -132,7 +148,7 @@ def run_suite(
             if name not in worst or np.argmax([worst[name][0], value]) == 1:
                 worst[name] = (value, k)
     report = VerificationReport(title=title, seed=seed, trials=trials, tol=tol,
-                                conventions=conventions or {}, details=details or {})
+                                details=details or {})
     for name, (value, k) in worst.items():
         report.add(name, value, worst_trial=k)
     return report

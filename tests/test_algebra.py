@@ -111,9 +111,9 @@ class TestVerifySuite:
         assert verify_jordan_lie(n, trials=20, seed=n).passed
 
     def test_conventions_recorded(self):
-        report = verify_jordan_lie(2, trials=1, seed=0)
-        assert report.conventions["hbar"] == CONVENTIONS.hbar
-        assert "lie_sign" in report.conventions
+        conventions = verify_jordan_lie(2, trials=1, seed=0).to_dict()["conventions"]
+        assert conventions["hbar"] == CONVENTIONS.hbar
+        assert "lie_sign" in conventions
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from geomqm import dynamics
+from geomqm.algebra import CONVENTIONS
 from geomqm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow
 from geomqm.kernel import random_hermitian, serialize_matrix
@@ -61,6 +62,35 @@ class TestExitCodes:
         path.write_text('{"dim": 2, "data": [[')
         assert run(["eigen", "--operator", str(path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("verify", "--dim", "-2"),
+        ("verify", "--trials", "0"),
+        ("distributions", "--trials", "0"),
+        ("eigen", "--step", "0"),
+        ("eigen", "--step", "-1"),
+        ("eigen", "--step", "nan"),
+        ("eigen", "--max-iter", "-5"),
+        ("eigen", "--max-iter", "1.5"),
+        ("evolve", "--hbar", "nan"),
+    ])
+    def test_bad_numeric_option(self, capsys, tmp_path, command, option, value):
+        path = write_matrix(tmp_path / "m.json", PAULI_Z)
+        files = {"verify": [], "distributions": ["--point", path], "eigen": ["--operator", path],
+                 "evolve": ["--hamiltonian", path, "--initial", path, "--picture", "heisenberg"]}
+        assert run([command, *files[command], option, value]) == EXIT_USAGE
+        assert option.lstrip("-") in capsys.readouterr().err
+
+    def test_zero_max_iter_allowed(self, capsys, tmp_path):
+        # every vector is an eigenvector of the identity, so no iteration is needed
+        path = write_matrix(tmp_path / "i.json", np.eye(2, dtype=complex))
+        assert run(["eigen", "--operator", path, "--max-iter", "0"]) == EXIT_OK
+
+    def test_unknown_evolve_method(self, capsys, tmp_path):
+        h = write_matrix(tmp_path / "h.json", PAULI_Z)
+        psi = write_matrix(tmp_path / "psi.json", np.array([1.0, 0.0], dtype=complex))
+        code = run(["evolve", "--hamiltonian", h, "--initial", psi, "--method", "euler"])
+        assert code == EXIT_USAGE
+
 
 class TestJsonReports:
     def test_verify_schema(self, capsys, schema):
@@ -94,6 +124,16 @@ class TestJsonReports:
         assert code == EXIT_OK
         jsonschema.validate(payload, schema)
         assert payload["results"]["ranks"] == {"Lambda": 2, "R": 4, "Zero": 2, "One": 4}
+
+    @pytest.mark.parametrize("command", ["verify", "distributions"])
+    def test_every_report_records_conventions(self, capsys, tmp_path, command):
+        path = write_matrix(tmp_path / "xi.json", np.diag([1.0, -1.0, 2.0]).astype(complex))
+        argv = {"verify": ["verify", "--dim", "2", "--trials", "3"],
+                "distributions": ["distributions", "--point", path, "--trials", "3"]}[command]
+        _, payload = run_json(capsys, *argv)
+        assert payload["reports"]
+        for report in payload["reports"]:
+            assert report["conventions"] == CONVENTIONS.to_dict(), report["title"]
 
     def test_su2demo_schema(self, capsys, schema):
         code, payload = run_json(capsys, "su2demo")
@@ -150,6 +190,17 @@ class TestEvolve:
                     "--picture", "heisenberg", "--check-mu"])
         assert code == EXIT_USAGE
         assert calls == []
+
+    @pytest.mark.parametrize("psi0", [[0.0, 0.0], [1e-200, 0.0]])
+    def test_zero_schrodinger_state_does_no_work(self, capsys, tmp_path, monkeypatch, psi0):
+        calls = []
+        monkeypatch.setattr(dynamics, "conserved_report", lambda *a, **k: calls.append(a))
+        h = write_matrix(tmp_path / "h.json", PAULI_Z)
+        z = write_matrix(tmp_path / "z.json", np.array(psi0, dtype=complex))
+        code = run(["evolve", "--picture", "schrodinger", "--hamiltonian", h, "--initial", z])
+        assert code == EXIT_USAGE
+        assert calls == []
+        assert "zero" in capsys.readouterr().err
 
     def test_vonneumann_non_state_warns(self, capsys, tmp_path):
         h = write_matrix(tmp_path / "h.json", PAULI_Z)

@@ -3,7 +3,7 @@ import pytest
 
 from geomqm import dual
 from geomqm.algebra import lie_bracket
-from geomqm.kernel import random_hermitian
+from geomqm.kernel import dagger, random_hermitian, unitary_exp
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -123,6 +123,18 @@ class TestHamiltonianFieldDual:
         assert dual.hat_eval(np.eye(4), v) == pytest.approx(0.0, abs=1e-12)
 
 
+def fd_r_invariance_defect(h, a, b, xi, step=1e-4):
+    """Oracle: central difference of R(A(t), B(t))(xi(t)), all dragged by exp(-itH)."""
+
+    def dragged(t):
+        # pull back along the flow: hat(A) -> hat(U^dag A U), xi -> U^dag xi U
+        u = unitary_exp(h, t)
+        ud = dagger(u)
+        return dual.r_eval(ud @ a @ u, ud @ b @ u, ud @ xi @ u)
+
+    return abs(dragged(step) - dragged(-step)) / (2 * step)
+
+
 class TestRInvariance:
     def test_commuting_exact_zero(self):
         h = np.diag([1.0, 2.0]).astype(complex)
@@ -130,8 +142,10 @@ class TestRInvariance:
         assert dual.r_invariance_defect(h, a, a, h) == 0.0
 
     def test_finite_difference(self):
-        h, a, b, xi = (random_hermitian(2, 20, k) for k in range(4))
-        assert dual.r_invariance_defect(h, a, b, xi, step=1e-4) <= 1e-6
+        for n in (2, 3):
+            h, a, b, xi = (random_hermitian(n, 20, k) for k in range(4))
+            assert fd_r_invariance_defect(h, a, b, xi) <= 1e-6
+            assert dual.r_invariance_defect(h, a, b, xi) <= 1e-10
 
     def test_exact_algebraic(self):
         h, a, b, xi = (random_hermitian(3, 21, k) for k in range(4))

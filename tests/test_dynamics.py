@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geomqm import dynamics, kahler
+from geomqm import dynamics, kahler, kernel
 from geomqm.dynamics import (
     EvolutionSpec,
     conserved_report,
@@ -34,10 +34,6 @@ class TestEvolutionSpec:
     def test_invalid_picture(self):
         with pytest.raises(ValueError):
             make_spec(PAULI_Z, picture="interaction")
-
-    def test_invalid_method(self):
-        with pytest.raises(ValueError):
-            make_spec(PAULI_Z, method="euler")
 
     def test_nonpositive_hbar(self):
         with pytest.raises(ValueError):
@@ -231,6 +227,20 @@ class TestConservedReport:
         spec = make_spec(h, t_final=10.0, steps=40, picture="heisenberg")
         report = conserved_report(spec, heisenberg_flow(spec, a0), seed=3)
         assert report.passed, report.summary()
+
+    def test_unitary_from_cached_decomposition(self, monkeypatch):
+        spec = make_spec(random_hermitian(3, 72), steps=5)
+        traj = schrodinger_flow(spec, random_complex_vector(3, 73))  # caches the decomposition
+        calls, eig = [], kernel.eig_hermitian
+
+        def counted(*args):
+            calls.append(args)
+            return eig(*args)
+
+        monkeypatch.setattr(kernel, "eig_hermitian", counted)  # reached by unitary_exp
+        monkeypatch.setattr(dynamics, "eig_hermitian", counted)
+        assert conserved_report(spec, traj).passed
+        assert calls == []
 
     def test_rk4_drift_flagged_on_coarse_grid(self):
         h = 5.0 * random_hermitian(2, 70)

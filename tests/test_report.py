@@ -6,7 +6,7 @@ import pytest
 
 from geomqm import report as report_module
 from geomqm.algebra import verify_jordan_lie
-from geomqm.report import run_suite
+from geomqm.report import CONVENTIONS, run_suite
 
 
 def zeros(ks):
@@ -40,10 +40,10 @@ class TestRunSuite:
         assert check.to_dict()["max_residual"] == "nan"
 
     def test_report_fields(self):
-        report = run_suite("probe", 1, 2, 7, 1e-3, zeros,
-                           conventions={"hbar": 1.0}, details={"dim": 3})
+        report = run_suite("probe", 1, 2, 7, 1e-3, zeros, details={"dim": 3})
         assert (report.title, report.seed, report.trials, report.tol) == ("probe", 7, 2, 1e-3)
-        assert report.conventions == {"hbar": 1.0} and report.details == {"dim": 3}
+        assert report.details == {"dim": 3}
+        assert report.to_dict()["conventions"] == CONVENTIONS.to_dict()
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
