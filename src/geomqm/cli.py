@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .algebra import CONVENTIONS, verify_jordan_lie
 from .kernel import (
     MatrixParseError,
     NumericalError,
+    TAU_HERMITIAN,
     eig_hermitian,
     is_hermitian,
     parse_matrix,
@@ -40,11 +42,12 @@ class CliError(Exception):
 
 
 def _positive(convert, zero_ok: bool = False):
-    """argparse ``type=``: a ``convert`` number above 0, or at least 0 with ``zero_ok``."""
+    """argparse ``type=``: a finite ``convert`` number above 0, or at least 0 with ``zero_ok``."""
     def parse(text: str):
         value = convert(text)
-        if not (value >= 0 if zero_ok else value > 0):  # also rejects NaN
-            raise argparse.ArgumentTypeError(f"must be {'>= 0' if zero_ok else '> 0'}, got {text}")
+        if not (value >= 0 if zero_ok else value > 0) or value == math.inf:  # also rejects NaN
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>= 0' if zero_ok else '> 0'}, got {text}")
         return value
     parse.__name__ = convert.__name__  # argparse's "invalid int value" message names it
     return parse
@@ -172,7 +175,7 @@ def cmd_evolve(args) -> int:
     if args.check_mu and args.picture != "schrodinger":
         raise CliError("--check-mu requires --picture schrodinger")
     h = _read(args.hamiltonian)
-    if not is_hermitian(h, 1e-8):
+    if not is_hermitian(h, TAU_HERMITIAN):
         raise CliError(f"{args.hamiltonian}: Hamiltonian is not Hermitian")
     if args.picture == "schrodinger":
         initial = _read(args.initial, parse_vector)
@@ -180,7 +183,7 @@ def cmd_evolve(args) -> int:
             raise CliError(f"{args.initial}: initial state is zero to within {kahler.TAU_NORM:g}")
     else:
         initial = _read(args.initial)
-        if args.picture == "vonneumann" and not dual.is_state(initial, 1e-8):
+        if args.picture == "vonneumann" and not dual.is_state(initial, TAU_HERMITIAN):
             print("warning: initial dual element is not a density matrix; "
                   "evolving anyway", file=sys.stderr)
     try:
@@ -210,7 +213,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_eigen(args) -> int:
     a = _read(args.operator)
-    if not is_hermitian(a, 1e-8):
+    if not is_hermitian(a, TAU_HERMITIAN):
         raise CliError(f"{args.operator}: operator is not Hermitian")
     n = a.shape[0]
     psi0 = random_complex_vector(n, args.seed, 33)
@@ -252,7 +255,7 @@ def cmd_eigen(args) -> int:
 def cmd_star(args) -> int:
     a, b, xi = (_read(p) for p in (args.a, args.b, args.xi))
     for path, m in ((args.a, a), (args.b, b), (args.xi, xi)):
-        if not is_hermitian(m, 1e-8):
+        if not is_hermitian(m, TAU_HERMITIAN):
             raise CliError(f"{path}: matrix is not Hermitian")
     value = dual.star_eval(a, b, xi)
     jordan_part = dual.r_eval(a, b, xi) / 2
@@ -272,7 +275,7 @@ def cmd_star(args) -> int:
 
 def cmd_distributions(args) -> int:
     xi = _read(args.point)
-    if not is_hermitian(xi, 1e-8):
+    if not is_hermitian(xi, TAU_HERMITIAN):
         raise CliError(f"{args.point}: matrix is not Hermitian")
     n = xi.shape[0]
     ranks = {kind: dist.distribution_basis(xi, kind).rank for kind in dist.KINDS}

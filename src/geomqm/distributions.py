@@ -29,6 +29,7 @@ import numpy as np
 
 from .algebra import jordan_product, lie_bracket
 from .kernel import (
+    TAU_HERMITIAN,
     dagger,
     eig_hermitian,
     frobenius,
@@ -103,7 +104,7 @@ class DistributionBasis:
 
 def _hermitian_point(xi) -> np.ndarray:
     xi = require_square(xi)
-    if not np.all(is_hermitian(xi, 1e-8)):  # the tolerance cmd_distributions applies
+    if not np.all(is_hermitian(xi, TAU_HERMITIAN)):
         raise ValueError("the point must be a finite Hermitian matrix")
     return xi
 

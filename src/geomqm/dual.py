@@ -90,7 +90,6 @@ def r_invariance_defect(h, a, b, xi) -> float:
 # --- states ------------------------------------------------------------------
 
 TAU_PSD = 1e-10
-TAU_TRACE = 1e-10
 
 
 def is_state(xi, tol: float = TAU_PSD) -> bool:

@@ -91,41 +91,18 @@ def j_apply(u) -> np.ndarray:
     return 1j * _as_vector(u)
 
 
-# --- quadratic and rational scalar fields ------------------------------------
+# --- quadratic functions and their brackets ---------------------------------
 
 
-class QuadraticForm:
-    """f_A(psi) = <psi|A psi>/2 with its exact gradient A psi; also over stacks of A and psi."""
-
-    def __init__(self, a):
-        self.a = require_square(a)
-
-    def value(self, psi):
-        return _inner(np.asarray(psi, dtype=complex), self.gradient(psi)).real / 2
-
-    def gradient(self, psi) -> np.ndarray:
-        return (self.a @ _as_vectors(psi)[..., None])[..., 0]
-
-
-class RayleighQuotient:
-    """e_A(psi) = <psi|A psi>/<psi|psi> with its exact gradient."""
-
-    def __init__(self, a):
-        self.a = require_matrix(a)
-
-    def value(self, psi) -> float:
-        return expectation(self.a, psi)
-
-    def gradient(self, psi) -> np.ndarray:
-        psi = _as_vector(psi)
-        norm2 = float(np.vdot(psi, psi).real)
-        if norm2 <= TAU_NORM**2:
-            raise ValueError("gradient of e_A undefined near the origin")
-        return (2.0 / norm2) * (self.a @ psi - self.value(psi) * psi)
+def _apply(a, psi) -> np.ndarray:
+    """A psi, the gradient of f_A at psi; over stacks of A and psi."""
+    return (require_square(a) @ _as_vectors(psi)[..., None])[..., 0]
 
 
 def f_quadratic(a, psi) -> float:
-    return QuadraticForm(a).value(psi)
+    """f_A(psi) = <psi|A psi>/2, whose gradient is A psi; arrays over stacks of A and psi."""
+    psi = _as_vectors(psi)
+    return _inner(psi, _apply(a, psi)).real / 2
 
 
 class FunctionBrackets(NamedTuple):
@@ -134,14 +111,14 @@ class FunctionBrackets(NamedTuple):
     hermitian: complex
 
 
-def function_brackets(f1, f2, psi) -> FunctionBrackets:
-    """The Poisson, metric and Hermitian brackets of two scalar fields.
+def function_brackets(a, b, psi) -> FunctionBrackets:
+    """The Poisson, metric and Hermitian brackets of f_A and f_B at psi.
 
-    Evaluated from exact gradients.  The Hermitian bracket decomposes as
-    symmetric + i*poisson; for quadratic fields it equals twice the star
-    product pulled back through the momentum map; arrays over stacks of points.
+    Evaluated from the exact gradients A psi and B psi.  The Hermitian bracket
+    is symmetric + i*poisson, twice the star product pulled back through the
+    momentum map; arrays over stacks of A, B and psi.
     """
-    h = _inner(f1.gradient(psi), f2.gradient(psi))
+    h = _inner(_apply(a, psi), _apply(b, psi))
     return FunctionBrackets(poisson=h.imag, symmetric=h.real, hermitian=h)
 
 
@@ -158,11 +135,10 @@ def _pullback_residuals(a, b, psi) -> dict:
     a, b = require_same_dim(a, b)
     psi = _as_vectors(psi)
     rho = momentum_map(psi)
-    fa, fb = QuadraticForm(a), QuadraticForm(b)
     scale = np.maximum(1.0, frobenius(a) * frobenius(b) * _inner(psi, psi).real)
-    brackets = function_brackets(fa, fb, psi)
+    brackets = function_brackets(a, b, psi)
     return {
-        "pullback_hat_equals_quadratic": abs(dual.hat_eval(a, rho) - fa.value(psi)) / scale,
+        "pullback_hat_equals_quadratic": abs(dual.hat_eval(a, rho) - f_quadratic(a, psi)) / scale,
         "pullback_poisson_bracket": abs(dual.lambda_eval(a, b, rho) - brackets.poisson) / scale,
         "pullback_jordan_metric": abs(dual.r_eval(a, b, rho) - brackets.symmetric) / scale,
     }
@@ -203,24 +179,28 @@ def expectation(a, psi) -> float:
     return float(np.vdot(psi, a @ psi).real / _norm2(psi))
 
 
+def _centered(a, psi) -> tuple[np.ndarray, float]:
+    """((A - e_A(psi)) psi, ||psi||^2), shared by the gradient of e_A and the dispersion."""
+    a, psi = require_matrix(a), _as_vector(psi)
+    n2 = _norm2(psi)
+    apsi = a @ psi
+    return apsi - float(np.vdot(psi, apsi).real / n2) * psi, n2
+
+
 def dispersion(a, psi) -> float:
     """Variance <A^2> - <A>^2 in the (projectivized) state psi.
 
     Evaluated as ||(A - <A>) psi||^2 / ||psi||^2, which is non-negative and
     free of the cancellation between <A^2> and <A>^2.
     """
-    a = require_matrix(a)
-    psi = _as_vector(psi)
-    n2 = _norm2(psi)
-    apsi = a @ psi
-    mean = float(np.vdot(psi, apsi).real / n2)
-    centered = apsi - mean * psi
+    centered, n2 = _centered(a, psi)
     return float(np.vdot(centered, centered).real / n2)
 
 
 def gradient_field_e(a, psi) -> np.ndarray:
-    """Metric gradient of e_A; vanishes exactly at eigenvectors."""
-    return RayleighQuotient(a).gradient(psi)
+    """Metric gradient 2 (A - e_A) psi / ||psi||^2 of e_A; vanishes exactly at eigenvectors."""
+    centered, n2 = _centered(a, psi)
+    return (2.0 / n2) * centered
 
 
 def hamiltonian_field_e(a, psi) -> np.ndarray:
@@ -249,15 +229,13 @@ def eigensolve_gradient_flow(
     tol: float = 1e-9,
     max_iter: int = 100_000,
     direction: str = "descent",
-    deflate: list | None = None,
 ) -> EigensolveResult:
     """Extremal eigenpair by the normalized gradient flow of e_A.
 
-    Fixed-step ascent/descent along the exact gradient, renormalizing each
-    iteration; terminates when ||A psi - e_A(psi) psi|| <= tol.  ``deflate``
-    restricts the flow to the orthogonal complement of previously found
-    eigenvectors, extending the critical-point picture to interior
-    eigenvalues.
+    Fixed-step ascent/descent along the exact gradient 2 (A - e_A) psi of unit
+    psi, renormalizing each iteration; terminates when ||A psi - e_A psi|| <=
+    tol.  The step must lie in (0, inf).  A step that overflows psi raises
+    NumericalError, as does running out of iterations.
     """
     a = require_matrix(a)
     if direction not in ("ascent", "descent"):
@@ -265,27 +243,22 @@ def eigensolve_gradient_flow(
     sign = 1.0 if direction == "ascent" else -1.0
     if step is None:
         step = 0.1 / max(frobenius(a), TAU_NORM)
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < np.inf:  # also rejects NaN
+        raise ValueError(f"step must be positive and finite, got {step}")
 
-    deflate = [np.asarray(v, dtype=complex) for v in (deflate or [])]
-
-    def project(v):
-        for w in deflate:
-            v = v - (np.vdot(w, v) / np.vdot(w, w)) * w
-        return v
-
-    psi = project(_as_vector(psi0).copy())
-    psi = psi / np.sqrt(_norm2(psi))
+    psi = _as_vector(psi0) / np.sqrt(_norm2(psi0))
     residual = float("inf")
-    for it in range(max_iter + 1):
-        apsi = a @ psi
-        ev = float(np.vdot(psi, apsi).real)
-        r = project(apsi - ev * psi)
-        residual = float(np.linalg.norm(r))
-        if residual <= tol:
-            return EigensolveResult(eigenvalue=ev, eigenvector=psi, iterations=it, residual=residual)
-        psi = psi + sign * step * 2.0 * r
-        psi = project(psi)
-        psi = psi / np.linalg.norm(psi)
+    with np.errstate(over="ignore", invalid="ignore"):  # the norm test below catches both
+        for it in range(max_iter + 1):
+            apsi = a @ psi
+            ev = float(np.vdot(psi, apsi).real)
+            r = apsi - ev * psi
+            residual = float(np.linalg.norm(r))
+            if residual <= tol:
+                return EigensolveResult(ev, psi, it, residual)
+            psi = psi + sign * step * 2.0 * r
+            norm = np.linalg.norm(psi)
+            if not 0 < norm < np.inf:
+                raise NumericalError("gradient flow step is not finite", residual)
+            psi = psi / norm
     raise NumericalError("gradient flow did not converge", residual)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+TAU_HERMITIAN = 1e-8  # the Hermitian test of matrices read from input
 
 
 class DimensionError(ValueError):
@@ -122,12 +123,10 @@ def eig_hermitian(a) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def unitary_exp(a, t: float, hbar: float = 1.0) -> np.ndarray:
-    """U = exp(-i t A / hbar) through the spectral decomposition of A."""
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+def unitary_exp(a, t: float) -> np.ndarray:
+    """U = exp(-i t A) through the spectral decomposition of A."""
     dec = eig_hermitian(a)
-    phases = np.exp(-1j * t * dec.eigenvalues / hbar)
+    phases = np.exp(-1j * t * dec.eigenvalues)
     return (dec.eigenvectors * phases) @ dagger(dec.eigenvectors)
 
 

@@ -57,6 +57,12 @@ class TestExitCodes:
         assert code == EXIT_FAIL
         assert "did not converge" in capsys.readouterr().err
 
+    def test_eigen_overflowing_step(self, capsys, tmp_path):
+        path = write_matrix(tmp_path / "a.json", random_hermitian(3, 58))
+        code = run(["eigen", "--operator", path, "--step", "1e300", "--max-iter", "50"])
+        assert code == EXIT_FAIL
+        assert "eigensolve did not converge" in capsys.readouterr().err
+
     def test_malformed_matrix(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 2, "data": [[')
@@ -69,6 +75,7 @@ class TestExitCodes:
         ("eigen", "--step", "0"),
         ("eigen", "--step", "-1"),
         ("eigen", "--step", "nan"),
+        ("eigen", "--step", "inf"),
         ("eigen", "--max-iter", "-5"),
         ("eigen", "--max-iter", "1.5"),
         ("evolve", "--hbar", "nan"),

@@ -4,18 +4,18 @@ import pytest
 from geomqm import dual, kahler
 from geomqm.algebra import lie_bracket
 from geomqm.kernel import NumericalError, eig_hermitian, random_complex_vector, random_hermitian
-from conftest import PAULI_X, PAULI_Z
+from conftest import PAULI_X, PAULI_Y, PAULI_Z
 
 
-def fd_gradient(field, psi, h=1e-6):
-    """Central-difference gradient in the (q, p) coordinates."""
+def fd_gradient(fn, psi, h=1e-6):
+    """Central-difference gradient of the real function fn in the (q, p) coordinates."""
     x = kahler.to_real(psi)
     out = np.zeros_like(x)
     for k in range(x.size):
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
-        out[k] = (field.value(kahler.from_real(xp)) - field.value(kahler.from_real(xm))) / (2 * h)
+        out[k] = (fn(kahler.from_real(xp)) - fn(kahler.from_real(xm))) / (2 * h)
     return kahler.from_real(out)
 
 
@@ -57,41 +57,38 @@ class TestQuadraticFunctions:
     def test_gradient_matches_finite_difference(self):
         a = random_hermitian(3, 4)
         psi = random_complex_vector(3, 5)
-        f = kahler.QuadraticForm(a)
-        assert np.allclose(f.gradient(psi), fd_gradient(f, psi), atol=1e-6)
+        # the gradient of f_A is A psi, which function_brackets evaluates
+        fd = fd_gradient(lambda p: kahler.f_quadratic(a, p), psi)
+        assert np.allclose(a @ psi, fd, atol=1e-6)
 
 
 class TestFunctionBrackets:
     def test_poisson_antisymmetry(self):
         a = random_hermitian(3, 6)
         psi = random_complex_vector(3, 7)
-        f = kahler.QuadraticForm(a)
-        assert kahler.function_brackets(f, f, psi).poisson == pytest.approx(0.0, abs=1e-12)
+        assert kahler.function_brackets(a, a, psi).poisson == pytest.approx(0.0, abs=1e-12)
 
     def test_poisson_of_xy_is_f_of_bracket(self):
         psi = random_complex_vector(2, 8)
-        fx, fy = kahler.QuadraticForm(PAULI_X), kahler.QuadraticForm(PAULI_Y :=
-            np.array([[0, -1j], [1j, 0]]))
-        lhs = kahler.function_brackets(fx, fy, psi).poisson
+        lhs = kahler.function_brackets(PAULI_X, PAULI_Y, psi).poisson
         assert lhs == pytest.approx(kahler.f_quadratic(lie_bracket(PAULI_X, PAULI_Y), psi))
 
     def test_hermitian_bracket_of_identity(self):
         psi = random_complex_vector(4, 9)
-        fi = kahler.QuadraticForm(np.eye(4))
-        h = kahler.function_brackets(fi, fi, psi).hermitian
+        h = kahler.function_brackets(np.eye(4), np.eye(4), psi).hermitian
         # frozen constant: <f_I | f_I> = ||psi||^2
         assert h == pytest.approx(float(np.vdot(psi, psi).real))
 
     def test_hermitian_combines_parts(self):
         a, b = random_hermitian(3, 10, 0), random_hermitian(3, 10, 1)
         psi = random_complex_vector(3, 11)
-        fb = kahler.function_brackets(kahler.QuadraticForm(a), kahler.QuadraticForm(b), psi)
+        fb = kahler.function_brackets(a, b, psi)
         assert fb.hermitian == pytest.approx(fb.symmetric + 1j * fb.poisson)
 
     def test_hermitian_is_twice_star_through_momentum_map(self):
         a, b = random_hermitian(3, 12, 0), random_hermitian(3, 12, 1)
         psi = random_complex_vector(3, 13)
-        fb = kahler.function_brackets(kahler.QuadraticForm(a), kahler.QuadraticForm(b), psi)
+        fb = kahler.function_brackets(a, b, psi)
         star = dual.star_eval(a, b, kahler.momentum_map(psi))
         assert fb.hermitian == pytest.approx(2 * star, abs=1e-12)
 
@@ -202,8 +199,8 @@ class TestGradientFields:
     def test_matches_finite_difference(self):
         a = random_hermitian(3, 24)
         psi = random_complex_vector(3, 25)
-        e = kahler.RayleighQuotient(a)
-        assert np.allclose(kahler.gradient_field_e(a, psi), fd_gradient(e, psi), atol=1e-6)
+        fd = fd_gradient(lambda p: kahler.expectation(a, p), psi)
+        assert np.allclose(kahler.gradient_field_e(a, psi), fd, atol=1e-6)
 
     def test_hamiltonian_is_j_of_gradient(self):
         a = random_hermitian(3, 26)
@@ -226,7 +223,7 @@ class TestKappaConstant:
         a = random_hermitian(2, 30)
         psi = random_complex_vector(2, 31)
         psi /= np.linalg.norm(psi)
-        g = fd_gradient(kahler.RayleighQuotient(a), psi)
+        g = fd_gradient(lambda p: kahler.expectation(a, p), psi)
         ratio = kahler.g_eval(g, g) / kahler.dispersion(a, psi)
         assert ratio == pytest.approx(CONVENTIONS.kappa, abs=1e-5)
 
@@ -297,14 +294,17 @@ class TestEigensolver:
         v = res.eigenvector
         assert np.linalg.norm(proj @ v - v) <= 1e-7
 
-    def test_deflation_reaches_interior_eigenvalue(self):
-        a = np.diag([-2.0, 0.5, 3.0]).astype(complex)
-        top = kahler.eigensolve_gradient_flow(a, random_complex_vector(3, 58),
-                                              direction="ascent")
-        interior = kahler.eigensolve_gradient_flow(
-            a, random_complex_vector(3, 59), direction="ascent",
-            deflate=[top.eigenvector])
-        assert interior.eigenvalue == pytest.approx(0.5, abs=1e-8)
+    def test_overflowing_step_raises(self):
+        # psi + step * 2r overflows, and psi / ||psi|| would be the zero vector
+        a = random_hermitian(3, 58)
+        with pytest.raises(NumericalError):
+            kahler.eigensolve_gradient_flow(a, random_complex_vector(3, 59), step=1e300,
+                                            max_iter=50)
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_non_finite_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step"):
+            kahler.eigensolve_gradient_flow(PAULI_Z, np.array([0.6, 0.8]), step=step)
 
 
 class TestDispersionCancellation:

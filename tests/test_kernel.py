@@ -119,10 +119,6 @@ class TestUnitaryExp:
         u = unitary_exp(a, t)
         assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10
 
-    def test_nonpositive_hbar_rejected(self):
-        with pytest.raises(ValueError):
-            unitary_exp(PAULI_Z, 1.0, hbar=0.0)
-
 
 class TestRandomHermitian:
     def test_deterministic(self):

@@ -86,7 +86,7 @@ class TestBatchedFlows:
                              hbar=0.8)
 
     def propagators(self, spec):
-        return [unitary_exp(spec.hamiltonian, t, spec.hbar) for t in spec.times()]
+        return [unitary_exp(spec.hamiltonian, t / spec.hbar) for t in spec.times()]
 
     def test_schrodinger_matches_per_sample(self, n):
         spec = self.spec(n)
@@ -226,7 +226,7 @@ STACK = np.stack([np.eye(2), np.eye(2)])
     lambda: kahler.dispersion(STACK, np.ones(2)),
     lambda: kahler.eigensolve_gradient_flow(STACK, np.ones(2)),
     lambda: kahler.hamiltonian_field_f(STACK, np.ones(2)),
-    lambda: kahler.RayleighQuotient(STACK[:1]),
+    lambda: kahler.gradient_field_e(STACK[:1], np.ones(2)),
     lambda: EvolutionSpec(hamiltonian=STACK, t_final=1.0, steps=2),
     lambda: heisenberg_flow(EvolutionSpec(hamiltonian=np.eye(2), t_final=1.0, steps=2), STACK),
 ])
