@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -42,12 +41,11 @@ class CliError(Exception):
 
 
 def _positive(convert, zero_ok: bool = False):
-    """argparse ``type=``: a finite ``convert`` number above 0, or at least 0 with ``zero_ok``."""
+    """argparse ``type=``: a ``convert`` number above 0, or at least 0 with ``zero_ok``."""
     def parse(text: str):
         value = convert(text)
-        if not (value >= 0 if zero_ok else value > 0) or value == math.inf:  # also rejects NaN
-            raise argparse.ArgumentTypeError(
-                f"must be finite and {'>= 0' if zero_ok else '> 0'}, got {text}")
+        if not (value >= 0 if zero_ok else value > 0):
+            raise argparse.ArgumentTypeError(f"must be {'>= 0' if zero_ok else '> 0'}, got {text}")
         return value
     parse.__name__ = convert.__name__  # argparse's "invalid int value" message names it
     return parse
@@ -94,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="extremal eigenpair by the gradient flow of e_A")
     p.add_argument("--operator", type=Path, required=True, help="matrix JSON file")
     p.add_argument("--direction", choices=("ascent", "descent"), default="descent")
-    p.add_argument("--step", type=_positive(float), default=None, help="default 0.1/||A||_F")
     p.add_argument("--max-iter", type=_positive(int, zero_ok=True), default=100_000)
     _add_common(p)
 
@@ -219,8 +216,7 @@ def cmd_eigen(args) -> int:
     psi0 = random_complex_vector(n, args.seed, 33)
     try:
         res = kahler.eigensolve_gradient_flow(
-            a, psi0, step=args.step, tol=args.tol, max_iter=args.max_iter,
-            direction=args.direction)
+            a, psi0, tol=args.tol, max_iter=args.max_iter, direction=args.direction)
     except NumericalError as exc:
         print(f"eigensolve did not converge: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -241,6 +237,7 @@ def cmd_eigen(args) -> int:
         "oracle_eigenvalue": float(reference),
         "iterations": res.iterations,
         "residual": res.residual,
+        "residual_history": res.residual_history,
         "dispersion": disp,
         "eigenvector_re": res.eigenvector.real.tolist(),
         "eigenvector_im": res.eigenvector.imag.tolist(),

@@ -10,8 +10,8 @@ flat Kahler triple becomes
 Quadratic functions f_A(psi) = <psi|A psi>/2 realize observables; the
 momentum map psi -> |psi><psi| intertwines them with the dual-space
 tensors.  The expectation function e_A (Rayleigh quotient) drives the
-gradient-flow eigensolver: its critical points are eigenvectors and its
-critical values eigenvalues.
+eigensolver, whose steps minimize e_A over span{psi, grad e_A, last step}:
+its critical points are eigenvectors and its critical values eigenvalues.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import numpy as np
 from .kernel import (
     DimensionError,
     NumericalError,
+    TAU_HERMITIAN,
     frobenius,
+    is_hermitian,
     random_complex_vector,
     random_hermitian_stack,
     require_matrix,
@@ -36,6 +38,9 @@ from .report import VerificationReport, run_suite
 from . import dual
 
 TAU_NORM = 1e-12
+TAU_DEPENDENT = 1e-8  # relative norm below which a basis vector counts as dependent
+STALL_WINDOW = 64  # iterations the eigensolver's residual may go without halving
+HISTORY_POINTS = 64
 
 
 def _as_vector(psi) -> np.ndarray:
@@ -220,45 +225,62 @@ class EigensolveResult:
     eigenvector: np.ndarray
     iterations: int
     residual: float
+    residual_history: list[float]  # at most HISTORY_POINTS, first and last kept
 
 
 def eigensolve_gradient_flow(
     a,
     psi0,
-    step: float | None = None,
     tol: float = 1e-9,
     max_iter: int = 100_000,
     direction: str = "descent",
 ) -> EigensolveResult:
-    """Extremal eigenpair by the normalized gradient flow of e_A.
+    """Extremal eigenpair by exact steps along the gradient flow of e_A.
 
-    Fixed-step ascent/descent along the exact gradient 2 (A - e_A) psi of unit
-    psi, renormalizing each iteration; terminates when ||A psi - e_A psi|| <=
-    tol.  The step must lie in (0, inf).  A step that overflows psi raises
-    NumericalError, as does running out of iterations.
+    Each iteration minimizes (descent) or maximizes (ascent) e_A over the span
+    of unit psi, its gradient 2 (A - e_A) psi and the previous step (LOBPCG with
+    no preconditioner), so the critical points stay the eigenvectors of A.  Stops
+    when ||A psi - e_A psi|| <= tol; raises NumericalError when the residual has
+    not halved in STALL_WINDOW iterations or max_iter runs out.  A must be finite
+    and Hermitian, psi0 finite and nonzero.
     """
     a = require_matrix(a)
+    if not is_hermitian(a, TAU_HERMITIAN):
+        raise ValueError("operator must be finite and Hermitian")
     if direction not in ("ascent", "descent"):
         raise ValueError(f"direction must be 'ascent' or 'descent', got {direction!r}")
-    sign = 1.0 if direction == "ascent" else -1.0
-    if step is None:
-        step = 0.1 / max(frobenius(a), TAU_NORM)
-    if not 0 < step < np.inf:  # also rejects NaN
-        raise ValueError(f"step must be positive and finite, got {step}")
-
-    psi = _as_vector(psi0) / np.sqrt(_norm2(psi0))
-    residual = float("inf")
-    with np.errstate(over="ignore", invalid="ignore"):  # the norm test below catches both
-        for it in range(max_iter + 1):
-            apsi = a @ psi
-            ev = float(np.vdot(psi, apsi).real)
-            r = apsi - ev * psi
-            residual = float(np.linalg.norm(r))
-            if residual <= tol:
-                return EigensolveResult(ev, psi, it, residual)
-            psi = psi + sign * step * 2.0 * r
-            norm = np.linalg.norm(psi)
-            if not 0 < norm < np.inf:
-                raise NumericalError("gradient flow step is not finite", residual)
-            psi = psi / norm
+    psi = _as_vector(psi0)
+    if not np.isfinite(psi).all():
+        raise ValueError("start vector must be finite")
+    psi = psi / np.sqrt(_norm2(psi))
+    pick = -1 if direction == "ascent" else 0
+    step = np.zeros_like(psi)
+    history = []
+    residual, halved_at, target = np.inf, 0, np.inf
+    for it in range(max_iter + 1):
+        apsi = a @ psi
+        ev = float(np.vdot(psi, apsi).real)
+        r = apsi - ev * psi
+        residual = float(np.linalg.norm(r))
+        history.append(residual)
+        if residual <= tol:
+            keep = np.linspace(0, it, min(it + 1, HISTORY_POINTS)).round().astype(int)
+            return EigensolveResult(ev, psi, it, residual, [history[k] for k in keep])
+        if residual < target:  # never for an inf or NaN residual
+            halved_at, target = it, residual / 2
+        elif it - halved_at >= STALL_WINDOW:
+            raise NumericalError(f"gradient flow stalled at iteration {it}", residual)
+        # orthonormal basis of span{psi, r, step}, dependent columns dropped
+        basis = psi[:, None]
+        for v in (r, step):
+            scale = np.linalg.norm(v)
+            for _ in range(2):  # twice is enough
+                v = v - basis @ (basis.conj().T @ v)
+            norm = np.linalg.norm(v)
+            if norm > TAU_DEPENDENT * scale:
+                basis = np.column_stack([basis, v / norm])
+        c = np.linalg.eigh(basis.conj().T @ (a @ basis))[1][:, pick]
+        psi = basis @ c
+        psi = psi / np.linalg.norm(psi)
+        step = basis[:, 1:] @ c[1:]  # the displacement less the old psi's component
     raise NumericalError("gradient flow did not converge", residual)

@@ -57,9 +57,10 @@ class TestExitCodes:
         assert code == EXIT_FAIL
         assert "did not converge" in capsys.readouterr().err
 
-    def test_eigen_overflowing_step(self, capsys, tmp_path):
-        path = write_matrix(tmp_path / "a.json", random_hermitian(3, 58))
-        code = run(["eigen", "--operator", path, "--step", "1e300", "--max-iter", "50"])
+    def test_eigen_stall(self, capsys, tmp_path):
+        # the residual floor ~eps * ||A|| lies above the default tol
+        path = write_matrix(tmp_path / "a.json", random_hermitian(4, 3) * 1e8)
+        code = run(["eigen", "--operator", path])
         assert code == EXIT_FAIL
         assert "eigensolve did not converge" in capsys.readouterr().err
 
@@ -72,10 +73,6 @@ class TestExitCodes:
         ("verify", "--dim", "-2"),
         ("verify", "--trials", "0"),
         ("distributions", "--trials", "0"),
-        ("eigen", "--step", "0"),
-        ("eigen", "--step", "-1"),
-        ("eigen", "--step", "nan"),
-        ("eigen", "--step", "inf"),
         ("eigen", "--max-iter", "-5"),
         ("eigen", "--max-iter", "1.5"),
         ("evolve", "--hbar", "nan"),
@@ -113,6 +110,15 @@ class TestJsonReports:
         jsonschema.validate(payload, schema)
         res = payload["results"]
         assert abs(res["eigenvalue"] - res["oracle_eigenvalue"]) <= 1e-7
+
+    def test_eigen_residual_history(self, capsys, tmp_path):
+        path = write_matrix(tmp_path / "a.json", random_hermitian(128, 4))
+        code, payload = run_json(capsys, "eigen", "--operator", path)
+        assert code == EXIT_OK
+        res = payload["results"]
+        assert res["iterations"] >= 64  # more residuals than the history keeps
+        assert len(res["residual_history"]) == 64
+        assert res["residual_history"][-1] == res["residual"]
 
     def test_star_schema_and_value(self, capsys, schema, tmp_path):
         pa = write_matrix(tmp_path / "a.json", PAULI_Z)
@@ -260,6 +266,10 @@ class TestDeterminism:
 
     def test_threads_option_removed(self, capsys):
         assert run(["verify", "--dim", "2", "--trials", "2", "--threads", "2"]) == EXIT_USAGE
+
+    def test_step_option_removed(self, capsys, tmp_path):
+        path = write_matrix(tmp_path / "a.json", PAULI_Z)
+        assert run(["eigen", "--operator", path, "--step", "0.1"]) == EXIT_USAGE
 
 
 def _declared_keys_written(node, instances, where="payload"):

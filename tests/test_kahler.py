@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -294,17 +296,60 @@ class TestEigensolver:
         v = res.eigenvector
         assert np.linalg.norm(proj @ v - v) <= 1e-7
 
-    def test_overflowing_step_raises(self):
-        # psi + step * 2r overflows, and psi / ||psi|| would be the zero vector
-        a = random_hermitian(3, 58)
-        with pytest.raises(NumericalError):
-            kahler.eigensolve_gradient_flow(a, random_complex_vector(3, 59), step=1e300,
-                                            max_iter=50)
+    @pytest.mark.parametrize("a, psi0", [
+        (np.array([[1.0, np.nan], [np.nan, 0.0]]), np.array([0.6, 0.8])),
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([0.6, 0.8])),
+        (PAULI_Z, np.array([np.nan, 0.8])),
+        (PAULI_Z, np.array([np.inf, 0.8])),
+    ], ids=["nan-operator", "non-hermitian-operator", "nan-start", "inf-start"])
+    def test_bad_input_rejected(self, a, psi0):
+        with pytest.raises(ValueError, match="must be finite"):
+            kahler.eigensolve_gradient_flow(a, psi0)
 
-    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
-    def test_non_finite_step_rejected(self, step):
-        with pytest.raises(ValueError, match="step"):
-            kahler.eigensolve_gradient_flow(PAULI_Z, np.array([0.6, 0.8]), step=step)
+    def test_unreachable_tol_stalls_early(self):
+        # the residual floor is ~eps * ||A|| ~ 1e-7, far above the default tol
+        a = random_hermitian(4, 3) * 1e8
+        with pytest.raises(NumericalError, match="stalled") as exc:
+            kahler.eigensolve_gradient_flow(a, random_complex_vector(4, 60))
+        assert int(re.search(r"at iteration (\d+)", str(exc.value)).group(1)) <= 300
+
+    def test_overflowing_residual_stalls(self):
+        a = np.diag([1e200, -1e200]).astype(complex)  # A psi overflows
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="stalled at iteration 64"):
+            kahler.eigensolve_gradient_flow(a, np.array([0.6, 0.8]))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("direction", ["ascent", "descent"])
+    def test_small_dimensions_exact(self, n, direction):
+        # span{psi, (A - e_A) psi} is all of C^n, so one Ritz step is exact
+        for seed in range(10):
+            a = random_hermitian(n, seed, 62)
+            res = kahler.eigensolve_gradient_flow(a, random_complex_vector(n, seed, 63),
+                                                  direction=direction)
+            assert res.iterations <= n - 1
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("direction", ["ascent", "descent"])
+    def test_iterations_bounded(self, n, direction):
+        for seed in range(10):
+            a = random_hermitian(n, seed, 64)
+            res = kahler.eigensolve_gradient_flow(a, random_complex_vector(n, seed, 65),
+                                                  direction=direction)
+            oracle = eig_hermitian(a).eigenvalues
+            target = oracle[-1] if direction == "ascent" else oracle[0]
+            assert res.iterations <= 400
+            assert abs(res.eigenvalue - target) <= 1e-8 * max(1.0, abs(target))
+
+    def test_residual_history_subsampled(self):
+        a = random_hermitian(128, 66)
+        psi0 = random_complex_vector(128, 67)
+        res = kahler.eigensolve_gradient_flow(a, psi0)
+        assert res.iterations >= 64  # more residuals than the history keeps
+        history = res.residual_history
+        assert len(history) == 64
+        assert history[0] == pytest.approx(kahler.dispersion(a, psi0) ** 0.5, rel=1e-12)
+        assert history[-1] == res.residual <= 1e-9
 
 
 class TestDispersionCancellation:

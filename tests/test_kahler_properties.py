@@ -6,13 +6,15 @@ bound is relative to the norms of the inputs, so one bound holds at all
 scales.
 """
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomqm import dual, kahler
 from geomqm.algebra import CONVENTIONS
-from geomqm.kernel import random_complex_vector, random_hermitian
+from geomqm.kernel import eig_hermitian, random_complex_vector, random_hermitian
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 REL = 1e-12
@@ -78,3 +80,17 @@ def test_hermitian_bracket_is_twice_star_of_momentum_map(n, a_scale, b_scale, ps
     h = kahler.function_brackets(a, b, psi).hermitian
     star = dual.star_eval(a, b, kahler.momentum_map(psi))
     assert abs(h - 2 * star) <= REL * a_norm * b_norm * psi_norm**2
+
+
+@PROPERTY
+@given(dims, scales, scales, st.sampled_from(["ascent", "descent"]), seeds)
+def test_eigensolver_finds_extremal_eigenvalue(n, a_scale, psi_scale, direction, seed):
+    a, a_norm = observable(n, seed, 0, a_scale)
+    psi0, _ = point(n, seed, psi_scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = kahler.eigensolve_gradient_flow(a, psi0, tol=1e-9 * max(1.0, a_norm),
+                                              direction=direction)
+    oracle = eig_hermitian(a).eigenvalues
+    target = oracle[-1] if direction == "ascent" else oracle[0]
+    assert abs(res.eigenvalue - target) <= 1e-8 * max(1.0, a_norm)
