@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import frobenius, random_hermitian_stack, require_same_dim, scalar_or_stack
+from .kernel import frobenius, make_rng, random_hermitian_stack, require_same_dim, scalar_or_stack
 from .report import CONVENTIONS, ConventionSet, VerificationReport, run_suite  # noqa: F401
 
 
@@ -70,9 +70,10 @@ def verify_jordan_lie(
         return out
 
     hbar = CONVENTIONS.hbar
+    rngs = [make_rng(seed, j) for j in range(3)]
 
     def trial(ks):
-        a, b, c = (random_hermitian_stack(n, seed, ks, j) for j in range(3))
+        a, b, c = (random_hermitian_stack(n, len(ks), rng) for rng in rngs)
         na, nb, nc = frobenius(a), frobenius(b), frobenius(c)
 
         jac = bracket(bracket(a, b), c) + bracket(bracket(b, c), a) + bracket(bracket(c, a), b)

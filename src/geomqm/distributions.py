@@ -35,7 +35,6 @@ from .kernel import (
     frobenius,
     is_hermitian,
     make_rng,
-    random_hermitian,
     random_hermitian_stack,
     require_same_dim,
     require_square,
@@ -70,10 +69,11 @@ def commutation_defect(xi, a):
 
 def verify_commutation(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """Scaled commutation defect of jhat and rhat at seeded random points."""
+    xi_rng, a_rng = make_rng(seed, 10), make_rng(seed, 11)
 
     def trial(ks):
-        xi = random_hermitian_stack(n, seed, ks, 10)
-        a = random_hermitian_stack(n, seed, ks, 11)
+        xi = random_hermitian_stack(n, len(ks), xi_rng)
+        a = random_hermitian_stack(n, len(ks), a_rng)
         scale = np.maximum(1.0, frobenius(a) * frobenius(xi) ** 2)
         return {"jhat_rhat_commutation": commutation_defect(xi, a) / scale}
 
@@ -140,33 +140,47 @@ def membership_residual(vector, dist: DistributionBasis):
                                      where=norm != 0.0))
 
 
-def _random_generic_point(n, seed, *key):
-    # distinct-eigenvalue rejection keeps samples off degenerate strata
-    for k in range(GENERIC_ATTEMPTS):
-        xi = random_hermitian(n, seed, *key, k)
-        w = eig_hermitian(xi).eigenvalues
-        if np.min(np.diff(w)) > GENERIC_GAP:
-            return xi
-    raise RuntimeError("failed to sample a point with distinct eigenvalues")
+def _has_distinct_eigenvalues(xi):
+    return np.min(np.diff(eig_hermitian(xi).eigenvalues, axis=-1), axis=-1) > GENERIC_GAP
 
 
-def _random_r_singular_point(n, seed, *key):
-    """Random point with a +/-a eigenvalue pair, where the R image is proper.
+def _random_generic_points(n, ks, rng, seed, *key):
+    """Points of trials ks with pairwise distinct eigenvalues, off the degenerate strata.
+
+    Trial k's point is the next row of rng, the substream (seed, *key).  A
+    row without distinct eigenvalues is redrawn from its rejection substream
+    (seed, *key, k), row after row, up to GENERIC_ATTEMPTS draws in all.
+    """
+    xi = random_hermitian_stack(n, len(ks), rng)
+    rejected = np.flatnonzero(~_has_distinct_eigenvalues(xi))
+    redraws = [make_rng(seed, *key, k) for k in ks[rejected]]
+    for _ in range(GENERIC_ATTEMPTS - 1):
+        if rejected.size == 0:
+            break
+        xi[rejected] = np.concatenate([random_hermitian_stack(n, 1, r) for r in redraws])
+        still = ~_has_distinct_eigenvalues(xi[rejected])
+        rejected, redraws = rejected[still], [r for r, s in zip(redraws, still) if s]
+    if rejected.size:
+        raise RuntimeError("failed to sample a point with distinct eigenvalues")
+    return xi
+
+
+def _random_r_singular_points(n, m, spectrum_rng, frame_rng):
+    """The next m random points with a +/-a eigenvalue pair, where the R image is proper.
 
     At points with all eigenvalue sums nonzero the map A -> A o xi is
     invertible and D_R fills the tangent space, so non-involutivity can only
     be witnessed on this stratum.  Eigenvalues remain pairwise distinct.
+    Each point takes one uniform row of n - 1 numbers from spectrum_rng, a
+    in [0.5, 1.5) and the offsets in [0, 0.5) of the other n - 2
+    eigenvalues, and its eigenframe exp(-iH) from the next Hermitian row H
+    of frame_rng.
     """
-    rng = make_rng(seed, *key)
-    a = rng.uniform(0.5, 1.5)
-    spectrum = [a, -a] + [a * (2.0 + j) + rng.uniform(0.0, 0.5) for j in range(n - 2)]
-    u = unitary_from_seed(n, seed, *key, 1)
-    return u @ np.diag(np.array(spectrum, dtype=complex)) @ u.conj().T
-
-
-def unitary_from_seed(n, seed, *key) -> np.ndarray:
-    """Seeded random unitary: exp(-iH) for a random Hermitian H."""
-    return unitary_exp(random_hermitian(n, seed, *key), 1.0)
+    u = spectrum_rng.random((m, n - 1))
+    a = 0.5 + u[:, :1]
+    spectrum = np.concatenate([a, -a, a * (2.0 + np.arange(n - 2)) + 0.5 * u[:, 1:]], axis=1)
+    v = unitary_exp(random_hermitian_stack(n, m, frame_rng), 1.0)
+    return (v * spectrum[:, None, :]) @ dagger(v)
 
 
 def _commutator_value(kind, xi, a, b):
@@ -192,11 +206,24 @@ def _commutator_value(kind, xi, a, b):
     raise ValueError(kind)
 
 
-def _involutivity_inputs(kind, n, seed, ks):
-    """Stacked points and observable pairs of trials ks, from the (seed, k, ...) substreams."""
-    point = _random_r_singular_point if kind == "R" else _random_generic_point
-    xi = np.array([point(n, seed, k, 0) for k in ks])
-    return xi, random_hermitian_stack(n, seed, ks, 1), random_hermitian_stack(n, seed, ks, 2)
+def _involutivity_inputs(kind, n, seed):
+    """``draw(ks)``: stacked points and observable pairs of the next trials ks.
+
+    Each input has one substream, made here once: the point (seed, 0), with
+    the R point's eigenframe from (seed, 0, 1), and the pair (seed, 1), (seed, 2).
+    """
+    point_rng, a_rng, b_rng = (make_rng(seed, key) for key in range(3))
+    frame_rng = make_rng(seed, 0, 1) if kind == "R" else None
+
+    def draw(ks):
+        m = len(ks)
+        if kind == "R":
+            xi = _random_r_singular_points(n, m, point_rng, frame_rng)
+        else:
+            xi = _random_generic_points(n, ks, point_rng, seed, 0)
+        return xi, random_hermitian_stack(n, m, a_rng), random_hermitian_stack(n, m, b_rng)
+
+    return draw
 
 
 def involutivity_evidence(
@@ -217,8 +244,10 @@ def involutivity_evidence(
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
+    draw = _involutivity_inputs(kind, n, seed)
+
     def trial(ks):
-        xi, a, b = _involutivity_inputs(kind, n, seed, ks)
+        xi, a, b = draw(ks)
         dist = distribution_basis(xi, kind)
         if kind == "One":
             values = [
@@ -242,10 +271,10 @@ def involutivity_evidence(
         report.add("non_involutivity_witness_found", 0.0 if res > 10 * tol else float("inf"),
                    worst_trial=k)
         report.details["witness_residual"] = res
+        replay = _involutivity_inputs(kind, n, seed)(np.arange(k + 1))  # row k is trial k
         report.details["witness_matrices"] = {  # xi_real, xi_imag, a_real, ..., b_imag
-            f"{name}_{part}": getattr(m[0], part).tolist()
-            for name, m in zip(("xi", "a", "b"), _involutivity_inputs(kind, n, seed, [k]))
-            for part in ("real", "imag")}
+            f"{name}_{part}": getattr(m[k], part).tolist()
+            for name, m in zip(("xi", "a", "b"), replay) for part in ("real", "imag")}
     return report
 
 

@@ -170,9 +170,10 @@ class GoldenTables:
 
 def verify_dual_geometry(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """Randomized residuals for the dual-space tensor identities."""
+    rngs = [make_rng(seed, j) for j in range(4)]
 
     def trial(ks):
-        a, b, c, xi = (random_hermitian_stack(n, seed, ks, j) for j in range(4))
+        a, b, c, xi = (random_hermitian_stack(n, len(ks), rng) for rng in rngs)
         scale = np.maximum(1.0, frobenius(a) * frobenius(b) * frobenius(xi))
         star = star_eval(a, b, xi)
         sj, sl = star_generators(a, b)

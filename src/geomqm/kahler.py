@@ -27,7 +27,8 @@ from .kernel import (
     TAU_HERMITIAN,
     frobenius,
     is_hermitian,
-    random_complex_vector,
+    make_rng,
+    random_complex_vector_stack,
     random_hermitian_stack,
     require_matrix,
     require_same_dim,
@@ -158,11 +159,13 @@ def pullback_checks(a, b, psi, tol: float = 1e-9) -> VerificationReport:
 
 def verify_pullbacks(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """The pullback identities at seeded random observables and points of C^n."""
+    a_rng, b_rng, psi_rng = (make_rng(seed, key) for key in (20, 21, 22))
 
     def trial(ks):
-        return _pullback_residuals(random_hermitian_stack(n, seed, ks, 20),
-                                   random_hermitian_stack(n, seed, ks, 21),
-                                   np.array([random_complex_vector(n, seed, k, 22) for k in ks]))
+        m = len(ks)
+        return _pullback_residuals(random_hermitian_stack(n, m, a_rng),
+                                   random_hermitian_stack(n, m, b_rng),
+                                   random_complex_vector_stack(n, m, psi_rng))
 
     return run_suite("momentum-map pullback identities", n, trials, seed, tol, trial)
 

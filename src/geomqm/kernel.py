@@ -5,12 +5,19 @@ exponential, seeded random generation and the matrix JSON wire format used
 by every other module and by the CLI.  The validators, predicates and norms
 take a single matrix or a (..., n, n) stack and check a stack once.
 
-All functions are pure; the only state is the seed passed explicitly.
+All functions are pure except the stacked draws, which advance the
+generator passed to them; the only other state is the seed passed explicitly.
 
-RNG stream-splitting rule: substream ``(seed, k1, k2, ...)`` uses the PCG64
-generator seeded by ``numpy.random.SeedSequence([seed, k1, k2, ...])``.
-Any module that needs per-trial randomness derives one substream per trial
-index with this rule; it never advances a shared generator.
+RNG stream-splitting rule: substream ``(seed, k1, k2, ...)`` is the PCG64
+generator seeded by ``numpy.random.SeedSequence([seed, k1, k2, ...])``,
+made by ``make_rng``.  A randomized suite makes one substream per input,
+keyed by the input alone, once per run.  Trial k's input is row k of that
+substream's sequential fixed-shape draws: one (2, n, n) normal draw (Re,
+Im) per Hermitian matrix, one (2, n) draw per vector.  Draws for a chunk of
+trials continue the same generator, so results do not depend on how the
+trials are chunked, and replaying trial k draws rows 0..k.  A single draw
+``random_hermitian(n, seed, *key)`` or ``random_complex_vector(n, seed,
+*key)`` is row 0 of its substream.
 """
 
 from __future__ import annotations
@@ -86,7 +93,12 @@ def is_hermitian(m, tol: float = DEFAULT_TOL):
     m = require_square(m)
     finite = np.isfinite(m).all(axis=(-2, -1))
     m = np.where(finite[..., None, None], m, 0)  # no arithmetic on non-finite entries
-    close = frobenius(m - dagger(m)) <= tol * np.maximum(1.0, frobenius(m))
+    # divide by a power of two 2^e above the largest part of an entry when that exceeds 1:
+    # exact, so the answer is unchanged, and no squared entry overflows
+    largest = np.max(np.maximum(abs(m.real), abs(m.imag)), axis=(-2, -1), initial=0.0)
+    unit = np.ldexp(1.0, -np.maximum(np.frexp(largest)[1], 0))
+    m = m * unit[..., None, None]
+    close = frobenius(m - dagger(m)) <= tol * np.maximum(unit, frobenius(m))
     return scalar_or_stack(finite & close, bool)
 
 
@@ -124,10 +136,12 @@ def eig_hermitian(a) -> SpectralDecomposition:
 
 
 def unitary_exp(a, t: float) -> np.ndarray:
-    """U = exp(-i t A) through the spectral decomposition of A."""
+    """U = exp(-i t A) through the spectral decomposition of A; per matrix of a stack."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     dec = eig_hermitian(a)
     phases = np.exp(-1j * t * dec.eigenvalues)
-    return (dec.eigenvectors * phases) @ dagger(dec.eigenvectors)
+    return (dec.eigenvectors * phases[..., None, :]) @ dagger(dec.eigenvectors)
 
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:
@@ -136,28 +150,33 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entries)))
 
 
-def _random_hermitians(n: int, seed: int, keys) -> np.ndarray:
-    """(G + G^dag)/2 per key, Re G then Im G drawn from substream (seed, *key)."""
+def _complex_gaussian_rows(rng, m: int, shape) -> np.ndarray:
+    """The next m rows of iid standard complex Gaussians, (m, *shape); Re then Im per row."""
+    xy = rng.standard_normal((m, 2, *shape))
+    return (xy[:, 0] + 1j * xy[:, 1]) / math.sqrt(2.0)
+
+
+def random_hermitian_stack(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The next m rows (G + G^dag)/2 of generator rng, (m, n, n); G iid standard complex."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    xy = np.array([make_rng(seed, *key).standard_normal((2, n, n)) for key in keys])
-    g = (xy[:, 0] + 1j * xy[:, 1]) / math.sqrt(2.0)
+    g = _complex_gaussian_rows(rng, m, (n, n))
     return (g + dagger(g)) / 2
 
 
+def random_complex_vector_stack(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The next m rows of iid standard complex Gaussian vectors of generator rng, (m, n)."""
+    return _complex_gaussian_rows(rng, m, (n,))
+
+
 def random_hermitian(n: int, seed: int, *key: int) -> np.ndarray:
-    """(G + G^dag)/2 for G with iid standard complex Gaussian entries."""
-    return _random_hermitians(n, seed, [key])[0]
-
-
-def random_hermitian_stack(n: int, seed: int, ks, *key: int) -> np.ndarray:
-    """``random_hermitian(n, seed, k, *key)`` for every k in ks, stacked: (len(ks), n, n)."""
-    return _random_hermitians(n, seed, [(k, *key) for k in ks])
+    """Row 0 of substream (seed, *key): (G + G^dag)/2 for G with iid standard complex entries."""
+    return random_hermitian_stack(n, 1, make_rng(seed, *key))[0]
 
 
 def random_complex_vector(n: int, seed: int, *key: int) -> np.ndarray:
-    rng = make_rng(seed, *key)
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+    """Row 0 of substream (seed, *key): a vector of iid standard complex Gaussians."""
+    return random_complex_vector_stack(n, 1, make_rng(seed, *key))[0]
 
 
 # --- matrix JSON wire format -------------------------------------------------

@@ -126,9 +126,11 @@ def run_suite(
     """Run ``trial(ks)`` over the trial indices k < trials; keep each check's worst residual.
 
     ``trial(ks)`` takes an int array of indices and returns ``{check name:
-    len(ks) scaled residuals}``.  Trial k's residuals come from the
-    ``(seed, k, ...)`` RNG substreams alone, so any trial replays by itself.
-    The indices arrive in order, in chunks of max(1, CHUNK_ELEMENTS // dim**2).
+    len(ks) scaled residuals}``.  The indices arrive in order, in chunks of
+    max(1, CHUNK_ELEMENTS // dim**2).  Under the kernel's stream-splitting
+    rule a suite makes one generator per input before the loop and each
+    chunk draws the next len(ks) rows from it, so trial k's residuals do not
+    depend on the chunking, and rerunning with k + 1 trials replays trial k.
     Checks keep the first chunk's order.  NaN counts as worse than every
     number, so a suite that produces one fails; each check records the
     first trial at which its maximum occurs.  The report records CONVENTIONS

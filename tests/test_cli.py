@@ -6,7 +6,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from geomqm import dynamics
+from geomqm import cli, dynamics
 from geomqm.algebra import CONVENTIONS
 from geomqm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow
@@ -56,6 +56,15 @@ class TestExitCodes:
         code = run(["eigen", "--operator", path, "--max-iter", "2", "--tol", "1e-14"])
         assert code == EXIT_FAIL
         assert "did not converge" in capsys.readouterr().err
+
+    def test_eigen_parses_through_module_attribute(self, capsys, monkeypatch, tmp_path):
+        # a parser bound at definition time hides the parse from anything patching the module
+        calls = []
+        parse = cli.parse_matrix
+        monkeypatch.setattr(cli, "parse_matrix", lambda text: calls.append(text) or parse(text))
+        path = write_matrix(tmp_path / "a.json", PAULI_Z)
+        assert run(["eigen", "--operator", path]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_eigen_stall(self, capsys, tmp_path):
         # the residual floor ~eps * ||A|| lies above the default tol
@@ -247,6 +256,16 @@ class TestEvolve:
         code = run(["evolve", "--hamiltonian", h, "--initial", psi,
                     "--method", "rk4", "--t", "1", "--steps", "200"])
         assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_verify_grid_checks_involutivity_at_full_size(capsys, dim):
+    code, payload = run_json(capsys, "verify", "--dim", str(dim), "--trials", "100")
+    assert code == EXIT_OK and payload["passed"]
+    involutivity = [r for r in payload["reports"] if r["title"].startswith("involutivity")]
+    assert len(involutivity) == 4
+    for r in involutivity:
+        assert r["trials"] == 100 and r["details"]["dim"] == dim
 
 
 class TestDeterminism:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from geomqm import distributions as dist
 from geomqm.kernel import random_hermitian
-from conftest import closed_form_projection
+from conftest import closed_form_projection, unitary_from_seed
 import svd_oracle as oracle
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -65,7 +65,7 @@ def pure(draw):
 
 def build_point(levels, scale, seed):
     lam = scale * np.asarray(levels, dtype=float)
-    u = dist.unitary_from_seed(len(lam), seed)
+    u = unitary_from_seed(len(lam), seed)
     return (u * lam) @ u.conj().T, lam
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from geomqm import distributions as dist
 from geomqm.algebra import trace_form
-from geomqm.kernel import eig_hermitian, random_hermitian
-from conftest import PAULI_X, PAULI_Y, PAULI_Z, closed_form_projection
+from geomqm.kernel import eig_hermitian, make_rng, random_hermitian, random_hermitian_stack
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, closed_form_projection, unitary_from_seed
 import svd_oracle as oracle
 
 
@@ -109,7 +109,7 @@ class TestRanks:
     @pytest.mark.parametrize("c", [2.0, 1e-3])
     def test_scalar_point(self, c):
         # U(cI)U^dag is scalar up to round-off: Lambda and Zero vanish, R fills
-        u = dist.unitary_from_seed(4, 33)
+        u = unitary_from_seed(4, 33)
         xi = u @ (c * np.eye(4)) @ u.conj().T
         ranks = {k: dist.distribution_basis(xi, k).rank for k in dist.KINDS}
         assert ranks == {"Lambda": 0, "Zero": 0, "R": 16, "One": 16}
@@ -120,7 +120,7 @@ class TestRanks:
     def test_gap_at_cutoff(self, top, factor, lambda_rank):
         # cut = TAU_RANK * max(1, max|lam|); one gap sits just above or below it
         gap = factor * dist.TAU_RANK * max(1.0, top)
-        u = dist.unitary_from_seed(4, 34)
+        u = unitary_from_seed(4, 34)
         xi = (u * np.array([0.1, 0.1 + gap, top / 2, top])) @ u.conj().T
         ranks = {k: dist.distribution_basis(xi, k).rank for k in dist.KINDS}
         assert ranks == {"Lambda": lambda_rank, "Zero": lambda_rank, "R": 16, "One": 16}
@@ -177,11 +177,12 @@ class TestInvolutivity:
         assert "xi_real" in report.details["witness_matrices"]
 
     def test_r_witness_is_first_worst_trial(self):
+        # one matrix at a time: trial k's inputs are the next rows of the inputs' substreams
         n, trials, seed = 3, 8, 5
+        draw = dist._involutivity_inputs("R", n, seed)
         residuals, points = [], []
         for k in range(trials):
-            xi = dist._random_r_singular_point(n, seed, k, 0)
-            a, b = random_hermitian(n, seed, k, 1), random_hermitian(n, seed, k, 2)
+            xi, a, b = (m[0] for m in draw(np.array([k])))
             value = dist._commutator_value("R", xi, a, b)
             residuals.append(dist.membership_residual(value, dist.distribution_basis(xi, "R")))
             points.append(xi)
@@ -190,6 +191,41 @@ class TestInvolutivity:
         assert report.checks[0].worst_trial == k
         assert report.details["witness_residual"] == residuals[k]
         assert report.details["witness_matrices"]["xi_real"] == points[k].real.tolist()
+
+    def test_generic_points_redraw_rejected_rows(self, monkeypatch):
+        # a gap that about half of the Gaussian 2x2 spectra miss forces redraws
+        monkeypatch.setattr(dist, "GENERIC_GAP", 1.0)
+        n, seed, trials = 2, 5, 12
+
+        def gap(xi):
+            return np.diff(eig_hermitian(xi).eigenvalues, axis=-1)[..., 0]
+
+        points = dist._random_generic_points(n, np.arange(trials), make_rng(seed, 0), seed, 0)
+        assert gap(points).min() > 1.0
+        plain = random_hermitian_stack(n, trials, make_rng(seed, 0))
+        kept = gap(plain) > 1.0
+        assert 0 < kept.sum() < trials
+        assert np.array_equal(points[kept], plain[kept])
+        for k in np.flatnonzero(~kept):  # the first row of (seed, 0, k) that has the gap
+            rng = make_rng(seed, 0, k)
+            rows = random_hermitian_stack(n, dist.GENERIC_ATTEMPTS - 1, rng)
+            assert np.array_equal(points[k], rows[np.argmax(gap(rows) > 1.0)])
+        # chunks continue the point generator and never share a rejection substream
+        rng = make_rng(seed, 0)
+        chunks = [dist._random_generic_points(n, ks, rng, seed, 0)
+                  for ks in (np.arange(5), np.arange(5, trials))]
+        assert np.array_equal(np.concatenate(chunks), points)
+
+    def test_generic_points_give_up_after_attempts(self, monkeypatch):
+        monkeypatch.setattr(dist, "GENERIC_GAP", np.inf)
+        monkeypatch.setattr(dist, "GENERIC_ATTEMPTS", 3)
+        rows = []
+        draw = dist.random_hermitian_stack
+        monkeypatch.setattr(dist, "random_hermitian_stack",
+                            lambda n, m, rng: rows.append(m) or draw(n, m, rng))
+        with pytest.raises(RuntimeError, match="distinct eigenvalues"):
+            dist.involutivity_evidence("Lambda", 2, 5, 0)
+        assert sum(rows) == 5 * 3  # every trial's point drawn GENERIC_ATTEMPTS times
 
     def test_nan_membership_residual_fails(self, monkeypatch):
         # One checks three commutator values per trial stack; make the middle one NaN
@@ -229,7 +265,7 @@ class TestOrbitInvariants:
 
     def test_unitary_spectrum_invariance(self):
         xi = random_hermitian(4, 41)
-        u = dist.unitary_from_seed(4, 42)
+        u = unitary_from_seed(4, 42)
         before = dist.orbit_invariants(xi)["spectrum"]
         after = dist.orbit_invariants(u @ xi @ u.conj().T)["spectrum"]
         assert np.allclose(before, after, atol=1e-10)

@@ -5,7 +5,15 @@ import pytest
 
 from geomqm import dual, kahler
 from geomqm.algebra import lie_bracket
-from geomqm.kernel import NumericalError, eig_hermitian, random_complex_vector, random_hermitian
+from geomqm.kernel import (
+    NumericalError,
+    eig_hermitian,
+    make_rng,
+    random_complex_vector,
+    random_complex_vector_stack,
+    random_hermitian,
+    random_hermitian_stack,
+)
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -143,12 +151,14 @@ class TestPullbacks:
         assert report.passed
 
     def test_suite_is_worst_of_pointwise_checks(self):
+        # trial k's inputs are row k of the substreams (seed, 20), (seed, 21) and (seed, 22)
         n, trials, seed = 3, 10, 4
+        a_rng, b_rng, psi_rng = (make_rng(seed, key) for key in (20, 21, 22))
         worst = {}
         for k in range(trials):
-            point = kahler.pullback_checks(random_hermitian(n, seed, k, 20),
-                                           random_hermitian(n, seed, k, 21),
-                                           random_complex_vector(n, seed, k, 22))
+            point = kahler.pullback_checks(random_hermitian_stack(n, 1, a_rng)[0],
+                                           random_hermitian_stack(n, 1, b_rng)[0],
+                                           random_complex_vector_stack(n, 1, psi_rng)[0])
             for c in point.checks:
                 worst[c.name] = max(worst.get(c.name, 0.0), c.max_residual)
         report = kahler.verify_pullbacks(n, trials, seed)

@@ -48,6 +48,31 @@ class TestIsHermitian:
         with pytest.raises(DimensionError):
             is_hermitian(np.zeros((2, 3)))
 
+    def test_huge_entries_without_overflow(self):
+        # squaring 1e200 overflowed the norms to inf <= tol * inf, so the answer was True
+        m = np.array([[1e200, 0], [5e199, 0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_hermitian(m, 1e-8) is False
+            assert is_hermitian(m + m.T, 1e-8) is True
+            assert is_hermitian(np.stack([m, m + m.T, np.eye(2)]), 1e-8).tolist() == [
+                False, True, True]
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 3e5, 1e100, 1e150])
+    def test_matches_unscaled_norms(self, scale):
+        # wherever the norms do not overflow, the answer is the plain formula's, bit for bit
+        def fro(x):
+            return np.linalg.norm(x, axis=(0, 1))
+
+        tol = 1e-8
+        for seed in range(20):
+            a = random_hermitian(4, seed, 99) * scale
+            d = random_hermitian(4, seed, 98) * 1j * scale
+            for rel in (0.5, 0.99, 1.0, 1.01, 2.0):
+                m = a + rel * tol * max(1.0, fro(a)) / fro(d) / 2 * d
+                expected = fro(m - m.conj().T) <= tol * max(1.0, fro(m))
+                assert is_hermitian(m, tol) is bool(expected)
+
 
 class TestEigHermitian:
     def test_pauli_z(self):
@@ -118,6 +143,18 @@ class TestUnitaryExp:
         assert np.linalg.norm(lhs - rhs) <= 1e-10
         u = unitary_exp(a, t)
         assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10
+
+    def test_stack_matches_per_matrix(self):
+        stack = np.array([random_hermitian(3, 9, k) for k in range(4)]).reshape(2, 2, 3, 3)
+        u = unitary_exp(stack, 0.7)
+        assert u.shape == (2, 2, 3, 3)
+        for idx in np.ndindex(2, 2):
+            assert np.max(np.abs(u[idx] - unitary_exp(stack[idx], 0.7))) <= 1e-14
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            unitary_exp(np.eye(2), t)
 
 
 class TestRandomHermitian:

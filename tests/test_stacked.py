@@ -16,7 +16,9 @@ from geomqm.kernel import (
     DimensionError,
     frobenius,
     is_hermitian,
+    make_rng,
     random_complex_vector,
+    random_complex_vector_stack,
     random_hermitian,
     random_hermitian_stack,
     require_same_dim,
@@ -127,7 +129,7 @@ class TestStackedProducts:
 
     def stacks(self, n, lead, count=2):
         size = int(np.prod(lead, dtype=int))
-        return [random_hermitian_stack(n, 11, range(size), n, j).reshape(*lead, n, n)
+        return [random_hermitian_stack(n, size, make_rng(11, n, j)).reshape(*lead, n, n)
                 for j in range(count)]
 
     @pytest.mark.parametrize("f", [lie_bracket, jordan_product, trace_form])
@@ -175,15 +177,23 @@ class TestRequireSameDim:
 
 
 def test_random_hermitian_stack_replays_per_trial_draws():
-    ks = np.array([0, 3, 4, 9])
-    stack = random_hermitian_stack(4, 21, ks, 5, 6)
-    for k, m in zip(ks, stack):
-        assert np.array_equal(m, random_hermitian(4, 21, k, 5, 6))
+    # row k is row k of any longer draw, however the earlier rows were split into draws
+    longer = random_hermitian_stack(4, 10, make_rng(21, 5, 6))
+    rng = make_rng(21, 5, 6)
+    rows = [random_hermitian_stack(4, m, rng) for m in (1, 3, 2)]
+    assert np.array_equal(np.concatenate(rows), longer[:6])
+    assert np.array_equal(random_hermitian(4, 21, 5, 6), longer[0])
+
+    vectors = random_complex_vector_stack(3, 5, make_rng(21, 7))
+    rng = make_rng(21, 7)
+    assert np.array_equal(np.concatenate([random_complex_vector_stack(3, m, rng)
+                                          for m in (2, 3)]), vectors)
+    assert np.array_equal(random_complex_vector(3, 21, 7), vectors[0])
 
 
 def test_commutation_defect_keeps_nan():
-    xi = random_hermitian_stack(3, 2, range(4), 10)
-    a = random_hermitian_stack(3, 2, range(4), 11)
+    xi = random_hermitian_stack(3, 4, make_rng(2, 10))
+    a = random_hermitian_stack(3, 4, make_rng(2, 11))
     a[2, 0, 1] = np.nan
     defect = dist.commutation_defect(xi, a)
     assert np.isnan(defect[2]) and np.isfinite(defect[[0, 1, 3]]).all()
