@@ -39,6 +39,7 @@ from .kernel import (
     NumericalError,
     SpectralDecomposition,
     eig_hermitian,
+    eigvals_hermitian,
     is_hermitian,
     parse_matrix,
     random_hermitian,

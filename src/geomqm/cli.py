@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -58,7 +59,9 @@ def _add_common(p):
     p.add_argument("--output", type=Path, default=None, help="write the report to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each parse_args call returns a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="geomqm",
         description="Geometric formulation of finite-level quantum mechanics: "
@@ -118,6 +121,8 @@ def _read(path: Path, vector: bool = False) -> np.ndarray:
         return (parse_vector if vector else parse_matrix)(path.read_bytes())
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
+    except OSError as exc:  # a directory, no read permission
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}")
     except MatrixParseError as exc:
         raise CliError(f"{path}: {exc}")
 

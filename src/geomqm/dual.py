@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import jordan_product, lie_bracket, trace_form
 from .kernel import (
     dagger,
-    eig_hermitian,
+    eigvals_hermitian,
     frobenius,
     is_hermitian,
     make_rng,
@@ -96,8 +96,7 @@ def is_state(xi, tol: float = TAU_PSD) -> bool:
     """True iff xi is Hermitian, positive semidefinite and unit trace within tol."""
     if not is_hermitian(xi, tol):
         return False
-    dec = eig_hermitian(xi)
-    return bool(dec.eigenvalues[0] >= -tol and abs(np.trace(xi).real - 1.0) <= tol)
+    return bool(eigvals_hermitian(xi)[0] >= -tol and abs(np.trace(xi).real - 1.0) <= tol)
 
 
 def random_state(n: int, seed: int, *key: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from .kernel import (
     DimensionError,
     dagger,
     eig_hermitian,
+    eigvals_hermitian,
     frobenius,
     random_hermitian,
     require_matrix,
@@ -157,8 +158,11 @@ def _traces(traj) -> np.ndarray:
 
 
 def _spectrum_deviation(traj) -> float:
-    # eig_hermitian diagonalizes the Hermitian part of every sample in one call
-    return _max_deviation(eig_hermitian(traj).eigenvalues)
+    """Largest eigenvalue drift over the samples; NaN when a sample is not finite."""
+    if not np.isfinite(traj).all():
+        return float("nan")
+    # the eigenvalues of the Hermitian part of every sample, in one LAPACK call
+    return _max_deviation(eigvals_hermitian(traj))
 
 
 def mu_relatedness_check(spec: EvolutionSpec, psi0, seed: int = 0,
@@ -174,15 +178,16 @@ def mu_relatedness_check(spec: EvolutionSpec, psi0, seed: int = 0,
     psi0 = np.asarray(psi0, dtype=complex)
     n = spec.hamiltonian.shape[0]
     psis = schrodinger_flow(spec, psi0)
+    u = _propagators(spec)  # shared by the von Neumann flow and every Heisenberg flow below
     rho0 = kahler.momentum_map(psi0)
-    rhos = vonneumann_flow(spec, rho0)
+    rhos = u @ rho0 @ dagger(u)
     scale = max(1.0, float(np.vdot(psi0, psi0).real))
     mu_res = float(np.max(frobenius(kahler.momentum_map(psis) - rhos))) / scale
 
     obs = [random_hermitian(n, seed, 77, j) for j in range(N_OBSERVABLES)]
     # <psi(t)|A0 psi(t)> against <psi0|A(t) psi0> at every sample, for every observable
     gaps = [np.abs(np.einsum("ti,ij,tj->t", psis.conj(), a0, psis).real
-                   - np.einsum("i,tij,j->t", psi0.conj(), heisenberg_flow(spec, a0), psi0).real)
+                   - np.einsum("i,tij,j->t", psi0.conj(), dagger(u) @ a0 @ u, psi0).real)
             / max(1.0, scale * frobenius(a0)) for a0 in obs]
     exp_res = float(np.max(gaps, initial=0.0))
 
@@ -217,8 +222,7 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
     h = spec.hamiltonian
     if spec.picture == "schrodinger":
         report.add("state_norm", _max_deviation(np.linalg.norm(traj, axis=1)))
-        e_h = np.array([kahler.expectation(h, p) for p in traj])
-        report.add("energy_expectation", _max_deviation(e_h))
+        report.add("energy_expectation", _max_deviation(kahler.expectation(h, traj)))
     elif spec.picture == "vonneumann":
         report.add("trace", _max_deviation(_traces(traj)))
         report.add("spectrum", _spectrum_deviation(traj))

@@ -173,18 +173,19 @@ def verify_pullbacks(n: int, trials: int, seed: int, tol: float = 1e-9) -> Verif
 # --- expectation, dispersion, eigensolving -----------------------------------
 
 
-def _norm2(psi) -> float:
-    psi = _as_vector(psi)
-    n2 = float(np.vdot(psi, psi).real)
-    if n2 <= TAU_NORM**2:
+def _norm2(psi):
+    """||psi||^2, or an array of them over a (..., n) stack; raises if any is near zero."""
+    psi = _as_vectors(psi)
+    n2 = _inner(psi, psi).real
+    if np.any(n2 <= TAU_NORM**2):
         raise ValueError("state vector too close to zero")
     return n2
 
 
-def expectation(a, psi) -> float:
-    """Rayleigh quotient <psi|A psi>/<psi|psi>; scale invariant."""
-    a = require_matrix(a)
-    return float(np.vdot(psi, a @ psi).real / _norm2(psi))
+def expectation(a, psi):
+    """Rayleigh quotient <psi|A psi>/<psi|psi>; scale invariant; an array over a (..., n) stack."""
+    a, psi = require_matrix(a), _as_vectors(psi)
+    return _inner(psi, _apply(a, psi)).real / _norm2(psi)
 
 
 def _centered(a, psi) -> tuple[np.ndarray, float]:

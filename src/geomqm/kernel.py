@@ -118,6 +118,17 @@ class SpectralDecomposition:
         return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
 
+def _finite_hermitian_part(a) -> np.ndarray:
+    """(A + A^dag)/2 of a square matrix or stack; non-square or non-finite input is rejected."""
+    a = require_square(a)
+    bad = ~np.isfinite(a)
+    if bad.any():
+        where = [tuple(int(i) for i in idx) for idx in np.argwhere(bad)[:5]]
+        more = f" and {int(bad.sum()) - 5} more" if bad.sum() > 5 else ""
+        raise ValueError(f"non-finite entries at {where}{more}")
+    return (a + dagger(a)) / 2
+
+
 def eig_hermitian(a) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix, or a stack of them of shape (..., n, n).
 
@@ -125,14 +136,18 @@ def eig_hermitian(a) -> SpectralDecomposition:
     (``numpy.linalg.eigh``), which handles a whole stack at once.  Input
     that is not square or has non-finite entries is rejected first.
     """
-    a = require_square(a)
-    bad = ~np.isfinite(a)
-    if bad.any():
-        where = [tuple(int(i) for i in idx) for idx in np.argwhere(bad)[:5]]
-        more = f" and {int(bad.sum()) - 5} more" if bad.sum() > 5 else ""
-        raise ValueError(f"non-finite entries at {where}{more}")
-    w, v = np.linalg.eigh((a + dagger(a)) / 2)
+    w, v = np.linalg.eigh(_finite_hermitian_part(a))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def eigvals_hermitian(a) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part, (..., n); inputs as for ``eig_hermitian``.
+
+    ``numpy.linalg.eigvalsh`` computes no eigenvectors, so it is cheaper, but
+    its eigenvalues may differ from ``eig_hermitian``'s in the last bits:
+    use it only where no eigenvalue is published.
+    """
+    return np.linalg.eigvalsh(_finite_hermitian_part(a))
 
 
 def unitary_exp(a, t: float) -> np.ndarray:
@@ -199,28 +214,17 @@ def _parse_entry(entry, i, j):
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
     ):
         raise MatrixParseError(f"entry at row {i}, column {j} is not a [re, im] number pair")
-    z = complex(float(entry[0]), float(entry[1]))
+    try:
+        z = complex(float(entry[0]), float(entry[1]))
+    except OverflowError:  # an integer beyond the float range
+        z = complex(math.inf)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise MatrixParseError(f"non-finite entry at row {i}, column {j}")
     return z
 
 
-def _parse_payload(text, expect_cols=None):
-    if isinstance(text, bytes):
-        text = text.decode()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixParseError(f"invalid JSON at position {exc.pos}: {exc.msg}") from None
-    if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
-        raise MatrixParseError("expected an object with 'dim' and 'data'")
-    dim = obj["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise MatrixParseError(f"'dim' must be a positive integer, got {dim!r}")
-    data = obj["data"]
-    if not isinstance(data, list) or len(data) != dim:
-        raise MatrixParseError(f"'data' must have {dim} rows")
-    ncols = expect_cols
+def _walk_entries(data, ncols):
+    """Parse entry by entry; finds the first fault and raises with its row and column."""
     rows = []
     for i, row in enumerate(data):
         if not isinstance(row, list):
@@ -231,6 +235,54 @@ def _parse_payload(text, expect_cols=None):
             raise MatrixParseError(f"ragged row {i}: expected {ncols} entries, got {len(row)}")
         rows.append([_parse_entry(e, i, j) for j, e in enumerate(row)])
     return np.array(rows, dtype=complex)
+
+
+def _entries_in_one_pass(data, ncols):
+    """The (dim, ncols) complex array of well-formed data, else None.
+
+    One object-array build, a shape and a type-set check and one float
+    conversion replace the per-entry checks of ``_walk_entries``.
+    """
+    try:
+        entries = np.array(data, dtype=object)
+    except ValueError:  # nesting numpy cannot lay out
+        return None
+    if entries.ndim != 3 or entries.shape[2] != 2 or ncols not in (None, entries.shape[1]):
+        return None
+    if not set(map(type, entries.flat)) <= {int, float}:  # bool is not int here
+        return None
+    try:
+        pairs = entries.astype(float)
+    except OverflowError:
+        return None
+    if not np.isfinite(pairs).all():
+        return None
+    return pairs.view(complex)[..., 0]  # bit for bit complex(re, im)
+
+
+def _parse_payload(text, expect_cols=None):
+    if isinstance(text, bytes):
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as exc:
+            raise MatrixParseError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}") \
+                from None
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MatrixParseError(f"invalid JSON at position {exc.pos}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too-deep nesting
+        raise MatrixParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
+        raise MatrixParseError("expected an object with 'dim' and 'data'")
+    dim = obj["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise MatrixParseError(f"'dim' must be a positive integer, got {dim!r}")
+    data = obj["data"]
+    if not isinstance(data, list) or len(data) != dim:
+        raise MatrixParseError(f"'data' must have {dim} rows")
+    m = _entries_in_one_pass(data, expect_cols)
+    return _walk_entries(data, expect_cols) if m is None else m
 
 
 def parse_matrix(text) -> np.ndarray:

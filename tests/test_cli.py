@@ -311,3 +311,75 @@ def test_schema_matches_written_keys(capsys, schema):
                 run_json(capsys, "su2demo")[1]]
     assert any("worst_trial" in c for p in payloads for r in p["reports"] for c in r["checks"])
     _declared_keys_written(schema, payloads)
+
+
+class TestNonFiniteEvolution:
+    @pytest.mark.parametrize("picture", ["vonneumann", "heisenberg"])
+    def test_overflowing_rk4_fails_the_report(self, capsys, tmp_path, picture):
+        h = write_matrix(tmp_path / "h.json", PAULI_Z + 0.5 * PAULI_X)
+        m = write_matrix(tmp_path / "m.json", np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+        with np.errstate(all="ignore"):  # RK4 at t = 1e200 overflows on purpose
+            code, payload = run_json(capsys, "evolve", "--method", "rk4", "--picture", picture,
+                                     "--hamiltonian", h, "--initial", m,
+                                     "--t", "1e200", "--steps", "1")
+        assert code == EXIT_FAIL
+        (spectrum,) = [c for c in payload["reports"][0]["checks"] if c["name"] == "spectrum"]
+        assert spectrum["max_residual"] == "nan" and spectrum["passed"] is False
+        assert payload["passed"] is False
+
+
+class TestUnreadableInput:
+    def test_directory(self, capsys, tmp_path):
+        assert run(["eigen", "--operator", str(tmp_path)]) == EXIT_USAGE
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
+    def test_permission_denied(self, capsys, tmp_path, monkeypatch):
+        path = write_matrix(tmp_path / "a.json", PAULI_Z)
+
+        def denied(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(cli.Path, "read_bytes", denied)
+        assert run(["eigen", "--operator", path]) == EXIT_USAGE
+        assert "Permission denied" in capsys.readouterr().err
+
+    def test_undecodable_bytes(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dim": 1, "data": [[[1, 0]]], "note": "\xe9"}')
+        assert run(["eigen", "--operator", str(path)]) == EXIT_USAGE
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 1, "data": [[[1' + "0" * 400 + ', 0]]]}')
+        assert run(["eigen", "--operator", str(path)]) == EXIT_USAGE
+        assert "non-finite entry at row 0, column 0" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_sequence_matches_fresh_calls(self, capsys, tmp_path):
+        a = write_matrix(tmp_path / "a.json", random_hermitian(3, 8))
+        psi = write_matrix(tmp_path / "psi.json", np.array([1.0, 0.5j, 0.0]))
+        calls = [
+            ["verify", "--dim", "2", "--trials", "3", "--json"],
+            ["eigen", "--operator", a, "--max-iter", "-1"],  # usage error: exit 2
+            ["eigen", "--operator", a, "--json", "--seed", "5"],
+            ["evolve", "--hamiltonian", a, "--initial", psi, "--steps", "4", "--json"],
+        ]
+
+        def outcomes(fresh):
+            out = []
+            for argv in calls:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                code = run(argv)
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+            return out
+
+        reused = outcomes(fresh=False)
+        assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+        assert outcomes(fresh=True) == reused

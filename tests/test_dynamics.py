@@ -248,3 +248,35 @@ class TestConservedReport:
         spec = make_spec(h, t_final=10.0, steps=10)
         report = conserved_report(spec, rk4_flow(spec, psi0), seed=4)
         assert not report.passed
+
+
+class TestNonFiniteTrajectory:
+    @pytest.mark.parametrize("picture", ["vonneumann", "heisenberg"])
+    def test_spectrum_residual_nan_and_report_fails(self, picture):
+        # an overflowing RK4 trajectory used to raise from the spectrum monitor
+        spec = make_spec(random_hermitian(3, 74), steps=4, picture=picture)
+        traj = exact_flow(spec, random_hermitian(3, 75))
+        traj[2, 0, 1] = np.inf
+        assert np.isnan(dynamics._spectrum_deviation(traj))
+        with np.errstate(all="ignore"):  # the other monitors do arithmetic on the inf
+            report = conserved_report(spec, traj)
+        (spectrum,) = [c for c in report.checks if c.name == "spectrum"]
+        assert np.isnan(spectrum.max_residual) and not spectrum.passed
+        assert not report.passed
+
+    def test_finite_spectrum_deviation_matches_eigh(self):
+        spec = make_spec(random_hermitian(4, 76), steps=6, picture="vonneumann")
+        traj = rk4_flow(spec, random_hermitian(4, 77))
+        w = np.linalg.eigh(traj)[0]
+        assert dynamics._spectrum_deviation(traj) == pytest.approx(
+            float(np.max(np.abs(w - w[0]))), rel=0, abs=1e-12)
+
+
+class TestStackedEnergyMonitor:
+    def test_matches_per_sample_expectation(self):
+        spec = make_spec(random_hermitian(5, 78), t_final=3.0, steps=16)
+        traj = schrodinger_flow(spec, random_complex_vector(5, 79))
+        stacked = kahler.expectation(spec.hamiltonian, traj)
+        assert stacked.shape == (17,)
+        assert np.array_equal(stacked,
+                              [kahler.expectation(spec.hamiltonian, p) for p in traj])

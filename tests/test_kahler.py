@@ -196,6 +196,15 @@ class TestExpectationDispersion:
         with pytest.raises(ValueError):
             kahler.expectation(PAULI_Z, np.zeros(2))
 
+    def test_stack_of_states(self):
+        psis = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0j]])
+        assert np.array_equal(kahler.expectation(PAULI_Z, psis), [1.0, -1.0, 0.0])
+        assert isinstance(kahler.expectation(PAULI_Z, psis[0]), float)
+
+    def test_near_zero_row_of_a_stack_rejected(self):
+        with pytest.raises(ValueError, match="too close to zero"):
+            kahler.expectation(PAULI_Z, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+
 
 class TestGradientFields:
     def test_vanish_at_eigenvector(self):

@@ -8,6 +8,7 @@ from geomqm.kernel import (
     DimensionError,
     MatrixParseError,
     eig_hermitian,
+    eigvals_hermitian,
     is_hermitian,
     make_rng,
     parse_matrix,
@@ -16,7 +17,7 @@ from geomqm.kernel import (
     serialize_matrix,
     unitary_exp,
 )
-from geomqm import dual
+from geomqm import dual, kernel
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -252,3 +253,99 @@ class TestParseDim:
     def test_boolean_dim_rejected(self):
         with pytest.raises(MatrixParseError, match="'dim'"):
             parse_matrix(b'{"dim": true, "data": [[[1, 0]]]}')
+
+
+def _parse_both_ways(text, cols=None):
+    """(one-pass result, per-entry result) of a well-formed payload."""
+    data = json.loads(text)["data"]
+    fast = kernel._entries_in_one_pass(data, cols)
+    assert fast is not None, "well-formed data left the one-pass route"
+    return fast, kernel._walk_entries(data, cols)
+
+
+class TestOnePassParse:
+    @pytest.mark.parametrize("text, cols", [
+        (b'{"dim":2,"data":[[[1,0],[2,-3]],[[-4,5],[6,7]]]}', None),  # ints
+        (b'{"dim":2,"data":[[[-0.0,0.0],[0.0,-0.0]],[[1,-0.0],[-0.0,2.5]]]}', None),
+        (b'{"dim":1,"data":[[[1e308,-1e308]]]}', None),
+        (b'{"dim":2,"data":[[[1.5e-320,3]],[[-2,0.1]]]}', 1),  # an n x 1 vector
+        (b'{"dim":3,"data":[[[1,0]],[[0,1]],[[-0.0,-0.0]]]}', 1),
+    ])
+    def test_bit_identical_to_per_entry_walk(self, text, cols):
+        fast, walked = _parse_both_ways(text, cols)
+        assert fast.dtype == walked.dtype == complex and fast.shape == walked.shape
+        assert fast.tobytes() == walked.tobytes()  # also tells -0.0 from 0.0
+        parse = parse_vector if cols == 1 else parse_matrix
+        expected = walked[:, 0] if cols == 1 else walked
+        assert parse(text).tobytes() == expected.tobytes()
+
+    def test_random_round_trip_bit_identical(self):
+        m = random_hermitian(7, 21) * 1e-3
+        m[0, 1] = -0.0
+        fast, walked = _parse_both_ways(serialize_matrix(m))
+        assert fast.tobytes() == walked.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("entry, message", [
+        ("true", "entry at row 1, column 0 is not a [re, im] number pair"),
+        ("[1, true]", "entry at row 1, column 0 is not a [re, im] number pair"),
+        ('["1", 0]', "entry at row 1, column 0 is not a [re, im] number pair"),
+        ("null", "entry at row 1, column 0 is not a [re, im] number pair"),
+        ("[1, null]", "entry at row 1, column 0 is not a [re, im] number pair"),
+        ("[1, 0, 0]", "entry at row 1, column 0 is not a [re, im] number pair"),
+        ("[1, [0]]", "entry at row 1, column 0 is not a [re, im] number pair"),
+        ("[NaN, 0]", "non-finite entry at row 1, column 0"),
+        ("[0, -Infinity]", "non-finite entry at row 1, column 0"),
+        ("[1e400, 0]", "non-finite entry at row 1, column 0"),
+        ("[0, -1" + "0" * 400 + "]", "non-finite entry at row 1, column 0"),  # huge int
+    ])
+    def test_malformed_entry_messages(self, entry, message):
+        text = '{"dim":2,"data":[[[1,0],[2,0]],[' + entry + ',[3,0]]]}'
+        assert kernel._entries_in_one_pass(json.loads(text)["data"], None) is None
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim":2,"data":[[[1,0],[0,0]],[[0,0]]]}', "ragged row 1: expected 2 entries, got 1"),
+        ('{"dim":2,"data":[[[1,0]],[[0,0],[1,0]]]}', "ragged row 1: expected 1 entries, got 2"),
+        ('{"dim":2,"data":[[[1,0],[0,0]],7]}', "row 1 is not a list"),
+        ('{"dim":2,"data":[[[1,0]],[[0,0]]]}', "expected square data, got 2x1"),
+    ])
+    def test_malformed_row_messages(self, text, message):
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix(text)
+        assert str(exc.value) == message
+
+    def test_vector_with_two_columns(self):
+        with pytest.raises(MatrixParseError) as exc:
+            parse_vector(b'{"dim":1,"data":[[[1,0],[0,0]]]}')
+        assert str(exc.value) == "ragged row 0: expected 1 entries, got 2"
+
+    @pytest.mark.parametrize("text, match", [
+        (b'{"dim":1,"data":[[[1,0]]],"x":"\xff"}', "not UTF-8 text"),
+        (b'{"dim":1,"data":[[[1' + b"0" * 5000 + b',0]]]}', "invalid JSON"),  # over-long int
+        (b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),  # nesting past the recursion limit
+    ])
+    def test_undecodable_input(self, text, match):
+        with pytest.raises(MatrixParseError, match=match):
+            parse_matrix(text)
+
+
+class TestEigvalsHermitian:
+    def test_matches_eig_hermitian_over_a_stack(self):
+        stack = np.array([random_hermitian(6, 5, k) for k in range(4)])
+        stack[1] += 0.5j * (stack[1] - stack[1].T)  # a non-Hermitian part to drop
+        w = eigvals_hermitian(stack)
+        assert w.shape == (4, 6)
+        assert np.allclose(w, eig_hermitian(stack).eigenvalues, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_like_eig_hermitian(self, bad):
+        a = random_hermitian(3, 1)
+        a[2, 0] = bad
+        with pytest.raises(ValueError, match=r"non-finite entries at \[\(2, 0\)\]"):
+            eigvals_hermitian(a)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            eigvals_hermitian(np.zeros((2, 3)))
