@@ -48,26 +48,10 @@ def _rel(residual, *norms):
     return residual / np.maximum(1.0, np.prod(norms, axis=0))
 
 
-def verify_jordan_lie(
-    n: int,
-    trials: int,
-    seed: int,
-    tol: float = 1e-9,
-    bracket_perturbation: float = 0.0,
-) -> VerificationReport:
-    """Randomized residuals for the complete Jordan-Lie identity suite.
-
-    ``bracket_perturbation`` is a test hook: it adds a scaled Jordan term to
-    the Lie bracket so the Jacobi detector can be shown to fire.
-    """
+def verify_jordan_lie(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
+    """Randomized residuals for the complete Jordan-Lie identity suite."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-
-    def bracket(a, b):
-        out = lie_bracket(a, b)
-        if bracket_perturbation:
-            out = out + bracket_perturbation * jordan_product(a, b)
-        return out
 
     hbar = CONVENTIONS.hbar
     rngs = [make_rng(seed, j) for j in range(3)]
@@ -76,14 +60,15 @@ def verify_jordan_lie(
         a, b, c = (random_hermitian_stack(n, len(ks), rng) for rng in rngs)
         na, nb, nc = frobenius(a), frobenius(b), frobenius(c)
 
-        jac = bracket(bracket(a, b), c) + bracket(bracket(b, c), a) + bracket(bracket(c, a), b)
+        jac = lie_bracket(lie_bracket(a, b), c) + lie_bracket(lie_bracket(b, c), a) \
+            + lie_bracket(lie_bracket(c, a), b)
         a2 = jordan_product(a, a)
         jid = jordan_product(jordan_product(a, b), a2) - jordan_product(a, jordan_product(b, a2))
-        inv_lie = trace_form(bracket(a, b), c) - trace_form(a, bracket(b, c))
+        inv_lie = trace_form(lie_bracket(a, b), c) - trace_form(a, lie_bracket(b, c))
         inv_jor = trace_form(jordan_product(a, b), c) - trace_form(a, jordan_product(b, c))
-        leib = bracket(a, jordan_product(b, c)) \
-            - jordan_product(bracket(a, b), c) - jordan_product(b, bracket(a, c))
-        assoc = associator_defect(a, b, c) - (hbar / 4) * bracket(bracket(a, c), b)
+        leib = lie_bracket(a, jordan_product(b, c)) \
+            - jordan_product(lie_bracket(a, b), c) - jordan_product(b, lie_bracket(a, c))
+        assoc = associator_defect(a, b, c) - (hbar / 4) * lie_bracket(lie_bracket(a, c), b)
         return {
             "jacobi": _rel(frobenius(jac), na, nb, nc),
             "jordan_commutativity":
@@ -95,5 +80,4 @@ def verify_jordan_lie(
             "associator": _rel(frobenius(assoc), na, nb, nc),
         }
 
-    return run_suite("Jordan-Lie identity suite", n, trials, seed, tol, trial,
-                     details={"dim": n, "bracket_perturbation": bracket_perturbation})
+    return run_suite("Jordan-Lie identity suite", n, trials, seed, tol, trial, details={"dim": n})

@@ -4,6 +4,10 @@ Subcommands: verify, evolve, eigen, star, distributions, su2demo.
 Exit codes: 0 success, 1 verification/convergence failure, 2 usage or
 input error.  Every command is deterministic given --seed; JSON reports
 conform to the schema shipped in geomqm/schema/report_schema.json.
+
+Each ``cmd_*`` reads and checks its inputs, calls the library and returns an
+``Outcome``.  ``run`` alone renders it (text, or JSON with ``--json``), writes
+it to stdout or ``--output`` through ``_write`` and decides the exit code.
 """
 
 from __future__ import annotations
@@ -11,25 +15,19 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import distributions as dist
 from . import dual, dynamics, kahler
 from .algebra import CONVENTIONS, verify_jordan_lie
-from .kernel import (
-    MatrixParseError,
-    NumericalError,
-    TAU_HERMITIAN,
-    eig_hermitian,
-    is_hermitian,
-    parse_matrix,
-    parse_vector,
-    random_complex_vector,
-)
+from .kernel import (MatrixParseError, NumericalError, TAU_HERMITIAN, eig_hermitian, is_hermitian,
+                     parse_matrix, parse_vector, random_complex_vector)
 from .report import VerificationReport
 
 EXIT_OK = 0
@@ -41,14 +39,25 @@ class CliError(Exception):
     """Usage or input error; maps to exit code 2."""
 
 
-def _positive(convert, zero_ok: bool = False):
-    """argparse ``type=``: a ``convert`` number above 0, or at least 0 with ``zero_ok``."""
-    def parse(text: str):
-        value = convert(text)
-        if not (value >= 0 if zero_ok else value > 0):
-            raise argparse.ArgumentTypeError(f"must be {'>= 0' if zero_ok else '> 0'}, got {text}")
+class Outcome(NamedTuple):
+    """What a command hands to ``run``: its reports and results, and the text around them."""
+    reports: list[VerificationReport]
+    results: dict
+    trials: int = 1
+    head: str = ""  # text before the report summaries, a blank line apart
+    tail: str = ""  # text right after the last summary
+
+
+def _count(minimum: int):
+    """argparse ``type=``: an int of at least ``minimum``."""
+    bound = "> 0" if minimum == 1 else f">= {minimum}"
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
-    parse.__name__ = convert.__name__  # argparse's "invalid int value" message names it
+    parse.__name__ = "int"  # argparse's "invalid int value" message names it
     return parse
 
 
@@ -71,9 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the full identity-verification suites")
-    p.add_argument("--dim", type=_positive(int), default=4, help="matrix dimension (default 4)")
-    p.add_argument("--trials", type=_positive(int), default=100,
-                   help="random trials (default 100)")
+    p.add_argument("--dim", type=_count(1), default=4, help="matrix dimension (default 4)")
+    p.add_argument("--trials", type=_count(1), default=100, help="random trials (default 100)")
     _add_common(p)
 
     p = sub.add_parser("evolve", help="evolve a state/observable/dual element")
@@ -95,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="extremal eigenpair by the gradient flow of e_A")
     p.add_argument("--operator", type=Path, required=True, help="matrix JSON file")
     p.add_argument("--direction", choices=("ascent", "descent"), default="descent")
-    p.add_argument("--max-iter", type=_positive(int, zero_ok=True), default=100_000)
+    p.add_argument("--max-iter", type=_count(0), default=100_000)
     _add_common(p)
 
     p = sub.add_parser("star", help="star product of two observables at a dual point")
@@ -106,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distributions", help="distribution ranks and orbit invariants at a point")
     p.add_argument("--point", type=Path, required=True)
-    p.add_argument("--trials", type=_positive(int), default=20,
-                   help="involutivity trials (default 20)")
+    p.add_argument("--trials", type=_count(1), default=20, help="involutivity trials (default 20)")
     _add_common(p)
 
     p = sub.add_parser("su2demo", help="golden coefficient tables of the 2-level system")
@@ -127,28 +134,26 @@ def _read(path: Path, vector: bool = False) -> np.ndarray:
         raise CliError(f"{path}: {exc}")
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    out = json.dumps(payload, indent=2) if args.json else text
-    if args.output:
-        args.output.write_text(out + "\n")
-    else:
-        print(out)
+def _read_hermitian(path: Path, what: str) -> np.ndarray:
+    m = _read(path)
+    if not is_hermitian(m, TAU_HERMITIAN):
+        raise CliError(f"{path}: {what} is not Hermitian")
+    return m
 
 
-def _payload(args, reports, results=None, trials=None) -> dict:
-    return {
-        "command": args.command,
-        "seed": args.seed,
-        "tol": args.tol,
-        "trials": trials if trials is not None else getattr(args, "trials", 1),
-        "conventions": CONVENTIONS.to_dict(),
-        "reports": [r.to_dict() for r in reports],
-        "results": results or {},
-        "passed": all(r.passed for r in reports),
-    }
+def _write(path: Path | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout without one; an unwritable path is a CliError."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with path.open("w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:  # a missing directory, a directory, no write permission
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Outcome:
     n, trials, seed, tol = args.dim, args.trials, args.seed, args.tol
     reports = [
         verify_jordan_lie(n, trials, seed, tol),
@@ -157,27 +162,24 @@ def cmd_verify(args) -> int:
         *(dist.involutivity_evidence(kind, max(2, n), trials, seed, tol) for kind in dist.KINDS),
         kahler.verify_pullbacks(n, trials, seed, tol),
     ]
-    text = "\n\n".join(r.summary() for r in reports)
-    _emit(args, _payload(args, reports), text)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
+    return Outcome(reports, {}, trials)
 
 
-def _write_trajectory_csv(path: Path, times, traj) -> None:
+def _trajectory_csv(times, traj) -> str:
     # column_stack + tolist keeps Python floats, which csv writes as repr()
     flat = np.ascontiguousarray(traj, dtype=complex).reshape(len(times), -1)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"{part}_{i}" for i in range(flat.shape[1])
-                                 for part in ("re", "im")])
-        writer.writerows(np.column_stack([times, flat.view(float)]).tolist())
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"{part}_{i}" for i in range(flat.shape[1])
+                             for part in ("re", "im")])
+    writer.writerows(np.column_stack([times, flat.view(float)]).tolist())
+    return buf.getvalue()
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> Outcome:
     if args.check_mu and args.picture != "schrodinger":
         raise CliError("--check-mu requires --picture schrodinger")
-    h = _read(args.hamiltonian)
-    if not is_hermitian(h, TAU_HERMITIAN):
-        raise CliError(f"{args.hamiltonian}: Hamiltonian is not Hermitian")
+    h = _read_hermitian(args.hamiltonian, "Hamiltonian")
     if args.picture == "schrodinger":
         initial = _read(args.initial, vector=True)
         if np.linalg.norm(initial) <= kahler.TAU_NORM:
@@ -202,109 +204,78 @@ def cmd_evolve(args) -> int:
                                                      tol=args.tol))
 
     if args.csv:
-        _write_trajectory_csv(args.csv, spec.times(), traj)
+        _write(args.csv, _trajectory_csv(spec.times(), traj))
 
     results = {"picture": args.picture, "method": args.method,
                "t_final": args.t, "steps": args.steps, "hbar": args.hbar,
                "csv": str(args.csv) if args.csv else None}
-    text = "\n\n".join(r.summary() for r in reports)
-    _emit(args, _payload(args, reports, results, trials=args.steps + 1), text)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
+    return Outcome(reports, results, args.steps + 1)
 
 
-def cmd_eigen(args) -> int:
-    a = _read(args.operator)
-    if not is_hermitian(a, TAU_HERMITIAN):
-        raise CliError(f"{args.operator}: operator is not Hermitian")
-    n = a.shape[0]
-    psi0 = random_complex_vector(n, args.seed, 33)
-    try:
-        res = kahler.eigensolve_gradient_flow(
-            a, psi0, tol=args.tol, max_iter=args.max_iter, direction=args.direction)
-    except NumericalError as exc:
-        print(f"eigensolve did not converge: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+def cmd_eigen(args) -> Outcome:
+    a = _read_hermitian(args.operator, "operator")
+    psi0 = random_complex_vector(a.shape[0], args.seed, 33)
+    res = kahler.eigensolve_gradient_flow(
+        a, psi0, tol=args.tol, max_iter=args.max_iter, direction=args.direction)
 
     oracle = eig_hermitian(a).eigenvalues
     reference = oracle[-1] if args.direction == "ascent" else oracle[0]
     disp = kahler.dispersion(a, res.eigenvector)
 
     rep = VerificationReport(title="gradient-flow eigensolve", seed=args.seed, trials=1,
-                             tol=args.tol, details={"direction": args.direction,
-                                      "iterations": res.iterations})
+                             tol=args.tol,
+                             details={"direction": args.direction, "iterations": res.iterations})
     rep.add("eigen_residual", res.residual)
     rep.add("oracle_agreement", abs(res.eigenvalue - reference),
             tol=max(args.tol, 1e-8) * max(1.0, abs(reference)))
     rep.add("dispersion_at_convergence", disp, tol=max(args.tol, 1e-8))
-    results = {
-        "eigenvalue": res.eigenvalue,
-        "oracle_eigenvalue": float(reference),
-        "iterations": res.iterations,
-        "residual": res.residual,
-        "residual_history": res.residual_history,
-        "dispersion": disp,
-        "eigenvector_re": res.eigenvector.real.tolist(),
-        "eigenvector_im": res.eigenvector.imag.tolist(),
-    }
-    text = (rep.summary()
-            + f"\n  eigenvalue {float(res.eigenvalue)!r} (oracle {float(reference)!r}), "
-              f"{res.iterations} iterations")
-    _emit(args, _payload(args, [rep], results, trials=1), text)
-    return EXIT_OK if rep.passed else EXIT_FAIL
+    results = {"eigenvalue": res.eigenvalue, "oracle_eigenvalue": float(reference),
+               "iterations": res.iterations, "residual": res.residual,
+               "residual_history": res.residual_history, "dispersion": disp,
+               "eigenvector_re": res.eigenvector.real.tolist(),
+               "eigenvector_im": res.eigenvector.imag.tolist()}
+    return Outcome([rep], results, tail=f"\n  eigenvalue {float(res.eigenvalue)!r} (oracle "
+                                        f"{float(reference)!r}), {res.iterations} iterations")
 
 
-def cmd_star(args) -> int:
-    a, b, xi = (_read(p) for p in (args.a, args.b, args.xi))
-    for path, m in ((args.a, a), (args.b, b), (args.xi, xi)):
-        if not is_hermitian(m, TAU_HERMITIAN):
-            raise CliError(f"{path}: matrix is not Hermitian")
+def cmd_star(args) -> Outcome:
+    a, b, xi = (_read_hermitian(p, "matrix") for p in (args.a, args.b, args.xi))
     value = dual.star_eval(a, b, xi)
     jordan_part = dual.r_eval(a, b, xi) / 2
     lie_part = dual.lambda_eval(a, b, xi) / 2
     rep = VerificationReport(title="star product decomposition", seed=args.seed, trials=1,
                              tol=args.tol)
-    rep.add("star_equals_r_half_plus_i_lambda_half",
-            abs(value - (jordan_part + 1j * lie_part)))
+    rep.add("star_equals_r_half_plus_i_lambda_half", abs(value - (jordan_part + 1j * lie_part)))
     results = {"star_re": value.real, "star_im": value.imag,
                "jordan_part": jordan_part, "lie_part": lie_part}
-    text = (rep.summary()
-            + f"\n  (A*B)(xi) = {value.real!r} + {value.imag!r} i"
-            + f"\n  Jordan (real) part {jordan_part!r}, Lie (imaginary) part {lie_part!r}")
-    _emit(args, _payload(args, [rep], results, trials=1), text)
-    return EXIT_OK if rep.passed else EXIT_FAIL
+    return Outcome([rep], results, tail=f"\n  (A*B)(xi) = {value.real!r} + {value.imag!r} i\n"
+                                        f"  Jordan (real) part {jordan_part!r}, "
+                                        f"Lie (imaginary) part {lie_part!r}")
 
 
-def cmd_distributions(args) -> int:
-    xi = _read(args.point)
-    if not is_hermitian(xi, TAU_HERMITIAN):
-        raise CliError(f"{args.point}: matrix is not Hermitian")
+def cmd_distributions(args) -> Outcome:
+    xi = _read_hermitian(args.point, "matrix")
     n = xi.shape[0]
     ranks = {kind: dist.distribution_basis(xi, kind).rank for kind in dist.KINDS}
     inv = dist.orbit_invariants(xi)
     reports = [dist.involutivity_evidence(kind, n, args.trials, args.seed, args.tol)
                for kind in dist.KINDS] if n >= 2 else []
-    results = {
-        "ranks": ranks,
-        "spectrum": inv["spectrum"].tolist(),
-        "rank": inv["rank"],
-        "signature": inv["signature"],
-    }
-    lines = [f"distribution ranks at the given point: {ranks}",
-             f"unitary-orbit label (spectrum): {np.round(inv['spectrum'], 12).tolist()}",
-             f"GL-orbit label: rank {inv['rank']}, signature {inv['signature']}"]
-    text = "\n".join(lines) + ("\n\n" + "\n\n".join(r.summary() for r in reports)
-                               if reports else "")
-    _emit(args, _payload(args, reports, results, trials=args.trials), text)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
+    results = {"ranks": ranks, "spectrum": inv["spectrum"].tolist(), "rank": inv["rank"],
+               "signature": inv["signature"]}
+    head = (f"distribution ranks at the given point: {ranks}\n"
+            f"unitary-orbit label (spectrum): {np.round(inv['spectrum'], 12).tolist()}\n"
+            f"GL-orbit label: rank {inv['rank']}, signature {inv['signature']}")
+    return Outcome(reports, results, args.trials, head=head)
 
 
-def cmd_su2demo(args) -> int:
+def _terms(coeffs: dict, fmt: str) -> str:
+    """The nonzero terms of a coefficient table as ``fmt(value)*name``, joined by `` + ``."""
+    return " + ".join(f"{fmt.format(v)}*{k}" for k, v in coeffs.items() if abs(v) > 1e-12)
+
+
+def cmd_su2demo(args) -> Outcome:
     tables = dual.su2_golden_tables()
-    golden = {
-        ("z", "y"): {"x": -1j},
-        ("x", "y"): {"z": 1j},
-        ("z", "x"): {"y": 1j},
-    }
+    golden = {("z", "y"): {"x": -1j}, ("x", "y"): {"z": 1j}, ("z", "x"): {"y": 1j}}
     rep = VerificationReport(title="2-level golden star values", seed=args.seed, trials=1,
                              tol=1e-12)
     for (na, nb), expected in golden.items():
@@ -312,51 +283,45 @@ def cmd_su2demo(args) -> int:
         residual = max(abs(coeffs[name] - expected.get(name, 0.0)) for name in dual.SU2_NAMES)
         rep.add(f"star_{na}_{nb}", residual)
 
-    lam_lines = []
-    for na in dual.SU2_NAMES:
-        for nb in dual.SU2_NAMES:
-            coeffs = tables.lambda_coefficients(na, nb)
-            terms = {k: v.real for k, v in coeffs.items() if abs(v) > 1e-12}
-            if terms:
-                lam_lines.append(f"  Lambda(d{na}, d{nb}) = "
-                                 + " + ".join(f"{v:g}*{k}" for k, v in terms.items()))
-    star_lines = []
-    for na in dual.SU2_NAMES:
-        for nb in dual.SU2_NAMES:
-            coeffs = tables.star_coefficients(na, nb)
-            terms = {k: v for k, v in coeffs.items() if abs(v) > 1e-12}
-            star_lines.append(f"  {na} * {nb} = "
-                              + (" + ".join(f"({v.real:g}{v.imag:+g}i)*{k}"
-                                            for k, v in terms.items()) or "0"))
-    results = {"tables": tables.to_json_dict()}
-    text = "\n".join(["Poisson coefficient table:"] + lam_lines
-                     + ["star table:"] + star_lines + ["", rep.summary()])
-    _emit(args, _payload(args, [rep], results, trials=1), text)
-    return EXIT_OK if rep.passed else EXIT_FAIL
+    pairs = [(na, nb) for na in dual.SU2_NAMES for nb in dual.SU2_NAMES]
+    lam_lines = [f"  Lambda(d{na}, d{nb}) = {terms}" for na, nb in pairs
+                 if (terms := _terms(tables.lambda_coefficients(na, nb), "{0.real:g}"))]
+    star_lines = [f"  {na} * {nb} = "
+                  + (_terms(tables.star_coefficients(na, nb), "({0.real:g}{0.imag:+g}i)") or "0")
+                  for na, nb in pairs]
+    head = "\n".join(["Poisson coefficient table:", *lam_lines, "star table:", *star_lines])
+    return Outcome([rep], {"tables": tables.to_json_dict()}, head=head)
 
 
-COMMANDS = {
-    "verify": cmd_verify,
-    "evolve": cmd_evolve,
-    "eigen": cmd_eigen,
-    "star": cmd_star,
-    "distributions": cmd_distributions,
-    "su2demo": cmd_su2demo,
-}
+COMMANDS = {"verify": cmd_verify, "evolve": cmd_evolve, "eigen": cmd_eigen, "star": cmd_star,
+            "distributions": cmd_distributions, "su2demo": cmd_su2demo}
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return COMMANDS[args.command](args)
+        out = COMMANDS[args.command](args)
+        passed = all(r.passed for r in out.reports)
+        if args.json:
+            text = json.dumps({"command": args.command, "seed": args.seed, "tol": args.tol,
+                               "trials": out.trials, "conventions": CONVENTIONS.to_dict(),
+                               "reports": [r.to_dict() for r in out.reports],
+                               "results": out.results, "passed": passed}, indent=2)
+        else:
+            text = "\n\n".join(filter(None, [out.head, *(r.summary() for r in out.reports)]))
+            text += out.tail
+        _write(args.output, text + "\n")
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: geomqm {args.command} --help for options", file=sys.stderr)
         return EXIT_USAGE
+    except NumericalError as exc:  # only the eigensolver raises it
+        print(f"eigensolve did not converge: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def main() -> None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geomqm import algebra
 from geomqm.algebra import (
     CONVENTIONS,
     associator_defect,
@@ -94,14 +95,23 @@ class TestVerifySuite:
         report = verify_jordan_lie(1, trials=10, seed=0)
         assert all(c.max_residual <= 1e-15 for c in report.checks)
 
-    def test_perturbed_bracket_trips_jacobi(self):
-        report = verify_jordan_lie(3, trials=20, seed=1, bracket_perturbation=0.1)
+    @staticmethod
+    def perturb_bracket(monkeypatch, eps):
+        """Add eps times the Jordan product to the suite's Lie bracket."""
+        bracket = algebra.lie_bracket
+        monkeypatch.setattr(algebra, "lie_bracket",
+                            lambda a, b: bracket(a, b) + eps * jordan_product(a, b))
+
+    def test_perturbed_bracket_trips_jacobi(self, monkeypatch):
+        self.perturb_bracket(monkeypatch, 0.1)
+        report = verify_jordan_lie(3, trials=20, seed=1)
         failed = {c.name for c in report.checks if not c.passed}
         assert "jacobi" in failed
 
-    def test_nan_residual_fails(self):
+    def test_nan_residual_fails(self, monkeypatch):
         # a NaN residual is the worst value, never one that a max() drops
-        report = verify_jordan_lie(2, trials=3, seed=0, bracket_perturbation=float("nan"))
+        self.perturb_bracket(monkeypatch, float("nan"))
+        report = verify_jordan_lie(2, trials=3, seed=0)
         assert not report.passed
         jacobi = next(c for c in report.checks if c.name == "jacobi")
         assert np.isnan(jacobi.max_residual)

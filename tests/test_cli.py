@@ -11,7 +11,7 @@ from geomqm.algebra import CONVENTIONS
 from geomqm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow
 from geomqm.kernel import random_hermitian, serialize_matrix
-from conftest import PAULI_X, PAULI_Z
+from conftest import PAULI_X, PAULI_Y, PAULI_Z
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,22 @@ class TestExitCodes:
         psi = write_matrix(tmp_path / "psi.json", np.array([1.0, 0.0], dtype=complex))
         code = run(["evolve", "--hamiltonian", h, "--initial", psi, "--method", "euler"])
         assert code == EXIT_USAGE
+
+    def test_unwritable_csv(self, capsys, tmp_path):
+        h = write_matrix(tmp_path / "h.json", PAULI_Z)
+        psi = write_matrix(tmp_path / "psi.json", np.array([1.0, 0.0], dtype=complex))
+        csv_path = tmp_path / "missing" / "t.csv"
+        code = run(["evolve", "--hamiltonian", h, "--initial", psi, "--csv", str(csv_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"error: cannot write {csv_path}" in err and "Traceback" not in err
+
+    def test_output_is_a_directory(self, capsys, tmp_path):
+        code = run(["su2demo", "--output", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert f"error: cannot write {tmp_path}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestJsonReports:
@@ -383,3 +399,95 @@ class TestParserReuse:
         reused = outcomes(fresh=False)
         assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
         assert outcomes(fresh=True) == reused
+
+
+SU2_TEXT = """\
+Poisson coefficient table:
+  Lambda(dx, dy) = 2*z
+  Lambda(dx, dz) = -2*y
+  Lambda(dy, dx) = -2*z
+  Lambda(dy, dz) = 2*x
+  Lambda(dz, dx) = 2*y
+  Lambda(dz, dy) = -2*x
+star table:
+  u * u = (1+0i)*u
+  u * x = (1+0i)*x
+  u * y = (1+0i)*y
+  u * z = (1+0i)*z
+  x * u = (1+0i)*x
+  x * x = (1+0i)*u
+  x * y = (0+1i)*z
+  x * z = (0-1i)*y
+  y * u = (1+0i)*y
+  y * x = (0-1i)*z
+  y * y = (1+0i)*u
+  y * z = (0+1i)*x
+  z * u = (1+0i)*z
+  z * x = (0+1i)*y
+  z * y = (0-1i)*x
+  z * z = (1+0i)*u
+
+2-level golden star values  (seed=0, trials=1, tol=1e-12)
+  [PASS] star_z_y: max residual 0.000e+00 (tol 1e-12)
+  [PASS] star_x_y: max residual 0.000e+00 (tol 1e-12)
+  [PASS] star_z_x: max residual 0.000e+00 (tol 1e-12)
+  => all identities pass
+"""
+
+
+class TestTextOutput:
+    """The human-readable output, line for line."""
+
+    def test_su2demo(self, capsys):
+        assert run(["su2demo"]) == EXIT_OK
+        assert capsys.readouterr().out == SU2_TEXT
+
+    def test_su2demo_output_file(self, capsys, tmp_path):
+        out = tmp_path / "su2.txt"
+        assert run(["su2demo", "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == SU2_TEXT
+
+    @pytest.mark.parametrize("direction", ["ascent", "descent"])
+    def test_eigen_trailer(self, capsys, tmp_path, direction):
+        path = write_matrix(tmp_path / "a.json", random_hermitian(4, 9))
+        argv = ["eigen", "--operator", path, "--direction", direction]
+        assert run(argv) == EXIT_OK
+        last = capsys.readouterr().out.splitlines()[-1]
+        _, payload = run_json(capsys, *argv)
+        res = payload["results"]
+        assert last == (f"  eigenvalue {res['eigenvalue']!r} (oracle {res['oracle_eigenvalue']!r}), "
+                        f"{res['iterations']} iterations")
+
+    def test_star_trailer(self, capsys, tmp_path):
+        pa = write_matrix(tmp_path / "a.json", PAULI_X)
+        pb = write_matrix(tmp_path / "b.json", PAULI_Y)
+        px = write_matrix(tmp_path / "xi.json", (np.eye(2) + 0.5 * PAULI_X + 0.25 * PAULI_Z) / 2)
+        assert run(["star", "--a", pa, "--b", pb, "--xi", px]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "  => all identities pass",
+            "  (A*B)(xi) = 0.0 + 0.125 i",
+            "  Jordan (real) part 0.0, Lie (imaginary) part 0.125",
+        ]
+
+    def test_distributions_without_reports(self, capsys, tmp_path):
+        path = write_matrix(tmp_path / "xi.json", np.array([[2.0]], dtype=complex))
+        assert run(["distributions", "--point", path]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "distribution ranks at the given point: {'Lambda': 0, 'R': 1, 'Zero': 0, 'One': 1}\n"
+            "unitary-orbit label (spectrum): [2.0]\n"
+            "GL-orbit label: rank 1, signature 1\n")
+
+    def test_distributions_head_and_reports(self, capsys, tmp_path):
+        path = write_matrix(tmp_path / "xi.json", np.diag([1.0, -0.5]).astype(complex))
+        assert run(["distributions", "--point", path, "--trials", "3"]) == EXIT_OK
+        head, *reports = capsys.readouterr().out.split("\n\n")
+        assert head.splitlines() == [
+            "distribution ranks at the given point: {'Lambda': 2, 'R': 4, 'Zero': 2, 'One': 4}",
+            "unitary-orbit label (spectrum): [-0.5, 1.0]",
+            "GL-orbit label: rank 2, signature 0",
+        ]
+        assert [r.splitlines()[0] for r in reports] == [
+            f"involutivity evidence: D_{kind}  (seed=0, trials=3, tol=1e-09)"
+            for kind in ("Lambda", "R", "Zero", "One")]
+        assert reports[-1].endswith("  => all identities pass\n")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from geomqm import report as report_module
-from geomqm.algebra import verify_jordan_lie
 from geomqm.report import CONVENTIONS, run_suite
 
 
@@ -83,11 +82,6 @@ def reject_constant(name):
 
 
 class TestStrictJson:
-    def test_non_finite_detail_is_text(self):
-        report = verify_jordan_lie(2, 3, 0, bracket_perturbation=float("nan"))
-        payload = json.loads(report.to_json(), parse_constant=reject_constant)
-        assert payload["details"]["bracket_perturbation"] == "nan"
-
     def test_non_finite_witness_residual_is_text(self):
         report = run_suite("probe", 1, 1, 0, 1e-9, zeros,
                            details={"witness_residual": float("nan"),
