@@ -10,6 +10,10 @@ Sign conventions (ConventionSet, defined in .report and recorded in every report
 With these, the associator identity reads
   (A o B) o C - A o (B o C) = (hbar / 4) [[A, C]_-, B]_-   with hbar = 1,
 and the su(2) coordinate brackets come out as {x, y} = 2z and cyclic.
+
+The trace form is the contraction sum_ij A_ij B_ji, one einsum over a stack,
+which never forms the product AB; the dual evaluations and the von Neumann
+monitors take their traces of products the same way.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ def jordan_product(a, b) -> np.ndarray:
 def trace_form(a, b):
     """<A, B> = Tr(AB)/2; symmetric, real on Hermitian inputs; an array over stacks."""
     a, b = require_same_dim(a, b)
-    return scalar_or_stack((np.trace(a @ b, axis1=-2, axis2=-1) / 2).real)
+    return scalar_or_stack((np.einsum("...ij,...ji->...", a, b) / 2).real)
 
 
 def associator_defect(a, b, c) -> np.ndarray:

@@ -159,7 +159,7 @@ def cmd_verify(args) -> Outcome:
         verify_jordan_lie(n, trials, seed, tol),
         dual.verify_dual_geometry(n, trials, seed, tol),
         dist.verify_commutation(n, trials, seed, tol),
-        *(dist.involutivity_evidence(kind, max(2, n), trials, seed, tol) for kind in dist.KINDS),
+        *dist.involutivity_evidence(max(2, n), trials, seed, tol),
         kahler.verify_pullbacks(n, trials, seed, tol),
     ]
     return Outcome(reports, {}, trials)
@@ -258,8 +258,7 @@ def cmd_distributions(args) -> Outcome:
     n = xi.shape[0]
     ranks = {kind: dist.distribution_basis(xi, kind).rank for kind in dist.KINDS}
     inv = dist.orbit_invariants(xi)
-    reports = [dist.involutivity_evidence(kind, n, args.trials, args.seed, args.tol)
-               for kind in dist.KINDS] if n >= 2 else []
+    reports = dist.involutivity_evidence(n, args.trials, args.seed, args.tol) if n >= 2 else []
     results = {"ranks": ranks, "spectrum": inv["spectrum"].tolist(), "rank": inv["rank"],
                "signature": inv["signature"]}
     head = (f"distribution ranks at the given point: {ranks}\n"

@@ -47,13 +47,13 @@ def lambda_eval(a, b, xi) -> float:
 def r_eval(a, b, xi) -> float:
     """Symmetric Jordan tensor: Tr(xi (AB+BA))/2 = 2 hat(A o B) at xi."""
     a, b, xi = require_same_dim(a, b, xi)
-    return scalar_or_stack((np.trace(xi @ (a @ b + b @ a), axis1=-2, axis2=-1) / 2).real)
+    return scalar_or_stack((np.einsum("...ij,...ji->...", xi, a @ b + b @ a) / 2).real)
 
 
 def star_eval(a, b, xi) -> complex:
     """Non-local product of hat functions: Tr(xi A B)/2."""
     a, b, xi = require_same_dim(a, b, xi)
-    return scalar_or_stack(np.trace(xi @ a @ b, axis1=-2, axis2=-1) / 2, complex)
+    return scalar_or_stack(np.einsum("...ij,...ji->...", xi @ a, b) / 2, complex)
 
 
 def star_generators(a, b) -> tuple[np.ndarray, np.ndarray]:

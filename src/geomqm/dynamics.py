@@ -148,13 +148,9 @@ def rk4_flow(spec: EvolutionSpec, initial) -> np.ndarray:
     return np.array(samples)
 
 
-def _max_deviation(values) -> float:
-    """Largest deviation of a sampled quantity from its initial sample."""
-    return float(np.max(np.abs(values - values[0])))
-
-
-def _traces(traj) -> np.ndarray:
-    return np.trace(traj, axis1=-2, axis2=-1).real
+def _max_deviation(values, size=1.0) -> float:
+    """Largest deviation of a sampled quantity from its initial sample, over max(1, size)."""
+    return float(np.max(np.abs(values - values[0]))) / max(1.0, size)
 
 
 def _spectrum_deviation(traj) -> float:
@@ -207,6 +203,8 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
                      tol: float = 1e-9) -> VerificationReport:
     """Deviations of conserved quantities over a trajectory.
 
+    Each is divided by max(1, its inputs' size: norms of H and of the first
+    sample, or the first sample's largest |eigenvalue| for the spectrum).
     Also spot-checks that conjugation by the flow's unitary U(t_final) preserves
     both algebra products on seeded random observables.  U(t_final) comes from
     the spec's cached decomposition of H, so H is diagonalized once per spec.
@@ -220,19 +218,24 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
         tol=tol,
     )
     h = spec.hamiltonian
+    nh = frobenius(h)
     if spec.picture == "schrodinger":
-        report.add("state_norm", _max_deviation(np.linalg.norm(traj, axis=1)))
-        report.add("energy_expectation", _max_deviation(kahler.expectation(h, traj)))
+        norms = np.linalg.norm(traj, axis=1)
+        report.add("state_norm", _max_deviation(norms, norms[0]))
+        report.add("energy_expectation",
+                   _max_deviation(kahler.expectation(h, traj), nh * norms[0] ** 2))
     elif spec.picture == "vonneumann":
-        report.add("trace", _max_deviation(_traces(traj)))
-        report.add("spectrum", _spectrum_deviation(traj))
-        report.add("energy_expectation", _max_deviation(_traces(traj @ h)))
-        report.add("purity", _max_deviation(_traces(traj @ traj)))
+        nx = frobenius(traj[0])
+        report.add("trace", _max_deviation(np.trace(traj, axis1=-2, axis2=-1).real, nx))
+        report.add("spectrum", _spectrum_deviation(traj) / max(1.0, np.linalg.norm(traj[0], 2)))
+        report.add("energy_expectation",
+                   _max_deviation(np.einsum("...ij,...ji->...", traj, h).real, nh * nx))
+        report.add("purity", _max_deviation(np.einsum("...ij,...ji->...", traj, traj).real, nx**2))
     else:
         # Heisenberg: H itself and the spectrum of each observable are constant
-        report.add("hamiltonian_constant",
-                   float(np.max(np.linalg.norm(heisenberg_flow(spec, h) - h, axis=(1, 2)))))
-        report.add("spectrum", _spectrum_deviation(traj))
+        drift = np.linalg.norm(heisenberg_flow(spec, h) - h, axis=(1, 2))
+        report.add("hamiltonian_constant", float(np.max(drift)) / max(1.0, nh))
+        report.add("spectrum", _spectrum_deviation(traj) / max(1.0, np.linalg.norm(traj[0], 2)))
 
     v, phases = _spectral_phases(spec)
     u = (v * phases[-1]) @ dagger(v)

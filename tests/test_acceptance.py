@@ -83,15 +83,14 @@ def test_criterion_03_tensor_decomposition():
 
 
 def test_criterion_04_distribution_claims():
-    involutive_ok = True
-    for kind in ("Lambda", "Zero", "One"):
-        for n in (2, 3, 4):
-            report = dist.involutivity_evidence(kind, n, trials=50, seed=n, tol=1e-9)
+    involutive_ok = witness_ok = True
+    for n in (2, 3, 4):
+        reports = dict(zip(dist.KINDS, dist.involutivity_evidence(n, trials=50, seed=n, tol=1e-9)))
+        for kind in ("Lambda", "Zero", "One"):
+            report = reports[kind]
             involutive_ok = involutive_ok and report.passed
 
-    witness_ok = True
-    for n in (2, 3, 4):
-        report = dist.involutivity_evidence("R", n, trials=50, seed=n, tol=1e-9)
+        report = reports["R"]
         witness_ok = witness_ok and report.passed and \
             report.details["witness_residual"] > 1e-8
 

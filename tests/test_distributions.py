@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geomqm import distributions as dist
+from geomqm import report as report_module
 from geomqm.algebra import trace_form
 from geomqm.kernel import eig_hermitian, make_rng, random_hermitian, random_hermitian_stack
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, closed_form_projection, unitary_from_seed
@@ -162,16 +163,21 @@ class TestInputGuards:
             entry(xi)
 
 
+def involutivity(kind, n, trials, seed, tol=1e-9):
+    """The report of one kind from the four that involutivity_evidence returns."""
+    return dist.involutivity_evidence(n, trials, seed, tol)[dist.KINDS.index(kind)]
+
+
 class TestInvolutivity:
     @pytest.mark.parametrize("kind", ["Lambda", "Zero", "One"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_involutive_kinds_pass(self, kind, n):
-        report = dist.involutivity_evidence(kind, n, trials=20, seed=5)
+        report = involutivity(kind, n, trials=20, seed=5)
         assert report.passed, report.summary()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_r_witness_found(self, n):
-        report = dist.involutivity_evidence("R", n, trials=20, seed=5)
+        report = involutivity("R", n, trials=20, seed=5)
         assert report.passed
         assert report.details["witness_residual"] > 1e-8
         assert "xi_real" in report.details["witness_matrices"]
@@ -179,18 +185,34 @@ class TestInvolutivity:
     def test_r_witness_is_first_worst_trial(self):
         # one matrix at a time: trial k's inputs are the next rows of the inputs' substreams
         n, trials, seed = 3, 8, 5
-        draw = dist._involutivity_inputs("R", n, seed)
+        spectrum, frame, a_rng, b_rng = (make_rng(seed, *key) for key in [(0,), (0, 1), (1,), (2,)])
         residuals, points = [], []
         for k in range(trials):
-            xi, a, b = (m[0] for m in draw(np.array([k])))
+            xi = dist._random_r_singular_points(n, 1, spectrum, frame)[0]
+            a, b = (random_hermitian_stack(n, 1, rng)[0] for rng in (a_rng, b_rng))
             value = dist._commutator_value("R", xi, a, b)
             residuals.append(dist.membership_residual(value, dist.distribution_basis(xi, "R")))
             points.append(xi)
         k = int(np.argmax(residuals))
-        report = dist.involutivity_evidence("R", n, trials, seed)
+        report = involutivity("R", n, trials, seed)
         assert report.checks[0].worst_trial == k
         assert report.details["witness_residual"] == residuals[k]
         assert report.details["witness_matrices"]["xi_real"] == points[k].real.tolist()
+
+    def test_reports_do_not_depend_on_chunking(self, monkeypatch):
+        n, trials, seed = 3, 40, 0
+        whole = [r.to_dict() for r in dist.involutivity_evidence(n, trials, seed)]
+        monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", 10 * n * n)  # 4 chunks of 10
+        chunked = dist.involutivity_evidence(n, trials, seed)
+        assert [r.to_dict() for r in chunked] == whole
+        k = chunked[1].checks[0].worst_trial
+        assert k >= 10  # the witness comes from a later chunk than the first
+        # trial k's rows, drawn directly from the substreams in one stack each
+        xi = dist._random_r_singular_points(n, trials, make_rng(seed, 0), make_rng(seed, 0, 1))
+        a, b = (random_hermitian_stack(n, trials, make_rng(seed, key)) for key in (1, 2))
+        assert chunked[1].details["witness_matrices"] == {
+            f"{name}_{part}": getattr(m[k], part).tolist()
+            for name, m in (("xi", xi), ("a", a), ("b", b)) for part in ("real", "imag")}
 
     def test_generic_points_redraw_rejected_rows(self, monkeypatch):
         # a gap that about half of the Gaussian 2x2 spectra miss forces redraws
@@ -200,8 +222,11 @@ class TestInvolutivity:
         def gap(xi):
             return np.diff(eig_hermitian(xi).eigenvalues, axis=-1)[..., 0]
 
-        points = dist._random_generic_points(n, np.arange(trials), make_rng(seed, 0), seed, 0)
+        points, dec = dist._random_generic_points(n, np.arange(trials), make_rng(seed, 0), seed, 0)
         assert gap(points).min() > 1.0
+        # the returned decomposition is the points', redrawn rows included
+        assert np.array_equal(dec.eigenvalues, eig_hermitian(points).eigenvalues)
+        assert np.array_equal(dec.eigenvectors, eig_hermitian(points).eigenvectors)
         plain = random_hermitian_stack(n, trials, make_rng(seed, 0))
         kept = gap(plain) > 1.0
         assert 0 < kept.sum() < trials
@@ -212,7 +237,7 @@ class TestInvolutivity:
             assert np.array_equal(points[k], rows[np.argmax(gap(rows) > 1.0)])
         # chunks continue the point generator and never share a rejection substream
         rng = make_rng(seed, 0)
-        chunks = [dist._random_generic_points(n, ks, rng, seed, 0)
+        chunks = [dist._random_generic_points(n, ks, rng, seed, 0)[0]
                   for ks in (np.arange(5), np.arange(5, trials))]
         assert np.array_equal(np.concatenate(chunks), points)
 
@@ -220,11 +245,19 @@ class TestInvolutivity:
         monkeypatch.setattr(dist, "GENERIC_GAP", np.inf)
         monkeypatch.setattr(dist, "GENERIC_ATTEMPTS", 3)
         rows = []
-        draw = dist.random_hermitian_stack
-        monkeypatch.setattr(dist, "random_hermitian_stack",
-                            lambda n, m, rng: rows.append(m) or draw(n, m, rng))
+        draw, points = dist.random_hermitian_stack, dist._random_generic_points
+
+        def counted_points(*args):  # count the rows drawn for the generic points only
+            monkeypatch.setattr(dist, "random_hermitian_stack",
+                                lambda n, m, rng: rows.append(m) or draw(n, m, rng))
+            try:
+                return points(*args)
+            finally:
+                monkeypatch.setattr(dist, "random_hermitian_stack", draw)
+
+        monkeypatch.setattr(dist, "_random_generic_points", counted_points)
         with pytest.raises(RuntimeError, match="distinct eigenvalues"):
-            dist.involutivity_evidence("Lambda", 2, 5, 0)
+            dist.involutivity_evidence(2, 5, 0)
         assert sum(rows) == 5 * 3  # every trial's point drawn GENERIC_ATTEMPTS times
 
     def test_nan_membership_residual_fails(self, monkeypatch):
@@ -233,18 +266,20 @@ class TestInvolutivity:
         real = dist.membership_residual
 
         def probe(vector, basis):
-            calls.append(None)
             residuals = real(vector, basis)
+            if basis.kind != "One":
+                return residuals
+            calls.append(None)
             return np.full_like(residuals, np.nan) if len(calls) % 3 == 2 else residuals
 
         monkeypatch.setattr(dist, "membership_residual", probe)
-        report = dist.involutivity_evidence("One", 2, trials=3, seed=0)
+        report = involutivity("One", 2, trials=3, seed=0)
         assert np.isnan(report.checks[0].max_residual)
         assert not report.passed
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
-            dist.involutivity_evidence("bogus", 2, 1, 0)
+            dist.distribution_basis(np.eye(2), "bogus")
 
 
 class TestOrbitInvariants:

@@ -249,6 +249,31 @@ class TestConservedReport:
         report = conserved_report(spec, rk4_flow(spec, psi0), seed=4)
         assert not report.passed
 
+    @staticmethod
+    def scaled(picture, scale, **kw):
+        """A 6x6 spec and initial value with H and the initial value both scaled."""
+        h = scale * random_hermitian(6, 90)
+        initial = scale * (random_complex_vector(6, 91) if picture == "schrodinger"
+                           else random_hermitian(6, 91))
+        return make_spec(h, picture=picture, **kw), initial
+
+    @pytest.mark.parametrize("picture", dynamics.PICTURES)
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6, 1e8])
+    def test_exact_flow_passes_at_every_scale(self, picture, scale):
+        # each monitor is relative to max(1, the size of H and the initial value)
+        spec, initial = self.scaled(picture, scale, t_final=1.0, steps=100)
+        report = conserved_report(spec, exact_flow(spec, initial))
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("picture", dynamics.PICTURES)
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_rk4_drift_flagged_at_every_scale(self, picture, scale):
+        # the same step dt * H at every scale, too coarse for RK4 to follow
+        spec, initial = self.scaled(picture, scale, t_final=10.0 / scale, steps=10)
+        with np.errstate(all="ignore"):  # the unstable steps may overflow
+            report = conserved_report(spec, rk4_flow(spec, initial))
+        assert not report.passed
+
 
 class TestNonFiniteTrajectory:
     @pytest.mark.parametrize("picture", ["vonneumann", "heisenberg"])

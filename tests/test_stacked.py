@@ -9,7 +9,7 @@ from geomqm import distributions as dist
 from geomqm import kahler
 from geomqm import report as report_module
 from geomqm.algebra import jordan_product, lie_bracket, trace_form, verify_jordan_lie
-from geomqm.dual import verify_dual_geometry
+from geomqm.dual import r_eval, star_eval, verify_dual_geometry
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow, schrodinger_flow, vonneumann_flow
 from geomqm.kahler import verify_pullbacks
 from geomqm.kernel import (
@@ -137,6 +137,17 @@ class TestStackedProducts:
         a, b = self.stacks(n, lead)
         assert np.array_equal(f(a, b), per_slice(f, a, b))
 
+    def test_traces_of_products_match_the_trace_of_the_product(self, n, lead):
+        # contracted without forming the product, so equal to within a few rounding steps
+        a, b, xi = self.stacks(n, lead, 3)
+        scale = frobenius(a) * frobenius(b) * np.maximum(1.0, frobenius(xi))
+        for value, reference in [
+            (trace_form(a, b), np.trace(a @ b, axis1=-2, axis2=-1).real / 2),
+            (r_eval(a, b, xi), np.trace(xi @ (a @ b + b @ a), axis1=-2, axis2=-1).real / 2),
+            (star_eval(a, b, xi), np.trace(xi @ a @ b, axis1=-2, axis2=-1) / 2),
+        ]:
+            assert np.all(np.abs(value - reference) <= 1e-14 * scale)
+
     def test_frobenius(self, n, lead):
         (a,) = self.stacks(n, lead, 1)
         assert np.array_equal(frobenius(a), per_slice(frobenius, a))
@@ -200,11 +211,15 @@ def test_commutation_defect_keeps_nan():
     assert np.isnan(dist.commutation_defect(xi[2], a[2]))
 
 
+def involutivity(kind, n, trials, seed):
+    return dist.involutivity_evidence(n, trials, seed)[dist.KINDS.index(kind)]
+
+
 SUITES = {
     "jordan_lie": verify_jordan_lie,
     "dual_geometry": verify_dual_geometry,
     "commutation": dist.verify_commutation,
-    **{f"involutivity_{kind}": partial(dist.involutivity_evidence, kind) for kind in dist.KINDS},
+    **{f"involutivity_{kind}": partial(involutivity, kind) for kind in dist.KINDS},
     "pullbacks": verify_pullbacks,
 }
 
