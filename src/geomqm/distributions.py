@@ -20,8 +20,9 @@ Involutivity is sampled evidence: the distributions are spanned by global
 polynomial vector fields whose commutators have closed forms, and the
 commutator values are tested for pointwise membership at random points.
 One pass serves the four kinds: each chunk of trials draws its points and
-pairs once, diagonalizes the generic points once, and keeps the R witness
-from the chunk of the worst trial.
+pairs once, diagonalizes the generic points once, takes the R points' frame
+from their construction, and keeps the R witness from the chunk of the worst
+trial.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def _random_generic_points(n, ks, rng, seed, *key):
     return xi, dec
 
 
-def _random_r_singular_points(n, m, spectrum_rng, frame_rng):
+def _random_r_singular_points(n, m, spectrum_rng, frame_rng) -> DistributionBasis:
     """The next m random points with a +/-a eigenvalue pair, where the R image is proper.
 
     At points with all eigenvalue sums nonzero the map A -> A o xi is
@@ -184,14 +185,16 @@ def _random_r_singular_points(n, m, spectrum_rng, frame_rng):
     be witnessed on this stratum.  Eigenvalues remain pairwise distinct.
     Each point takes one uniform row of n - 1 numbers from spectrum_rng, a
     in [0.5, 1.5) and the offsets in [0, 0.5) of the other n - 2
-    eigenvalues, and its eigenframe exp(-iH) from the next Hermitian row H
-    of frame_rng.
+    eigenvalues, and its eigenframe V = exp(-iH) from the next Hermitian row H
+    of frame_rng.  The points come as their D_R basis: the frame V that built
+    them and the pair mask of the exact spectrum, so a +/-a sum is exactly 0.
     """
     u = spectrum_rng.random((m, n - 1))
     a = 0.5 + u[:, :1]
     spectrum = np.concatenate([a, -a, a * (2.0 + np.arange(n - 2)) + 0.5 * u[:, 1:]], axis=1)
     v = unitary_exp(random_hermitian_stack(n, m, frame_rng), 1.0)
-    return (v * spectrum[:, None, :]) @ dagger(v)
+    return DistributionBasis(point=(v * spectrum[:, None, :]) @ dagger(v), kind="R", frame=v,
+                             mask=_pair_masks(spectrum)["R"])
 
 
 def _commutator_value(kind, xi, a, b):
@@ -227,14 +230,14 @@ def involutivity_evidence(n: int, trials: int, seed: int,
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    # substreams for all kinds: points (seed, 0), R eigenframes (seed, 0, 1), pairs (seed, 1|2)
-    point_rng, a_rng, b_rng = (make_rng(seed, key) for key in range(3))
-    spectrum_rng, frame_rng = make_rng(seed, 0), make_rng(seed, 0, 1)
+    # one substream per input: generic points (seed, 0), pairs (seed, 1|2), R spectra (seed, 3)
+    # and R eigenframes (seed, 4); a rejected generic point is redrawn from (seed, 0, k)
+    point_rng, a_rng, b_rng, spectrum_rng, frame_rng = (make_rng(seed, key) for key in range(5))
     witness = {}
 
     def trial(ks):
         xi, dec = _random_generic_points(n, ks, point_rng, seed, 0)
-        xi_r = _random_r_singular_points(n, len(ks), spectrum_rng, frame_rng)
+        r_basis = _random_r_singular_points(n, len(ks), spectrum_rng, frame_rng)
         a, b = random_hermitian_stack(n, len(ks), a_rng), random_hermitian_stack(n, len(ks), b_rng)
         masks = _pair_masks(dec.eigenvalues)
 
@@ -244,10 +247,10 @@ def involutivity_evidence(n: int, trials: int, seed: int,
             return np.max([membership_residual(v, basis) for v in values], axis=0)
 
         lam = _commutator_value("Lambda", xi, a, b)  # tangent to D_Lambda and to D_One
-        r = membership_residual(_commutator_value("R", xi_r, a, b), distribution_basis(xi_r, "R"))
+        r = membership_residual(_commutator_value("R", r_basis.point, a, b), r_basis)
         i = int(np.argmax(r))  # the chunk's worst row: its first NaN, else its first maximum
         if not witness or np.argmax([witness["residual"], r[i]]) == 1:  # as run_suite keeps it
-            witness.update(residual=r[i], matrices=(xi_r[i], a[i], b[i]))
+            witness.update(residual=r[i], matrices=(r_basis.point[i], a[i], b[i]))
         return {
             "commutators_tangent_to_D_Lambda": residual("Lambda", lam),
             "commutators_tangent_to_D_R": r,

@@ -16,6 +16,7 @@ its critical points are eigenvectors and its critical values eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -246,7 +247,8 @@ def eigensolve_gradient_flow(
     no preconditioner), so the critical points stay the eigenvectors of A.  Stops
     when ||A psi - e_A psi|| <= tol; raises NumericalError when the residual has
     not halved in STALL_WINDOW iterations or max_iter runs out.  A must be finite
-    and Hermitian, psi0 finite and nonzero.
+    and Hermitian, psi0 finite and nonzero; a huge psi0 gives the result of its
+    direction at unit scale.
     """
     a = require_matrix(a)
     if not is_hermitian(a, TAU_HERMITIAN):
@@ -256,16 +258,21 @@ def eigensolve_gradient_flow(
     psi = _as_vector(psi0)
     if not np.isfinite(psi).all():
         raise ValueError("start vector must be finite")
+    # divide by a power of two 2^e above the largest part of an entry when that exceeds 1:
+    # exact, so the direction is unchanged, and ||psi||^2 does not overflow
+    largest = np.max(np.maximum(abs(psi.real), abs(psi.imag)), initial=0.0)
+    psi = psi * np.ldexp(1.0, -max(int(np.frexp(largest)[1]), 0))
     psi = psi / np.sqrt(_norm2(psi))
     pick = -1 if direction == "ascent" else 0
     step = np.zeros_like(psi)
+    basis = np.empty((3, psi.shape[0]), dtype=complex)  # orthonormal rows, filled in place
     history = []
     residual, halved_at, target = np.inf, 0, np.inf
     for it in range(max_iter + 1):
         apsi = a @ psi
         ev = float(np.vdot(psi, apsi).real)
         r = apsi - ev * psi
-        residual = float(np.linalg.norm(r))
+        residual = math.sqrt(np.vdot(r, r).real)
         history.append(residual)
         if residual <= tol:
             keep = np.linspace(0, it, min(it + 1, HISTORY_POINTS)).round().astype(int)
@@ -274,17 +281,28 @@ def eigensolve_gradient_flow(
             halved_at, target = it, residual / 2
         elif it - halved_at >= STALL_WINDOW:
             raise NumericalError(f"gradient flow stalled at iteration {it}", residual)
-        # orthonormal basis of span{psi, r, step}, dependent columns dropped
-        basis = psi[:, None]
-        for v in (r, step):
-            scale = np.linalg.norm(v)
-            for _ in range(2):  # twice is enough
-                v = v - basis @ (basis.conj().T @ v)
-            norm = np.linalg.norm(v)
-            if norm > TAU_DEPENDENT * scale:
-                basis = np.column_stack([basis, v / norm])
-        c = np.linalg.eigh(basis.conj().T @ (a @ basis))[1][:, pick]
-        psi = basis @ c
-        psi = psi / np.linalg.norm(psi)
-        step = basis[:, 1:] @ c[1:]  # the displacement less the old psi's component
+        # orthonormal basis of span{psi, r, step} by Gram-Schmidt applied twice (twice is
+        # enough), dropping a column whose norm falls below TAU_DEPENDENT of its own
+        basis[0] = psi
+        rows = 1
+        for _ in range(2):
+            r = r - np.vdot(psi, r) * psi
+        norm = math.sqrt(np.vdot(r, r).real)
+        if norm > TAU_DEPENDENT * residual:
+            basis[1] = r / norm
+            rows = 2
+        scale = math.sqrt(np.vdot(step, step).real)
+        kept = basis[:rows]
+        dual_rows = kept.conj()
+        for _ in range(2):
+            step = step - (dual_rows @ step) @ kept
+        norm = math.sqrt(np.vdot(step, step).real)
+        if norm > TAU_DEPENDENT * scale:
+            basis[rows] = step / norm
+            rows += 1
+        kept = basis[:rows]
+        c = np.linalg.eigh(kept.conj() @ a @ kept.T)[1][:, pick]
+        psi = c @ kept
+        psi = psi / math.sqrt(np.vdot(psi, psi).real)
+        step = c[1:] @ kept[1:]  # the displacement less the old psi's component
     raise NumericalError("gradient flow did not converge", residual)

@@ -182,17 +182,40 @@ class TestInvolutivity:
         assert report.details["witness_residual"] > 1e-8
         assert "xi_real" in report.details["witness_matrices"]
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_inputs_have_their_own_substreams(self, monkeypatch, seed):
+        # every input of one call has its own key, none a rejection substream (seed, 0, k)
+        keys = []
+        monkeypatch.setattr(dist, "make_rng", lambda *key: keys.append(key) or make_rng(*key))
+        dist.involutivity_evidence(3, 20, seed)
+        assert len(set(keys)) == len(keys) == 5
+        assert not any(len(key) == 3 and key[:2] == (seed, 0) for key in keys)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_r_points_come_with_their_d_r_basis(self, n):
+        # the frame that builds the points spans the same D_R as their eigendecomposition
+        basis = dist._random_r_singular_points(n, 10, make_rng(0, 3), make_rng(0, 4))
+        assert basis.kind == "R"
+        assert np.all(basis.rank < n * n)  # the R image is proper at every point
+        v = random_hermitian(n, 0, 9)
+        for k in range(10):
+            row = dist.DistributionBasis(basis.point[k], "R", basis.frame[k], basis.mask[k])
+            eigh_basis = dist.distribution_basis(basis.point[k], "R")
+            assert row.rank == eigh_basis.rank
+            assert np.allclose(closed_form_projection(v, row),
+                               closed_form_projection(v, eigh_basis), atol=1e-10)
+
     def test_r_witness_is_first_worst_trial(self):
         # one matrix at a time: trial k's inputs are the next rows of the inputs' substreams
         n, trials, seed = 3, 8, 5
-        spectrum, frame, a_rng, b_rng = (make_rng(seed, *key) for key in [(0,), (0, 1), (1,), (2,)])
+        a_rng, b_rng, spectrum, frame = (make_rng(seed, key) for key in (1, 2, 3, 4))
         residuals, points = [], []
         for k in range(trials):
-            xi = dist._random_r_singular_points(n, 1, spectrum, frame)[0]
-            a, b = (random_hermitian_stack(n, 1, rng)[0] for rng in (a_rng, b_rng))
-            value = dist._commutator_value("R", xi, a, b)
-            residuals.append(dist.membership_residual(value, dist.distribution_basis(xi, "R")))
-            points.append(xi)
+            basis = dist._random_r_singular_points(n, 1, spectrum, frame)
+            a, b = (random_hermitian_stack(n, 1, rng) for rng in (a_rng, b_rng))
+            value = dist._commutator_value("R", basis.point, a, b)
+            residuals.append(dist.membership_residual(value, basis)[0])
+            points.append(basis.point[0])
         k = int(np.argmax(residuals))
         report = involutivity("R", n, trials, seed)
         assert report.checks[0].worst_trial == k
@@ -208,7 +231,7 @@ class TestInvolutivity:
         k = chunked[1].checks[0].worst_trial
         assert k >= 10  # the witness comes from a later chunk than the first
         # trial k's rows, drawn directly from the substreams in one stack each
-        xi = dist._random_r_singular_points(n, trials, make_rng(seed, 0), make_rng(seed, 0, 1))
+        xi = dist._random_r_singular_points(n, trials, make_rng(seed, 3), make_rng(seed, 4)).point
         a, b = (random_hermitian_stack(n, trials, make_rng(seed, key)) for key in (1, 2))
         assert chunked[1].details["witness_matrices"] == {
             f"{name}_{part}": getattr(m[k], part).tolist()

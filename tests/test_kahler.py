@@ -15,6 +15,7 @@ from geomqm.kernel import (
     random_hermitian_stack,
 )
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from eigensolve_reference import reference_eigensolve
 
 
 def fd_gradient(fn, psi, h=1e-6):
@@ -285,9 +286,32 @@ class TestEigensolver:
         res = kahler.eigensolve_gradient_flow(a, v, tol=1e-9)
         assert res.iterations == 0
 
-    def test_zero_start_rejected(self):
-        with pytest.raises(ValueError):
-            kahler.eigensolve_gradient_flow(PAULI_Z, np.zeros(2))
+    @pytest.mark.parametrize("psi0", [np.zeros(2), np.array([1e-13, 0.0]),
+                                      np.array([3e-13, 4e-13j])], ids=["zero", "tiny", "complex-tiny"])
+    def test_zero_start_rejected(self, psi0):
+        with pytest.raises(ValueError, match="too close to zero"):
+            kahler.eigensolve_gradient_flow(PAULI_Z, psi0)
+
+    def test_huge_start_vector(self):
+        # ||psi0||^2 overflows; the start is scaled by a power of two before normalizing
+        a = np.diag([1.0, 2.0]).astype(complex)
+        res = kahler.eigensolve_gradient_flow(a, np.array([1e200, 1e200]))
+        unit = kahler.eigensolve_gradient_flow(a, np.array([1.0, 1.0]))
+        assert res.eigenvalue == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(res.eigenvector) == pytest.approx(1.0, abs=1e-12)
+        assert res.iterations == unit.iterations >= 1
+        assert res.eigenvalue == pytest.approx(unit.eigenvalue, abs=1e-15)
+
+    @pytest.mark.parametrize("power", [-20, 1, 600, 1000])
+    def test_start_scaled_by_a_power_of_two_gives_the_same_result(self, power):
+        a = random_hermitian(8, 68)
+        psi0 = random_complex_vector(8, 69)
+        res = kahler.eigensolve_gradient_flow(a, np.ldexp(psi0.real, power)
+                                              + 1j * np.ldexp(psi0.imag, power))
+        unit = kahler.eigensolve_gradient_flow(a, psi0)
+        assert res.iterations == unit.iterations
+        assert res.eigenvalue == unit.eigenvalue
+        assert np.array_equal(res.eigenvector, unit.eigenvector)
 
     def test_non_convergence_raises(self):
         a = random_hermitian(4, 53)
@@ -369,6 +393,45 @@ class TestEigensolver:
         assert len(history) == 64
         assert history[0] == pytest.approx(kahler.dispersion(a, psi0) ** 0.5, rel=1e-12)
         assert history[-1] == res.residual <= 1e-9
+
+
+def assert_matches_reference(a, psi0, direction):
+    res = kahler.eigensolve_gradient_flow(a, psi0, direction=direction)
+    ref = reference_eigensolve(a, psi0, direction=direction)
+    assert res.iterations == ref.iterations
+    assert abs(res.eigenvalue - ref.eigenvalue) <= 1e-12 * max(1.0, abs(ref.eigenvalue))
+    assert res.residual <= 1e-9
+
+
+class TestEigensolverReference:
+    """The solver's loop against the plain-numpy reference loop in tests/."""
+
+    @pytest.mark.parametrize("direction", ["ascent", "descent"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64])
+    def test_seeded_grid(self, n, direction):
+        for seed in range(5):
+            assert_matches_reference(random_hermitian(n, seed, 70),
+                                     random_complex_vector(n, seed, 71), direction)
+
+    @pytest.mark.parametrize("direction", ["ascent", "descent"])
+    def test_degenerate_extremal_eigenspace(self, direction):
+        a = np.diag([2.0, 2.0, -1.0]).astype(complex)
+        assert_matches_reference(a, random_complex_vector(3, 57), direction)
+
+    def test_start_at_eigenvector(self):
+        a = random_hermitian(3, 52)
+        v = eig_hermitian(a).eigenvectors[:, 1]
+        assert_matches_reference(a, v, "descent")
+
+    def test_stall_at_the_same_iteration(self):
+        a = random_hermitian(4, 3) * 1e8
+        psi0 = random_complex_vector(4, 60)
+        messages = []
+        for solve in (kahler.eigensolve_gradient_flow, reference_eigensolve):
+            with pytest.raises(NumericalError, match="stalled at iteration") as exc:
+                solve(a, psi0)
+            messages.append(re.search(r"at iteration \d+", str(exc.value)).group())
+        assert messages[0] == messages[1]
 
 
 class TestDispersionCancellation:
