@@ -64,19 +64,18 @@ def verify_jordan_lie(n: int, trials: int, seed: int, tol: float = 1e-9) -> Veri
         a, b, c = (random_hermitian_stack(n, len(ks), rng) for rng in rngs)
         na, nb, nc = frobenius(a), frobenius(b), frobenius(c)
 
-        jac = lie_bracket(lie_bracket(a, b), c) + lie_bracket(lie_bracket(b, c), a) \
-            + lie_bracket(lie_bracket(c, a), b)
+        lie_ab, lie_bc, lie_ac = lie_bracket(a, b), lie_bracket(b, c), lie_bracket(a, c)
+        jor_ab, jor_bc = jordan_product(a, b), jordan_product(b, c)
+        jac = lie_bracket(lie_ab, c) + lie_bracket(lie_bc, a) + lie_bracket(lie_bracket(c, a), b)
         a2 = jordan_product(a, a)
-        jid = jordan_product(jordan_product(a, b), a2) - jordan_product(a, jordan_product(b, a2))
-        inv_lie = trace_form(lie_bracket(a, b), c) - trace_form(a, lie_bracket(b, c))
-        inv_jor = trace_form(jordan_product(a, b), c) - trace_form(a, jordan_product(b, c))
-        leib = lie_bracket(a, jordan_product(b, c)) \
-            - jordan_product(lie_bracket(a, b), c) - jordan_product(b, lie_bracket(a, c))
-        assoc = associator_defect(a, b, c) - (hbar / 4) * lie_bracket(lie_bracket(a, c), b)
+        jid = jordan_product(jor_ab, a2) - jordan_product(a, jordan_product(b, a2))
+        inv_lie = trace_form(lie_ab, c) - trace_form(a, lie_bc)
+        inv_jor = trace_form(jor_ab, c) - trace_form(a, jor_bc)
+        leib = lie_bracket(a, jor_bc) - jordan_product(lie_ab, c) - jordan_product(b, lie_ac)
+        assoc = associator_defect(a, b, c) - (hbar / 4) * lie_bracket(lie_ac, b)
         return {
             "jacobi": _rel(frobenius(jac), na, nb, nc),
-            "jordan_commutativity":
-                _rel(frobenius(jordan_product(a, b) - jordan_product(b, a)), na, nb),
+            "jordan_commutativity": _rel(frobenius(jor_ab - jordan_product(b, a)), na, nb),
             "jordan_identity": _rel(frobenius(jid), na, na, na, nb),
             "trace_invariance_lie": _rel(abs(inv_lie), na, nb, nc),
             "trace_invariance_jordan": _rel(abs(inv_jor), na, nb, nc),

@@ -13,9 +13,7 @@ it to stdout or ``--output`` through ``_write`` and decides the exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from pathlib import Path
@@ -166,14 +164,12 @@ def cmd_verify(args) -> Outcome:
 
 
 def _trajectory_csv(times, traj) -> str:
-    # column_stack + tolist keeps Python floats, which csv writes as repr()
+    # column_stack + tolist gives Python floats, written as repr() with CSV's \r\n rows
     flat = np.ascontiguousarray(traj, dtype=complex).reshape(len(times), -1)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t"] + [f"{part}_{i}" for i in range(flat.shape[1])
-                             for part in ("re", "im")])
-    writer.writerows(np.column_stack([times, flat.view(float)]).tolist())
-    return buf.getvalue()
+    header = ",".join(["t"] + [f"{part}_{i}" for i in range(flat.shape[1])
+                               for part in ("re", "im")])
+    rows = np.column_stack([times, flat.view(float)]).tolist()
+    return "\r\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\r\n"
 
 
 def cmd_evolve(args) -> Outcome:

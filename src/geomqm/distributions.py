@@ -20,9 +20,10 @@ Involutivity is sampled evidence: the distributions are spanned by global
 polynomial vector fields whose commutators have closed forms, and the
 commutator values are tested for pointwise membership at random points.
 One pass serves the four kinds: each chunk of trials draws its points and
-pairs once, diagonalizes the generic points once, takes the R points' frame
-from their construction, and keeps the R witness from the chunk of the worst
-trial.
+pairs once, diagonalizes the generic points once, and keeps the R witness
+from the chunk of the worst trial.  The R points are built around their
+frame, a Cayley transform of a random Hermitian matrix (one stacked linear
+solve, no eigendecomposition).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .kernel import (
     require_same_dim,
     require_square,
     scalar_or_stack,
-    unitary_exp,
 )
 from .report import VerificationReport, run_suite
 
@@ -185,14 +185,17 @@ def _random_r_singular_points(n, m, spectrum_rng, frame_rng) -> DistributionBasi
     be witnessed on this stratum.  Eigenvalues remain pairwise distinct.
     Each point takes one uniform row of n - 1 numbers from spectrum_rng, a
     in [0.5, 1.5) and the offsets in [0, 0.5) of the other n - 2
-    eigenvalues, and its eigenframe V = exp(-iH) from the next Hermitian row H
-    of frame_rng.  The points come as their D_R basis: the frame V that built
+    eigenvalues, and its eigenframe from the next Hermitian row H of
+    frame_rng: the Cayley transform V = (I + iH/2)^-1 (I - iH/2), unitary to
+    rounding.  The points come as their D_R basis: the frame V that built
     them and the pair mask of the exact spectrum, so a +/-a sum is exactly 0.
     """
     u = spectrum_rng.random((m, n - 1))
     a = 0.5 + u[:, :1]
     spectrum = np.concatenate([a, -a, a * (2.0 + np.arange(n - 2)) + 0.5 * u[:, 1:]], axis=1)
-    v = unitary_exp(random_hermitian_stack(n, m, frame_rng), 1.0)
+    half = 0.5j * random_hermitian_stack(n, m, frame_rng)
+    eye = np.eye(n)
+    v = np.linalg.solve(eye + half, eye - half)
     return DistributionBasis(point=(v * spectrum[:, None, :]) @ dagger(v), kind="R", frame=v,
                              mask=_pair_masks(spectrum)["R"])
 
@@ -210,8 +213,10 @@ def _commutator_value(kind, xi, a, b):
     if kind == "R":
         return rhat(rhat(xi, a), b) - rhat(rhat(xi, b), a)
 
-    def q(m):  # Zero
-        return lie_bracket(m, xi @ xi) / 2
+    xi2 = xi @ xi  # Zero
+
+    def q(m):
+        return lie_bracket(m, xi2) / 2
 
     def dq(m, eta):
         return lie_bracket(m, xi @ eta + eta @ xi) / 2
@@ -246,7 +251,10 @@ def involutivity_evidence(n: int, trials: int, seed: int,
                                       mask=masks[kind])
             return np.max([membership_residual(v, basis) for v in values], axis=0)
 
-        lam = _commutator_value("Lambda", xi, a, b)  # tangent to D_Lambda and to D_One
+        # the Lambda and R values of _commutator_value, whose factors jhat(xi, a) and
+        # rhat(xi, b) the mixed pair shares; lam is tangent to D_Lambda and to D_One
+        ja, rb = jhat(xi, a), rhat(xi, b)
+        lam = jhat(ja, b) - jhat(jhat(xi, b), a)
         r = membership_residual(_commutator_value("R", r_basis.point, a, b), r_basis)
         i = int(np.argmax(r))  # the chunk's worst row: its first NaN, else its first maximum
         if not witness or np.argmax([witness["residual"], r[i]]) == 1:  # as run_suite keeps it
@@ -256,8 +264,8 @@ def involutivity_evidence(n: int, trials: int, seed: int,
             "commutators_tangent_to_D_R": r,
             "commutators_tangent_to_D_Zero": residual("Zero", _commutator_value("Zero", xi, a, b)),
             "commutators_tangent_to_D_One": residual(
-                "One", lam, _commutator_value("R", xi, a, b),
-                rhat(jhat(xi, a), b) - jhat(rhat(xi, b), a)),  # the mixed pair
+                "One", lam, rhat(rhat(xi, a), b) - rhat(rb, a),
+                rhat(ja, b) - jhat(rb, a)),  # the mixed pair
         }
 
     checks = run_suite("involutivity evidence", n, trials, seed, tol, trial).checks

@@ -183,9 +183,21 @@ def _norm2(psi):
     return n2
 
 
+def _unit_scaled(psi):
+    """psi, or each row of a stack, divided by the power of two above its largest entry part.
+
+    Only a row whose largest real or imaginary part exceeds 1 is divided.  The
+    division is exact, so directions and scale-invariant quotients keep their
+    values, and ||psi||^2 no longer overflows.
+    """
+    largest = np.max(np.maximum(abs(psi.real), abs(psi.imag)), axis=-1, keepdims=True,
+                     initial=0.0)
+    return psi * np.ldexp(1.0, -np.where(largest > 1.0, np.frexp(largest)[1], 0))
+
+
 def expectation(a, psi):
     """Rayleigh quotient <psi|A psi>/<psi|psi>; scale invariant; an array over a (..., n) stack."""
-    a, psi = require_matrix(a), _as_vectors(psi)
+    a, psi = require_matrix(a), _unit_scaled(_as_vectors(psi))
     return _inner(psi, _apply(a, psi)).real / _norm2(psi)
 
 
@@ -203,7 +215,7 @@ def dispersion(a, psi) -> float:
     Evaluated as ||(A - <A>) psi||^2 / ||psi||^2, which is non-negative and
     free of the cancellation between <A^2> and <A>^2.
     """
-    centered, n2 = _centered(a, psi)
+    centered, n2 = _centered(a, _unit_scaled(_as_vectors(psi)))
     return float(np.vdot(centered, centered).real / n2)
 
 
@@ -258,10 +270,7 @@ def eigensolve_gradient_flow(
     psi = _as_vector(psi0)
     if not np.isfinite(psi).all():
         raise ValueError("start vector must be finite")
-    # divide by a power of two 2^e above the largest part of an entry when that exceeds 1:
-    # exact, so the direction is unchanged, and ||psi||^2 does not overflow
-    largest = np.max(np.maximum(abs(psi.real), abs(psi.imag)), initial=0.0)
-    psi = psi * np.ldexp(1.0, -max(int(np.frexp(largest)[1]), 0))
+    psi = _unit_scaled(psi)
     psi = psi / np.sqrt(_norm2(psi))
     pick = -1 if direction == "ascent" else 0
     step = np.zeros_like(psi)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geomqm import algebra
+from geomqm import report as report_module
 from geomqm.algebra import (
     CONVENTIONS,
     associator_defect,
@@ -12,6 +13,7 @@ from geomqm.algebra import (
 )
 from geomqm.kernel import DimensionError, is_hermitian, random_hermitian
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from suite_reference import reference_jordan_lie
 
 
 class TestLieBracket:
@@ -115,6 +117,14 @@ class TestVerifySuite:
         assert not report.passed
         jacobi = next(c for c in report.checks if c.name == "jacobi")
         assert np.isnan(jacobi.max_residual)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_matches_reference_trials(self, monkeypatch, n):
+        # each product computed once per chunk gives the reports of the identities as written
+        monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", 10 * n * n)  # chunks of 10 trials
+        for seed in range(5):
+            assert verify_jordan_lie(n, 30, seed).to_dict() \
+                == reference_jordan_lie(n, 30, seed).to_dict()
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_random_dimensions(self, n):

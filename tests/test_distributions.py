@@ -7,6 +7,7 @@ from geomqm.algebra import trace_form
 from geomqm.kernel import eig_hermitian, make_rng, random_hermitian, random_hermitian_stack
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, closed_form_projection, unitary_from_seed
 import svd_oracle as oracle
+from suite_reference import reference_involutivity
 
 
 class TestTensors:
@@ -175,12 +176,24 @@ class TestInvolutivity:
         report = involutivity(kind, n, trials=20, seed=5)
         assert report.passed, report.summary()
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_involutive_kinds_match_per_kind_reference(self, monkeypatch, n):
+        # one pass with shared products gives each kind's check as computed on its own
+        monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", 10 * n * n)  # chunks of 10 trials
+        for seed in range(5):
+            reports = dist.involutivity_evidence(n, 30, seed)
+            for kind in ("Lambda", "Zero", "One"):
+                checks = reports[dist.KINDS.index(kind)].checks
+                assert [c.to_dict() for c in checks] \
+                    == [c.to_dict() for c in reference_involutivity(kind, n, 30, seed).checks]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_r_witness_found(self, n):
-        report = involutivity("R", n, trials=20, seed=5)
-        assert report.passed
-        assert report.details["witness_residual"] > 1e-8
-        assert "xi_real" in report.details["witness_matrices"]
+        for seed in range(6):
+            report = involutivity("R", n, trials=20, seed=seed)
+            assert report.passed
+            assert report.details["witness_residual"] > 10 * report.tol
+            assert "xi_real" in report.details["witness_matrices"]
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_inputs_have_their_own_substreams(self, monkeypatch, seed):
@@ -204,6 +217,35 @@ class TestInvolutivity:
             assert row.rank == eigh_basis.rank
             assert np.allclose(closed_form_projection(v, row),
                                closed_form_projection(v, eigh_basis), atol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_r_frames_are_unitary(self, monkeypatch, n, scale):
+        # the Cayley transform of each Hermitian draw H, here also of 1e4 * H
+        drawn = []
+
+        def draw(n, m, rng):
+            drawn.append(scale * random_hermitian_stack(n, m, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(dist, "random_hermitian_stack", draw)
+        for seed in range(5):
+            v = dist._random_r_singular_points(n, 100, make_rng(seed, 3), make_rng(seed, 4)).frame
+            defect = np.max(abs(v @ v.conj().swapaxes(-2, -1) - np.eye(n)), axis=(-2, -1))
+            if scale == 1.0:
+                assert defect.max() <= 1e-14
+            else:  # the rounding of the solve grows with the condition number of I + iH/2
+                assert np.all(defect <= 1e-14 * np.linalg.cond(np.eye(n) + 0.5j * drawn[-1]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_r_points_keep_their_exact_pair(self, n):
+        # eigenvalues a and -a sit at frame columns 0 and 1: only that pair sums to exactly 0
+        pair = np.zeros((n, n), dtype=bool)
+        pair[0, 1] = pair[1, 0] = True
+        for seed in range(5):
+            basis = dist._random_r_singular_points(n, 100, make_rng(seed, 3), make_rng(seed, 4))
+            assert np.array_equal(basis.mask, np.broadcast_to(~pair, basis.mask.shape))
+            assert np.array_equal(basis.rank, np.full(100, n * n - 2))
 
     def test_r_witness_is_first_worst_trial(self):
         # one matrix at a time: trial k's inputs are the next rows of the inputs' substreams

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from geomqm import dual
+from geomqm import report as report_module
 from geomqm.algebra import lie_bracket
 from geomqm.kernel import dagger, random_hermitian, unitary_exp
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from suite_reference import reference_dual_geometry
 
 
 class TestHatEval:
@@ -202,6 +204,14 @@ class TestVerifyDualGeometry:
     def test_suite_passes(self, n):
         report = dual.verify_dual_geometry(n, trials=25, seed=n, tol=1e-9)
         assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_matches_reference_trials(self, monkeypatch, n):
+        # each product computed once per chunk gives the reports of the identities as written
+        monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", 10 * n * n)  # chunks of 10 trials
+        for seed in range(5):
+            assert dual.verify_dual_geometry(n, 30, seed).to_dict() \
+                == reference_dual_geometry(n, 30, seed).to_dict()
 
 
 class TestIsStateInputs:

@@ -196,6 +196,8 @@ class TestExpectationDispersion:
     def test_near_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             kahler.expectation(PAULI_Z, np.zeros(2))
+        with pytest.raises(ValueError, match="too close to zero"):
+            kahler.dispersion(PAULI_Z, np.array([kahler.TAU_NORM, 0.0]))
 
     def test_stack_of_states(self):
         psis = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0j]])
@@ -205,6 +207,29 @@ class TestExpectationDispersion:
     def test_near_zero_row_of_a_stack_rejected(self):
         with pytest.raises(ValueError, match="too close to zero"):
             kahler.expectation(PAULI_Z, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+
+    def test_huge_vector(self, recwarn):
+        # ||psi||^2 overflows, yet both functions are scale invariant
+        a = np.diag([1.0, 2.0]).astype(complex)
+        assert kahler.expectation(a, np.array([1e200, 1e200])) == 1.5
+        assert kahler.dispersion(a, np.array([1e200j, -1e200])) == 0.25
+        stack = np.array([[1e200, 1e200], [0.0, 1.0], [3e300j, 1e-300]])
+        assert np.array_equal(kahler.expectation(a, stack), [1.5, 2.0, 1.0])
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("seed", [23, 24])
+    def test_unit_scale_inputs_keep_their_bits(self, seed):
+        # no entry part above 1, so no rescaling: the unscaled quotients, bit for bit
+        a = random_hermitian(5, seed)
+        psi = random_complex_vector_stack(5, 6, make_rng(seed, 1))
+        psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+        psi[0] = [1.0, 0.0, 0.0, 0.0, 0.0]
+        n2 = kahler._inner(psi, psi).real
+        assert np.array_equal(kahler.expectation(a, psi),
+                              kahler._inner(psi, kahler._apply(a, psi)).real / n2)
+        for row in psi[:2]:
+            centered, n2 = kahler._centered(a, row)
+            assert kahler.dispersion(a, row) == np.vdot(centered, centered).real / n2
 
 
 class TestGradientFields:
