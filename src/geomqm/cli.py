@@ -2,8 +2,9 @@
 
 Subcommands: verify, evolve, eigen, star, distributions, su2demo.
 Exit codes: 0 success, 1 verification/convergence failure, 2 usage or
-input error.  Every command is deterministic given --seed; JSON reports
-conform to the schema shipped in geomqm/schema/report_schema.json.
+input error.  Every command is deterministic given --seed (star and su2demo
+draw no random number and take no --seed); JSON reports conform to the schema
+shipped in geomqm/schema/report_schema.json.
 
 Each ``cmd_*`` reads and checks its inputs, calls the library and returns an
 ``Outcome``.  ``run`` alone renders it (text, or JSON with ``--json``), writes
@@ -59,9 +60,30 @@ def _count(minimum: int):
     return parse
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-9, help="identity tolerance (default 1e-9)")
+def _tolerance(text: str) -> float:
+    """argparse ``type=``: a finite float >= 0."""
+    value = float(text)
+    if not 0 <= value < np.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"
+
+
+def _add_common(p, **fixed):
+    """--seed, --tol, --json and --output.
+
+    A command that draws no random number or checks at its own tolerance
+    passes ``seed=`` or ``tol=``: that option is not registered, and the
+    fixed value is what its report and the JSON payload record.
+    """
+    p.set_defaults(**fixed)
+    if "seed" not in fixed:
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    if "tol" not in fixed:
+        p.add_argument("--tol", type=_tolerance, default=1e-9,
+                       help="identity tolerance, finite and >= 0 (default 1e-9)")
     p.add_argument("--json", action="store_true", help="emit the JSON report instead of text")
     p.add_argument("--output", type=Path, default=None, help="write the report to this path")
 
@@ -108,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=Path, required=True)
     p.add_argument("--b", type=Path, required=True)
     p.add_argument("--xi", type=Path, required=True)
-    _add_common(p)
+    _add_common(p, seed=0)
 
     p = sub.add_parser("distributions", help="distribution ranks and orbit invariants at a point")
     p.add_argument("--point", type=Path, required=True)
@@ -116,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("su2demo", help="golden coefficient tables of the 2-level system")
-    _add_common(p)
+    _add_common(p, seed=0, tol=1e-12)
 
     return parser
 
@@ -181,7 +203,7 @@ def cmd_evolve(args) -> Outcome:
         if np.linalg.norm(initial) <= kahler.TAU_NORM:
             raise CliError(f"{args.initial}: initial state is zero to within {kahler.TAU_NORM:g}")
     else:
-        initial = _read(args.initial)
+        initial = _read_hermitian(args.initial, "initial matrix")
         if args.picture == "vonneumann" and not dual.is_state(initial, TAU_HERMITIAN):
             print("warning: initial dual element is not a density matrix; "
                   "evolving anyway", file=sys.stderr)
@@ -252,7 +274,7 @@ def cmd_star(args) -> Outcome:
 def cmd_distributions(args) -> Outcome:
     xi = _read_hermitian(args.point, "matrix")
     n = xi.shape[0]
-    ranks = {kind: dist.distribution_basis(xi, kind).rank for kind in dist.KINDS}
+    ranks = {kind: basis.rank for kind, basis in dist.distribution_basis(xi).items()}
     inv = dist.orbit_invariants(xi)
     reports = dist.involutivity_evidence(n, args.trials, args.seed, args.tol) if n >= 2 else []
     results = {"ranks": ranks, "spectrum": inv["spectrum"].tolist(), "rank": inv["rank"],
@@ -272,7 +294,7 @@ def cmd_su2demo(args) -> Outcome:
     tables = dual.su2_golden_tables()
     golden = {("z", "y"): {"x": -1j}, ("x", "y"): {"z": 1j}, ("z", "x"): {"y": 1j}}
     rep = VerificationReport(title="2-level golden star values", seed=args.seed, trials=1,
-                             tol=1e-12)
+                             tol=args.tol)
     for (na, nb), expected in golden.items():
         coeffs = tables.star_coefficients(na, nb)
         residual = max(abs(coeffs[name] - expected.get(name, 0.0)) for name in dual.SU2_NAMES)

@@ -126,17 +126,20 @@ def _pair_masks(w) -> dict:
     return {"Lambda": lam, "R": r, "Zero": lam & r, "One": lam | r}
 
 
-def distribution_basis(xi, kind: str) -> DistributionBasis:
-    """Eigenframe and pair mask of one of the four distributions at xi (or a stack).
+def _bases(xi, dec) -> dict:
+    """The four kinds' DistributionBasis at xi, in KINDS order, from its eigendecomposition."""
+    masks = _pair_masks(dec.eigenvalues)
+    return {kind: DistributionBasis(point=xi, kind=kind, frame=dec.eigenvectors, mask=masks[kind])
+            for kind in KINDS}
+
+
+def distribution_basis(xi) -> dict:
+    """The four distributions at xi (or a stack), in KINDS order, from one eigendecomposition.
 
     Eigenvalue sums and differences at or below _rank_cutoff count as zero.
     """
     xi = _hermitian_point(xi)
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    dec = eig_hermitian(xi)
-    return DistributionBasis(point=xi, kind=kind, frame=dec.eigenvectors,
-                             mask=_pair_masks(dec.eigenvalues)[kind])
+    return _bases(xi, eig_hermitian(xi))
 
 
 def membership_residual(vector, dist: DistributionBasis):
@@ -244,12 +247,10 @@ def involutivity_evidence(n: int, trials: int, seed: int,
         xi, dec = _random_generic_points(n, ks, point_rng, seed, 0)
         r_basis = _random_r_singular_points(n, len(ks), spectrum_rng, frame_rng)
         a, b = random_hermitian_stack(n, len(ks), a_rng), random_hermitian_stack(n, len(ks), b_rng)
-        masks = _pair_masks(dec.eigenvalues)
+        bases = _bases(xi, dec)
 
         def residual(kind, *values):  # np.max, unlike max(), propagates a NaN residual
-            basis = DistributionBasis(point=xi, kind=kind, frame=dec.eigenvectors,
-                                      mask=masks[kind])
-            return np.max([membership_residual(v, basis) for v in values], axis=0)
+            return np.max([membership_residual(v, bases[kind]) for v in values], axis=0)
 
         # the Lambda and R values of _commutator_value, whose factors jhat(xi, a) and
         # rhat(xi, b) the mixed pair shares; lam is tangent to D_Lambda and to D_One

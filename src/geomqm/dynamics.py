@@ -1,10 +1,14 @@
 """Time evolution in the three equivalent pictures.
 
-Exact propagation goes through one spectral decomposition of H and the
-resulting unitary U(t) = exp(-i t H / hbar):
+One unitary action U(t) = exp(-i t H / hbar) drives all three:
   Schrodinger:  psi(t) = U(t) psi0
   Heisenberg:   A(t)   = U(t)^dag A0 U(t)
   von Neumann:  xi(t)  = U(t) xi0 U(t)^dag
+Each ``EvolutionSpec`` diagonalizes H once.  Its cached ``frame`` (V and the
+phase table) serves every flow and report of the spec; its cached U(t)
+stack, ``propagators``, is built only for a picture that conjugates by U,
+never for the Schrodinger flow alone.
+
 The orientations are locked by the relatedness requirement that the
 momentum map sends the Schrodinger flow to the von Neumann flow and that
 both pictures agree on every expectation value.  In bracket form the dual
@@ -24,11 +28,13 @@ import numpy as np
 
 from .algebra import jordan_product, lie_bracket
 from .kernel import (
+    TAU_HERMITIAN,
     DimensionError,
     dagger,
     eig_hermitian,
     eigvals_hermitian,
     frobenius,
+    is_hermitian,
     random_hermitian,
     require_matrix,
     require_same_dim,
@@ -50,13 +56,14 @@ class EvolutionSpec:
     picture: str = "schrodinger"
 
     def __post_init__(self):
-        require_matrix(self.hamiltonian)
+        if not is_hermitian(require_matrix(self.hamiltonian), TAU_HERMITIAN):
+            raise ValueError("the Hamiltonian must be a finite Hermitian matrix")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not np.isfinite(self.t_final):
             raise ValueError("t_final must be finite")
-        if not self.hbar > 0:  # also rejects NaN
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not 0 < self.hbar < np.inf:  # also rejects NaN
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
         if self.picture not in PICTURES:
             raise ValueError(f"picture must be one of {PICTURES}, got {self.picture!r}")
 
@@ -64,21 +71,16 @@ class EvolutionSpec:
         return np.linspace(0.0, self.t_final, self.steps + 1)
 
     @cached_property
-    def decomposition(self):
-        """Eigendecomposition of H, computed once and shared by every flow of this spec."""
-        return eig_hermitian(self.hamiltonian)
+    def frame(self):
+        """(V, phases): the eigenvectors of H and exp(-i t lam / hbar), (steps+1, n), once per spec."""
+        dec = eig_hermitian(self.hamiltonian)
+        return dec.eigenvectors, np.exp(-1j * np.outer(self.times(), dec.eigenvalues) / self.hbar)
 
-
-def _spectral_phases(spec: EvolutionSpec):
-    dec = spec.decomposition
-    phases = np.exp(-1j * np.outer(spec.times(), dec.eigenvalues) / spec.hbar)
-    return dec.eigenvectors, phases
-
-
-def _propagators(spec: EvolutionSpec) -> np.ndarray:
-    """U(t) at every sample time, shape (steps+1, n, n)."""
-    v, phases = _spectral_phases(spec)
-    return (v * phases[:, None, :]) @ dagger(v)
+    @cached_property
+    def propagators(self) -> np.ndarray:
+        """U(t) at every sample time, shape (steps+1, n, n), built once per spec."""
+        v, phases = self.frame
+        return (v * phases[:, None, :]) @ dagger(v)
 
 
 def schrodinger_flow(spec: EvolutionSpec, psi0) -> np.ndarray:
@@ -88,7 +90,7 @@ def schrodinger_flow(spec: EvolutionSpec, psi0) -> np.ndarray:
     if psi0.shape != (n,):
         raise DimensionError(f"state has shape {psi0.shape}, Hamiltonian dim {n}")
     # psi(t) = V diag(phases(t)) V^dag psi0, all samples in one product
-    v, phases = _spectral_phases(spec)
+    v, phases = spec.frame
     return (phases * (dagger(v) @ psi0)) @ v.T
 
 
@@ -99,14 +101,14 @@ def _check_dim(spec: EvolutionSpec, m) -> np.ndarray:
 def heisenberg_flow(spec: EvolutionSpec, a0) -> np.ndarray:
     """Samples of A(t) = U(t)^dag A0 U(t), shape (steps+1, n, n)."""
     a0 = _check_dim(spec, a0)
-    u = _propagators(spec)
+    u = spec.propagators
     return dagger(u) @ a0 @ u
 
 
 def vonneumann_flow(spec: EvolutionSpec, xi0) -> np.ndarray:
     """Samples of xi(t) = U(t) xi0 U(t)^dag, shape (steps+1, n, n)."""
     xi0 = _check_dim(spec, xi0)
-    u = _propagators(spec)
+    u = spec.propagators
     return u @ xi0 @ dagger(u)
 
 
@@ -174,16 +176,14 @@ def mu_relatedness_check(spec: EvolutionSpec, psi0, seed: int = 0,
     psi0 = np.asarray(psi0, dtype=complex)
     n = spec.hamiltonian.shape[0]
     psis = schrodinger_flow(spec, psi0)
-    u = _propagators(spec)  # shared by the von Neumann flow and every Heisenberg flow below
-    rho0 = kahler.momentum_map(psi0)
-    rhos = u @ rho0 @ dagger(u)
+    rhos = vonneumann_flow(spec, kahler.momentum_map(psi0))
     scale = max(1.0, float(np.vdot(psi0, psi0).real))
     mu_res = float(np.max(frobenius(kahler.momentum_map(psis) - rhos))) / scale
 
     obs = [random_hermitian(n, seed, 77, j) for j in range(N_OBSERVABLES)]
     # <psi(t)|A0 psi(t)> against <psi0|A(t) psi0> at every sample, for every observable
     gaps = [np.abs(np.einsum("ti,ij,tj->t", psis.conj(), a0, psis).real
-                   - np.einsum("i,tij,j->t", psi0.conj(), dagger(u) @ a0 @ u, psi0).real)
+                   - np.einsum("i,tij,j->t", psi0.conj(), heisenberg_flow(spec, a0), psi0).real)
             / max(1.0, scale * frobenius(a0)) for a0 in obs]
     exp_res = float(np.max(gaps, initial=0.0))
 
@@ -207,7 +207,7 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
     sample, or the first sample's largest |eigenvalue| for the spectrum).
     Also spot-checks that conjugation by the flow's unitary U(t_final) preserves
     both algebra products on seeded random observables.  U(t_final) comes from
-    the spec's cached decomposition of H, so H is diagonalized once per spec.
+    the spec's cached frame, so H is diagonalized once per spec.
     """
     traj = np.asarray(trajectory)
     n = spec.hamiltonian.shape[0]
@@ -237,7 +237,7 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
         report.add("hamiltonian_constant", float(np.max(drift)) / max(1.0, nh))
         report.add("spectrum", _spectrum_deviation(traj) / max(1.0, np.linalg.norm(traj[0], 2)))
 
-    v, phases = _spectral_phases(spec)
+    v, phases = spec.frame
     u = (v * phases[-1]) @ dagger(v)
     a = random_hermitian(n, seed, 88, 0)
     b = random_hermitian(n, seed, 88, 1)

@@ -85,13 +85,24 @@ class TestExitCodes:
         ("eigen", "--max-iter", "-5"),
         ("eigen", "--max-iter", "1.5"),
         ("evolve", "--hbar", "nan"),
+        ("evolve", "--hbar", "inf"),
+        ("verify", "--tol", "nan"),  # used to exit 1 and write the non-JSON token NaN
+        ("verify", "--tol", "-1e-9"),
+        ("eigen", "--tol", "inf"),
+        ("star", "--tol", "inf"),
+        ("distributions", "--tol", "abc"),
     ])
     def test_bad_numeric_option(self, capsys, tmp_path, command, option, value):
         path = write_matrix(tmp_path / "m.json", PAULI_Z)
         files = {"verify": [], "distributions": ["--point", path], "eigen": ["--operator", path],
-                 "evolve": ["--hamiltonian", path, "--initial", path, "--picture", "heisenberg"]}
+                 "evolve": ["--hamiltonian", path, "--initial", path, "--picture", "heisenberg"],
+                 "star": ["--a", path, "--b", path, "--xi", path]}
         assert run([command, *files[command], option, value]) == EXIT_USAGE
         assert option.lstrip("-") in capsys.readouterr().err
+
+    def test_zero_tol_allowed(self, capsys):
+        _, payload = run_json(capsys, "verify", "--dim", "2", "--trials", "2", "--tol", "0")
+        assert payload["tol"] == 0.0
 
     def test_zero_max_iter_allowed(self, capsys, tmp_path):
         # every vector is an eigenvector of the identity, so no iteration is needed
@@ -240,6 +251,19 @@ class TestEvolve:
         assert calls == []
         assert "zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("picture", ["heisenberg", "vonneumann"])
+    def test_non_hermitian_initial_does_no_work(self, capsys, tmp_path, monkeypatch, picture):
+        # evolving [[1, 2], [0, 1]] used to exit 0 with passing reports
+        calls = []
+        monkeypatch.setattr(dynamics, "conserved_report", lambda *a, **k: calls.append(a))
+        h = write_matrix(tmp_path / "h.json", PAULI_Z)
+        m = write_matrix(tmp_path / "m.json", np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
+        code = run(["evolve", "--picture", picture, "--hamiltonian", h, "--initial", m])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert calls == []
+        assert "is not Hermitian" in err and "density matrix" not in err
+
     def test_vonneumann_non_state_warns(self, capsys, tmp_path):
         h = write_matrix(tmp_path / "h.json", PAULI_Z)
         xi = write_matrix(tmp_path / "xi.json", 2 * PAULI_X)
@@ -305,6 +329,59 @@ class TestDeterminism:
     def test_step_option_removed(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "a.json", PAULI_Z)
         assert run(["eigen", "--operator", path, "--step", "0.1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, option", [
+        ("su2demo", "--tol"), ("su2demo", "--seed"), ("star", "--seed")])
+    def test_unused_options_removed(self, capsys, tmp_path, command, option):
+        # su2demo checked at 1e-12 whatever --tol said, and neither command draws a random number
+        path = write_matrix(tmp_path / "m.json", PAULI_Z)
+        files = {"su2demo": [], "star": ["--a", path, "--b", path, "--xi", path]}
+        assert run([command, *files[command], option, "1"]) == EXIT_USAGE
+
+    def test_fixed_seed_and_tol_reported(self, capsys, tmp_path):
+        # the payload's seed and tol are the ones its report used
+        path = write_matrix(tmp_path / "m.json", PAULI_Z)
+        for argv in (["su2demo"], ["star", "--a", path, "--b", path, "--xi", path]):
+            _, payload = run_json(capsys, *argv)
+            (report,) = payload["reports"]
+            assert (payload["seed"], payload["tol"]) == (report["seed"], report["tol"])
+            assert payload["seed"] == 0
+        assert payload["tol"] == 1e-9 and run_json(capsys, "su2demo")[1]["tol"] == 1e-12
+
+
+def test_verify_suites_draw_from_disjoint_substreams(monkeypatch):
+    # every make_rng key of one verify call, by the suite that asked for it
+    from itertools import combinations
+    from geomqm import algebra, dual, distributions, kahler, kernel
+
+    make_rng, suite, keys = kernel.make_rng, [None], {}
+
+    def record(*key):
+        keys.setdefault(suite[0], set()).add(key)
+        return make_rng(*key)
+
+    for module in (algebra, dual, distributions, kahler, kernel):
+        monkeypatch.setattr(module, "make_rng", record)
+
+    def tagged(namespace, name):
+        fn = getattr(namespace, name)
+
+        def wrapper(*args, **kwargs):
+            suite[0] = name
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(namespace, name, wrapper)
+
+    for namespace, name in [(cli, "verify_jordan_lie"), (cli.dual, "verify_dual_geometry"),
+                            (cli.dist, "verify_commutation"), (cli.dist, "involutivity_evidence"),
+                            (cli.kahler, "verify_pullbacks")]:
+        tagged(namespace, name)
+    for seed in (0, 3):
+        keys.clear()
+        cli.cmd_verify(cli.build_parser().parse_args(
+            ["verify", "--dim", "3", "--trials", "20", "--seed", str(seed)]))
+        assert len(keys) == 5 and None not in keys
+        for a, b in combinations(keys, 2):
+            assert keys[a].isdisjoint(keys[b]), (a, b, keys[a] & keys[b])
 
 
 def _declared_keys_written(node, instances, where="payload"):
@@ -433,6 +510,19 @@ star table:
   [PASS] star_z_x: max residual 0.000e+00 (tol 1e-12)
   => all identities pass
 """
+
+
+def test_distributions_diagonalizes_the_point_once(capsys, monkeypatch, tmp_path):
+    # one decomposition for the four ranks, one for the orbit invariants, one for the trials
+    calls = dict.fromkeys(["eig_hermitian", "is_hermitian"], 0)
+    for name in calls:
+        fn = getattr(cli.dist, name)
+        monkeypatch.setattr(cli.dist, name,
+                            lambda *a, fn=fn, name=name: calls.update({name: calls[name] + 1})
+                            or fn(*a))
+    path = write_matrix(tmp_path / "xi.json", random_hermitian(4, 12))
+    assert run(["distributions", "--point", path]) == EXIT_OK
+    assert calls == {"eig_hermitian": 3, "is_hermitian": 2}
 
 
 class TestTextOutput:

@@ -69,29 +69,38 @@ class TestHermitianBasis:
 class TestRanks:
     def test_generic_su2_lambda_rank(self):
         xi = np.diag([1.0, -0.5]).astype(complex)
-        assert dist.distribution_basis(xi, "Lambda").rank == 2
+        assert dist.distribution_basis(xi)["Lambda"].rank == 2
 
     def test_central_point_rank_zero(self):
-        assert dist.distribution_basis(np.eye(2, dtype=complex), "Lambda").rank == 0
+        assert dist.distribution_basis(np.eye(2, dtype=complex))["Lambda"].rank == 0
 
     def test_generic_invertible_one_full(self):
         xi = np.diag([1.0, -0.5]).astype(complex)
-        assert dist.distribution_basis(xi, "One").rank == 4
+        assert dist.distribution_basis(xi)["One"].rank == 4
 
     def test_identity_point_r_full(self):
         xi = np.eye(3, dtype=complex)
-        assert dist.distribution_basis(xi, "R").rank == 9
-        assert dist.distribution_basis(xi, "Lambda").rank == 0
+        assert dist.distribution_basis(xi)["R"].rank == 9
+        assert dist.distribution_basis(xi)["Lambda"].rank == 0
+
+    def test_one_decomposition_serves_all_four(self, monkeypatch):
+        calls, eig = [], dist.eig_hermitian
+        monkeypatch.setattr(dist, "eig_hermitian", lambda m: calls.append(m) or eig(m))
+        xi = random_hermitian(4, 32)
+        bases = dist.distribution_basis(xi)
+        assert len(calls) == 1
+        assert list(bases) == [b.kind for b in bases.values()] == list(dist.KINDS)
+        assert all(b.frame is bases["Lambda"].frame and b.point is xi for b in bases.values())
 
     def test_dimension_formula(self):
         for seed in range(5):
             xi = random_hermitian(3, seed, 30)
-            ranks = {k: dist.distribution_basis(xi, k).rank for k in dist.KINDS}
+            ranks = {k: dist.distribution_basis(xi)[k].rank for k in dist.KINDS}
             assert ranks["Zero"] + ranks["One"] == ranks["Lambda"] + ranks["R"]
 
     def test_lambda_and_r_inside_one(self):
         xi = random_hermitian(3, 31)
-        one = dist.distribution_basis(xi, "One")
+        one = dist.distribution_basis(xi)["One"]
         for kind in ("Lambda", "R"):
             for v in oracle.basis_matrices(xi, kind):
                 assert dist.membership_residual(v, one) <= 1e-9
@@ -99,7 +108,7 @@ class TestRanks:
     def test_basis_orthonormal(self):
         # the oracle's basis is orthonormal and spans the closed-form subspace
         xi = random_hermitian(4, 32)
-        d = dist.distribution_basis(xi, "Lambda")
+        d = dist.distribution_basis(xi)["Lambda"]
         basis = oracle.basis_matrices(xi, "Lambda")
         assert len(basis) == d.rank
         for i, e in enumerate(basis):
@@ -113,7 +122,7 @@ class TestRanks:
         # U(cI)U^dag is scalar up to round-off: Lambda and Zero vanish, R fills
         u = unitary_from_seed(4, 33)
         xi = u @ (c * np.eye(4)) @ u.conj().T
-        ranks = {k: dist.distribution_basis(xi, k).rank for k in dist.KINDS}
+        ranks = {k: dist.distribution_basis(xi)[k].rank for k in dist.KINDS}
         assert ranks == {"Lambda": 0, "Zero": 0, "R": 16, "One": 16}
         assert ranks == {k: oracle.distribution_columns(xi, k).shape[1] for k in dist.KINDS}
 
@@ -124,7 +133,7 @@ class TestRanks:
         gap = factor * dist.TAU_RANK * max(1.0, top)
         u = unitary_from_seed(4, 34)
         xi = (u * np.array([0.1, 0.1 + gap, top / 2, top])) @ u.conj().T
-        ranks = {k: dist.distribution_basis(xi, k).rank for k in dist.KINDS}
+        ranks = {k: dist.distribution_basis(xi)[k].rank for k in dist.KINDS}
         assert ranks == {"Lambda": lambda_rank, "Zero": lambda_rank, "R": 16, "One": 16}
         assert ranks == {k: oracle.distribution_columns(xi, k).shape[1] for k in dist.KINDS}
 
@@ -133,7 +142,7 @@ class TestInputGuards:
     POINT = random_hermitian(3, 50)
 
     @pytest.mark.parametrize("entry", [
-        lambda xi: dist.distribution_basis(xi, "Lambda"),
+        lambda xi: dist.distribution_basis(xi)["Lambda"],
         dist.orbit_invariants,
     ])
     def test_non_hermitian_rejected_before_work(self, entry, monkeypatch):
@@ -145,7 +154,7 @@ class TestInputGuards:
         assert calls == []
 
     @pytest.mark.parametrize("entry", [
-        lambda xi: dist.distribution_basis(xi, "R"),
+        lambda xi: dist.distribution_basis(xi)["R"],
         dist.orbit_invariants,
     ])
     def test_hermitian_within_cli_tolerance_accepted(self, entry):
@@ -154,7 +163,7 @@ class TestInputGuards:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [
-        lambda xi: dist.distribution_basis(xi, "One"),
+        lambda xi: dist.distribution_basis(xi)["One"],
         dist.orbit_invariants,
     ])
     def test_non_finite_rejected(self, entry, bad):
@@ -213,7 +222,7 @@ class TestInvolutivity:
         v = random_hermitian(n, 0, 9)
         for k in range(10):
             row = dist.DistributionBasis(basis.point[k], "R", basis.frame[k], basis.mask[k])
-            eigh_basis = dist.distribution_basis(basis.point[k], "R")
+            eigh_basis = dist.distribution_basis(basis.point[k])["R"]
             assert row.rank == eigh_basis.rank
             assert np.allclose(closed_form_projection(v, row),
                                closed_form_projection(v, eigh_basis), atol=1e-10)
@@ -341,10 +350,6 @@ class TestInvolutivity:
         report = involutivity("One", 2, trials=3, seed=0)
         assert np.isnan(report.checks[0].max_residual)
         assert not report.passed
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError):
-            dist.distribution_basis(np.eye(2), "bogus")
 
 
 class TestOrbitInvariants:

@@ -43,6 +43,50 @@ class TestEvolutionSpec:
         with pytest.raises(ValueError):
             make_spec(PAULI_Z, t_final=float("nan"))
 
+    @pytest.mark.parametrize("hbar", [np.inf, np.nan])
+    def test_nonfinite_hbar(self, hbar):
+        # hbar = inf used to pass the hbar > 0 test and reach the JSON as Infinity
+        with pytest.raises(ValueError):
+            make_spec(PAULI_Z, hbar=hbar)
+
+    @pytest.mark.parametrize("h", [[[1.0, 2.0], [0.0, -1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                                   [[1.0, np.inf], [np.inf, 1.0]]])
+    def test_non_hermitian_or_nonfinite_hamiltonian(self, h):
+        # the exact flow used to evolve the Hermitian part of [[1, 2], [0, -1]] silently
+        with pytest.raises(ValueError, match="Hamiltonian"):
+            make_spec(np.array(h, dtype=complex))
+
+
+class TestCachedFrame:
+    """Each spec diagonalizes H once and builds its U(t) stack at most once."""
+
+    def test_schrodinger_builds_no_propagator_stack(self):
+        spec = make_spec(random_hermitian(3, 80), steps=6)
+        assert conserved_report(spec, exact_flow(spec, random_complex_vector(3, 81))).passed
+        assert "propagators" not in vars(spec)
+
+    @pytest.mark.parametrize("picture", ["heisenberg", "vonneumann"])
+    def test_flow_and_report_share_one_stack(self, picture):
+        spec = make_spec(random_hermitian(3, 82), steps=6, picture=picture)
+        traj = exact_flow(spec, random_hermitian(3, 83))
+        stack = vars(spec)["propagators"]
+        assert stack.shape == (7, 3, 3)
+        assert conserved_report(spec, traj).passed
+        assert vars(spec)["propagators"] is stack
+
+    def test_relatedness_goes_through_the_flows(self, monkeypatch):
+        # xi(t) and A(t) are formed by vonneumann_flow and heisenberg_flow alone
+        calls = []
+        for name in ("vonneumann_flow", "heisenberg_flow"):
+            flow = getattr(dynamics, name)
+            monkeypatch.setattr(dynamics, name,
+                                lambda spec, m, flow=flow, name=name: calls.append(name)
+                                or flow(spec, m))
+        spec = make_spec(random_hermitian(3, 84), steps=6)
+        assert mu_relatedness_check(spec, random_complex_vector(3, 85)).passed
+        assert sorted(calls) == (["heisenberg_flow"] * dynamics.N_OBSERVABLES
+                                 + ["vonneumann_flow"])
+
 
 class TestSchrodingerFlow:
     def test_diagonal_phases(self):

@@ -72,7 +72,7 @@ class TestCoordinates:
 
     def test_membership_matches_sequential_projection(self, n):
         xi = random_hermitian(n, 4, n)
-        d = dist.distribution_basis(xi, "Lambda")
+        d = dist.distribution_basis(xi)["Lambda"]
         v = random_hermitian(n, 5, n)
         residual = v
         for e in oracle.basis_matrices(xi, "Lambda"):
