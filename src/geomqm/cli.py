@@ -274,8 +274,8 @@ def cmd_star(args) -> Outcome:
 def cmd_distributions(args) -> Outcome:
     xi = _read_hermitian(args.point, "matrix")
     n = xi.shape[0]
-    ranks = {kind: basis.rank for kind, basis in dist.distribution_basis(xi).items()}
     inv = dist.orbit_invariants(xi)
+    ranks = inv["ranks"]
     reports = dist.involutivity_evidence(n, args.trials, args.seed, args.tol) if n >= 2 else []
     results = {"ranks": ranks, "spectrum": inv["spectrum"].tolist(), "rank": inv["rank"],
                "signature": inv["signature"]}

@@ -285,7 +285,11 @@ def involutivity_evidence(n: int, trials: int, seed: int,
 
 
 def orbit_invariants(xi) -> dict:
-    """Unitary-orbit label (spectrum) and GL-orbit label (rank, signature)."""
+    """Unitary-orbit labels (spectrum, distribution ranks) and GL-orbit label (rank, signature).
+
+    The four distributions' ranks, in KINDS order, are functions of the
+    spectrum, so one eigendecomposition gives every label.
+    """
     xi = _hermitian_point(xi)
     w = eig_hermitian(xi).eigenvalues
     cutoff = _rank_cutoff(w)
@@ -293,6 +297,7 @@ def orbit_invariants(xi) -> dict:
     nneg = int(np.sum(w < -cutoff))
     return {
         "spectrum": w,
+        "ranks": {kind: int(mask.sum()) for kind, mask in _pair_masks(w).items()},
         "rank": npos + nneg,
         "signature": npos - nneg,
     }

@@ -22,6 +22,7 @@ trials are chunked, and replaying trial k draws rows 0..k.  A single draw
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -261,6 +262,24 @@ def _entries_in_one_pass(data, ncols):
 
 
 def _parse_payload(text, expect_cols=None):
+    """The (dim, ncols) complex array of a payload, decoded with the cyclic collector paused.
+
+    ``json.loads`` builds one list per entry and per row (1056 for a 32x32
+    payload), more than the collector's young-generation threshold, so a
+    decode would start a collection, now and then a full one of the whole
+    heap.  The collector's prior state is restored on every path, after the
+    inner call has returned and reference counting has freed its lists.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _decode_payload(text, expect_cols)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode_payload(text, expect_cols):
     if isinstance(text, bytes):
         try:
             text = text.decode()

@@ -359,6 +359,16 @@ class TestOrbitInvariants:
         assert inv["rank"] == 2
         assert inv["signature"] == 0
 
+    @pytest.mark.parametrize("xi", [
+        random_hermitian(4, 43),
+        np.diag([1.0, -1.0, 0.0, 2.0]).astype(complex),
+        np.zeros((3, 3), dtype=complex),
+    ])
+    def test_ranks_match_distribution_basis(self, xi):
+        ranks = dist.orbit_invariants(xi)["ranks"]
+        assert ranks == {kind: basis.rank for kind, basis in dist.distribution_basis(xi).items()}
+        assert list(ranks) == list(dist.KINDS)
+
     def test_sylvester_invariance(self):
         xi = random_hermitian(3, 40)
         rng = np.random.default_rng(4)

@@ -1,3 +1,4 @@
+import gc
 import json
 import warnings
 
@@ -329,6 +330,54 @@ class TestOnePassParse:
     def test_undecodable_input(self, text, match):
         with pytest.raises(MatrixParseError, match=match):
             parse_matrix(text)
+
+
+def _payload_with_bool_at_row_31():
+    obj = json.loads(serialize_matrix(random_hermitian(32, 0)))
+    obj["data"][31][4] = True
+    return json.dumps(obj).encode()
+
+
+class TestParseCollector:
+    """A payload is decoded with the cyclic collector paused, and its state restored."""
+
+    PAYLOAD = serialize_matrix(random_hermitian(32, 0))  # 1056 lists per decode
+
+    def test_no_collection_starts_in_a_parse(self):
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            for _ in range(300):
+                parse_matrix(self.PAYLOAD)
+        finally:
+            gc.callbacks.remove(hook)
+        assert starts == []
+
+    @pytest.mark.parametrize("text, match", [
+        (PAYLOAD, None),
+        (_payload_with_bool_at_row_31(), "entry at row 31, column 4 is not a"),
+        (b'{"dim": 2, "data": [[', "invalid JSON"),
+        (b'{"dim":1,"data":[[[1,0]]],"x":"\xff"}', "not UTF-8 text"),
+    ])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, text, match, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if match is None:
+                assert parse_matrix(text).tobytes() == random_hermitian(32, 0).tobytes()
+            else:
+                with pytest.raises(MatrixParseError, match=match):
+                    parse_matrix(text)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestEigvalsHermitian:
