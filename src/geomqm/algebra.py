@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import frobenius, make_rng, random_hermitian_stack, require_same_dim, scalar_or_stack
+from .kernel import (frobenius, make_rng, random_hermitian_stack, relative, require_same_dim,
+                     scalar_or_stack)
 from .report import CONVENTIONS, ConventionSet, VerificationReport, run_suite  # noqa: F401
 
 
@@ -48,10 +49,6 @@ def associator_defect(a, b, c) -> np.ndarray:
     return jordan_product(jordan_product(a, b), c) - jordan_product(a, jordan_product(b, c))
 
 
-def _rel(residual, *norms):
-    return residual / np.maximum(1.0, np.prod(norms, axis=0))
-
-
 def verify_jordan_lie(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """Randomized residuals for the complete Jordan-Lie identity suite."""
     if n < 1:
@@ -73,14 +70,15 @@ def verify_jordan_lie(n: int, trials: int, seed: int, tol: float = 1e-9) -> Veri
         inv_jor = trace_form(jor_ab, c) - trace_form(a, jor_bc)
         leib = lie_bracket(a, jor_bc) - jordan_product(lie_ab, c) - jordan_product(b, lie_ac)
         assoc = associator_defect(a, b, c) - (hbar / 4) * lie_bracket(lie_ac, b)
+        size = na * nb * nc
         return {
-            "jacobi": _rel(frobenius(jac), na, nb, nc),
-            "jordan_commutativity": _rel(frobenius(jor_ab - jordan_product(b, a)), na, nb),
-            "jordan_identity": _rel(frobenius(jid), na, na, na, nb),
-            "trace_invariance_lie": _rel(abs(inv_lie), na, nb, nc),
-            "trace_invariance_jordan": _rel(abs(inv_jor), na, nb, nc),
-            "leibniz": _rel(frobenius(leib), na, nb, nc),
-            "associator": _rel(frobenius(assoc), na, nb, nc),
+            "jacobi": relative(frobenius(jac), size),
+            "jordan_commutativity": relative(frobenius(jor_ab - jordan_product(b, a)), na * nb),
+            "jordan_identity": relative(frobenius(jid), na * na * na * nb),
+            "trace_invariance_lie": relative(abs(inv_lie), size),
+            "trace_invariance_jordan": relative(abs(inv_jor), size),
+            "leibniz": relative(frobenius(leib), size),
+            "associator": relative(frobenius(assoc), size),
         }
 
     return run_suite("Jordan-Lie identity suite", n, trials, seed, tol, trial, details={"dim": n})

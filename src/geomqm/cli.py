@@ -25,8 +25,8 @@ import numpy as np
 from . import distributions as dist
 from . import dual, dynamics, kahler
 from .algebra import CONVENTIONS, verify_jordan_lie
-from .kernel import (MatrixParseError, NumericalError, TAU_HERMITIAN, eig_hermitian, is_hermitian,
-                     parse_matrix, parse_vector, random_complex_vector)
+from .kernel import (MatrixParseError, NumericalError, TAU_HERMITIAN, eig_hermitian, frobenius,
+                     is_hermitian, parse_matrix, parse_vector, random_complex_vector, relative)
 from .report import VerificationReport
 
 EXIT_OK = 0
@@ -71,7 +71,7 @@ def _tolerance(text: str) -> float:
 _tolerance.__name__ = "float"
 
 
-def _add_common(p, **fixed):
+def _add_common(p, tol_help="identity tolerance", **fixed):
     """--seed, --tol, --json and --output.
 
     A command that draws no random number or checks at its own tolerance
@@ -83,7 +83,7 @@ def _add_common(p, **fixed):
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     if "tol" not in fixed:
         p.add_argument("--tol", type=_tolerance, default=1e-9,
-                       help="identity tolerance, finite and >= 0 (default 1e-9)")
+                       help=f"{tol_help}, finite and >= 0 (default 1e-9)")
     p.add_argument("--json", action="store_true", help="emit the JSON report instead of text")
     p.add_argument("--output", type=Path, default=None, help="write the report to this path")
 
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", type=Path, required=True, help="matrix JSON file")
     p.add_argument("--direction", choices=("ascent", "descent"), default="descent")
     p.add_argument("--max-iter", type=_count(0), default=100_000)
-    _add_common(p)
+    _add_common(p, tol_help="stop when ||A psi - e_A psi|| <= tol * ||A||_F")
 
     p = sub.add_parser("star", help="star product of two observables at a dual point")
     p.add_argument("--a", type=Path, required=True)
@@ -243,10 +243,11 @@ def cmd_eigen(args) -> Outcome:
     rep = VerificationReport(title="gradient-flow eigensolve", seed=args.seed, trials=1,
                              tol=args.tol,
                              details={"direction": args.direction, "iterations": res.iterations})
-    rep.add("eigen_residual", res.residual)
-    rep.add("oracle_agreement", abs(res.eigenvalue - reference),
-            tol=max(args.tol, 1e-8) * max(1.0, abs(reference)))
-    rep.add("dispersion_at_convergence", disp, tol=max(args.tol, 1e-8))
+    size = frobenius(a)  # each check relative to ||A||_F, the dispersion to ||A||_F^2
+    rep.add("eigen_residual", relative(res.residual, size))
+    rep.add("oracle_agreement", relative(abs(res.eigenvalue - reference), size),
+            tol=max(args.tol, 1e-8))
+    rep.add("dispersion_at_convergence", relative(disp, size**2), tol=max(args.tol, 1e-8))
     results = {"eigenvalue": res.eigenvalue, "oracle_eigenvalue": float(reference),
                "iterations": res.iterations, "residual": res.residual,
                "residual_history": res.residual_history, "dispersion": disp,

@@ -12,9 +12,10 @@ distribution is a coordinate subspace {V X V^dag : X[~mask] = 0} for a
 boolean pair mask:
   Lambda: |lam_i - lam_j| > cut     R: |lam_i + lam_j| > cut
   Zero:   both                      One: either
-with cut = TAU_RANK * max(1, max_i |lam_i|).  One eigendecomposition gives all
-four exactly, and since conjugation by V preserves the trace form, the
-orthogonal projection onto a distribution is a mask on V^dag v V.
+with cut = TAU_RANK * max_i |lam_i|, so the masks at c xi, c > 0, are those at
+xi.  One eigendecomposition gives all four exactly, and since conjugation by
+V preserves the trace form, the orthogonal projection onto a distribution is
+a mask on V^dag v V.
 
 Involutivity is sampled evidence: the distributions are spanned by global
 polynomial vector fields whose commutators have closed forms, and the
@@ -33,22 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import jordan_product, lie_bracket
-from .kernel import (
-    TAU_HERMITIAN,
-    dagger,
-    eig_hermitian,
-    frobenius,
-    is_hermitian,
-    make_rng,
-    random_hermitian_stack,
-    require_same_dim,
-    require_square,
-    scalar_or_stack,
-)
+from .kernel import (TAU_HERMITIAN, dagger, eig_hermitian, frobenius, is_hermitian, make_rng,
+                     random_hermitian_stack, relative, require_same_dim, require_square,
+                     scalar_or_stack)
 from .report import VerificationReport, run_suite
 
 TAU_RANK = 1e-8
-GENERIC_GAP = 1e-6  # least eigenvalue spacing of a sampled generic point
+GENERIC_GAP = 1e-6  # least eigenvalue spacing of a sampled generic point, relative to max |lam|
 GENERIC_ATTEMPTS = 100
 
 
@@ -78,8 +70,8 @@ def verify_commutation(n: int, trials: int, seed: int, tol: float = 1e-9) -> Ver
     def trial(ks):
         xi = random_hermitian_stack(n, len(ks), xi_rng)
         a = random_hermitian_stack(n, len(ks), a_rng)
-        scale = np.maximum(1.0, frobenius(a) * frobenius(xi) ** 2)
-        return {"jhat_rhat_commutation": commutation_defect(xi, a) / scale}
+        size = frobenius(a) * frobenius(xi) ** 2
+        return {"jhat_rhat_commutation": relative(commutation_defect(xi, a), size)}
 
     return run_suite("tensor commutation relation", n, trials, seed, tol, trial)
 
@@ -114,8 +106,8 @@ def _hermitian_point(xi) -> np.ndarray:
 
 
 def _rank_cutoff(eigenvalues):
-    """TAU_RANK * max(1, max |lam|): spectral quantities at or below it count as 0."""
-    return TAU_RANK * np.maximum(1.0, np.max(np.abs(eigenvalues), axis=-1, initial=0.0))
+    """TAU_RANK * max |lam|: spectral quantities at or below it count as 0."""
+    return TAU_RANK * np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
 
 
 def _pair_masks(w) -> dict:
@@ -145,10 +137,7 @@ def distribution_basis(xi) -> dict:
 def membership_residual(vector, dist: DistributionBasis):
     """Relative distance of a tangent vector from the distribution subspace (0 for 0)."""
     v = dist.frame
-    outside = frobenius((dagger(v) @ vector @ v) * ~dist.mask)
-    norm = frobenius(vector)
-    return scalar_or_stack(np.divide(outside, norm, out=np.zeros_like(outside),
-                                     where=norm != 0.0))
+    return relative(frobenius((dagger(v) @ vector @ v) * ~dist.mask), frobenius(vector))
 
 
 def _random_generic_points(n, ks, rng, seed, *key):
@@ -160,7 +149,8 @@ def _random_generic_points(n, ks, rng, seed, *key):
     stack is diagonalized once, and only the redrawn rows again.
     """
     def distinct(w):
-        return np.min(np.diff(w, axis=-1), axis=-1) > GENERIC_GAP
+        gap = np.min(np.diff(w, axis=-1), axis=-1)
+        return relative(gap, np.max(np.abs(w), axis=-1)) > GENERIC_GAP
 
     xi = random_hermitian_stack(n, len(ks), rng)
     dec = eig_hermitian(xi)

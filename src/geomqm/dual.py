@@ -20,17 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import jordan_product, lie_bracket, trace_form
-from .kernel import (
-    dagger,
-    eigvals_hermitian,
-    frobenius,
-    is_hermitian,
-    make_rng,
-    random_hermitian_stack,
-    require_same_dim,
-    scalar_or_stack,
-    serialize_matrix,
-)
+from .kernel import (dagger, eigvals_hermitian, frobenius, is_hermitian, make_rng,
+                     random_hermitian_stack, relative, require_same_dim, scalar_or_stack,
+                     serialize_matrix)
 from .report import VerificationReport, run_suite
 
 
@@ -83,8 +75,7 @@ def r_invariance_defect(h, a, b, xi) -> float:
     bdot = lie_bracket(h, b)
     xidot = lie_bracket(h, xi)
     total = r_eval(adot, b, xi) + r_eval(a, bdot, xi) + r_eval(a, b, xidot)
-    scale = np.maximum(1.0, frobenius(h) * frobenius(a) * frobenius(b) * frobenius(xi))
-    return scalar_or_stack(abs(total) / scale)
+    return relative(abs(total), frobenius(h) * frobenius(a) * frobenius(b) * frobenius(xi))
 
 
 # --- states ------------------------------------------------------------------
@@ -173,7 +164,8 @@ def verify_dual_geometry(n: int, trials: int, seed: int, tol: float = 1e-9) -> V
 
     def trial(ks):
         a, b, c, xi = (random_hermitian_stack(n, len(ks), rng) for rng in rngs)
-        scale = np.maximum(1.0, frobenius(a) * frobenius(b) * frobenius(xi))
+        na, nxi = frobenius(a), frobenius(xi)
+        size = na * frobenius(b) * nxi
         star = star_eval(a, b, xi)
         sj, sl = star_generators(a, b)
         lie_ab, lam = lie_bracket(a, b), lambda_eval(a, b, xi)
@@ -181,11 +173,12 @@ def verify_dual_geometry(n: int, trials: int, seed: int, tol: float = 1e-9) -> V
                + lambda_eval(lie_bracket(b, c), a, xi)
                + lambda_eval(lie_bracket(c, a), b, xi))
         return {
-            "hat_of_bracket": abs(lam - hat_eval(lie_ab, xi)) / scale,
-            "star_decomposition": abs(star - (r_eval(a, b, xi) / 2 + 1j * lam / 2)) / scale,
-            "nonlocal_closure": abs(star - (hat_eval(sj, xi) + 1j * hat_eval(sl, xi))) / scale,
-            "bilinearity_symmetry": abs(hat_eval(a, xi) - hat_eval(xi, a)) / scale,
-            "function_bracket_jacobi": abs(cyc) / np.maximum(1.0, scale * frobenius(c)),
+            "hat_of_bracket": relative(abs(lam - hat_eval(lie_ab, xi)), size),
+            "star_decomposition": relative(abs(star - (r_eval(a, b, xi) / 2 + 1j * lam / 2)), size),
+            "nonlocal_closure": relative(abs(star - (hat_eval(sj, xi) + 1j * hat_eval(sl, xi))),
+                                         size),
+            "bilinearity_symmetry": relative(abs(hat_eval(a, xi) - hat_eval(xi, a)), na * nxi),
+            "function_bracket_jacobi": relative(abs(cyc), size * frobenius(c)),
             "r_flow_invariance": r_invariance_defect(c, a, b, xi),
         }
 

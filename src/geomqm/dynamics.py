@@ -27,18 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import jordan_product, lie_bracket
-from .kernel import (
-    TAU_HERMITIAN,
-    DimensionError,
-    dagger,
-    eig_hermitian,
-    eigvals_hermitian,
-    frobenius,
-    is_hermitian,
-    random_hermitian,
-    require_matrix,
-    require_same_dim,
-)
+from .kernel import (TAU_HERMITIAN, DimensionError, dagger, eig_hermitian, eigvals_hermitian,
+                     frobenius, is_hermitian, random_hermitian, relative, require_matrix,
+                     require_same_dim)
 from .report import VerificationReport
 from . import dual, kahler
 
@@ -150,17 +141,17 @@ def rk4_flow(spec: EvolutionSpec, initial) -> np.ndarray:
     return np.array(samples)
 
 
-def _max_deviation(values, size=1.0) -> float:
-    """Largest deviation of a sampled quantity from its initial sample, over max(1, size)."""
-    return float(np.max(np.abs(values - values[0]))) / max(1.0, size)
+def _max_deviation(values, size) -> float:
+    """Largest deviation of a sampled quantity from its initial sample, relative to size."""
+    return relative(np.max(np.abs(values - values[0])), size)
 
 
 def _spectrum_deviation(traj) -> float:
-    """Largest eigenvalue drift over the samples; NaN when a sample is not finite."""
+    """Largest eigenvalue drift over the samples, relative to the first's; NaN if one is not finite."""
     if not np.isfinite(traj).all():
         return float("nan")
     # the eigenvalues of the Hermitian part of every sample, in one LAPACK call
-    return _max_deviation(eigvals_hermitian(traj))
+    return _max_deviation(eigvals_hermitian(traj), np.linalg.norm(traj[0], 2))
 
 
 def mu_relatedness_check(spec: EvolutionSpec, psi0, seed: int = 0,
@@ -177,14 +168,14 @@ def mu_relatedness_check(spec: EvolutionSpec, psi0, seed: int = 0,
     n = spec.hamiltonian.shape[0]
     psis = schrodinger_flow(spec, psi0)
     rhos = vonneumann_flow(spec, kahler.momentum_map(psi0))
-    scale = max(1.0, float(np.vdot(psi0, psi0).real))
-    mu_res = float(np.max(frobenius(kahler.momentum_map(psis) - rhos))) / scale
+    n2 = float(np.vdot(psi0, psi0).real)
+    mu_res = relative(np.max(frobenius(kahler.momentum_map(psis) - rhos)), n2)
 
     obs = [random_hermitian(n, seed, 77, j) for j in range(N_OBSERVABLES)]
     # <psi(t)|A0 psi(t)> against <psi0|A(t) psi0> at every sample, for every observable
-    gaps = [np.abs(np.einsum("ti,ij,tj->t", psis.conj(), a0, psis).real
-                   - np.einsum("i,tij,j->t", psi0.conj(), heisenberg_flow(spec, a0), psi0).real)
-            / max(1.0, scale * frobenius(a0)) for a0 in obs]
+    gaps = [relative(np.abs(np.einsum("ti,ij,tj->t", psis.conj(), a0, psis).real
+                            - np.einsum("i,tij,j->t", psi0.conj(), heisenberg_flow(spec, a0),
+                                        psi0).real), n2 * frobenius(a0)) for a0 in obs]
     exp_res = float(np.max(gaps, initial=0.0))
 
     report = VerificationReport(
@@ -203,8 +194,9 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
                      tol: float = 1e-9) -> VerificationReport:
     """Deviations of conserved quantities over a trajectory.
 
-    Each is divided by max(1, its inputs' size: norms of H and of the first
-    sample, or the first sample's largest |eigenvalue| for the spectrum).
+    Each is relative to a size of its degree in each input: ||psi0||, ||H|| (the
+    Schrodinger energy is a Rayleigh quotient), ||xi0||, ||H|| ||xi0||, ||xi0||^2
+    or, for a spectrum, the first sample's largest |eigenvalue|.
     Also spot-checks that conjugation by the flow's unitary U(t_final) preserves
     both algebra products on seeded random observables.  U(t_final) comes from
     the spec's cached frame, so H is diagonalized once per spec.
@@ -222,29 +214,29 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
     if spec.picture == "schrodinger":
         norms = np.linalg.norm(traj, axis=1)
         report.add("state_norm", _max_deviation(norms, norms[0]))
-        report.add("energy_expectation",
-                   _max_deviation(kahler.expectation(h, traj), nh * norms[0] ** 2))
+        report.add("energy_expectation", _max_deviation(kahler.expectation(h, traj), nh))
     elif spec.picture == "vonneumann":
         nx = frobenius(traj[0])
         report.add("trace", _max_deviation(np.trace(traj, axis1=-2, axis2=-1).real, nx))
-        report.add("spectrum", _spectrum_deviation(traj) / max(1.0, np.linalg.norm(traj[0], 2)))
+        report.add("spectrum", _spectrum_deviation(traj))
         report.add("energy_expectation",
                    _max_deviation(np.einsum("...ij,...ji->...", traj, h).real, nh * nx))
         report.add("purity", _max_deviation(np.einsum("...ij,...ji->...", traj, traj).real, nx**2))
     else:
         # Heisenberg: H itself and the spectrum of each observable are constant
         drift = np.linalg.norm(heisenberg_flow(spec, h) - h, axis=(1, 2))
-        report.add("hamiltonian_constant", float(np.max(drift)) / max(1.0, nh))
-        report.add("spectrum", _spectrum_deviation(traj) / max(1.0, np.linalg.norm(traj[0], 2)))
+        report.add("hamiltonian_constant", relative(np.max(drift), nh))
+        report.add("spectrum", _spectrum_deviation(traj))
 
     v, phases = spec.frame
     u = (v * phases[-1]) @ dagger(v)
     a = random_hermitian(n, seed, 88, 0)
     b = random_hermitian(n, seed, 88, 1)
     ua, ub = u @ a @ dagger(u), u @ b @ dagger(u)
-    scale = max(1.0, frobenius(a) * frobenius(b))
+    size = frobenius(a) * frobenius(b)
     report.add("jordan_product_preserved",
-               frobenius(u @ jordan_product(a, b) @ dagger(u) - jordan_product(ua, ub)) / scale)
+               relative(frobenius(u @ jordan_product(a, b) @ dagger(u) - jordan_product(ua, ub)),
+                        size))
     report.add("lie_bracket_preserved",
-               frobenius(u @ lie_bracket(a, b) @ dagger(u) - lie_bracket(ua, ub)) / scale)
+               relative(frobenius(u @ lie_bracket(a, b) @ dagger(u) - lie_bracket(ua, ub)), size))
     return report

@@ -22,20 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import (
-    DimensionError,
-    NumericalError,
-    TAU_HERMITIAN,
-    frobenius,
-    is_hermitian,
-    make_rng,
-    random_complex_vector_stack,
-    random_hermitian_stack,
-    require_matrix,
-    require_same_dim,
-    require_square,
-    scalar_or_stack,
-)
+from .kernel import (DimensionError, NumericalError, TAU_HERMITIAN, frobenius, is_hermitian,
+                     make_rng, random_complex_vector_stack, random_hermitian_stack, relative,
+                     require_matrix, require_same_dim, require_square, scalar_or_stack, unit_scale)
 from .report import VerificationReport, run_suite
 from . import dual
 
@@ -142,12 +131,16 @@ def _pullback_residuals(a, b, psi) -> dict:
     a, b = require_same_dim(a, b)
     psi = _as_vectors(psi)
     rho = momentum_map(psi)
-    scale = np.maximum(1.0, frobenius(a) * frobenius(b) * _inner(psi, psi).real)
+    na, n2 = frobenius(a), _inner(psi, psi).real
+    size_ab = na * frobenius(b) * n2  # the brackets' size; f_A does not involve B
     brackets = function_brackets(a, b, psi)
+    hat = abs(dual.hat_eval(a, rho) - f_quadratic(a, psi))
     return {
-        "pullback_hat_equals_quadratic": abs(dual.hat_eval(a, rho) - f_quadratic(a, psi)) / scale,
-        "pullback_poisson_bracket": abs(dual.lambda_eval(a, b, rho) - brackets.poisson) / scale,
-        "pullback_jordan_metric": abs(dual.r_eval(a, b, rho) - brackets.symmetric) / scale,
+        "pullback_hat_equals_quadratic": relative(hat, na * n2),
+        "pullback_poisson_bracket": relative(abs(dual.lambda_eval(a, b, rho) - brackets.poisson),
+                                             size_ab),
+        "pullback_jordan_metric": relative(abs(dual.r_eval(a, b, rho) - brackets.symmetric),
+                                           size_ab),
     }
 
 
@@ -183,21 +176,10 @@ def _norm2(psi):
     return n2
 
 
-def _unit_scaled(psi):
-    """psi, or each row of a stack, divided by the power of two above its largest entry part.
-
-    Only a row whose largest real or imaginary part exceeds 1 is divided.  The
-    division is exact, so directions and scale-invariant quotients keep their
-    values, and ||psi||^2 no longer overflows.
-    """
-    largest = np.max(np.maximum(abs(psi.real), abs(psi.imag)), axis=-1, keepdims=True,
-                     initial=0.0)
-    return psi * np.ldexp(1.0, -np.where(largest > 1.0, np.frexp(largest)[1], 0))
-
-
 def expectation(a, psi):
     """Rayleigh quotient <psi|A psi>/<psi|psi>; scale invariant; an array over a (..., n) stack."""
-    a, psi = require_matrix(a), _unit_scaled(_as_vectors(psi))
+    a, psi = require_matrix(a), _as_vectors(psi)
+    psi = psi * unit_scale(psi)
     return _inner(psi, _apply(a, psi)).real / _norm2(psi)
 
 
@@ -215,7 +197,8 @@ def dispersion(a, psi) -> float:
     Evaluated as ||(A - <A>) psi||^2 / ||psi||^2, which is non-negative and
     free of the cancellation between <A^2> and <A>^2.
     """
-    centered, n2 = _centered(a, _unit_scaled(_as_vectors(psi)))
+    psi = _as_vectors(psi)
+    centered, n2 = _centered(a, psi * unit_scale(psi))
     return float(np.vdot(centered, centered).real / n2)
 
 
@@ -257,10 +240,11 @@ def eigensolve_gradient_flow(
     Each iteration minimizes (descent) or maximizes (ascent) e_A over the span
     of unit psi, its gradient 2 (A - e_A) psi and the previous step (LOBPCG with
     no preconditioner), so the critical points stay the eigenvectors of A.  Stops
-    when ||A psi - e_A psi|| <= tol; raises NumericalError when the residual has
-    not halved in STALL_WINDOW iterations or max_iter runs out.  A must be finite
-    and Hermitian, psi0 finite and nonzero; a huge psi0 gives the result of its
-    direction at unit scale.
+    when ||A psi - e_A psi|| <= tol * ||A||_F, so the iterations do not depend on
+    the scale of A; raises NumericalError when the residual has not halved in
+    STALL_WINDOW iterations or max_iter runs out.  A must be finite and
+    Hermitian, psi0 finite and nonzero; psi0 of any scale gives the result of
+    its direction at unit scale.
     """
     a = require_matrix(a)
     if not is_hermitian(a, TAU_HERMITIAN):
@@ -270,8 +254,10 @@ def eigensolve_gradient_flow(
     psi = _as_vector(psi0)
     if not np.isfinite(psi).all():
         raise ValueError("start vector must be finite")
-    psi = _unit_scaled(psi)
+    psi = psi * unit_scale(psi)
     psi = psi / np.sqrt(_norm2(psi))
+    unit = unit_scale(a, (-2, -1)).item()
+    stop = tol * frobenius(a * unit) / unit  # tol * ||A||_F, whose squares cannot overflow
     pick = -1 if direction == "ascent" else 0
     step = np.zeros_like(psi)
     basis = np.empty((3, psi.shape[0]), dtype=complex)  # orthonormal rows, filled in place
@@ -283,7 +269,7 @@ def eigensolve_gradient_flow(
         r = apsi - ev * psi
         residual = math.sqrt(np.vdot(r, r).real)
         history.append(residual)
-        if residual <= tol:
+        if residual <= stop:
             keep = np.linspace(0, it, min(it + 1, HISTORY_POINTS)).round().astype(int)
             return EigensolveResult(ev, psi, it, residual, [history[k] for k in keep])
         if residual < target:  # never for an inf or NaN residual

@@ -2,8 +2,11 @@
 
 Hermitian predicates, the Hermitian eigendecomposition (LAPACK), the unitary
 exponential, seeded random generation and the matrix JSON wire format used
-by every other module and by the CLI.  The validators, predicates and norms
-take a single matrix or a (..., n, n) stack and check a stack once.
+by every other module and by the CLI.  Every residual, cutoff and stop test
+divides by its inputs' size (``relative``); scale-invariant quantities are
+taken of input prescaled by an exact power of two (``unit_scale``).  The
+validators, predicates and norms take a single matrix or a (..., n, n) stack
+and check a stack once.
 
 All functions are pure except the stacked draws, which advance the
 generator passed to them; the only other state is the seed passed explicitly.
@@ -89,17 +92,30 @@ def dagger(m) -> np.ndarray:
     return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
+def relative(residual, size):
+    """residual / size, elementwise and with no floor: the one scaling rule of every check.
+
+    0 where residual and size are both 0; a NaN residual stays NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return scalar_or_stack(np.where((residual == 0) & (size == 0), 0.0,
+                                        np.divide(residual, size, dtype=float)))
+
+
+def unit_scale(x, axes=(-1,)):
+    """Per item over ``axes`` (kept), the power of two that brings x's largest entry part into
+    [1/2, 1), or 1 for a zero item: exact, so no scale-invariant quotient changes its value."""
+    largest = np.max(np.maximum(abs(x.real), abs(x.imag)), axis=axes, keepdims=True, initial=0.0)
+    return np.ldexp(1.0, -np.maximum(np.frexp(largest)[1], -1021))  # 2^1021 is finite
+
+
 def is_hermitian(m, tol: float = DEFAULT_TOL):
-    """True iff M is finite and ||M - M^dag||_F <= tol * max(1, ||M||_F); per matrix of a stack."""
+    """True iff M is finite and ||M - M^dag||_F <= tol * ||M||_F; per matrix of a stack."""
     m = require_square(m)
     finite = np.isfinite(m).all(axis=(-2, -1))
     m = np.where(finite[..., None, None], m, 0)  # no arithmetic on non-finite entries
-    # divide by a power of two 2^e above the largest part of an entry when that exceeds 1:
-    # exact, so the answer is unchanged, and no squared entry overflows
-    largest = np.max(np.maximum(abs(m.real), abs(m.imag)), axis=(-2, -1), initial=0.0)
-    unit = np.ldexp(1.0, -np.maximum(np.frexp(largest)[1], 0))
-    m = m * unit[..., None, None]
-    close = frobenius(m - dagger(m)) <= tol * np.maximum(unit, frobenius(m))
+    m = m * unit_scale(m, (-2, -1))  # so that neither norm overflows or underflows
+    close = frobenius(m - dagger(m)) <= tol * frobenius(m)
     return scalar_or_stack(finite & close, bool)
 
 

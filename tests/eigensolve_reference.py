@@ -18,6 +18,7 @@ def reference_eigensolve(a, psi0, tol=1e-9, max_iter=100_000, direction="descent
     a = np.asarray(a, dtype=complex)
     psi = np.asarray(psi0, dtype=complex)
     psi = psi / np.linalg.norm(psi)
+    stop = tol * np.linalg.norm(a)
     pick = -1 if direction == "ascent" else 0
     step = np.zeros_like(psi)
     history = []
@@ -28,7 +29,7 @@ def reference_eigensolve(a, psi0, tol=1e-9, max_iter=100_000, direction="descent
         r = apsi - ev * psi
         residual = float(np.linalg.norm(r))
         history.append(residual)
-        if residual <= tol:
+        if residual <= stop:
             keep = np.linspace(0, it, min(it + 1, HISTORY_POINTS)).round().astype(int)
             return EigensolveResult(ev, psi, it, residual, [history[k] for k in keep])
         if residual < target:

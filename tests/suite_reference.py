@@ -14,7 +14,6 @@ import numpy as np
 from geomqm import distributions as dist
 from geomqm.algebra import (
     CONVENTIONS,
-    _rel,
     associator_defect,
     jordan_product,
     lie_bracket,
@@ -28,7 +27,7 @@ from geomqm.dual import (
     star_eval,
     star_generators,
 )
-from geomqm.kernel import frobenius, make_rng, random_hermitian_stack
+from geomqm.kernel import frobenius, make_rng, random_hermitian_stack, relative
 from geomqm.report import run_suite
 
 
@@ -50,14 +49,14 @@ def reference_jordan_lie(n, trials, seed, tol=1e-9):
             - jordan_product(lie_bracket(a, b), c) - jordan_product(b, lie_bracket(a, c))
         assoc = associator_defect(a, b, c) - (hbar / 4) * lie_bracket(lie_bracket(a, c), b)
         return {
-            "jacobi": _rel(frobenius(jac), na, nb, nc),
+            "jacobi": relative(frobenius(jac), na * nb * nc),
             "jordan_commutativity":
-                _rel(frobenius(jordan_product(a, b) - jordan_product(b, a)), na, nb),
-            "jordan_identity": _rel(frobenius(jid), na, na, na, nb),
-            "trace_invariance_lie": _rel(abs(inv_lie), na, nb, nc),
-            "trace_invariance_jordan": _rel(abs(inv_jor), na, nb, nc),
-            "leibniz": _rel(frobenius(leib), na, nb, nc),
-            "associator": _rel(frobenius(assoc), na, nb, nc),
+                relative(frobenius(jordan_product(a, b) - jordan_product(b, a)), na * nb),
+            "jordan_identity": relative(frobenius(jid), na * na * na * nb),
+            "trace_invariance_lie": relative(abs(inv_lie), na * nb * nc),
+            "trace_invariance_jordan": relative(abs(inv_jor), na * nb * nc),
+            "leibniz": relative(frobenius(leib), na * nb * nc),
+            "associator": relative(frobenius(assoc), na * nb * nc),
         }
 
     return run_suite("Jordan-Lie identity suite", n, trials, seed, tol, trial, details={"dim": n})
@@ -68,7 +67,7 @@ def reference_dual_geometry(n, trials, seed, tol=1e-9):
 
     def trial(ks):
         a, b, c, xi = (random_hermitian_stack(n, len(ks), rng) for rng in rngs)
-        scale = np.maximum(1.0, frobenius(a) * frobenius(b) * frobenius(xi))
+        size = frobenius(a) * frobenius(b) * frobenius(xi)
         star = star_eval(a, b, xi)
         sj, sl = star_generators(a, b)
         cyc = (lambda_eval(lie_bracket(a, b), c, xi)
@@ -76,12 +75,14 @@ def reference_dual_geometry(n, trials, seed, tol=1e-9):
                + lambda_eval(lie_bracket(c, a), b, xi))
         return {
             "hat_of_bracket":
-                abs(lambda_eval(a, b, xi) - hat_eval(lie_bracket(a, b), xi)) / scale,
+                relative(abs(lambda_eval(a, b, xi) - hat_eval(lie_bracket(a, b), xi)), size),
             "star_decomposition":
-                abs(star - (r_eval(a, b, xi) / 2 + 1j * lambda_eval(a, b, xi) / 2)) / scale,
-            "nonlocal_closure": abs(star - (hat_eval(sj, xi) + 1j * hat_eval(sl, xi))) / scale,
-            "bilinearity_symmetry": abs(hat_eval(a, xi) - hat_eval(xi, a)) / scale,
-            "function_bracket_jacobi": abs(cyc) / np.maximum(1.0, scale * frobenius(c)),
+                relative(abs(star - (r_eval(a, b, xi) / 2 + 1j * lambda_eval(a, b, xi) / 2)), size),
+            "nonlocal_closure":
+                relative(abs(star - (hat_eval(sj, xi) + 1j * hat_eval(sl, xi))), size),
+            "bilinearity_symmetry":
+                relative(abs(hat_eval(a, xi) - hat_eval(xi, a)), frobenius(a) * frobenius(xi)),
+            "function_bracket_jacobi": relative(abs(cyc), size * frobenius(c)),
             "r_flow_invariance": r_invariance_defect(c, a, b, xi),
         }
 

@@ -6,7 +6,7 @@ distribution is read off as an image: Lambda and R from the singular value
 decomposition of one map, One from the span of both images, Zero from the
 null space of [U_Lambda, -U_R].  Nothing here touches an eigendecomposition
 of xi; the rank cutoff uses the spectral norm ||xi||_2 from an SVD, on the
-same scale tol * max(1, ||xi||_2) as the closed form.
+same scale tol * ||xi||_2 as the closed form.
 """
 
 import math
@@ -73,7 +73,7 @@ def distribution_columns(xi, kind, tol=TAU_RANK):
     xi = np.asarray(xi, dtype=complex)
     basis = hermitian_basis(xi.shape[0])
     mj, mr = map_matrix(xi, basis)
-    cut = tol * max(1.0, float(np.linalg.norm(xi, 2)))
+    cut = tol * float(np.linalg.norm(xi, 2))
     uj, ur = image_columns(mj, cut), image_columns(2 * mr, cut)
     if kind == "Lambda":
         return uj

@@ -67,11 +67,25 @@ class TestExitCodes:
         assert len(calls) == 1
 
     def test_eigen_stall(self, capsys, tmp_path):
-        # the residual floor ~eps * ||A|| lies above the default tol
+        # the residual floor ~eps * ||A|| lies above tol * ||A||_F
         path = write_matrix(tmp_path / "a.json", random_hermitian(4, 3) * 1e8)
-        code = run(["eigen", "--operator", path])
+        code = run(["eigen", "--operator", path, "--tol", "1e-20"])
         assert code == EXIT_FAIL
         assert "eigensolve did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("direction", ["ascent", "descent"])
+    def test_eigen_scale_free(self, capsys, tmp_path, direction):
+        # the stop test and the checks are relative to ||A||_F: the n = 32 CI operator scaled
+        # by 2^27 once stalled both ways; now every scale takes the same iterations
+        a = random_hermitian(32, 32)
+        runs = []
+        for scale in (1.0, 2.0**27, 2.0**-27):
+            path = write_matrix(tmp_path / "a.json", scale * a)
+            code, payload = run_json(capsys, "eigen", "--operator", path, "--direction", direction)
+            assert code == EXIT_OK
+            runs.append(payload)
+        assert len({p["results"]["iterations"] for p in runs}) == 1
+        assert runs[0]["reports"] == runs[1]["reports"] == runs[2]["reports"]
 
     def test_malformed_matrix(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -263,6 +277,16 @@ class TestEvolve:
         assert code == EXIT_USAGE
         assert calls == []
         assert "is not Hermitian" in err and "density matrix" not in err
+
+    @pytest.mark.parametrize("picture", ["heisenberg", "vonneumann"])
+    def test_small_non_hermitian_initial_rejected(self, capsys, tmp_path, picture):
+        # the Hermitian test is relative to ||M||_F: it once compared with max(1, ||M||_F)
+        h = write_matrix(tmp_path / "h.json", PAULI_Z)
+        m = write_matrix(tmp_path / "m.json",
+                         1e-10 * np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
+        code = run(["evolve", "--picture", picture, "--hamiltonian", h, "--initial", m])
+        assert code == EXIT_USAGE
+        assert "is not Hermitian" in capsys.readouterr().err
 
     def test_vonneumann_non_state_warns(self, capsys, tmp_path):
         h = write_matrix(tmp_path / "h.json", PAULI_Z)

@@ -71,7 +71,7 @@ def build_point(levels, scale, seed):
 
 def expected_ranks(lam):
     """Ranks from the constructed spectrum, pair by pair."""
-    cut = dist.TAU_RANK * max(1.0, float(np.max(np.abs(lam))))
+    cut = dist.TAU_RANK * float(np.max(np.abs(lam)))
     diff = np.abs(lam[:, None] - lam[None, :])
     summ = np.abs(lam[:, None] + lam[None, :])
     values = np.concatenate([diff.ravel(), summ.ravel()])
@@ -111,7 +111,7 @@ def test_generic_points(levels, scale, seed):
 def test_degenerate_points(levels, scale, seed):
     xi, lam = build_point(levels, scale, seed)
     ranks = check_against_oracle(xi, lam, seed)
-    if scale / 2 > dist.TAU_RANK * max(1.0, float(np.max(np.abs(lam)))):
+    if scale / 2 > dist.TAU_RANK * float(np.max(np.abs(lam))):
         # every distinct pair of levels is resolved: rank D_Lambda = n^2 - sum m_j^2
         _, mult = np.unique(levels, return_counts=True)
         assert ranks["Lambda"] == len(levels) ** 2 - int(np.sum(mult ** 2))

@@ -304,10 +304,26 @@ class TestConservedReport:
     @pytest.mark.parametrize("picture", dynamics.PICTURES)
     @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6, 1e8])
     def test_exact_flow_passes_at_every_scale(self, picture, scale):
-        # each monitor is relative to max(1, the size of H and the initial value)
+        # each monitor is relative to the size of H and of the initial value
         spec, initial = self.scaled(picture, scale, t_final=1.0, steps=100)
         report = conserved_report(spec, exact_flow(spec, initial))
         assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 2.0**-20])
+    def test_energy_drift_flagged_at_every_state_scale(self, scale):
+        # the energy monitor reads a Rayleigh quotient, which does not change with the scale
+        # of psi, so its size is ||H||: a drift that keeps the norm reads the same at any scale
+        h = random_hermitian(6, 1)
+        spec = make_spec(h, t_final=1.0, steps=20)
+        traj = exact_flow(spec, scale * random_complex_vector(6, 2))
+        traj[-1] = kernel.unitary_exp(random_hermitian(6, 3), 1e-5) @ traj[-1]
+        report = conserved_report(spec, traj)
+        checks = {c.name: c for c in report.checks}
+        assert checks["state_norm"].passed
+        drift = kahler.expectation(h, traj[-1]) - kahler.expectation(h, traj[0])
+        assert checks["energy_expectation"].max_residual == pytest.approx(
+            abs(drift) / frobenius(h), rel=1e-6)
+        assert not checks["energy_expectation"].passed
 
     @pytest.mark.parametrize("picture", dynamics.PICTURES)
     @pytest.mark.parametrize("scale", [1.0, 1e4])
@@ -338,7 +354,7 @@ class TestNonFiniteTrajectory:
         traj = rk4_flow(spec, random_hermitian(4, 77))
         w = np.linalg.eigh(traj)[0]
         assert dynamics._spectrum_deviation(traj) == pytest.approx(
-            float(np.max(np.abs(w - w[0]))), rel=0, abs=1e-12)
+            float(np.max(np.abs(w - w[0]))) / np.max(np.abs(w[0])), rel=0, abs=1e-12)
 
 
 class TestStackedEnergyMonitor:

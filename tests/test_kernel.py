@@ -60,9 +60,20 @@ class TestIsHermitian:
             assert is_hermitian(np.stack([m, m + m.T, np.eye(2)]), 1e-8).tolist() == [
                 False, True, True]
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 3e5, 1e100, 1e150])
+    @pytest.mark.parametrize("scale", [1e-10, 1e-170, 1e-300, 5e-320])
+    def test_small_entries_judged_relative_to_the_matrix(self, scale):
+        # the test once compared with max(1, ||M||_F), and at 1e-170 both norms underflowed to
+        # 0 <= 0, so a small non-Hermitian matrix passed; 5e-320 is subnormal
+        m = scale * np.array([[1, 2], [0, 1]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_hermitian(m, kernel.TAU_HERMITIAN) is False
+            assert is_hermitian(m + m.T, kernel.TAU_HERMITIAN) is True
+
+    @pytest.mark.parametrize("scale", [1e-140, 1e-3, 1.0, 3e5, 1e100, 1e150])
     def test_matches_unscaled_norms(self, scale):
-        # wherever the norms do not overflow, the answer is the plain formula's, bit for bit
+        # wherever no square in the norms overflows or underflows, the answer is the plain
+        # formula's, bit for bit
         def fro(x):
             return np.linalg.norm(x, axis=(0, 1))
 
@@ -71,9 +82,25 @@ class TestIsHermitian:
             a = random_hermitian(4, seed, 99) * scale
             d = random_hermitian(4, seed, 98) * 1j * scale
             for rel in (0.5, 0.99, 1.0, 1.01, 2.0):
-                m = a + rel * tol * max(1.0, fro(a)) / fro(d) / 2 * d
-                expected = fro(m - m.conj().T) <= tol * max(1.0, fro(m))
+                m = a + rel * tol * fro(a) / fro(d) / 2 * d
+                expected = fro(m - m.conj().T) <= tol * fro(m)
                 assert is_hermitian(m, tol) is bool(expected)
+
+
+class TestRelative:
+    def test_no_floor(self):
+        # a residual of 1e-20 at size 1e-10 is not read as absolute
+        assert kernel.relative(1e-20, 1e-10) == pytest.approx(1e-10, rel=1e-15)
+        assert kernel.relative(np.array([0.0, 3.0, 2.0]), np.array([0.0, 4.0, 0.5])).tolist() == [
+            0.0, 0.75, 4.0]
+
+    def test_zero_size(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel.relative(0.0, 0.0) == 0.0
+            assert kernel.relative(1e-300, 0.0) == np.inf
+            assert np.isnan(kernel.relative(np.nan, 0.0))
+            assert np.isnan(kernel.relative(np.nan, 1.0))
 
 
 class TestEigHermitian:

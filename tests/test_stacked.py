@@ -140,7 +140,7 @@ class TestStackedProducts:
     def test_traces_of_products_match_the_trace_of_the_product(self, n, lead):
         # contracted without forming the product, so equal to within a few rounding steps
         a, b, xi = self.stacks(n, lead, 3)
-        scale = frobenius(a) * frobenius(b) * np.maximum(1.0, frobenius(xi))
+        scale = frobenius(a) * frobenius(b) * frobenius(xi)
         for value, reference in [
             (trace_form(a, b), np.trace(a @ b, axis1=-2, axis2=-1).real / 2),
             (r_eval(a, b, xi), np.trace(xi @ (a @ b + b @ a), axis1=-2, axis2=-1).real / 2),
