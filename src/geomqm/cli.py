@@ -200,8 +200,8 @@ def cmd_evolve(args) -> Outcome:
     h = _read_hermitian(args.hamiltonian, "Hamiltonian")
     if args.picture == "schrodinger":
         initial = _read(args.initial, vector=True)
-        if np.linalg.norm(initial) <= kahler.TAU_NORM:
-            raise CliError(f"{args.initial}: initial state is zero to within {kahler.TAU_NORM:g}")
+        if not initial.any():
+            raise CliError(f"{args.initial}: initial state is zero")
     else:
         initial = _read_hermitian(args.initial, "initial matrix")
         if args.picture == "vonneumann" and not dual.is_state(initial, TAU_HERMITIAN):
@@ -264,7 +264,9 @@ def cmd_star(args) -> Outcome:
     lie_part = dual.lambda_eval(a, b, xi) / 2
     rep = VerificationReport(title="star product decomposition", seed=args.seed, trials=1,
                              tol=args.tol)
-    rep.add("star_equals_r_half_plus_i_lambda_half", abs(value - (jordan_part + 1j * lie_part)))
+    rep.add("star_equals_r_half_plus_i_lambda_half",
+            relative(abs(value - (jordan_part + 1j * lie_part)),
+                     frobenius(a) * frobenius(b) * frobenius(xi)))
     results = {"star_re": value.real, "star_im": value.imag,
                "jordan_part": jordan_part, "lie_part": lie_part}
     return Outcome([rep], results, tail=f"\n  (A*B)(xi) = {value.real!r} + {value.imag!r} i\n"

@@ -20,11 +20,12 @@ a mask on V^dag v V.
 Involutivity is sampled evidence: the distributions are spanned by global
 polynomial vector fields whose commutators have closed forms, and the
 commutator values are tested for pointwise membership at random points.
-One pass serves the four kinds: each chunk of trials draws its points and
-pairs once, diagonalizes the generic points once, and keeps the R witness
-from the chunk of the worst trial.  The R points are built around their
-frame, a Cayley transform of a random Hermitian matrix (one stacked linear
-solve, no eigendecomposition).
+One pass serves the four kinds, and each chunk of trials draws its pairs
+once.  Every point is built in its own eigenframe: a spectrum drawn by a
+rule that fixes which eigenvalue sums and differences vanish, and a frame
+that is the Cayley transform of a random Hermitian matrix (one stacked
+linear solve).  So each point comes with its exact decomposition, and no
+point is diagonalized or redrawn.
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import jordan_product, lie_bracket
-from .kernel import (TAU_HERMITIAN, dagger, eig_hermitian, frobenius, is_hermitian, make_rng,
-                     random_hermitian_stack, relative, require_same_dim, require_square,
-                     scalar_or_stack)
-from .report import VerificationReport, run_suite
+from .kernel import (TAU_HERMITIAN, SpectralDecomposition, dagger, eig_hermitian, frobenius,
+                     is_hermitian, make_rng, random_hermitian_stack, relative, require_same_dim,
+                     require_square, scalar_or_stack)
+from .report import CHUNK_ELEMENTS, VerificationReport, run_suite
 
 TAU_RANK = 1e-8
-GENERIC_GAP = 1e-6  # least eigenvalue spacing of a sampled generic point, relative to max |lam|
-GENERIC_ATTEMPTS = 100
 
 
 def jhat(xi, a) -> np.ndarray:
@@ -140,57 +139,44 @@ def membership_residual(vector, dist: DistributionBasis):
     return relative(frobenius((dagger(v) @ vector @ v) * ~dist.mask), frobenius(vector))
 
 
-def _random_generic_points(n, ks, rng, seed, *key):
-    """Points of trials ks with pairwise distinct eigenvalues, and their eigendecomposition.
+def _cayley_frames(h):
+    """The frames V = (I + iH/2)^-1 (I - iH/2) of Hermitian rows H (m, n, n).
 
-    Trial k's point is the next row of rng, the substream (seed, *key).  A
-    row without distinct eigenvalues is redrawn from its rejection substream
-    (seed, *key, k), row after row, up to GENERIC_ATTEMPTS draws in all.  The
-    stack is diagonalized once, and only the redrawn rows again.
+    One stacked linear solve and no eigendecomposition; V is unitary to rounding.
     """
-    def distinct(w):
-        gap = np.min(np.diff(w, axis=-1), axis=-1)
-        return relative(gap, np.max(np.abs(w), axis=-1)) > GENERIC_GAP
-
-    xi = random_hermitian_stack(n, len(ks), rng)
-    dec = eig_hermitian(xi)
-    rejected = np.flatnonzero(~distinct(dec.eigenvalues))
-    redraws = [make_rng(seed, *key, k) for k in ks[rejected]]
-    for _ in range(GENERIC_ATTEMPTS - 1):
-        if rejected.size == 0:
-            break
-        xi[rejected] = np.concatenate([random_hermitian_stack(n, 1, r) for r in redraws])
-        redrawn = eig_hermitian(xi[rejected])
-        dec.eigenvalues[rejected] = redrawn.eigenvalues
-        dec.eigenvectors[rejected] = redrawn.eigenvectors
-        still = ~distinct(redrawn.eigenvalues)
-        rejected, redraws = rejected[still], [r for r, s in zip(redraws, still) if s]
-    if rejected.size:
-        raise RuntimeError("failed to sample a point with distinct eigenvalues")
-    return xi, dec
+    half = 0.5j * h
+    eye = np.eye(h.shape[-1])
+    return np.linalg.solve(eye + half, eye - half)
 
 
-def _random_r_singular_points(n, m, spectrum_rng, frame_rng) -> DistributionBasis:
-    """The next m random points with a +/-a eigenvalue pair, where the R image is proper.
+def _eigenframe_points(spectrum, frame):
+    """The points V diag(lam) V^dag of spectrum rows lam (m, n) and frames V (m, n, n), and
+    that decomposition: its eigenvalues are the spectrum exactly, in the spectrum's order."""
+    return (frame * spectrum[:, None, :]) @ dagger(frame), SpectralDecomposition(spectrum, frame)
+
+
+def _generic_spectra(n, m, rng):
+    """The next m spectra |lam_j| = j + 1 + u_j/2 with random signs, one (2, n) uniform row each.
+
+    Distinct, nonzero and free of +/- pairs by construction: every |lam_i +/- lam_j|, i != j,
+    is at least 1/2.
+    """
+    u = rng.random((m, 2, n))
+    return np.where(u[:, 1] < 0.5, -1.0, 1.0) * (np.arange(1.0, n + 1) + 0.5 * u[:, 0])
+
+
+def _r_spectra(n, m, rng):
+    """The next m spectra with a +/-a pair, where the R image is proper; one row of n - 1 uniforms.
 
     At points with all eigenvalue sums nonzero the map A -> A o xi is
     invertible and D_R fills the tangent space, so non-involutivity can only
-    be witnessed on this stratum.  Eigenvalues remain pairwise distinct.
-    Each point takes one uniform row of n - 1 numbers from spectrum_rng, a
-    in [0.5, 1.5) and the offsets in [0, 0.5) of the other n - 2
-    eigenvalues, and its eigenframe from the next Hermitian row H of
-    frame_rng: the Cayley transform V = (I + iH/2)^-1 (I - iH/2), unitary to
-    rounding.  The points come as their D_R basis: the frame V that built
-    them and the pair mask of the exact spectrum, so a +/-a sum is exactly 0.
+    be witnessed on this stratum.  Each row gives a in [0.5, 1.5), the
+    eigenvalues a and -a at columns 0 and 1, and the offsets in [0, 0.5) of
+    the other n - 2; all n stay pairwise distinct.
     """
-    u = spectrum_rng.random((m, n - 1))
+    u = rng.random((m, n - 1))
     a = 0.5 + u[:, :1]
-    spectrum = np.concatenate([a, -a, a * (2.0 + np.arange(n - 2)) + 0.5 * u[:, 1:]], axis=1)
-    half = 0.5j * random_hermitian_stack(n, m, frame_rng)
-    eye = np.eye(n)
-    v = np.linalg.solve(eye + half, eye - half)
-    return DistributionBasis(point=(v * spectrum[:, None, :]) @ dagger(v), kind="R", frame=v,
-                             mask=_pair_masks(spectrum)["R"])
+    return np.concatenate([a, -a, a * (2.0 + np.arange(n - 2)) + 0.5 * u[:, 1:]], axis=1)
 
 
 def _commutator_value(kind, xi, a, b):
@@ -221,42 +207,45 @@ def involutivity_evidence(n: int, trials: int, seed: int,
                           tol: float = 1e-9) -> list[VerificationReport]:
     """Sampled involutivity evidence: the four distributions' reports, in KINDS order.
 
-    Lambda, Zero, One: all commutator values at generic points project into
-    the pointwise subspace within tol.  R: the report instead records the best
-    witness of non-involutivity at R-singular points, passing when its
-    residual exceeds 10*tol.
+    Lambda, Zero: all commutator values at generic points (spectra of
+    ``_generic_spectra``) project into the pointwise subspace within tol.
+    One: the same at those points with lam_0 set to exactly 0, where D_One
+    misses one direction; at a point without a zero eigenvalue it is the
+    whole tangent space.  R: the report instead records the best witness of
+    non-involutivity at R-singular points, passing when its residual exceeds
+    10*tol.  The witness matrices are the inputs of the R check's worst
+    trial k, replayed from rows 0..k of fresh generators.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    # one substream per input: generic points (seed, 0), pairs (seed, 1|2), R spectra (seed, 3)
-    # and R eigenframes (seed, 4); a rejected generic point is redrawn from (seed, 0, k)
-    point_rng, a_rng, b_rng, spectrum_rng, frame_rng = (make_rng(seed, key) for key in range(5))
-    witness = {}
+    # one substream per input: generic frames (seed, 0), pairs (seed, 1|2), R spectra (seed, 3),
+    # R frames (seed, 4) and generic spectra (seed, 5)
+    r_keys = (3, 4, 1, 2)  # the R check's inputs: the R spectra, the R frames' H and a, b
+    frame_rng, spectrum_rng, *r_rngs = (make_rng(seed, key) for key in (0, 5, *r_keys))
+
+    def r_rows(m, rngs):  # the next m rows of the R check's inputs
+        return _r_spectra(n, m, rngs[0]), *(random_hermitian_stack(n, m, r) for r in rngs[1:])
 
     def trial(ks):
-        xi, dec = _random_generic_points(n, ks, point_rng, seed, 0)
-        r_basis = _random_r_singular_points(n, len(ks), spectrum_rng, frame_rng)
-        a, b = random_hermitian_stack(n, len(ks), a_rng), random_hermitian_stack(n, len(ks), b_rng)
-        bases = _bases(xi, dec)
-
-        def residual(kind, *values):  # np.max, unlike max(), propagates a NaN residual
-            return np.max([membership_residual(v, bases[kind]) for v in values], axis=0)
-
-        # the Lambda and R values of _commutator_value, whose factors jhat(xi, a) and
-        # rhat(xi, b) the mixed pair shares; lam is tangent to D_Lambda and to D_One
-        ja, rb = jhat(xi, a), rhat(xi, b)
-        lam = jhat(ja, b) - jhat(jhat(xi, b), a)
-        r = membership_residual(_commutator_value("R", r_basis.point, a, b), r_basis)
-        i = int(np.argmax(r))  # the chunk's worst row: its first NaN, else its first maximum
-        if not witness or np.argmax([witness["residual"], r[i]]) == 1:  # as run_suite keeps it
-            witness.update(residual=r[i], matrices=(r_basis.point[i], a[i], b[i]))
-        return {
-            "commutators_tangent_to_D_Lambda": residual("Lambda", lam),
-            "commutators_tangent_to_D_R": r,
-            "commutators_tangent_to_D_Zero": residual("Zero", _commutator_value("Zero", xi, a, b)),
-            "commutators_tangent_to_D_One": residual(
-                "One", lam, rhat(rhat(xi, a), b) - rhat(rb, a),
-                rhat(ja, b) - jhat(rb, a)),  # the mixed pair
+        r_spectrum, r_h, a, b = r_rows(len(ks), r_rngs)
+        r_point, r_dec = _eigenframe_points(r_spectrum, _cayley_frames(r_h))
+        frame = _cayley_frames(random_hermitian_stack(n, len(ks), frame_rng))
+        spectrum = _generic_spectra(n, len(ks), spectrum_rng)
+        generic = _bases(*_eigenframe_points(spectrum, frame))
+        zero = _bases(*_eigenframe_points(np.where(np.arange(n) == 0, 0.0, spectrum), frame))
+        xi, xi0 = generic["Lambda"].point, zero["One"].point
+        ja, rb = jhat(xi0, a), rhat(xi0, b)  # the factors that the One values share
+        one = [jhat(ja, b) - jhat(jhat(xi0, b), a), rhat(rhat(xi0, a), b) - rhat(rb, a),
+               rhat(ja, b) - jhat(rb, a)]  # the Lambda, R and mixed pairs' values
+        return {  # np.max, unlike max(), propagates a NaN residual
+            "commutators_tangent_to_D_Lambda":
+                membership_residual(_commutator_value("Lambda", xi, a, b), generic["Lambda"]),
+            "commutators_tangent_to_D_R": membership_residual(
+                _commutator_value("R", r_point, a, b), _bases(r_point, r_dec)["R"]),
+            "commutators_tangent_to_D_Zero":
+                membership_residual(_commutator_value("Zero", xi, a, b), generic["Zero"]),
+            "commutators_tangent_to_D_One":
+                np.max([membership_residual(v, zero["One"]) for v in one], axis=0),
         }
 
     checks = run_suite("involutivity evidence", n, trials, seed, tol, trial).checks
@@ -268,9 +257,14 @@ def involutivity_evidence(n: int, trials: int, seed: int,
     reports[1].add("non_involutivity_witness_found", 0.0 if res > 10 * tol else float("inf"),
                    worst_trial=k)
     reports[1].details["witness_residual"] = res
+    rngs, step = [make_rng(seed, key) for key in r_keys], max(1, CHUNK_ELEMENTS // n**2)
+    for start in range(0, k + 1, step):  # rows 0..k in chunks, so that row k comes last
+        rows = r_rows(min(step, k + 1 - start), rngs)
+    r_spectrum, r_h, a, b = (row[-1:] for row in rows)
+    point, _ = _eigenframe_points(r_spectrum, _cayley_frames(r_h))
     reports[1].details["witness_matrices"] = {  # xi_real, xi_imag, a_real, ..., b_imag
-        f"{name}_{part}": getattr(m, part).tolist()
-        for name, m in zip(("xi", "a", "b"), witness["matrices"]) for part in ("real", "imag")}
+        f"{name}_{part}": getattr(m[0], part).tolist()
+        for name, m in zip(("xi", "a", "b"), (point, a, b)) for part in ("real", "imag")}
     return reports
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import jordan_product, lie_bracket
 from .kernel import (TAU_HERMITIAN, DimensionError, dagger, eig_hermitian, eigvals_hermitian,
                      frobenius, is_hermitian, random_hermitian, relative, require_matrix,
-                     require_same_dim)
+                     require_same_dim, unit_scale)
 from .report import VerificationReport
 from . import dual, kahler
 
@@ -165,6 +165,7 @@ def mu_relatedness_check(spec: EvolutionSpec, psi0, seed: int = 0,
     fails.
     """
     psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = psi0 * unit_scale(psi0)  # exact, so that no square of psi0 overflows or underflows
     n = spec.hamiltonian.shape[0]
     psis = schrodinger_flow(spec, psi0)
     rhos = vonneumann_flow(spec, kahler.momentum_map(psi0))
@@ -202,6 +203,7 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
     the spec's cached frame, so H is diagonalized once per spec.
     """
     traj = np.asarray(trajectory)
+    traj = traj * unit_scale(traj[0], None)  # exact, as in mu_relatedness_check
     n = spec.hamiltonian.shape[0]
     report = VerificationReport(
         title=f"conservation monitors ({spec.picture})",

@@ -16,11 +16,12 @@ generator seeded by ``numpy.random.SeedSequence([seed, k1, k2, ...])``,
 made by ``make_rng``.  A randomized suite makes one substream per input,
 keyed by the input alone, once per run.  Trial k's input is row k of that
 substream's sequential fixed-shape draws: one (2, n, n) normal draw (Re,
-Im) per Hermitian matrix, one (2, n) draw per vector.  Draws for a chunk of
-trials continue the same generator, so results do not depend on how the
-trials are chunked, and replaying trial k draws rows 0..k.  A single draw
-``random_hermitian(n, seed, *key)`` or ``random_complex_vector(n, seed,
-*key)`` is row 0 of its substream.
+Im) per Hermitian matrix, one (2, n) draw per vector, one fixed-length
+uniform draw per spectrum.  Draws for a chunk of trials continue the same
+generator, so results do not depend on how the trials are chunked, and
+trial k's input is replayed by drawing rows 0..k from a fresh generator of
+the same key.  A single draw ``random_hermitian(n, seed, *key)`` or
+``random_complex_vector(n, seed, *key)`` is row 0 of its substream.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def is_hermitian(m, tol: float = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues ascending, eigenvectors as orthonormal columns.
+    """Eigenvalues and, as orthonormal columns, eigenvectors; ascending from ``eig_hermitian``.
 
     Stacked decompositions carry leading axes: eigenvalues (..., n),
     eigenvectors (..., n, n).

@@ -76,7 +76,7 @@ def test_criterion_03_tensor_decomposition():
         b = random_hermitian(n, k, 1)
         xi = random_hermitian(n, k, 2)
         lhs = dual.r_eval(a, b, xi) / 2 + 1j * dual.lambda_eval(a, b, xi) / 2
-        scale = max(1.0, frobenius(a) * frobenius(b) * frobenius(xi))
+        scale = frobenius(a) * frobenius(b) * frobenius(xi)
         worst = max(worst, abs(dual.star_eval(a, b, xi) - lhs) / scale)
     report_line(3, f"star = r/2 + i*lambda/2 over 200 triples, residual {worst:.3e}",
                 worst <= 1e-10)
@@ -99,7 +99,7 @@ def test_criterion_04_distribution_claims():
         n = 2 + k % 3
         xi = random_hermitian(n, k, 3)
         a = random_hermitian(n, k, 4)
-        scale = max(1.0, frobenius(a) * frobenius(xi) ** 2)
+        scale = frobenius(a) * frobenius(xi) ** 2
         comm_worst = max(comm_worst, dist.commutation_defect(xi, a) / scale)
 
     ok = involutive_ok and witness_ok and comm_worst <= 1e-10
@@ -149,7 +149,7 @@ def test_criterion_07_dispersion_identity():
         psi /= np.linalg.norm(psi)
         apsi = a @ psi
         direct = float(np.vdot(apsi, apsi).real) - float(np.vdot(psi, apsi).real) ** 2
-        scale = max(1.0, frobenius(a) ** 2)
+        scale = frobenius(a) ** 2
         worst_var = max(worst_var, abs(kahler.dispersion(a, psi) - direct) / scale)
 
     worst_kappa = 0.0
@@ -160,7 +160,7 @@ def test_criterion_07_dispersion_identity():
         psi /= np.linalg.norm(psi)
         g = kahler.gradient_field_e(a, psi)
         lhs = kahler.g_eval(g, g)
-        scale = max(1.0, frobenius(a) ** 2)
+        scale = frobenius(a) ** 2
         worst_kappa = max(worst_kappa,
                           abs(lhs - CONVENTIONS.kappa * kahler.dispersion(a, psi)) / scale)
 

@@ -10,7 +10,7 @@ from geomqm import cli, dynamics
 from geomqm.algebra import CONVENTIONS
 from geomqm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow
-from geomqm.kernel import random_hermitian, serialize_matrix
+from geomqm.kernel import random_complex_vector, random_hermitian, serialize_matrix
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -180,6 +180,16 @@ class TestJsonReports:
         # Z * X at xi = X: Jordan part vanishes, star = i y-hat(X) = 0 + 0i
         assert payload["results"]["jordan_part"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e-8])
+    def test_star_residual_is_relative(self, capsys, tmp_path, scale):
+        # the residual was absolute: 5.3e-7 at this scale 1e3 (exit 1), 4.6e-40 at 1e-8
+        pa, pb, px = (write_matrix(tmp_path / f"{name}.json", scale * random_hermitian(6, key))
+                      for name, key in (("a", 60), ("b", 61), ("xi", 62)))
+        code, payload = run_json(capsys, "star", "--a", pa, "--b", pb, "--xi", px)
+        (check,) = payload["reports"][0]["checks"]
+        assert code == EXIT_OK
+        assert 0 < check["max_residual"] <= 1e-14
+
     def test_distributions_schema(self, capsys, schema, tmp_path):
         path = write_matrix(tmp_path / "xi.json", np.diag([1.0, -0.5]).astype(complex))
         code, payload = run_json(capsys, "distributions", "--point", path,
@@ -254,7 +264,7 @@ class TestEvolve:
         assert code == EXIT_USAGE
         assert calls == []
 
-    @pytest.mark.parametrize("psi0", [[0.0, 0.0], [1e-200, 0.0]])
+    @pytest.mark.parametrize("psi0", [[0.0, 0.0], [-0.0, 0.0]])
     def test_zero_schrodinger_state_does_no_work(self, capsys, tmp_path, monkeypatch, psi0):
         calls = []
         monkeypatch.setattr(dynamics, "conserved_report", lambda *a, **k: calls.append(a))
@@ -264,6 +274,16 @@ class TestEvolve:
         assert code == EXIT_USAGE
         assert calls == []
         assert "zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-200])
+    def test_tiny_schrodinger_state_evolves(self, capsys, tmp_path, scale):
+        # a nonzero state of any scale is evolved; 1e-13 once exited 2 as "zero to within 1e-12"
+        h = write_matrix(tmp_path / "h.json", random_hermitian(3, 4))
+        psi = write_matrix(tmp_path / "psi.json", scale * random_complex_vector(3, 5))
+        code, payload = run_json(capsys, "evolve", "--hamiltonian", h, "--initial", psi,
+                                 "--check-mu", "--steps", "10")
+        assert code == EXIT_OK
+        assert [len(r["checks"]) for r in payload["reports"]] == [4, 2]
 
     @pytest.mark.parametrize("picture", ["heisenberg", "vonneumann"])
     def test_non_hermitian_initial_does_no_work(self, capsys, tmp_path, monkeypatch, picture):
@@ -537,7 +557,8 @@ star table:
 
 
 def test_distributions_diagonalizes_the_point_once(capsys, monkeypatch, tmp_path):
-    # one decomposition for the four ranks and the orbit invariants, one for the trials
+    # one decomposition for the four ranks and the orbit invariants; the trials' points are
+    # built in their eigenframes
     calls = dict.fromkeys(["eig_hermitian", "is_hermitian"], 0)
     for name in calls:
         fn = getattr(cli.dist, name)
@@ -546,7 +567,7 @@ def test_distributions_diagonalizes_the_point_once(capsys, monkeypatch, tmp_path
                             or fn(*a))
     path = write_matrix(tmp_path / "xi.json", random_hermitian(4, 12))
     assert run(["distributions", "--point", path]) == EXIT_OK
-    assert calls == {"eig_hermitian": 2, "is_hermitian": 1}
+    assert calls == {"eig_hermitian": 1, "is_hermitian": 1}
 
 
 class TestTextOutput:

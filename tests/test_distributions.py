@@ -173,6 +173,9 @@ class TestInputGuards:
             entry(xi)
 
 
+SPECTRA = {"R": dist._r_spectra, "generic": dist._generic_spectra}
+
+
 def involutivity(kind, n, trials, seed, tol=1e-9):
     """The report of one kind from the four that involutivity_evidence returns."""
     return dist.involutivity_evidence(n, trials, seed, tol)[dist.KINDS.index(kind)]
@@ -196,6 +199,17 @@ class TestInvolutivity:
                 assert [c.to_dict() for c in checks] \
                     == [c.to_dict() for c in reference_involutivity(kind, n, 30, seed).checks]
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_planted_rhat_defect_fails_d_one(self, monkeypatch, n):
+        # D_One is all of the tangent space unless xi has a zero eigenvalue, so only at such
+        # points can a commutator value leave it; unplanted, the check still reads nonzero
+        clean = involutivity("One", n, trials=20, seed=n).checks[0].max_residual
+        assert 0 < clean <= 1e-13
+        rhat = dist.rhat
+        monkeypatch.setattr(dist, "rhat", lambda xi, a: rhat(xi, a) + 1e-6 * np.trace(
+            xi, axis1=-2, axis2=-1)[..., None, None] * a)
+        assert not involutivity("One", n, trials=20, seed=n).passed
+
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_r_witness_found(self, n):
         for seed in range(6):
@@ -206,55 +220,80 @@ class TestInvolutivity:
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_inputs_have_their_own_substreams(self, monkeypatch, seed):
-        # every input of one call has its own key, none a rejection substream (seed, 0, k)
+        # every input of one call has its own key; the R witness replays keys 1..4 afterwards
         keys = []
         monkeypatch.setattr(dist, "make_rng", lambda *key: keys.append(key) or make_rng(*key))
         dist.involutivity_evidence(3, 20, seed)
-        assert len(set(keys)) == len(keys) == 5
-        assert not any(len(key) == 3 and key[:2] == (seed, 0) for key in keys)
+        assert sorted(keys[:6]) == [(seed, key) for key in range(6)]
+        assert sorted(keys[6:]) == [(seed, key) for key in (1, 2, 3, 4)]
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        # every point is built from its spectrum and frame, so its decomposition is known
+        def refuse(*args):
+            raise AssertionError("eig_hermitian called")
+
+        monkeypatch.setattr(dist, "eig_hermitian", refuse)
+        assert all(r.passed for r in dist.involutivity_evidence(4, 30, 0))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_r_points_come_with_their_d_r_basis(self, n):
-        # the frame that builds the points spans the same D_R as their eigendecomposition
-        basis = dist._random_r_singular_points(n, 10, make_rng(0, 3), make_rng(0, 4))
-        assert basis.kind == "R"
-        assert np.all(basis.rank < n * n)  # the R image is proper at every point
+        # the frame that builds a point spans the same distributions as its eigendecomposition,
+        # for the R rule (D_R proper at every point) and the generic rule alike
         v = random_hermitian(n, 0, 9)
-        for k in range(10):
-            row = dist.DistributionBasis(basis.point[k], "R", basis.frame[k], basis.mask[k])
-            eigh_basis = dist.distribution_basis(basis.point[k])["R"]
-            assert row.rank == eigh_basis.rank
-            assert np.allclose(closed_form_projection(v, row),
-                               closed_form_projection(v, eigh_basis), atol=1e-10)
+        for rule in SPECTRA.values():
+            frame = dist._cayley_frames(random_hermitian_stack(n, 10, make_rng(0, 4)))
+            bases = dist._bases(*dist._eigenframe_points(rule(n, 10, make_rng(0, 3)), frame))
+            if rule is dist._r_spectra:
+                assert np.all(bases["R"].rank < n * n)
+            for k in range(10):
+                eigh_bases = dist.distribution_basis(bases["R"].point[k])
+                for kind, basis in bases.items():
+                    row = dist.DistributionBasis(basis.point[k], kind, basis.frame[k],
+                                                 basis.mask[k])
+                    assert row.rank == eigh_bases[kind].rank
+                    assert np.allclose(closed_form_projection(v, row),
+                                       closed_form_projection(v, eigh_bases[kind]), atol=1e-10)
 
     @pytest.mark.parametrize("scale", [1.0, 1e4])
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_r_frames_are_unitary(self, monkeypatch, n, scale):
-        # the Cayley transform of each Hermitian draw H, here also of 1e4 * H
-        drawn = []
-
-        def draw(n, m, rng):
-            drawn.append(scale * random_hermitian_stack(n, m, rng))
-            return drawn[-1]
-
-        monkeypatch.setattr(dist, "random_hermitian_stack", draw)
+    def test_r_frames_are_unitary(self, n, scale):
+        # the Cayley transform of each Hermitian draw H, here also of 1e4 * H; every point's
+        # frame, generic or R, is one of these
         for seed in range(5):
-            v = dist._random_r_singular_points(n, 100, make_rng(seed, 3), make_rng(seed, 4)).frame
+            h = scale * random_hermitian_stack(n, 100, make_rng(seed, 4))
+            v = dist._cayley_frames(h)
             defect = np.max(abs(v @ v.conj().swapaxes(-2, -1) - np.eye(n)), axis=(-2, -1))
             if scale == 1.0:
                 assert defect.max() <= 1e-14
             else:  # the rounding of the solve grows with the condition number of I + iH/2
-                assert np.all(defect <= 1e-14 * np.linalg.cond(np.eye(n) + 0.5j * drawn[-1]))
+                assert np.all(defect <= 1e-14 * np.linalg.cond(np.eye(n) + 0.5j * h))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_r_points_keep_their_exact_pair(self, n):
-        # eigenvalues a and -a sit at frame columns 0 and 1: only that pair sums to exactly 0
+        # the decomposition carries the spectrum exactly.  R: eigenvalues a and -a sit at frame
+        # columns 0 and 1, and only that pair sums to exactly 0.  Generic: every sum and
+        # difference of two eigenvalues, and every eigenvalue, is at least 1/2 in size
         pair = np.zeros((n, n), dtype=bool)
         pair[0, 1] = pair[1, 0] = True
+        off = ~np.eye(n, dtype=bool)
         for seed in range(5):
-            basis = dist._random_r_singular_points(n, 100, make_rng(seed, 3), make_rng(seed, 4))
-            assert np.array_equal(basis.mask, np.broadcast_to(~pair, basis.mask.shape))
-            assert np.array_equal(basis.rank, np.full(100, n * n - 2))
+            frame = dist._cayley_frames(random_hermitian_stack(n, 100, make_rng(seed, 4)))
+            for name, rule in SPECTRA.items():
+                spectrum = rule(n, 100, make_rng(seed, 3))
+                point, dec = dist._eigenframe_points(spectrum, frame)
+                assert dec.eigenvalues is spectrum and dec.eigenvectors is frame
+                masks = dist._pair_masks(spectrum)
+                if name == "R":
+                    assert np.array_equal(masks["R"], np.broadcast_to(~pair, masks["R"].shape))
+                    assert np.array_equal(dist._bases(point, dec)["R"].rank,
+                                          np.full(100, n * n - 2))
+                    continue
+                assert np.min(np.abs(spectrum)) >= 1
+                for sign in (1, -1):
+                    sums = np.abs(spectrum[:, :, None] + sign * spectrum[:, None, :])
+                    assert np.min(sums[:, off]) >= 0.5
+                assert np.all(masks["R"]) and np.array_equal(masks["Lambda"],
+                                                             np.broadcast_to(off, (100, n, n)))
 
     def test_r_witness_is_first_worst_trial(self):
         # one matrix at a time: trial k's inputs are the next rows of the inputs' substreams
@@ -262,11 +301,13 @@ class TestInvolutivity:
         a_rng, b_rng, spectrum, frame = (make_rng(seed, key) for key in (1, 2, 3, 4))
         residuals, points = [], []
         for k in range(trials):
-            basis = dist._random_r_singular_points(n, 1, spectrum, frame)
+            point, dec = dist._eigenframe_points(
+                dist._r_spectra(n, 1, spectrum),
+                dist._cayley_frames(random_hermitian_stack(n, 1, frame)))
             a, b = (random_hermitian_stack(n, 1, rng) for rng in (a_rng, b_rng))
-            value = dist._commutator_value("R", basis.point, a, b)
-            residuals.append(dist.membership_residual(value, basis)[0])
-            points.append(basis.point[0])
+            value = dist._commutator_value("R", point, a, b)
+            residuals.append(dist.membership_residual(value, dist._bases(point, dec)["R"])[0])
+            points.append(point[0])
         k = int(np.argmax(residuals))
         report = involutivity("R", n, trials, seed)
         assert report.checks[0].worst_trial == k
@@ -282,59 +323,13 @@ class TestInvolutivity:
         k = chunked[1].checks[0].worst_trial
         assert k >= 10  # the witness comes from a later chunk than the first
         # trial k's rows, drawn directly from the substreams in one stack each
-        xi = dist._random_r_singular_points(n, trials, make_rng(seed, 3), make_rng(seed, 4)).point
+        xi, _ = dist._eigenframe_points(
+            dist._r_spectra(n, trials, make_rng(seed, 3)),
+            dist._cayley_frames(random_hermitian_stack(n, trials, make_rng(seed, 4))))
         a, b = (random_hermitian_stack(n, trials, make_rng(seed, key)) for key in (1, 2))
         assert chunked[1].details["witness_matrices"] == {
             f"{name}_{part}": getattr(m[k], part).tolist()
             for name, m in (("xi", xi), ("a", a), ("b", b)) for part in ("real", "imag")}
-
-    def test_generic_points_redraw_rejected_rows(self, monkeypatch):
-        # a gap relative to max|lam| that about half of the Gaussian 2x2 spectra miss (those
-        # whose two eigenvalues share a sign) forces redraws
-        monkeypatch.setattr(dist, "GENERIC_GAP", 1.0)
-        n, seed, trials = 2, 5, 12
-
-        def gap(xi):
-            w = eig_hermitian(xi).eigenvalues
-            return np.diff(w, axis=-1)[..., 0] / np.max(np.abs(w), axis=-1)
-
-        points, dec = dist._random_generic_points(n, np.arange(trials), make_rng(seed, 0), seed, 0)
-        assert gap(points).min() > 1.0
-        # the returned decomposition is the points', redrawn rows included
-        assert np.array_equal(dec.eigenvalues, eig_hermitian(points).eigenvalues)
-        assert np.array_equal(dec.eigenvectors, eig_hermitian(points).eigenvectors)
-        plain = random_hermitian_stack(n, trials, make_rng(seed, 0))
-        kept = gap(plain) > 1.0
-        assert 0 < kept.sum() < trials
-        assert np.array_equal(points[kept], plain[kept])
-        for k in np.flatnonzero(~kept):  # the first row of (seed, 0, k) that has the gap
-            rng = make_rng(seed, 0, k)
-            rows = random_hermitian_stack(n, dist.GENERIC_ATTEMPTS - 1, rng)
-            assert np.array_equal(points[k], rows[np.argmax(gap(rows) > 1.0)])
-        # chunks continue the point generator and never share a rejection substream
-        rng = make_rng(seed, 0)
-        chunks = [dist._random_generic_points(n, ks, rng, seed, 0)[0]
-                  for ks in (np.arange(5), np.arange(5, trials))]
-        assert np.array_equal(np.concatenate(chunks), points)
-
-    def test_generic_points_give_up_after_attempts(self, monkeypatch):
-        monkeypatch.setattr(dist, "GENERIC_GAP", np.inf)
-        monkeypatch.setattr(dist, "GENERIC_ATTEMPTS", 3)
-        rows = []
-        draw, points = dist.random_hermitian_stack, dist._random_generic_points
-
-        def counted_points(*args):  # count the rows drawn for the generic points only
-            monkeypatch.setattr(dist, "random_hermitian_stack",
-                                lambda n, m, rng: rows.append(m) or draw(n, m, rng))
-            try:
-                return points(*args)
-            finally:
-                monkeypatch.setattr(dist, "random_hermitian_stack", draw)
-
-        monkeypatch.setattr(dist, "_random_generic_points", counted_points)
-        with pytest.raises(RuntimeError, match="distinct eigenvalues"):
-            dist.involutivity_evidence(2, 5, 0)
-        assert sum(rows) == 5 * 3  # every trial's point drawn GENERIC_ATTEMPTS times
 
     def test_nan_membership_residual_fails(self, monkeypatch):
         # One checks three commutator values per trial stack; make the middle one NaN

@@ -8,8 +8,6 @@ not powers of two, where a floor of 1 on the size made checks blind, a
 planted defect must still fail and the distribution ranks must not move.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from geomqm.kernel import random_complex_vector, random_hermitian
 from conftest import unitary_from_seed
 
 POWERS = (-40, 0, 40)
+EVOLVE_POWERS = (-600, *POWERS, 600)  # 2^1200 overflows and 2^-1200 underflows a square
 N, TRIALS, SEED = 4, 40, 3
 
 
@@ -31,17 +30,11 @@ def scale_draws(mp, module, scale, names=("random_hermitian_stack",)):
 
 
 def scale_involutivity_draws(mp, scale):
-    """Scale the generic points, the pairs and the R points, but not the R eigenframes."""
-    draw, r_points = dist.random_hermitian_stack, dist._random_r_singular_points
-
-    def scaled_r_points(*args):
-        with pytest.MonkeyPatch.context() as inner:
-            inner.setattr(dist, "random_hermitian_stack", draw)
-            basis = r_points(*args)
-        return dataclasses.replace(basis, point=basis.point * scale)
-
+    """Scale the pairs and the spectrum of every point, but not the eigenframes."""
+    frames, points = dist._cayley_frames, dist._eigenframe_points
     scale_draws(mp, dist, scale)
-    mp.setattr(dist, "_random_r_singular_points", scaled_r_points)
+    mp.setattr(dist, "_cayley_frames", lambda h: frames(h / scale))
+    mp.setattr(dist, "_eigenframe_points", lambda spectrum, frame: points(scale * spectrum, frame))
 
 
 def plant(mp, module, name, defect):
@@ -139,12 +132,12 @@ def evolve_reports(picture, scale, planted=False):
 
 @pytest.mark.parametrize("picture", dynamics.PICTURES)
 def test_evolve_reports_equal_at_every_power_of_two(picture):
-    reports = [[r.to_dict() for r in evolve_reports(picture, 2.0**k)] for k in POWERS]
-    assert reports[0] == reports[1] == reports[2]
-    assert all(r["passed"] for r in reports[1])
+    reports = [[r.to_dict() for r in evolve_reports(picture, 2.0**k)] for k in EVOLVE_POWERS]
+    assert all(r == reports[0] for r in reports)
+    assert all(r["passed"] for r in reports[0])
 
 
-@pytest.mark.parametrize("k", POWERS)
+@pytest.mark.parametrize("k", EVOLVE_POWERS)
 @pytest.mark.parametrize("picture", dynamics.PICTURES)
 def test_evolve_planted_defect_fails_at_every_power_of_two(picture, k):
     reports = evolve_reports(picture, 2.0**k, planted=True)
@@ -178,8 +171,8 @@ def test_distribution_ranks_do_not_depend_on_scale(c):
 
 
 def test_involutivity_at_small_scale():
-    # with an absolute generic gap, points drawn at 1e-8 were all rejected and the suite raised
+    # pairs and spectra at 1e-8, which is not a power of two
     with pytest.MonkeyPatch.context() as mp:
-        scale_draws(mp, dist, 1e-8)
+        scale_involutivity_draws(mp, 1e-8)
         reports = dist.involutivity_evidence(N, TRIALS, SEED)
     assert all(r.passed for r in reports)
