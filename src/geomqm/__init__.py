@@ -20,7 +20,6 @@ from .dual import (
     is_state,
     lambda_eval,
     r_eval,
-    random_state,
     star_eval,
     su2_golden_tables,
 )
@@ -31,7 +30,6 @@ from .kahler import (
     expectation,
     f_quadratic,
     momentum_map,
-    pullback_checks,
 )
 from .kernel import (
     DimensionError,
@@ -44,7 +42,6 @@ from .kernel import (
     parse_matrix,
     random_hermitian,
     serialize_matrix,
-    unitary_exp,
 )
 from .report import IdentityCheck, VerificationReport
 

@@ -51,9 +51,6 @@ def associator_defect(a, b, c) -> np.ndarray:
 
 def verify_jordan_lie(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """Randomized residuals for the complete Jordan-Lie identity suite."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-
     hbar = CONVENTIONS.hbar
     rngs = [make_rng(seed, key) for key in (30, 31, 32)]  # keys no other verify suite uses
 

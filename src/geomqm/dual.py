@@ -90,14 +90,6 @@ def is_state(xi, tol: float = TAU_PSD) -> bool:
     return bool(eigvals_hermitian(xi)[0] >= -tol and abs(np.trace(xi).real - 1.0) <= tol)
 
 
-def random_state(n: int, seed: int, *key: int) -> np.ndarray:
-    """Normalized T^dag T for seeded Gaussian T; a density matrix by construction."""
-    rng = make_rng(seed, *key)
-    t = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    rho = dagger(t) @ t
-    return rho / np.trace(rho).real
-
-
 # --- 2-level golden tables ---------------------------------------------------
 
 SU2_U = np.eye(2, dtype=complex)

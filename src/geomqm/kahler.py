@@ -9,9 +9,12 @@ flat Kahler triple becomes
 
 Quadratic functions f_A(psi) = <psi|A psi>/2 realize observables; the
 momentum map psi -> |psi><psi| intertwines them with the dual-space
-tensors.  The expectation function e_A (Rayleigh quotient) drives the
-eigensolver, whose steps minimize e_A over span{psi, grad e_A, last step}:
-its critical points are eigenvectors and its critical values eigenvalues.
+tensors and lands on the pure states.  The expectation function e_A
+(Rayleigh quotient) drives the eigensolver, whose steps minimize e_A over
+span{psi, grad e_A, last step}: its critical points are eigenvectors and its
+critical values eigenvalues.  Every other function takes one vector or a
+(..., n) stack of them, and one matrix or a stack; ``verify_pullbacks``
+checks them on seeded inputs.
 """
 
 from __future__ import annotations
@@ -22,23 +25,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import (DimensionError, NumericalError, TAU_HERMITIAN, frobenius, is_hermitian,
-                     make_rng, random_complex_vector_stack, random_hermitian_stack, relative,
-                     require_matrix, require_same_dim, require_square, scalar_or_stack, unit_scale)
-from .report import VerificationReport, run_suite
+from .kernel import (DimensionError, NumericalError, TAU_HERMITIAN, dagger, frobenius,
+                     is_hermitian, make_rng, random_complex_vector_stack, random_hermitian_stack,
+                     relative, require_matrix, require_same_dim, require_square, scalar_or_stack,
+                     unit_scale)
+from .report import CONVENTIONS, VerificationReport, run_suite
 from . import dual
 
-TAU_NORM = 1e-12
 TAU_DEPENDENT = 1e-8  # relative norm below which a basis vector counts as dependent
 STALL_WINDOW = 64  # iterations the eigensolver's residual may go without halving
 HISTORY_POINTS = 64
-
-
-def _as_vector(psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {psi.shape}")
-    return psi
 
 
 def _as_vectors(psi) -> np.ndarray:
@@ -53,38 +49,37 @@ def _inner(u, v):
     return scalar_or_stack((u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0], complex)
 
 
-def _pair(u, v):
-    u, v = _as_vector(u), _as_vector(v)
-    if u.shape != v.shape:
-        raise DimensionError(f"length mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return u, v
+def _unit(psi):
+    """psi prescaled by unit_scale, its ||psi||^2 (at least 2^-106 unless psi is 0) and the
+    scale, per row of a (..., n) stack; only a zero psi, or row, is rejected."""
+    psi = _as_vectors(psi)
+    scale = unit_scale(psi)
+    psi = psi * scale
+    n2 = _inner(psi, psi).real
+    if np.any(n2 == 0):
+        raise ValueError("state vector too close to zero: every entry is 0")
+    return psi, n2, scale
 
 
 def to_real(u) -> np.ndarray:
-    """(dq, dp) coordinates of a complex tangent vector."""
-    u = _as_vector(u)
-    return np.concatenate([u.real, u.imag])
+    """(dq, dp) coordinates of a complex tangent vector, or of each row of a stack."""
+    u = _as_vectors(u)
+    return np.concatenate([u.real, u.imag], axis=-1)
 
 
-def from_real(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0] // 2
-    return x[:n] + 1j * x[n:]
+def g_eval(u, v):
+    """Metric Re <u, v>; an array over stacks."""
+    return _inner(_as_vectors(u), _as_vectors(v)).real
 
 
-def g_eval(u, v) -> float:
-    u, v = _pair(u, v)
-    return float(np.vdot(u, v).real)
-
-
-def omega_eval(u, v) -> float:
-    u, v = _pair(u, v)
-    return float(np.vdot(u, v).imag)
+def omega_eval(u, v):
+    """Symplectic form Im <u, v>; an array over stacks."""
+    return _inner(_as_vectors(u), _as_vectors(v)).imag
 
 
 def j_apply(u) -> np.ndarray:
     """Complex structure: (dq, dp) -> (-dp, dq)."""
-    return 1j * _as_vector(u)
+    return 1j * _as_vectors(u)
 
 
 # --- quadratic functions and their brackets ---------------------------------
@@ -118,6 +113,11 @@ def function_brackets(a, b, psi) -> FunctionBrackets:
     return FunctionBrackets(poisson=h.imag, symmetric=h.real, hermitian=h)
 
 
+def hamiltonian_field_f(a, psi) -> np.ndarray:
+    """Hamiltonian vector field of f_A under omega: psi -> -i A psi = -J grad f_A."""
+    return -j_apply(_apply(a, psi))
+
+
 # --- momentum map ------------------------------------------------------------
 
 
@@ -128,31 +128,45 @@ def momentum_map(psi) -> np.ndarray:
 
 
 def _pullback_residuals(a, b, psi) -> dict:
+    """The C^n suite's residuals at A, B and psi, or stacks of them; B is also the
+    Hamiltonian of the equivariance check, and the Kahler triple is taken at X_{f_A}, B psi."""
     a, b = require_same_dim(a, b)
     psi = _as_vectors(psi)
     rho = momentum_map(psi)
-    na, n2 = frobenius(a), _inner(psi, psi).real
-    size_ab = na * frobenius(b) * n2  # the brackets' size; f_A does not involve B
+    na, nb, n2 = frobenius(a), frobenius(b), _inner(psi, psi).real
+    size_ab = na * nb * n2  # the brackets' size; f_A does not involve B
     brackets = function_brackets(a, b, psi)
     hat = abs(dual.hat_eval(a, rho) - f_quadratic(a, psi))
+    # d mu_psi(X) = X psi^dag + psi X^dag along X = X_{f_B}, against the dual field of hat(B)
+    x_psi = hamiltonian_field_f(b, psi)[..., :, None] * psi[..., None, :].conj()
+    equivariance = frobenius(x_psi + dagger(x_psi) - dual.hamiltonian_field_dual(b, rho))
+    idempotence = relative(frobenius(rho @ rho - np.expand_dims(n2, (-2, -1)) * rho), n2 * n2)
+    trace = relative(abs(np.trace(rho, axis1=-2, axis2=-1).real - n2), n2)
+    grad = gradient_field_e(a, psi)
+    metric_law = abs(g_eval(grad, grad) * n2 - CONVENTIONS.kappa * dispersion(a, psi))
+    u, v = hamiltonian_field_f(a, psi), _apply(b, psi)
+    xu, xv, n = to_real(u), to_real(v), psi.shape[-1]
+    # g and omega in the coordinates (q, p): x_u . x_v and x_u^T [[0, I], [-I, 0]] x_v
+    g_real = (xu * xv).sum(-1)
+    omega_real = (xu[..., :n] * xv[..., n:] - xu[..., n:] * xv[..., :n]).sum(-1)
+    triple = np.maximum(abs(g_eval(u, v) - g_real), abs(omega_eval(u, v) - omega_real))
     return {
         "pullback_hat_equals_quadratic": relative(hat, na * n2),
         "pullback_poisson_bracket": relative(abs(dual.lambda_eval(a, b, rho) - brackets.poisson),
                                              size_ab),
         "pullback_jordan_metric": relative(abs(dual.r_eval(a, b, rho) - brackets.symmetric),
                                            size_ab),
+        "momentum_map_equivariance": relative(equivariance, nb * n2),
+        "momentum_map_pure_state": np.maximum(idempotence, trace),
+        "metric_length_law": relative(metric_law, na * na),
+        "kahler_triple_real_coordinates": relative(triple, np.linalg.norm(u, axis=-1)
+                                                   * np.linalg.norm(v, axis=-1)),
     }
 
 
-def pullback_checks(a, b, psi, tol: float = 1e-9) -> VerificationReport:
-    """The three momentum-map pullback identities at one point."""
-    psi = _as_vector(psi)
-    return run_suite("momentum-map pullback identities", psi.shape[0], 1, 0, tol,
-                     lambda _: _pullback_residuals(a, b, psi))
-
-
 def verify_pullbacks(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
-    """The pullback identities at seeded random observables and points of C^n."""
+    """The momentum-map pullbacks, equivariance and image, the metric-length law and the
+    Kahler triple in real coordinates, at seeded random observables and points of C^n."""
     a_rng, b_rng, psi_rng = (make_rng(seed, key) for key in (20, 21, 22))
 
     def trial(ks):
@@ -167,56 +181,36 @@ def verify_pullbacks(n: int, trials: int, seed: int, tol: float = 1e-9) -> Verif
 # --- expectation, dispersion, eigensolving -----------------------------------
 
 
-def _norm2(psi):
-    """||psi||^2, or an array of them over a (..., n) stack; raises if any is near zero."""
-    psi = _as_vectors(psi)
-    n2 = _inner(psi, psi).real
-    if np.any(n2 <= TAU_NORM**2):
-        raise ValueError("state vector too close to zero")
-    return n2
-
-
 def expectation(a, psi):
-    """Rayleigh quotient <psi|A psi>/<psi|psi>; scale invariant; an array over a (..., n) stack."""
-    a, psi = require_matrix(a), _as_vectors(psi)
-    psi = psi * unit_scale(psi)
-    return _inner(psi, _apply(a, psi)).real / _norm2(psi)
+    """Rayleigh quotient <psi|A psi>/<psi|psi>; scale invariant; arrays over stacks of A and psi."""
+    psi, n2, _ = _unit(psi)
+    return _inner(psi, _apply(a, psi)).real / n2
 
 
-def _centered(a, psi) -> tuple[np.ndarray, float]:
-    """((A - e_A(psi)) psi, ||psi||^2), shared by the gradient of e_A and the dispersion."""
-    a, psi = require_matrix(a), _as_vector(psi)
-    n2 = _norm2(psi)
-    apsi = a @ psi
-    return apsi - float(np.vdot(psi, apsi).real / n2) * psi, n2
+def _deviation(a, psi):
+    """(A - <A>) psi at psi prescaled as by _unit, with that psi's ||psi||^2 and the scale."""
+    psi, n2, scale = _unit(psi)
+    apsi = _apply(a, psi)
+    return apsi - np.expand_dims(_inner(psi, apsi).real / n2, -1) * psi, n2, scale
 
 
-def dispersion(a, psi) -> float:
-    """Variance <A^2> - <A>^2 in the (projectivized) state psi.
+def dispersion(a, psi):
+    """Variance <A^2> - <A>^2 in the (projectivized) state psi; arrays over stacks of A and psi.
 
     Evaluated as ||(A - <A>) psi||^2 / ||psi||^2, which is non-negative and
     free of the cancellation between <A^2> and <A>^2.
     """
-    psi = _as_vectors(psi)
-    centered, n2 = _centered(a, psi * unit_scale(psi))
-    return float(np.vdot(centered, centered).real / n2)
+    centered, n2, _ = _deviation(a, psi)
+    return _inner(centered, centered).real / n2
 
 
 def gradient_field_e(a, psi) -> np.ndarray:
-    """Metric gradient 2 (A - e_A) psi / ||psi||^2 of e_A; vanishes exactly at eigenvectors."""
-    centered, n2 = _centered(a, psi)
-    return (2.0 / n2) * centered
+    """Metric gradient 2 (A - e_A) psi / ||psi||^2 of e_A; vanishes exactly at eigenvectors.
 
-
-def hamiltonian_field_e(a, psi) -> np.ndarray:
-    """Symplectic partner of the gradient field: J applied to it."""
-    return j_apply(gradient_field_e(a, psi))
-
-
-def hamiltonian_field_f(a, psi) -> np.ndarray:
-    """Hamiltonian vector field of f_A under omega: psi -> -i A psi."""
-    a = require_matrix(a)
-    return -1j * (a @ _as_vector(psi))
+    psi is prescaled by a power of two, so the gradient at 2^k psi is 2^-k times that at psi.
+    """
+    centered, n2, scale = _deviation(a, psi)
+    return np.expand_dims(2.0 / n2, -1) * centered * scale
 
 
 @dataclass(frozen=True)
@@ -251,11 +245,13 @@ def eigensolve_gradient_flow(
         raise ValueError("operator must be finite and Hermitian")
     if direction not in ("ascent", "descent"):
         raise ValueError(f"direction must be 'ascent' or 'descent', got {direction!r}")
-    psi = _as_vector(psi0)
+    psi = _as_vectors(psi0)
+    if psi.shape != a.shape[-1:]:
+        raise DimensionError(f"expected one start vector of length {len(a)}, got {psi.shape}")
     if not np.isfinite(psi).all():
         raise ValueError("start vector must be finite")
-    psi = psi * unit_scale(psi)
-    psi = psi / np.sqrt(_norm2(psi))
+    psi, n2, _ = _unit(psi)
+    psi = psi / np.sqrt(n2)
     unit = unit_scale(a, (-2, -1)).item()
     stop = tol * frobenius(a * unit) / unit  # tol * ||A||_F, whose squares cannot overflow
     pick = -1 if direction == "ascent" else 0

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra substrate.
 
-Hermitian predicates, the Hermitian eigendecomposition (LAPACK), the unitary
-exponential, seeded random generation and the matrix JSON wire format used
-by every other module and by the CLI.  Every residual, cutoff and stop test
+Hermitian predicates, the Hermitian eigendecomposition (LAPACK), seeded
+random generation and the matrix JSON wire format used by every other
+module and by the CLI.  Every residual, cutoff and stop test
 divides by its inputs' size (``relative``); scale-invariant quantities are
 taken of input prescaled by an exact power of two (``unit_scale``).  The
 validators, predicates and norms take a single matrix or a (..., n, n) stack
@@ -166,15 +166,6 @@ def eigvals_hermitian(a) -> np.ndarray:
     use it only where no eigenvalue is published.
     """
     return np.linalg.eigvalsh(_finite_hermitian_part(a))
-
-
-def unitary_exp(a, t: float) -> np.ndarray:
-    """U = exp(-i t A) through the spectral decomposition of A; per matrix of a stack."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    dec = eig_hermitian(a)
-    phases = np.exp(-1j * t * dec.eigenvalues)
-    return (dec.eigenvectors * phases[..., None, :]) @ dagger(dec.eigenvectors)
 
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:

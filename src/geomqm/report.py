@@ -27,8 +27,8 @@ class ConventionSet:
 
     hbar: float = 1.0
     lie_sign: str = "[A,B]_- = -i(AB - BA)"
-    # ratio G(de_A, de_A) / dispersion on unit vectors, fixed once by the
-    # n=2 finite-difference oracle in the test suite
+    # ratio G(de_A, de_A) / dispersion on unit vectors, fixed by an n=2 finite-difference
+    # oracle in the tests; verify checks it as kahler's metric_length_law
     kappa: float = 4.0
 
     def to_dict(self) -> dict:
@@ -138,6 +138,8 @@ def run_suite(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
     step = max(1, CHUNK_ELEMENTS // dim**2)
     worst: dict[str, tuple[float, int]] = {}
     for start in range(0, trials, step):

@@ -1,12 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
-from geomqm.kernel import random_hermitian, unitary_exp
+from geomqm.kernel import dagger, eig_hermitian, random_hermitian
 
 PAULI_U = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def unitary_exp(a, t):
+    """U = exp(-i t A) through the spectral decomposition of A; per matrix of a stack."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    dec = eig_hermitian(a)
+    phases = np.exp(-1j * t * dec.eigenvalues)
+    return (dec.eigenvectors * phases[..., None, :]) @ dagger(dec.eigenvectors)
 
 
 def unitary_from_seed(n, seed, *key):

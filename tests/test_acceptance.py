@@ -114,9 +114,8 @@ def test_criterion_05_momentum_map_pullbacks():
         a = random_hermitian(n, k, 5)
         b = random_hermitian(n, k, 6)
         psi = random_complex_vector(n, k, 7)
-        report = kahler.pullback_checks(a, b, psi, tol=1e-9)
-        worst = max(worst, *(c.max_residual for c in report.checks))
-    report_line(5, f"three pullback identities over 200 trials, residual {worst:.3e}",
+        worst = np.max([worst, *kahler._pullback_residuals(a, b, psi).values()])  # NaN stays
+    report_line(5, f"C^n suite's identities over 200 trials, residual {worst:.3e}",
                 worst <= 1e-9)
 
 

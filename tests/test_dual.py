@@ -4,8 +4,8 @@ import pytest
 from geomqm import dual
 from geomqm import report as report_module
 from geomqm.algebra import lie_bracket
-from geomqm.kernel import dagger, random_hermitian, unitary_exp
-from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from geomqm.kernel import dagger, make_rng, random_hermitian
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
 from suite_reference import reference_dual_geometry
 
 
@@ -19,7 +19,10 @@ class TestHatEval:
         assert dual.hat_eval(a, np.zeros((3, 3))) == 0.0
 
     def test_identity_generator_on_state(self):
-        rho = dual.random_state(3, 5)
+        rng = make_rng(5)  # a density matrix: T^dag T over its trace
+        t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        rho = dagger(t) @ t
+        rho /= np.trace(rho).real
         assert dual.hat_eval(np.eye(3), rho) == pytest.approx(0.5, abs=1e-12)
 
     def test_bilinear(self):
@@ -163,10 +166,6 @@ class TestStates:
 
     def test_wrong_trace_rejected(self):
         assert not dual.is_state(np.diag([0.7, 0.7]).astype(complex))
-
-    @pytest.mark.parametrize("seed", [0, 3, 5])
-    def test_random_state_is_state(self, seed):
-        assert dual.is_state(dual.random_state(3, seed), 1e-12)
 
 
 class TestGoldenTables:

@@ -13,7 +13,7 @@ from geomqm.dynamics import (
     vonneumann_flow,
 )
 from geomqm.kernel import DimensionError, frobenius, random_complex_vector, random_hermitian
-from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
 
 
 def make_spec(h, t_final=1.0, steps=10, **kw):
@@ -281,7 +281,7 @@ class TestConservedReport:
             calls.append(args)
             return eig(*args)
 
-        monkeypatch.setattr(kernel, "eig_hermitian", counted)  # reached by unitary_exp
+        monkeypatch.setattr(kernel, "eig_hermitian", counted)
         monkeypatch.setattr(dynamics, "eig_hermitian", counted)
         assert conserved_report(spec, traj).passed
         assert calls == []
@@ -316,7 +316,7 @@ class TestConservedReport:
         h = random_hermitian(6, 1)
         spec = make_spec(h, t_final=1.0, steps=20)
         traj = exact_flow(spec, scale * random_complex_vector(6, 2))
-        traj[-1] = kernel.unitary_exp(random_hermitian(6, 3), 1e-5) @ traj[-1]
+        traj[-1] = unitary_exp(random_hermitian(6, 3), 1e-5) @ traj[-1]
         report = conserved_report(spec, traj)
         checks = {c.name: c for c in report.checks}
         assert checks["state_norm"].passed

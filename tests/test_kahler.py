@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +15,14 @@ from geomqm.kernel import (
     random_hermitian,
     random_hermitian_stack,
 )
-from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
 from eigensolve_reference import reference_eigensolve
+
+
+def from_real(x):
+    """The complex vector of (q, p) coordinates: the inverse of kahler.to_real."""
+    n = x.shape[0] // 2
+    return x[:n] + 1j * x[n:]
 
 
 def fd_gradient(fn, psi, h=1e-6):
@@ -26,8 +33,8 @@ def fd_gradient(fn, psi, h=1e-6):
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
-        out[k] = (fn(kahler.from_real(xp)) - fn(kahler.from_real(xm))) / (2 * h)
-    return kahler.from_real(out)
+        out[k] = (fn(from_real(xp)) - fn(from_real(xm))) / (2 * h)
+    return from_real(out)
 
 
 class TestKahlerTensors:
@@ -122,8 +129,6 @@ class TestMomentumMap:
             float(np.vdot(psi, psi).real))
 
     def test_equivariance(self):
-        from geomqm.kernel import unitary_exp
-
         psi = random_complex_vector(3, 15)
         u = unitary_exp(random_hermitian(3, 16), 0.9)
         lhs = kahler.momentum_map(u @ psi)
@@ -138,13 +143,14 @@ class TestPullbacks:
             a = random_hermitian(n, seed, 0)
             b = random_hermitian(n, seed, 1)
             psi = random_complex_vector(n, seed, 2)
-            report = kahler.pullback_checks(a, b, psi, tol=1e-9)
-            assert report.passed, report.summary()
+            residuals = kahler._pullback_residuals(a, b, psi)
+            assert all(v <= 1e-9 for v in residuals.values()), residuals  # a NaN fails
 
     def test_zero_vector(self):
+        # e_A, and with it the metric-length law, is undefined at psi = 0
         a, b = random_hermitian(2, 17, 0), random_hermitian(2, 17, 1)
-        report = kahler.pullback_checks(a, b, np.zeros(2))
-        assert all(c.max_residual == 0.0 for c in report.checks)
+        with pytest.raises(ValueError, match="too close to zero"):
+            kahler._pullback_residuals(a, b, np.zeros(2))
 
     def test_hat_check_does_not_depend_on_b(self, monkeypatch):
         # f_A(psi) involves no B, so a planted relative defect in f_A reads the same at any B
@@ -152,15 +158,14 @@ class TestPullbacks:
         monkeypatch.setattr(kahler, "f_quadratic", lambda a, psi: f(a, psi) * (1 + 1e-6))
         a, b = random_hermitian(6, 19, 0), random_hermitian(6, 19, 1)
         psi = random_complex_vector(6, 19, 2)
-        hat = [{c.name: c for c in kahler.pullback_checks(a, s * b, psi).checks}[
-            "pullback_hat_equals_quadratic"] for s in (1.0, 2.0**20, 2.0**-20)]
-        assert hat[0].max_residual == hat[1].max_residual == hat[2].max_residual
-        assert not hat[0].passed
+        hat = [kahler._pullback_residuals(a, s * b, psi)["pullback_hat_equals_quadratic"]
+               for s in (1.0, 2.0**20, 2.0**-20)]
+        assert hat[0] == hat[1] == hat[2] > 1e-9
 
     def test_identity_pair(self):
         psi = random_complex_vector(3, 18)
-        report = kahler.pullback_checks(np.eye(3), np.eye(3), psi)
-        assert report.passed
+        residuals = kahler._pullback_residuals(np.eye(3), np.eye(3), psi)
+        assert all(v <= 1e-9 for v in residuals.values()), residuals
 
     def test_suite_is_worst_of_pointwise_checks(self):
         # trial k's inputs are row k of the substreams (seed, 20), (seed, 21) and (seed, 22)
@@ -168,14 +173,52 @@ class TestPullbacks:
         a_rng, b_rng, psi_rng = (make_rng(seed, key) for key in (20, 21, 22))
         worst = {}
         for k in range(trials):
-            point = kahler.pullback_checks(random_hermitian_stack(n, 1, a_rng)[0],
-                                           random_hermitian_stack(n, 1, b_rng)[0],
-                                           random_complex_vector_stack(n, 1, psi_rng)[0])
-            for c in point.checks:
-                worst[c.name] = max(worst.get(c.name, 0.0), c.max_residual)
+            point = kahler._pullback_residuals(random_hermitian_stack(n, 1, a_rng)[0],
+                                               random_hermitian_stack(n, 1, b_rng)[0],
+                                               random_complex_vector_stack(n, 1, psi_rng)[0])
+            for name, value in point.items():
+                worst[name] = max(worst.get(name, 0.0), value)
         report = kahler.verify_pullbacks(n, trials, seed)
         assert {c.name: c.max_residual for c in report.checks} == worst
         assert report.passed and report.trials == trials
+
+
+def scaled(f):
+    """f times 1 + 1e-6: a relative defect that keeps f bilinear, or sesquilinear."""
+    return lambda *args: f(*args) * (1 + 1e-6)
+
+
+def scaled_brackets(f):
+    return lambda *args: kahler.FunctionBrackets(*(x * (1 + 1e-6) for x in f(*args)))
+
+
+# the primitives behind the C^n suite, each with a planted defect
+DEFECTS = [(kahler.momentum_map, scaled), (kahler.f_quadratic, scaled),
+           (kahler.function_brackets, scaled_brackets), (kahler.hamiltonian_field_f, scaled),
+           (dual.hamiltonian_field_dual, scaled), (kahler.gradient_field_e, scaled),
+           (kahler.dispersion, scaled), (kahler.to_real, scaled), (kahler.g_eval, scaled),
+           (kahler.omega_eval, scaled)]
+
+
+def plant_everywhere(mp, f, defect):
+    """Replace f by defect(f) at every geomqm module attribute bound to it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "geomqm" and getattr(module, f.__name__, None) is f:
+            mp.setattr(module, f.__name__, defect(f))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_defect_fails_a_check_and_every_check_fails_for_a_defect(n):
+    clean = kahler.verify_pullbacks(n, 20, n)
+    assert clean.passed, clean.summary()
+    failed = {}
+    for f, defect in DEFECTS:
+        with pytest.MonkeyPatch.context() as mp:
+            plant_everywhere(mp, f, defect)
+            report = kahler.verify_pullbacks(n, 20, n)
+        failed[f.__name__] = {c.name for c in report.checks if not c.passed}
+    assert all(failed.values()), failed
+    assert set().union(*failed.values()) == {c.name for c in clean.checks}, failed
 
 
 class TestExpectationDispersion:
@@ -214,7 +257,7 @@ class TestExpectationDispersion:
         # both functions are scale invariant, so a tiny psi is prescaled, not rejected
         a = np.diag([1.0, 2.0]).astype(complex)
         assert kahler.expectation(a, np.array([1e-13, 0.0])) == 1.0
-        assert kahler.dispersion(PAULI_Z, np.array([kahler.TAU_NORM, 0.0])) == 0.0
+        assert kahler.dispersion(PAULI_Z, np.array([1e-12, 0.0])) == 0.0
         stack = np.array([[1e-200, 1e-200], [0.0, 1e-310], [1e-300j, 0.0]])
         assert np.array_equal(kahler.expectation(a, stack), [1.5, 2.0, 1.0])
         assert kahler.dispersion(a, np.array([1e-160j, -1e-160])) == 0.25
@@ -247,8 +290,9 @@ class TestExpectationDispersion:
         n2 = kahler._inner(psi, psi).real
         assert np.array_equal(kahler.expectation(a, psi),
                               kahler._inner(psi, kahler._apply(a, psi)).real / n2)
-        for row in psi[:2]:
-            centered, n2 = kahler._centered(a, row)
+        for row in psi[:2]:  # against one vector's matrix-vector product and vdot
+            apsi, n2 = a @ row, np.vdot(row, row).real
+            centered = apsi - float(np.vdot(row, apsi).real / n2) * row
             assert kahler.dispersion(a, row) == np.vdot(centered, centered).real / n2
 
 
@@ -257,7 +301,6 @@ class TestGradientFields:
         a = random_hermitian(3, 23)
         v = eig_hermitian(a).eigenvectors[:, 0]
         assert np.linalg.norm(kahler.gradient_field_e(a, v)) <= 1e-12
-        assert np.linalg.norm(kahler.hamiltonian_field_e(a, v)) <= 1e-12
 
     def test_nonzero_off_eigenvector(self):
         psi = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -269,11 +312,17 @@ class TestGradientFields:
         fd = fd_gradient(lambda p: kahler.expectation(a, p), psi)
         assert np.allclose(kahler.gradient_field_e(a, psi), fd, atol=1e-6)
 
-    def test_hamiltonian_is_j_of_gradient(self):
-        a = random_hermitian(3, 26)
-        psi = random_complex_vector(3, 27)
-        assert np.allclose(kahler.hamiltonian_field_e(a, psi),
-                           kahler.j_apply(kahler.gradient_field_e(a, psi)))
+    def test_tiny_vector_is_prescaled_not_rejected(self):
+        # the gradient is homogeneous of degree -1 in psi, and psi is prescaled by a power of two
+        a, psi = random_hermitian(3, 1), random_complex_vector(3, 2)
+        grad = kahler.gradient_field_e(a, psi)
+        assert np.array_equal(kahler.gradient_field_e(a, 2.0**-45 * psi), 2.0**45 * grad)
+        assert np.allclose(kahler.gradient_field_e(a, 1e-13 * psi), 1e13 * grad, rtol=1e-12,
+                           atol=0)
+        with pytest.raises(ValueError):
+            kahler.gradient_field_e(a, np.zeros(3))
+        with pytest.raises(ValueError):
+            kahler.gradient_field_e(a, np.stack([psi, np.zeros(3)]))
 
     def test_omega_field_of_quadratic_is_schrodinger(self):
         # finite-difference flow of -iA psi reproduces the Schrodinger velocity

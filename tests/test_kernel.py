@@ -16,10 +16,9 @@ from geomqm.kernel import (
     parse_vector,
     random_hermitian,
     serialize_matrix,
-    unitary_exp,
 )
 from geomqm import dual, kernel
-from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
 
 
 class TestIsHermitian:

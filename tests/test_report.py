@@ -48,6 +48,23 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("probe", 1, 0, 0, 1e-9, zeros)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_dim_below_one(self, dim):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            run_suite("probe", dim, 3, 0, 1e-9, zeros)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize("suite", ["verify_jordan_lie", "verify_dual_geometry",
+                                       "verify_commutation", "verify_pullbacks"])
+    def test_suites_reject_dim_below_one_before_drawing(self, monkeypatch, suite, dim):
+        # the dimension is checked in run_suite, before any suite input is drawn
+        from geomqm import algebra, distributions, dual, kahler
+        module = next(m for m in (algebra, dual, distributions, kahler) if hasattr(m, suite))
+        monkeypatch.setattr(module, "random_hermitian_stack",
+                            lambda *args: pytest.fail("drew an input"))
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            getattr(module, suite)(dim, 3, 0)
+
 
 class TestChunks:
     def test_chunk_size_from_dim(self):

@@ -22,8 +22,8 @@ from geomqm.kernel import (
     random_hermitian,
     random_hermitian_stack,
     require_same_dim,
-    unitary_exp,
 )
+from conftest import unitary_exp
 import svd_oracle as oracle
 
 
@@ -243,15 +243,35 @@ def test_suite_independent_of_chunks_and_replays_worst_trial(monkeypatch, name, 
         assert (again.max_residual, again.worst_trial) == (check.max_residual, check.worst_trial)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("f", [kahler.expectation, kahler.dispersion, kahler.gradient_field_e,
+                               kahler.hamiltonian_field_f, kahler.f_quadratic])
+def test_kahler_functions_of_a_and_psi_broadcast_row_by_row(n, f):
+    a = random_hermitian_stack(n, 6, make_rng(13, n))
+    psi = random_complex_vector_stack(n, 6, make_rng(14, n))
+    stacked, one_a = f(a, psi), f(a[0], psi)
+    for k in range(6):
+        assert np.array_equal(stacked[k], f(a[k], psi[k]))
+        assert np.array_equal(one_a[k], f(a[0], psi[k]))
+    assert np.ndim(f(a[0], psi[0])) == np.ndim(stacked) - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("f", [kahler.g_eval, kahler.omega_eval])
+def test_kahler_forms_broadcast_row_by_row(n, f):
+    u, v = (random_complex_vector_stack(n, 6, make_rng(15, n, j)) for j in range(2))
+    stacked = f(u, v)
+    assert stacked.shape == (6,) and type(f(u[0], v[0])) is float
+    assert all(stacked[k] == f(u[k], v[k]) for k in range(6))
+    assert np.array_equal(kahler.to_real(u)[3], kahler.to_real(u[3]))
+
+
 STACK = np.stack([np.eye(2), np.eye(2)])
 
 
 @pytest.mark.parametrize("call", [
-    lambda: kahler.expectation(STACK, np.ones(2)),
-    lambda: kahler.dispersion(STACK, np.ones(2)),
     lambda: kahler.eigensolve_gradient_flow(STACK, np.ones(2)),
-    lambda: kahler.hamiltonian_field_f(STACK, np.ones(2)),
-    lambda: kahler.gradient_field_e(STACK[:1], np.ones(2)),
+    lambda: kahler.eigensolve_gradient_flow(np.eye(2), np.ones((2, 2))),
     lambda: EvolutionSpec(hamiltonian=STACK, t_final=1.0, steps=2),
     lambda: heisenberg_flow(EvolutionSpec(hamiltonian=np.eye(2), t_final=1.0, steps=2), STACK),
 ])
