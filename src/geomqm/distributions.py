@@ -21,23 +21,20 @@ Involutivity is sampled evidence: the distributions are spanned by global
 polynomial vector fields whose commutators have closed forms, and the
 commutator values are tested for pointwise membership at random points.
 One pass serves the four kinds, and each chunk of trials draws its pairs
-once.  Every point is built in its own eigenframe: a spectrum drawn by a
-rule that fixes which eigenvalue sums and differences vanish, and a frame
-that is the Cayley transform of a random Hermitian matrix (one stacked
-linear solve).  So each point comes with its exact decomposition, and no
-point is diagonalized or redrawn.
+once.  Every point is a dense diag(lam), its spectrum drawn by a rule that
+fixes which eigenvalue sums and differences vanish, so membership is a
+masked norm.  The tensors and masks are U(n)-covariant and the pairs' law
+is unitarily invariant, so this is the law of the evidence at V diag(lam) V^dag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import jordan_product, lie_bracket
-from .kernel import (TAU_HERMITIAN, SpectralDecomposition, dagger, eig_hermitian, frobenius,
-                     is_hermitian, make_rng, random_hermitian_stack, relative, require_same_dim,
-                     require_square, scalar_or_stack)
+from .kernel import (TAU_HERMITIAN, eig_hermitian, frobenius, is_hermitian, make_rng,
+                     random_hermitian_stack, relative, require_same_dim, require_square,
+                     scalar_or_stack)
 from .report import CHUNK_ELEMENTS, VerificationReport, run_suite
 
 TAU_RANK = 1e-8
@@ -78,25 +75,6 @@ def verify_commutation(n: int, trials: int, seed: int, tol: float = 1e-9) -> Ver
 KINDS = ("Lambda", "R", "Zero", "One")
 
 
-@dataclass(frozen=True)
-class DistributionBasis:
-    """One distribution at a point, as a pair mask in the point's eigenframe.
-
-    The distribution is {V X V^dag : X Hermitian, X[~mask] = 0}, where the
-    columns of ``frame`` are the eigenvectors V of ``point``.  The mask is
-    symmetric, so its number of True entries is the real dimension.
-    """
-
-    point: np.ndarray
-    kind: str
-    frame: np.ndarray  # (..., n, n)
-    mask: np.ndarray  # (..., n, n) bool
-
-    @property
-    def rank(self):
-        return scalar_or_stack(self.mask.sum(axis=(-2, -1)), int)
-
-
 def _hermitian_point(xi) -> np.ndarray:
     xi = require_square(xi)
     if not np.all(is_hermitian(xi, TAU_HERMITIAN)):
@@ -117,42 +95,18 @@ def _pair_masks(w) -> dict:
     return {"Lambda": lam, "R": r, "Zero": lam & r, "One": lam | r}
 
 
-def _bases(xi, dec) -> dict:
-    """The four kinds' DistributionBasis at xi, in KINDS order, from its eigendecomposition."""
-    masks = _pair_masks(dec.eigenvalues)
-    return {kind: DistributionBasis(point=xi, kind=kind, frame=dec.eigenvectors, mask=masks[kind])
-            for kind in KINDS}
+def membership_residual(vector, mask):
+    """Relative distance of a tangent vector from a distribution (0 for 0).
 
-
-def distribution_basis(xi) -> dict:
-    """The four distributions at xi (or a stack), in KINDS order, from one eigendecomposition.
-
-    Eigenvalue sums and differences at or below _rank_cutoff count as zero.
+    The vector is taken at a diagonal point, or written in the point's
+    eigenframe, and the mask is the distribution's from ``_pair_masks``.
     """
-    xi = _hermitian_point(xi)
-    return _bases(xi, eig_hermitian(xi))
+    return relative(frobenius(vector * ~mask), frobenius(vector))
 
 
-def membership_residual(vector, dist: DistributionBasis):
-    """Relative distance of a tangent vector from the distribution subspace (0 for 0)."""
-    v = dist.frame
-    return relative(frobenius((dagger(v) @ vector @ v) * ~dist.mask), frobenius(vector))
-
-
-def _cayley_frames(h):
-    """The frames V = (I + iH/2)^-1 (I - iH/2) of Hermitian rows H (m, n, n).
-
-    One stacked linear solve and no eigendecomposition; V is unitary to rounding.
-    """
-    half = 0.5j * h
-    eye = np.eye(h.shape[-1])
-    return np.linalg.solve(eye + half, eye - half)
-
-
-def _eigenframe_points(spectrum, frame):
-    """The points V diag(lam) V^dag of spectrum rows lam (m, n) and frames V (m, n, n), and
-    that decomposition: its eigenvalues are the spectrum exactly, in the spectrum's order."""
-    return (frame * spectrum[:, None, :]) @ dagger(frame), SpectralDecomposition(spectrum, frame)
+def _diagonal_points(spectrum):
+    """The dense points diag(lam) of spectrum rows lam (m, n)."""
+    return np.where(np.eye(spectrum.shape[-1], dtype=bool), spectrum[..., None, :], 0.0)
 
 
 def _generic_spectra(n, m, rng):
@@ -207,45 +161,44 @@ def involutivity_evidence(n: int, trials: int, seed: int,
                           tol: float = 1e-9) -> list[VerificationReport]:
     """Sampled involutivity evidence: the four distributions' reports, in KINDS order.
 
-    Lambda, Zero: all commutator values at generic points (spectra of
-    ``_generic_spectra``) project into the pointwise subspace within tol.
-    One: the same at those points with lam_0 set to exactly 0, where D_One
-    misses one direction; at a point without a zero eigenvalue it is the
-    whole tangent space.  R: the report instead records the best witness of
-    non-involutivity at R-singular points, passing when its residual exceeds
-    10*tol.  The witness matrices are the inputs of the R check's worst
-    trial k, replayed from rows 0..k of fresh generators.
+    Every point is diag(lam).  Lambda, Zero: all commutator values at
+    generic points (spectra of ``_generic_spectra``) lie in the pointwise
+    subspace within tol.  One: the same at those points with lam_0 set to
+    exactly 0, where D_One misses one direction; at a point without a zero
+    eigenvalue it is the whole tangent space.  R: the report instead records
+    the best witness of non-involutivity at R-singular points (spectra of
+    ``_r_spectra``), passing when its residual exceeds 10*tol.  The witness
+    matrices are the inputs of the R check's worst trial k, replayed from
+    rows 0..k of fresh generators.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    # one substream per input: generic frames (seed, 0), pairs (seed, 1|2), R spectra (seed, 3),
-    # R frames (seed, 4) and generic spectra (seed, 5)
-    r_keys = (3, 4, 1, 2)  # the R check's inputs: the R spectra, the R frames' H and a, b
-    frame_rng, spectrum_rng, *r_rngs = (make_rng(seed, key) for key in (0, 5, *r_keys))
+    # one substream per input: pairs (seed, 1|2), R spectra (seed, 3) and generic spectra (seed, 5)
+    r_keys = (3, 1, 2)  # the R check's inputs: the R spectra and a, b
+    spectrum_rng, *r_rngs = (make_rng(seed, key) for key in (5, *r_keys))
 
     def r_rows(m, rngs):  # the next m rows of the R check's inputs
         return _r_spectra(n, m, rngs[0]), *(random_hermitian_stack(n, m, r) for r in rngs[1:])
 
     def trial(ks):
-        r_spectrum, r_h, a, b = r_rows(len(ks), r_rngs)
-        r_point, r_dec = _eigenframe_points(r_spectrum, _cayley_frames(r_h))
-        frame = _cayley_frames(random_hermitian_stack(n, len(ks), frame_rng))
+        r_spectrum, a, b = r_rows(len(ks), r_rngs)
         spectrum = _generic_spectra(n, len(ks), spectrum_rng)
-        generic = _bases(*_eigenframe_points(spectrum, frame))
-        zero = _bases(*_eigenframe_points(np.where(np.arange(n) == 0, 0.0, spectrum), frame))
-        xi, xi0 = generic["Lambda"].point, zero["One"].point
+        zero_spectrum = np.where(np.arange(n) == 0, 0.0, spectrum)
+        masks, one_mask = _pair_masks(spectrum), _pair_masks(zero_spectrum)["One"]
+        xi, xi0 = _diagonal_points(spectrum), _diagonal_points(zero_spectrum)
         ja, rb = jhat(xi0, a), rhat(xi0, b)  # the factors that the One values share
         one = [jhat(ja, b) - jhat(jhat(xi0, b), a), rhat(rhat(xi0, a), b) - rhat(rb, a),
                rhat(ja, b) - jhat(rb, a)]  # the Lambda, R and mixed pairs' values
         return {  # np.max, unlike max(), propagates a NaN residual
             "commutators_tangent_to_D_Lambda":
-                membership_residual(_commutator_value("Lambda", xi, a, b), generic["Lambda"]),
+                membership_residual(_commutator_value("Lambda", xi, a, b), masks["Lambda"]),
             "commutators_tangent_to_D_R": membership_residual(
-                _commutator_value("R", r_point, a, b), _bases(r_point, r_dec)["R"]),
+                _commutator_value("R", _diagonal_points(r_spectrum), a, b),
+                _pair_masks(r_spectrum)["R"]),
             "commutators_tangent_to_D_Zero":
-                membership_residual(_commutator_value("Zero", xi, a, b), generic["Zero"]),
+                membership_residual(_commutator_value("Zero", xi, a, b), masks["Zero"]),
             "commutators_tangent_to_D_One":
-                np.max([membership_residual(v, zero["One"]) for v in one], axis=0),
+                np.max([membership_residual(v, one_mask) for v in one], axis=0),
         }
 
     checks = run_suite("involutivity evidence", n, trials, seed, tol, trial).checks
@@ -260,11 +213,11 @@ def involutivity_evidence(n: int, trials: int, seed: int,
     rngs, step = [make_rng(seed, key) for key in r_keys], max(1, CHUNK_ELEMENTS // n**2)
     for start in range(0, k + 1, step):  # rows 0..k in chunks, so that row k comes last
         rows = r_rows(min(step, k + 1 - start), rngs)
-    r_spectrum, r_h, a, b = (row[-1:] for row in rows)
-    point, _ = _eigenframe_points(r_spectrum, _cayley_frames(r_h))
+    r_spectrum, a, b = (row[-1] for row in rows)
     reports[1].details["witness_matrices"] = {  # xi_real, xi_imag, a_real, ..., b_imag
-        f"{name}_{part}": getattr(m[0], part).tolist()
-        for name, m in zip(("xi", "a", "b"), (point, a, b)) for part in ("real", "imag")}
+        f"{name}_{part}": getattr(m, part).tolist()
+        for name, m in zip(("xi", "a", "b"), (_diagonal_points(r_spectrum), a, b))
+        for part in ("real", "imag")}
     return reports
 
 

@@ -31,7 +31,7 @@ from .kernel import (TAU_HERMITIAN, DimensionError, dagger, eig_hermitian, eigva
                      frobenius, is_hermitian, random_hermitian, relative, require_matrix,
                      require_same_dim, unit_scale)
 from .report import VerificationReport
-from . import dual, kahler
+from . import kahler
 
 PICTURES = ("schrodinger", "heisenberg", "vonneumann")
 METHODS = ("exact", "rk4")  # the CLI's --method: exact_flow or rk4_flow

@@ -131,10 +131,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
-
 
 def _finite_hermitian_part(a) -> np.ndarray:
     """(A + A^dag)/2 of a square matrix or stack; non-square or non-finite input is rejected."""

@@ -25,10 +25,9 @@ def unitary_from_seed(n, seed, *key):
     return unitary_exp(random_hermitian(n, seed, *key), 1.0)
 
 
-def closed_form_projection(vectors, d):
-    """V (mask * V^dag v V) V^dag: projection onto the distribution d."""
-    v = d.frame
-    return v @ ((v.conj().T @ vectors @ v) * d.mask) @ v.conj().T
+def closed_form_projection(vectors, frame, mask):
+    """V (mask * V^dag v V) V^dag: projection onto the distribution of eigenframe V and mask."""
+    return frame @ ((dagger(frame) @ vectors @ frame) * mask) @ dagger(frame)
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 The trials of ``algebra.verify_jordan_lie`` and ``dual.verify_dual_geometry``
 written as the identities read, with every product computed where it is
 used, and the involutivity evidence of the Lambda, Zero and One kinds computed
-one kind at a time, each at its own points from the eigenframe builder, with
+one kind at a time, each at its own diagonal points, with
 ``distributions._commutator_value`` and ``membership_residual``.  The library
 computes each repeated product once per chunk and reuses it, with the same
 formulas in the same evaluation order, so its reports must equal these bit
@@ -92,15 +92,14 @@ def reference_dual_geometry(n, trials, seed, tol=1e-9):
 
 
 def reference_involutivity(kind, n, trials, seed, tol=1e-9):
-    """One kind's check (Lambda, Zero or One) from its own points, basis and commutator values."""
-    frame_rng, spectrum_rng, a_rng, b_rng = (make_rng(seed, key) for key in (0, 5, 1, 2))
+    """One kind's check (Lambda, Zero or One) from its own points, masks and commutator values."""
+    spectrum_rng, a_rng, b_rng = (make_rng(seed, key) for key in (5, 1, 2))
 
     def trial(ks):
-        frame = dist._cayley_frames(random_hermitian_stack(n, len(ks), frame_rng))
         spectrum = dist._generic_spectra(n, len(ks), spectrum_rng)
         if kind == "One":  # D_One is proper only where an eigenvalue is 0
             spectrum[:, 0] = 0.0
-        xi, dec = dist._eigenframe_points(spectrum, frame)
+        xi = dist._diagonal_points(spectrum)
         a, b = (random_hermitian_stack(n, len(ks), rng) for rng in (a_rng, b_rng))
         if kind == "One":
             values = [dist._commutator_value("Lambda", xi, a, b),
@@ -108,8 +107,8 @@ def reference_involutivity(kind, n, trials, seed, tol=1e-9):
                       dist.rhat(dist.jhat(xi, a), b) - dist.jhat(dist.rhat(xi, b), a)]
         else:
             values = [dist._commutator_value(kind, xi, a, b)]
-        basis = dist._bases(xi, dec)[kind]
-        residuals = [dist.membership_residual(v, basis) for v in values]
+        mask = dist._pair_masks(spectrum)[kind]
+        residuals = [dist.membership_residual(v, mask) for v in values]
         return {f"commutators_tangent_to_D_{kind}": np.max(residuals, axis=0)}
 
     return run_suite(f"involutivity evidence: D_{kind}", n, trials, seed, tol, trial)

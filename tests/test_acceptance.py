@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from geomqm import distributions as dist
-from geomqm import dual, dynamics, kahler
+from geomqm import dual, kahler
 from geomqm.algebra import CONVENTIONS, verify_jordan_lie
 from geomqm.cli import EXIT_OK, run
 from geomqm.dynamics import (

@@ -558,7 +558,7 @@ star table:
 
 def test_distributions_diagonalizes_the_point_once(capsys, monkeypatch, tmp_path):
     # one decomposition for the four ranks and the orbit invariants; the trials' points are
-    # built in their eigenframes
+    # diagonal
     calls = dict.fromkeys(["eig_hermitian", "is_hermitian"], 0)
     for name in calls:
         fn = getattr(cli.dist, name)

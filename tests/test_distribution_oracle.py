@@ -64,9 +64,10 @@ def pure(draw):
 
 
 def build_point(levels, scale, seed):
+    """xi = U diag(lam) U^dag, with its eigenframe U and spectrum lam."""
     lam = scale * np.asarray(levels, dtype=float)
     u = unitary_from_seed(len(lam), seed)
-    return (u * lam) @ u.conj().T, lam
+    return (u * lam) @ u.conj().T, u, lam
 
 
 def expected_ranks(lam):
@@ -81,36 +82,38 @@ def expected_ranks(lam):
     return {k: int(m.sum()) for k, m in masks.items()}
 
 
-def check_against_oracle(xi, lam, seed):
+def check_against_oracle(xi, u, lam, seed):
     """Ranks, projectors and membership residuals of all four kinds."""
     n = len(lam)
     vectors = np.array([random_hermitian(n, seed, 1, k) for k in range(3)])
     norms = np.linalg.norm(vectors, axis=(1, 2))
     expected = expected_ranks(lam)
+    ranks, masks = dist.orbit_invariants(xi)["ranks"], dist._pair_masks(lam)
     for kind in dist.KINDS:
-        d = dist.distribution_basis(xi)[kind]
-        assert d.rank == expected[kind] == oracle.distribution_columns(xi, kind).shape[1], kind
-        mine = closed_form_projection(vectors, d)
+        assert ranks[kind] == expected[kind] == oracle.distribution_columns(xi, kind).shape[1], \
+            kind
+        mine = closed_form_projection(vectors, u, masks[kind])
         ref = oracle.project(vectors, xi, kind)
         assert np.max(np.linalg.norm(mine - ref, axis=(1, 2)) / norms) <= 1e-12, kind
         residuals = np.linalg.norm(vectors - ref, axis=(1, 2)) / norms
         for vec, res in zip(vectors, residuals):
-            assert abs(dist.membership_residual(vec, d) - res) <= 1e-12, kind
+            assert abs(dist.membership_residual(u.conj().T @ vec @ u, masks[kind]) - res) \
+                <= 1e-12, kind
     return expected
 
 
 @PROPERTY
 @given(generic(), scales, seeds)
 def test_generic_points(levels, scale, seed):
-    xi, lam = build_point(levels, scale, seed)
-    check_against_oracle(xi, lam, seed)
+    xi, u, lam = build_point(levels, scale, seed)
+    check_against_oracle(xi, u, lam, seed)
 
 
 @PROPERTY
 @given(degenerate(), scales, seeds)
 def test_degenerate_points(levels, scale, seed):
-    xi, lam = build_point(levels, scale, seed)
-    ranks = check_against_oracle(xi, lam, seed)
+    xi, u, lam = build_point(levels, scale, seed)
+    ranks = check_against_oracle(xi, u, lam, seed)
     if scale / 2 > dist.TAU_RANK * float(np.max(np.abs(lam))):
         # every distinct pair of levels is resolved: rank D_Lambda = n^2 - sum m_j^2
         _, mult = np.unique(levels, return_counts=True)
@@ -120,19 +123,19 @@ def test_degenerate_points(levels, scale, seed):
 @PROPERTY
 @given(pm_pairs(), scales, seeds)
 def test_plus_minus_pairs(levels, scale, seed):
-    xi, lam = build_point(levels, scale, seed)
-    check_against_oracle(xi, lam, seed)
+    xi, u, lam = build_point(levels, scale, seed)
+    check_against_oracle(xi, u, lam, seed)
 
 
 @PROPERTY
 @given(singular(), scales, seeds)
 def test_singular_points(levels, scale, seed):
-    xi, lam = build_point(levels, scale, seed)
-    check_against_oracle(xi, lam, seed)
+    xi, u, lam = build_point(levels, scale, seed)
+    check_against_oracle(xi, u, lam, seed)
 
 
 @PROPERTY
 @given(pure(), scales, seeds)
 def test_pure_states(levels, scale, seed):
-    xi, lam = build_point(levels, scale, seed)
-    check_against_oracle(xi, lam, seed)
+    xi, u, lam = build_point(levels, scale, seed)
+    check_against_oracle(xi, u, lam, seed)

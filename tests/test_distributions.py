@@ -4,7 +4,8 @@ import pytest
 from geomqm import distributions as dist
 from geomqm import report as report_module
 from geomqm.algebra import trace_form
-from geomqm.kernel import eig_hermitian, make_rng, random_hermitian, random_hermitian_stack
+from geomqm.kernel import (dagger, eig_hermitian, make_rng, random_hermitian,
+                           random_hermitian_stack)
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, closed_form_projection, unitary_from_seed
 import svd_oracle as oracle
 from suite_reference import reference_involutivity
@@ -66,65 +67,62 @@ class TestHermitianBasis:
         assert np.allclose(oracle.devectorize(oracle.vectorize(m, basis), basis), m)
 
 
+def ranks(xi):
+    return dist.orbit_invariants(xi)["ranks"]
+
+
 class TestRanks:
     def test_generic_su2_lambda_rank(self):
         xi = np.diag([1.0, -0.5]).astype(complex)
-        assert dist.distribution_basis(xi)["Lambda"].rank == 2
+        assert ranks(xi)["Lambda"] == 2
 
     def test_central_point_rank_zero(self):
-        assert dist.distribution_basis(np.eye(2, dtype=complex))["Lambda"].rank == 0
+        assert ranks(np.eye(2, dtype=complex))["Lambda"] == 0
 
     def test_generic_invertible_one_full(self):
         xi = np.diag([1.0, -0.5]).astype(complex)
-        assert dist.distribution_basis(xi)["One"].rank == 4
+        assert ranks(xi)["One"] == 4
 
     def test_identity_point_r_full(self):
         xi = np.eye(3, dtype=complex)
-        assert dist.distribution_basis(xi)["R"].rank == 9
-        assert dist.distribution_basis(xi)["Lambda"].rank == 0
-
-    def test_one_decomposition_serves_all_four(self, monkeypatch):
-        calls, eig = [], dist.eig_hermitian
-        monkeypatch.setattr(dist, "eig_hermitian", lambda m: calls.append(m) or eig(m))
-        xi = random_hermitian(4, 32)
-        bases = dist.distribution_basis(xi)
-        assert len(calls) == 1
-        assert list(bases) == [b.kind for b in bases.values()] == list(dist.KINDS)
-        assert all(b.frame is bases["Lambda"].frame and b.point is xi for b in bases.values())
+        assert ranks(xi)["R"] == 9
+        assert ranks(xi)["Lambda"] == 0
 
     def test_dimension_formula(self):
         for seed in range(5):
-            xi = random_hermitian(3, seed, 30)
-            ranks = {k: dist.distribution_basis(xi)[k].rank for k in dist.KINDS}
-            assert ranks["Zero"] + ranks["One"] == ranks["Lambda"] + ranks["R"]
+            r = ranks(random_hermitian(3, seed, 30))
+            assert r["Zero"] + r["One"] == r["Lambda"] + r["R"]
 
     def test_lambda_and_r_inside_one(self):
         xi = random_hermitian(3, 31)
-        one = dist.distribution_basis(xi)["One"]
+        dec = eig_hermitian(xi)
+        one, v = dist._pair_masks(dec.eigenvalues)["One"], dec.eigenvectors
         for kind in ("Lambda", "R"):
-            for v in oracle.basis_matrices(xi, kind):
-                assert dist.membership_residual(v, one) <= 1e-9
+            for e in oracle.basis_matrices(xi, kind):
+                assert dist.membership_residual(dagger(v) @ e @ v, one) <= 1e-9
 
     def test_basis_orthonormal(self):
         # the oracle's basis is orthonormal and spans the closed-form subspace
         xi = random_hermitian(4, 32)
-        d = dist.distribution_basis(xi)["Lambda"]
         basis = oracle.basis_matrices(xi, "Lambda")
-        assert len(basis) == d.rank
+        assert len(basis) == ranks(xi)["Lambda"]
         for i, e in enumerate(basis):
             for j, f in enumerate(basis):
                 expected = 1.0 if i == j else 0.0
                 assert trace_form(e, f) == pytest.approx(expected, abs=1e-10)
-        assert np.max(np.abs(closed_form_projection(basis, d) - basis)) <= 1e-12
+        dec = eig_hermitian(xi)
+        mask = dist._pair_masks(dec.eigenvalues)["Lambda"]
+        assert np.max(np.abs(closed_form_projection(basis, dec.eigenvectors, mask) - basis)) \
+            <= 1e-12
 
     @pytest.mark.parametrize("c", [2.0, 1e-3])
     def test_scalar_point(self, c):
         # U(cI)U^dag is scalar up to round-off: Lambda and Zero vanish, R fills
         u = unitary_from_seed(4, 33)
         xi = u @ (c * np.eye(4)) @ u.conj().T
-        ranks = {k: dist.distribution_basis(xi)[k].rank for k in dist.KINDS}
-        assert ranks == {"Lambda": 0, "Zero": 0, "R": 16, "One": 16}
-        assert ranks == {k: oracle.distribution_columns(xi, k).shape[1] for k in dist.KINDS}
+        r = ranks(xi)
+        assert r == {"Lambda": 0, "R": 16, "Zero": 0, "One": 16}
+        assert r == {k: oracle.distribution_columns(xi, k).shape[1] for k in dist.KINDS}
 
     @pytest.mark.parametrize("top", [5.0, 0.5])
     @pytest.mark.parametrize("factor, lambda_rank", [(1.001, 12), (0.999, 10)])
@@ -133,18 +131,15 @@ class TestRanks:
         gap = factor * dist.TAU_RANK * top
         u = unitary_from_seed(4, 34)
         xi = (u * np.array([0.1, 0.1 + gap, top / 2, top])) @ u.conj().T
-        ranks = {k: dist.distribution_basis(xi)[k].rank for k in dist.KINDS}
-        assert ranks == {"Lambda": lambda_rank, "Zero": lambda_rank, "R": 16, "One": 16}
-        assert ranks == {k: oracle.distribution_columns(xi, k).shape[1] for k in dist.KINDS}
+        r = ranks(xi)
+        assert r == {"Lambda": lambda_rank, "R": 16, "Zero": lambda_rank, "One": 16}
+        assert r == {k: oracle.distribution_columns(xi, k).shape[1] for k in dist.KINDS}
 
 
 class TestInputGuards:
     POINT = random_hermitian(3, 50)
 
-    @pytest.mark.parametrize("entry", [
-        lambda xi: dist.distribution_basis(xi)["Lambda"],
-        dist.orbit_invariants,
-    ])
+    @pytest.mark.parametrize("entry", [dist.orbit_invariants])
     def test_non_hermitian_rejected_before_work(self, entry, monkeypatch):
         calls = []
         monkeypatch.setattr(dist, "eig_hermitian", lambda *a: calls.append(a))
@@ -153,19 +148,13 @@ class TestInputGuards:
             entry(xi)
         assert calls == []
 
-    @pytest.mark.parametrize("entry", [
-        lambda xi: dist.distribution_basis(xi)["R"],
-        dist.orbit_invariants,
-    ])
+    @pytest.mark.parametrize("entry", [dist.orbit_invariants])
     def test_hermitian_within_cli_tolerance_accepted(self, entry):
         # the CLI accepts ||xi - xi^dag||_F <= 1e-8 * ||xi||_F
         entry(self.POINT + 1e-10 * np.triu(np.ones((3, 3)), 1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("entry", [
-        lambda xi: dist.distribution_basis(xi)["One"],
-        dist.orbit_invariants,
-    ])
+    @pytest.mark.parametrize("entry", [dist.orbit_invariants])
     def test_non_finite_rejected(self, entry, bad):
         xi = self.POINT.copy()
         xi[1, 1] = bad
@@ -218,75 +207,55 @@ class TestInvolutivity:
             assert report.details["witness_residual"] > 10 * report.tol
             assert "xi_real" in report.details["witness_matrices"]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_r_witness_matches_closed_form(self, n):
+        # at diag(lam), the R commutator value is (i/4)(lam_i - lam_j)[A, B]_-ij, so its distance
+        # from D_R is that of M_ij = (lam_i - lam_j)(-i(AB - BA))_ij, masked where
+        # |lam_i + lam_j| <= cut
+        for seed in range(6):
+            report = involutivity("R", n, trials=20, seed=seed)
+            w = report.details["witness_matrices"]
+            xi, a, b = (np.array(w[f"{name}_real"]) + 1j * np.array(w[f"{name}_imag"])
+                        for name in ("xi", "a", "b"))
+            assert not np.any(w["xi_imag"]) and np.array_equal(xi, np.diag(np.diag(xi)))
+            lam = np.diag(xi).real
+            m = (lam[:, None] - lam[None, :]) * (-1j * (a @ b - b @ a))
+            cut = dist.TAU_RANK * np.max(np.abs(lam))
+            out = np.abs(lam[:, None] + lam[None, :]) <= cut
+            expected = np.linalg.norm(m * out) / np.linalg.norm(m)
+            assert report.details["witness_residual"] == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("seed", [0, 5])
     def test_inputs_have_their_own_substreams(self, monkeypatch, seed):
-        # every input of one call has its own key; the R witness replays keys 1..4 afterwards
+        # every input of one call has its own key; the R witness replays keys 1..3 afterwards
         keys = []
         monkeypatch.setattr(dist, "make_rng", lambda *key: keys.append(key) or make_rng(*key))
         dist.involutivity_evidence(3, 20, seed)
-        assert sorted(keys[:6]) == [(seed, key) for key in range(6)]
-        assert sorted(keys[6:]) == [(seed, key) for key in (1, 2, 3, 4)]
+        assert sorted(keys[:4]) == [(seed, key) for key in (1, 2, 3, 5)]
+        assert sorted(keys[4:]) == [(seed, key) for key in (1, 2, 3)]
 
     def test_no_eigendecomposition(self, monkeypatch):
-        # every point is built from its spectrum and frame, so its decomposition is known
+        # every point is diag(lam) for a drawn spectrum, so its decomposition is known
         def refuse(*args):
             raise AssertionError("eig_hermitian called")
 
         monkeypatch.setattr(dist, "eig_hermitian", refuse)
         assert all(r.passed for r in dist.involutivity_evidence(4, 30, 0))
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_r_points_come_with_their_d_r_basis(self, n):
-        # the frame that builds a point spans the same distributions as its eigendecomposition,
-        # for the R rule (D_R proper at every point) and the generic rule alike
-        v = random_hermitian(n, 0, 9)
-        for rule in SPECTRA.values():
-            frame = dist._cayley_frames(random_hermitian_stack(n, 10, make_rng(0, 4)))
-            bases = dist._bases(*dist._eigenframe_points(rule(n, 10, make_rng(0, 3)), frame))
-            if rule is dist._r_spectra:
-                assert np.all(bases["R"].rank < n * n)
-            for k in range(10):
-                eigh_bases = dist.distribution_basis(bases["R"].point[k])
-                for kind, basis in bases.items():
-                    row = dist.DistributionBasis(basis.point[k], kind, basis.frame[k],
-                                                 basis.mask[k])
-                    assert row.rank == eigh_bases[kind].rank
-                    assert np.allclose(closed_form_projection(v, row),
-                                       closed_form_projection(v, eigh_bases[kind]), atol=1e-10)
-
-    @pytest.mark.parametrize("scale", [1.0, 1e4])
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_r_frames_are_unitary(self, n, scale):
-        # the Cayley transform of each Hermitian draw H, here also of 1e4 * H; every point's
-        # frame, generic or R, is one of these
-        for seed in range(5):
-            h = scale * random_hermitian_stack(n, 100, make_rng(seed, 4))
-            v = dist._cayley_frames(h)
-            defect = np.max(abs(v @ v.conj().swapaxes(-2, -1) - np.eye(n)), axis=(-2, -1))
-            if scale == 1.0:
-                assert defect.max() <= 1e-14
-            else:  # the rounding of the solve grows with the condition number of I + iH/2
-                assert np.all(defect <= 1e-14 * np.linalg.cond(np.eye(n) + 0.5j * h))
-
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_r_points_keep_their_exact_pair(self, n):
-        # the decomposition carries the spectrum exactly.  R: eigenvalues a and -a sit at frame
-        # columns 0 and 1, and only that pair sums to exactly 0.  Generic: every sum and
-        # difference of two eigenvalues, and every eigenvalue, is at least 1/2 in size
+        # R: eigenvalues a and -a sit at columns 0 and 1, and only that pair sums to exactly 0.
+        # Generic: every sum and difference of two eigenvalues, and every eigenvalue, is at
+        # least 1/2 in size
         pair = np.zeros((n, n), dtype=bool)
         pair[0, 1] = pair[1, 0] = True
         off = ~np.eye(n, dtype=bool)
         for seed in range(5):
-            frame = dist._cayley_frames(random_hermitian_stack(n, 100, make_rng(seed, 4)))
             for name, rule in SPECTRA.items():
                 spectrum = rule(n, 100, make_rng(seed, 3))
-                point, dec = dist._eigenframe_points(spectrum, frame)
-                assert dec.eigenvalues is spectrum and dec.eigenvectors is frame
                 masks = dist._pair_masks(spectrum)
                 if name == "R":
                     assert np.array_equal(masks["R"], np.broadcast_to(~pair, masks["R"].shape))
-                    assert np.array_equal(dist._bases(point, dec)["R"].rank,
-                                          np.full(100, n * n - 2))
                     continue
                 assert np.min(np.abs(spectrum)) >= 1
                 for sign in (1, -1):
@@ -298,15 +267,14 @@ class TestInvolutivity:
     def test_r_witness_is_first_worst_trial(self):
         # one matrix at a time: trial k's inputs are the next rows of the inputs' substreams
         n, trials, seed = 3, 8, 5
-        a_rng, b_rng, spectrum, frame = (make_rng(seed, key) for key in (1, 2, 3, 4))
+        a_rng, b_rng, spectrum_rng = (make_rng(seed, key) for key in (1, 2, 3))
         residuals, points = [], []
         for k in range(trials):
-            point, dec = dist._eigenframe_points(
-                dist._r_spectra(n, 1, spectrum),
-                dist._cayley_frames(random_hermitian_stack(n, 1, frame)))
+            spectrum = dist._r_spectra(n, 1, spectrum_rng)
+            point = dist._diagonal_points(spectrum)
             a, b = (random_hermitian_stack(n, 1, rng) for rng in (a_rng, b_rng))
             value = dist._commutator_value("R", point, a, b)
-            residuals.append(dist.membership_residual(value, dist._bases(point, dec)["R"])[0])
+            residuals.append(dist.membership_residual(value, dist._pair_masks(spectrum)["R"])[0])
             points.append(point[0])
         k = int(np.argmax(residuals))
         report = involutivity("R", n, trials, seed)
@@ -323,22 +291,21 @@ class TestInvolutivity:
         k = chunked[1].checks[0].worst_trial
         assert k >= 10  # the witness comes from a later chunk than the first
         # trial k's rows, drawn directly from the substreams in one stack each
-        xi, _ = dist._eigenframe_points(
-            dist._r_spectra(n, trials, make_rng(seed, 3)),
-            dist._cayley_frames(random_hermitian_stack(n, trials, make_rng(seed, 4))))
+        xi = dist._diagonal_points(dist._r_spectra(n, trials, make_rng(seed, 3)))
         a, b = (random_hermitian_stack(n, trials, make_rng(seed, key)) for key in (1, 2))
         assert chunked[1].details["witness_matrices"] == {
             f"{name}_{part}": getattr(m[k], part).tolist()
             for name, m in (("xi", xi), ("a", a), ("b", b)) for part in ("real", "imag")}
 
     def test_nan_membership_residual_fails(self, monkeypatch):
-        # One checks three commutator values per trial stack; make the middle one NaN
+        # One checks three commutator values per trial stack; make the middle one NaN.  D_One
+        # misses exactly one direction, so its mask alone has n^2 - 1 entries
         calls = []
         real = dist.membership_residual
 
-        def probe(vector, basis):
-            residuals = real(vector, basis)
-            if basis.kind != "One":
+        def probe(vector, mask):
+            residuals = real(vector, mask)
+            if not np.all(mask.sum(axis=(-2, -1)) == mask.shape[-1] ** 2 - 1):
                 return residuals
             calls.append(None)
             return np.full_like(residuals, np.nan) if len(calls) % 3 == 2 else residuals
@@ -362,9 +329,10 @@ class TestOrbitInvariants:
         np.zeros((3, 3), dtype=complex),
     ])
     def test_ranks_match_distribution_basis(self, xi):
-        ranks = dist.orbit_invariants(xi)["ranks"]
-        assert ranks == {kind: basis.rank for kind, basis in dist.distribution_basis(xi).items()}
-        assert list(ranks) == list(dist.KINDS)
+        # each rank is the size of the SVD oracle's basis of that distribution
+        r = ranks(xi)
+        assert r == {kind: len(oracle.basis_matrices(xi, kind)) for kind in dist.KINDS}
+        assert list(r) == list(dist.KINDS)
 
     def test_sylvester_invariance(self):
         xi = random_hermitian(3, 40)

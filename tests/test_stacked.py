@@ -14,6 +14,8 @@ from geomqm.dynamics import EvolutionSpec, heisenberg_flow, schrodinger_flow, vo
 from geomqm.kahler import verify_pullbacks
 from geomqm.kernel import (
     DimensionError,
+    dagger,
+    eig_hermitian,
     frobenius,
     is_hermitian,
     make_rng,
@@ -72,13 +74,17 @@ class TestCoordinates:
 
     def test_membership_matches_sequential_projection(self, n):
         xi = random_hermitian(n, 4, n)
-        d = dist.distribution_basis(xi)["Lambda"]
+        dec = eig_hermitian(xi)
+        mask, frame = dist._pair_masks(dec.eigenvalues)["Lambda"], dec.eigenvectors
         v = random_hermitian(n, 5, n)
+        basis = oracle.basis_matrices(xi, "Lambda")
+        assert len(basis) == dist.orbit_invariants(xi)["ranks"]["Lambda"]
         residual = v
-        for e in oracle.basis_matrices(xi, "Lambda"):
+        for e in basis:
             residual = residual - trace_form(e, residual) * e
         expected = np.linalg.norm(residual) / np.linalg.norm(v)
-        assert dist.membership_residual(v, d) == pytest.approx(expected, abs=1e-13)
+        assert dist.membership_residual(dagger(frame) @ v @ frame, mask) \
+            == pytest.approx(expected, abs=1e-13)
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -270,10 +276,15 @@ STACK = np.stack([np.eye(2), np.eye(2)])
 
 
 @pytest.mark.parametrize("call", [
-    lambda: kahler.eigensolve_gradient_flow(STACK, np.ones(2)),
-    lambda: kahler.eigensolve_gradient_flow(np.eye(2), np.ones((2, 2))),
-    lambda: EvolutionSpec(hamiltonian=STACK, t_final=1.0, steps=2),
-    lambda: heisenberg_flow(EvolutionSpec(hamiltonian=np.eye(2), t_final=1.0, steps=2), STACK),
+    pytest.param(lambda: kahler.eigensolve_gradient_flow(STACK, np.ones(2)),
+                 id="eigensolve-operator"),
+    pytest.param(lambda: kahler.eigensolve_gradient_flow(np.eye(2), np.ones((2, 2))),
+                 id="eigensolve-initial"),
+    pytest.param(lambda: EvolutionSpec(hamiltonian=STACK, t_final=1.0, steps=2),
+                 id="spec-hamiltonian"),
+    pytest.param(lambda: heisenberg_flow(EvolutionSpec(hamiltonian=np.eye(2), t_final=1.0,
+                                                       steps=2), STACK),
+                 id="heisenberg-observable"),
 ])
 def test_single_matrix_entry_points_reject_stacks(call):
     with pytest.raises(DimensionError):
