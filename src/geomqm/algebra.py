@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import (frobenius, make_rng, random_hermitian_stack, relative, require_same_dim,
-                     scalar_or_stack)
-from .report import CONVENTIONS, ConventionSet, VerificationReport, run_suite  # noqa: F401
+from .kernel import frobenius, random_hermitian_stack, relative, require_same_dim, scalar_or_stack
+from .report import CONVENTIONS, ConventionSet, Suite, VerificationReport, run_suite  # noqa: F401
 
 
 def lie_bracket(a, b) -> np.ndarray:
@@ -49,33 +48,34 @@ def associator_defect(a, b, c) -> np.ndarray:
     return jordan_product(jordan_product(a, b), c) - jordan_product(a, jordan_product(b, c))
 
 
+def _jordan_lie_residuals(a, b, c) -> dict:
+    na, nb, nc = frobenius(a), frobenius(b), frobenius(c)
+    lie_ab, lie_bc, lie_ac = lie_bracket(a, b), lie_bracket(b, c), lie_bracket(a, c)
+    jor_ab, jor_bc = jordan_product(a, b), jordan_product(b, c)
+    jac = lie_bracket(lie_ab, c) + lie_bracket(lie_bc, a) + lie_bracket(lie_bracket(c, a), b)
+    a2 = jordan_product(a, a)
+    jid = jordan_product(jor_ab, a2) - jordan_product(a, jordan_product(b, a2))
+    inv_lie = trace_form(lie_ab, c) - trace_form(a, lie_bc)
+    inv_jor = trace_form(jor_ab, c) - trace_form(a, jor_bc)
+    leib = lie_bracket(a, jor_bc) - jordan_product(lie_ab, c) - jordan_product(b, lie_ac)
+    assoc = associator_defect(a, b, c) - (CONVENTIONS.hbar / 4) * lie_bracket(lie_ac, b)
+    size = na * nb * nc
+    return {
+        "jacobi": relative(frobenius(jac), size),
+        "jordan_commutativity": relative(frobenius(jor_ab - jordan_product(b, a)), na * nb),
+        "jordan_identity": relative(frobenius(jid), na * na * na * nb),
+        "trace_invariance_lie": relative(abs(inv_lie), size),
+        "trace_invariance_jordan": relative(abs(inv_jor), size),
+        "leibniz": relative(frobenius(leib), size),
+        "associator": relative(frobenius(assoc), size),
+    }
+
+
+JORDAN_LIE = Suite("Jordan-Lie identity suite",
+                   {name: (key, random_hermitian_stack) for name, key in zip("abc", (30, 31, 32))},
+                   _jordan_lie_residuals)
+
+
 def verify_jordan_lie(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """Randomized residuals for the complete Jordan-Lie identity suite."""
-    hbar = CONVENTIONS.hbar
-    rngs = [make_rng(seed, key) for key in (30, 31, 32)]  # keys no other verify suite uses
-
-    def trial(ks):
-        a, b, c = (random_hermitian_stack(n, len(ks), rng) for rng in rngs)
-        na, nb, nc = frobenius(a), frobenius(b), frobenius(c)
-
-        lie_ab, lie_bc, lie_ac = lie_bracket(a, b), lie_bracket(b, c), lie_bracket(a, c)
-        jor_ab, jor_bc = jordan_product(a, b), jordan_product(b, c)
-        jac = lie_bracket(lie_ab, c) + lie_bracket(lie_bc, a) + lie_bracket(lie_bracket(c, a), b)
-        a2 = jordan_product(a, a)
-        jid = jordan_product(jor_ab, a2) - jordan_product(a, jordan_product(b, a2))
-        inv_lie = trace_form(lie_ab, c) - trace_form(a, lie_bc)
-        inv_jor = trace_form(jor_ab, c) - trace_form(a, jor_bc)
-        leib = lie_bracket(a, jor_bc) - jordan_product(lie_ab, c) - jordan_product(b, lie_ac)
-        assoc = associator_defect(a, b, c) - (hbar / 4) * lie_bracket(lie_ac, b)
-        size = na * nb * nc
-        return {
-            "jacobi": relative(frobenius(jac), size),
-            "jordan_commutativity": relative(frobenius(jor_ab - jordan_product(b, a)), na * nb),
-            "jordan_identity": relative(frobenius(jid), na * na * na * nb),
-            "trace_invariance_lie": relative(abs(inv_lie), size),
-            "trace_invariance_jordan": relative(abs(inv_jor), size),
-            "leibniz": relative(frobenius(leib), size),
-            "associator": relative(frobenius(assoc), size),
-        }
-
-    return run_suite("Jordan-Lie identity suite", n, trials, seed, tol, trial, details={"dim": n})
+    return run_suite(JORDAN_LIE, n, trials, seed, tol, details={"dim": n})

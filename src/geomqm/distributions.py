@@ -32,10 +32,9 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import jordan_product, lie_bracket
-from .kernel import (TAU_HERMITIAN, eig_hermitian, frobenius, is_hermitian, make_rng,
-                     random_hermitian_stack, relative, require_same_dim, require_square,
-                     scalar_or_stack)
-from .report import CHUNK_ELEMENTS, VerificationReport, run_suite
+from .kernel import (TAU_HERMITIAN, eig_hermitian, frobenius, is_hermitian, random_hermitian_stack,
+                     relative, require_same_dim, require_square, scalar_or_stack)
+from .report import Suite, VerificationReport, replay, run_suite
 
 TAU_RANK = 1e-8
 
@@ -59,17 +58,19 @@ def commutation_defect(xi, a):
     return scalar_or_stack(np.maximum(frobenius(jr - rj), frobenius(jr - closed)))
 
 
+def _commutation_residuals(xi, a) -> dict:
+    size = frobenius(a) * frobenius(xi) ** 2
+    return {"jhat_rhat_commutation": relative(commutation_defect(xi, a), size)}
+
+
+COMMUTATION = Suite("tensor commutation relation", {"xi": (10, random_hermitian_stack),
+                                                    "a": (11, random_hermitian_stack)},
+                    _commutation_residuals)
+
+
 def verify_commutation(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """Scaled commutation defect of jhat and rhat at seeded random points."""
-    xi_rng, a_rng = make_rng(seed, 10), make_rng(seed, 11)
-
-    def trial(ks):
-        xi = random_hermitian_stack(n, len(ks), xi_rng)
-        a = random_hermitian_stack(n, len(ks), a_rng)
-        size = frobenius(a) * frobenius(xi) ** 2
-        return {"jhat_rhat_commutation": relative(commutation_defect(xi, a), size)}
-
-    return run_suite("tensor commutation relation", n, trials, seed, tol, trial)
+    return run_suite(COMMUTATION, n, trials, seed, tol)
 
 
 KINDS = ("Lambda", "R", "Zero", "One")
@@ -157,6 +158,32 @@ def _commutator_value(kind, xi, a, b):
     return dq(b, q(a)) - dq(a, q(b))
 
 
+def _involutivity_residuals(spectrum, r_spectrum, a, b) -> dict:
+    zero_spectrum = np.where(np.arange(spectrum.shape[-1]) == 0, 0.0, spectrum)
+    masks, one_mask = _pair_masks(spectrum), _pair_masks(zero_spectrum)["One"]
+    xi, xi0 = _diagonal_points(spectrum), _diagonal_points(zero_spectrum)
+    ja, rb = jhat(xi0, a), rhat(xi0, b)  # the factors that the One values share
+    one = [jhat(ja, b) - jhat(jhat(xi0, b), a), rhat(rhat(xi0, a), b) - rhat(rb, a),
+           rhat(ja, b) - jhat(rb, a)]  # the Lambda, R and mixed pairs' values
+    return {  # np.max, unlike max(), propagates a NaN residual
+        "commutators_tangent_to_D_Lambda":
+            membership_residual(_commutator_value("Lambda", xi, a, b), masks["Lambda"]),
+        "commutators_tangent_to_D_R": membership_residual(
+            _commutator_value("R", _diagonal_points(r_spectrum), a, b),
+            _pair_masks(r_spectrum)["R"]),
+        "commutators_tangent_to_D_Zero":
+            membership_residual(_commutator_value("Zero", xi, a, b), masks["Zero"]),
+        "commutators_tangent_to_D_One":
+            np.max([membership_residual(v, one_mask) for v in one], axis=0),
+    }
+
+
+INVOLUTIVITY = Suite("involutivity evidence",
+                     {"spectrum": (5, _generic_spectra), "r_spectrum": (3, _r_spectra),
+                      "a": (1, random_hermitian_stack), "b": (2, random_hermitian_stack)},
+                     _involutivity_residuals)
+
+
 def involutivity_evidence(n: int, trials: int, seed: int,
                           tol: float = 1e-9) -> list[VerificationReport]:
     """Sampled involutivity evidence: the four distributions' reports, in KINDS order.
@@ -168,40 +195,11 @@ def involutivity_evidence(n: int, trials: int, seed: int,
     eigenvalue it is the whole tangent space.  R: the report instead records
     the best witness of non-involutivity at R-singular points (spectra of
     ``_r_spectra``), passing when its residual exceeds 10*tol.  The witness
-    matrices are the inputs of the R check's worst trial k, replayed from
-    rows 0..k of fresh generators.
+    matrices are the inputs of the R check's worst trial, replayed.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    # one substream per input: pairs (seed, 1|2), R spectra (seed, 3) and generic spectra (seed, 5)
-    r_keys = (3, 1, 2)  # the R check's inputs: the R spectra and a, b
-    spectrum_rng, *r_rngs = (make_rng(seed, key) for key in (5, *r_keys))
-
-    def r_rows(m, rngs):  # the next m rows of the R check's inputs
-        return _r_spectra(n, m, rngs[0]), *(random_hermitian_stack(n, m, r) for r in rngs[1:])
-
-    def trial(ks):
-        r_spectrum, a, b = r_rows(len(ks), r_rngs)
-        spectrum = _generic_spectra(n, len(ks), spectrum_rng)
-        zero_spectrum = np.where(np.arange(n) == 0, 0.0, spectrum)
-        masks, one_mask = _pair_masks(spectrum), _pair_masks(zero_spectrum)["One"]
-        xi, xi0 = _diagonal_points(spectrum), _diagonal_points(zero_spectrum)
-        ja, rb = jhat(xi0, a), rhat(xi0, b)  # the factors that the One values share
-        one = [jhat(ja, b) - jhat(jhat(xi0, b), a), rhat(rhat(xi0, a), b) - rhat(rb, a),
-               rhat(ja, b) - jhat(rb, a)]  # the Lambda, R and mixed pairs' values
-        return {  # np.max, unlike max(), propagates a NaN residual
-            "commutators_tangent_to_D_Lambda":
-                membership_residual(_commutator_value("Lambda", xi, a, b), masks["Lambda"]),
-            "commutators_tangent_to_D_R": membership_residual(
-                _commutator_value("R", _diagonal_points(r_spectrum), a, b),
-                _pair_masks(r_spectrum)["R"]),
-            "commutators_tangent_to_D_Zero":
-                membership_residual(_commutator_value("Zero", xi, a, b), masks["Zero"]),
-            "commutators_tangent_to_D_One":
-                np.max([membership_residual(v, one_mask) for v in one], axis=0),
-        }
-
-    checks = run_suite("involutivity evidence", n, trials, seed, tol, trial).checks
+    checks = run_suite(INVOLUTIVITY, n, trials, seed, tol).checks
     reports = [VerificationReport(f"involutivity evidence: D_{kind}", seed, trials, tol, [check],
                                   {"dim": n, "kind": kind}) for kind, check in zip(KINDS, checks)]
     best = reports[1].checks.pop()
@@ -210,13 +208,11 @@ def involutivity_evidence(n: int, trials: int, seed: int,
     reports[1].add("non_involutivity_witness_found", 0.0 if res > 10 * tol else float("inf"),
                    worst_trial=k)
     reports[1].details["witness_residual"] = res
-    rngs, step = [make_rng(seed, key) for key in r_keys], max(1, CHUNK_ELEMENTS // n**2)
-    for start in range(0, k + 1, step):  # rows 0..k in chunks, so that row k comes last
-        rows = r_rows(min(step, k + 1 - start), rngs)
-    r_spectrum, a, b = (row[-1] for row in rows)
+    rows = replay(INVOLUTIVITY, n, seed, k)
     reports[1].details["witness_matrices"] = {  # xi_real, xi_imag, a_real, ..., b_imag
-        f"{name}_{part}": getattr(m, part).tolist()
-        for name, m in zip(("xi", "a", "b"), (_diagonal_points(r_spectrum), a, b))
+        f"{name}_{part}": getattr(m[0], part).tolist()
+        for name, m in zip(("xi", "a", "b"),
+                           (_diagonal_points(rows["r_spectrum"]), rows["a"], rows["b"]))
         for part in ("real", "imag")}
     return reports
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import jordan_product, lie_bracket, trace_form
-from .kernel import (dagger, eigvals_hermitian, frobenius, is_hermitian, make_rng,
-                     random_hermitian_stack, relative, require_same_dim, scalar_or_stack,
-                     serialize_matrix)
-from .report import VerificationReport, run_suite
+from .kernel import (dagger, eigvals_hermitian, frobenius, is_hermitian, random_hermitian_stack,
+                     relative, require_same_dim, scalar_or_stack, serialize_matrix)
+from .report import Suite, VerificationReport, run_suite
 
 
 def hat_eval(a, xi) -> float:
@@ -150,32 +149,35 @@ class GoldenTables:
         }
 
 
+def _dual_geometry_residuals(a, b, c, xi) -> dict:
+    na, nxi = frobenius(a), frobenius(xi)
+    size = na * frobenius(b) * nxi
+    star = star_eval(a, b, xi)
+    sj, sl = star_generators(a, b)
+    lie_ab, lam = lie_bracket(a, b), lambda_eval(a, b, xi)
+    cyc = (lambda_eval(lie_ab, c, xi)
+           + lambda_eval(lie_bracket(b, c), a, xi)
+           + lambda_eval(lie_bracket(c, a), b, xi))
+    return {
+        "hat_of_bracket": relative(abs(lam - hat_eval(lie_ab, xi)), size),
+        "star_decomposition": relative(abs(star - (r_eval(a, b, xi) / 2 + 1j * lam / 2)), size),
+        "nonlocal_closure": relative(abs(star - (hat_eval(sj, xi) + 1j * hat_eval(sl, xi))),
+                                     size),
+        "bilinearity_symmetry": relative(abs(hat_eval(a, xi) - hat_eval(xi, a)), na * nxi),
+        "function_bracket_jacobi": relative(abs(cyc), size * frobenius(c)),
+        "r_flow_invariance": r_invariance_defect(c, a, b, xi),
+    }
+
+
+DUAL_GEOMETRY = Suite("dual-space tensor identities",
+                      {name: (key, random_hermitian_stack)
+                       for name, key in (("a", 40), ("b", 41), ("c", 42), ("xi", 43))},
+                      _dual_geometry_residuals)
+
+
 def verify_dual_geometry(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """Randomized residuals for the dual-space tensor identities."""
-    rngs = [make_rng(seed, key) for key in (40, 41, 42, 43)]  # keys no other verify suite uses
-
-    def trial(ks):
-        a, b, c, xi = (random_hermitian_stack(n, len(ks), rng) for rng in rngs)
-        na, nxi = frobenius(a), frobenius(xi)
-        size = na * frobenius(b) * nxi
-        star = star_eval(a, b, xi)
-        sj, sl = star_generators(a, b)
-        lie_ab, lam = lie_bracket(a, b), lambda_eval(a, b, xi)
-        cyc = (lambda_eval(lie_ab, c, xi)
-               + lambda_eval(lie_bracket(b, c), a, xi)
-               + lambda_eval(lie_bracket(c, a), b, xi))
-        return {
-            "hat_of_bracket": relative(abs(lam - hat_eval(lie_ab, xi)), size),
-            "star_decomposition": relative(abs(star - (r_eval(a, b, xi) / 2 + 1j * lam / 2)), size),
-            "nonlocal_closure": relative(abs(star - (hat_eval(sj, xi) + 1j * hat_eval(sl, xi))),
-                                         size),
-            "bilinearity_symmetry": relative(abs(hat_eval(a, xi) - hat_eval(xi, a)), na * nxi),
-            "function_bracket_jacobi": relative(abs(cyc), size * frobenius(c)),
-            "r_flow_invariance": r_invariance_defect(c, a, b, xi),
-        }
-
-    return run_suite("dual-space tensor identities", n, trials, seed, tol, trial,
-                     details={"dim": n})
+    return run_suite(DUAL_GEOMETRY, n, trials, seed, tol, details={"dim": n})
 
 
 def su2_golden_tables() -> GoldenTables:

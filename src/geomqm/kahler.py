@@ -26,10 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import (DimensionError, NumericalError, TAU_HERMITIAN, dagger, frobenius,
-                     is_hermitian, make_rng, random_complex_vector_stack, random_hermitian_stack,
+                     is_hermitian, random_complex_vector_stack, random_hermitian_stack,
                      relative, require_matrix, require_same_dim, require_square, scalar_or_stack,
                      unit_scale)
-from .report import CONVENTIONS, VerificationReport, run_suite
+from .report import CONVENTIONS, Suite, VerificationReport, run_suite
 from . import dual
 
 TAU_DEPENDENT = 1e-8  # relative norm below which a basis vector counts as dependent
@@ -164,18 +164,15 @@ def _pullback_residuals(a, b, psi) -> dict:
     }
 
 
+PULLBACKS = Suite("momentum-map pullback identities",
+                  {"a": (20, random_hermitian_stack), "b": (21, random_hermitian_stack),
+                   "psi": (22, random_complex_vector_stack)}, _pullback_residuals)
+
+
 def verify_pullbacks(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
     """The momentum-map pullbacks, equivariance and image, the metric-length law and the
     Kahler triple in real coordinates, at seeded random observables and points of C^n."""
-    a_rng, b_rng, psi_rng = (make_rng(seed, key) for key in (20, 21, 22))
-
-    def trial(ks):
-        m = len(ks)
-        return _pullback_residuals(random_hermitian_stack(n, m, a_rng),
-                                   random_hermitian_stack(n, m, b_rng),
-                                   random_complex_vector_stack(n, m, psi_rng))
-
-    return run_suite("momentum-map pullback identities", n, trials, seed, tol, trial)
+    return run_suite(PULLBACKS, n, trials, seed, tol)
 
 
 # --- expectation, dispersion, eigensolving -----------------------------------

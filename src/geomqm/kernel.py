@@ -13,14 +13,10 @@ generator passed to them; the only other state is the seed passed explicitly.
 
 RNG stream-splitting rule: substream ``(seed, k1, k2, ...)`` is the PCG64
 generator seeded by ``numpy.random.SeedSequence([seed, k1, k2, ...])``,
-made by ``make_rng``.  A randomized suite makes one substream per input,
-keyed by the input alone, once per run.  Trial k's input is row k of that
-substream's sequential fixed-shape draws: one (2, n, n) normal draw (Re,
-Im) per Hermitian matrix, one (2, n) draw per vector, one fixed-length
-uniform draw per spectrum.  Draws for a chunk of trials continue the same
-generator, so results do not depend on how the trials are chunked, and
-trial k's input is replayed by drawing rows 0..k from a fresh generator of
-the same key.  A single draw ``random_hermitian(n, seed, *key)`` or
+made by ``make_rng``.  The stacked draws give a generator's next m rows, one
+fixed-shape draw per row, so row k is the same however the rows are drawn;
+each suite input's key is declared once, in its ``report.Suite`` row.  A
+single draw ``random_hermitian(n, seed, *key)`` or
 ``random_complex_vector(n, seed, *key)`` is row 0 of its substream.
 """
 

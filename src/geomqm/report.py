@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .kernel import make_rng
 
 
 def _strict_json(value):
@@ -97,9 +98,6 @@ class VerificationReport:
             "passed": self.passed,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     def summary(self) -> str:
         lines = [f"{self.title}  (seed={self.seed}, trials={self.trials}, tol={self.tol:g})"]
         for c in self.checks:
@@ -114,44 +112,53 @@ class VerificationReport:
 CHUNK_ELEMENTS = 2**14  # matrix entries per chunk: a suite's memory does not grow with trials
 
 
-def run_suite(
-    title: str,
-    dim: int,
-    trials: int,
-    seed: int,
-    tol: float,
-    trial: Callable[[np.ndarray], dict],
-    details: dict | None = None,
-) -> VerificationReport:
-    """Run ``trial(ks)`` over the trial indices k < trials; keep each check's worst residual.
+class Suite(NamedTuple):
+    """A randomized suite as data: ``run_suite`` draws its inputs, ``replay`` any one trial's."""
 
-    ``trial(ks)`` takes an int array of indices and returns ``{check name:
-    len(ks) scaled residuals}``.  The indices arrive in order, in chunks of
-    max(1, CHUNK_ELEMENTS // dim**2).  Under the kernel's stream-splitting
-    rule a suite makes one generator per input before the loop and each
-    chunk draws the next len(ks) rows from it, so trial k's residuals do not
-    depend on the chunking, and rerunning with k + 1 trials replays trial k.
-    Checks keep the first chunk's order.  NaN counts as worse than every
-    number, so a suite that produces one fails; each check records the
-    first trial at which its maximum occurs.  The report records CONVENTIONS
-    itself.
-    """
+    title: str
+    inputs: dict  # name -> (key, draw): substream (seed, key), draw(n, m, rng) its next m rows
+    residuals: Callable[..., dict]  # rows by name -> {check name: one residual per row}
+
+
+def _chunks(suite: Suite, dim: int, trials: int, seed: int):
+    """(trial indices, rows by name) per chunk of max(1, CHUNK_ELEMENTS // dim**2) trials;
+    each input's generator is made once, so trial k's input is row k however they are chunked."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     step = max(1, CHUNK_ELEMENTS // dim**2)
-    worst: dict[str, tuple[float, int]] = {}
+    rngs = {name: (make_rng(seed, key), draw) for name, (key, draw) in suite.inputs.items()}
     for start in range(0, trials, step):
         ks = np.arange(start, min(start + step, trials))
-        for name, values in trial(ks).items():
+        yield ks, {name: draw(dim, len(ks), rng) for name, (rng, draw) in rngs.items()}
+
+
+def replay(suite: Suite, dim: int, seed: int, k: int) -> dict:
+    """Trial k's inputs by name, each a stack of one row, as ``suite.residuals`` takes them."""
+    for _, rows in _chunks(suite, dim, k + 1, seed):
+        pass
+    return {name: row[-1:] for name, row in rows.items()}
+
+
+def run_suite(suite: Suite, dim: int, trials: int, seed: int, tol: float,
+              details: dict | None = None) -> VerificationReport:
+    """Each check's worst residual over trials 0..trials-1, and the first trial reaching it.
+
+    Rejects trials < 1 and dim < 1 before any input is drawn.  Checks keep the
+    first chunk's order; NaN counts as worse than every number, so a suite
+    that produces one fails.  The report records CONVENTIONS itself.
+    """
+    worst: dict[str, tuple[float, int]] = {}
+    for ks, rows in _chunks(suite, dim, trials, seed):
+        for name, values in suite.residuals(**rows).items():
             values = np.asarray(values, dtype=float).reshape(ks.shape)
             i = int(np.argmax(values))  # the first NaN if there is one, else the first maximum
             value, k = float(values[i]), int(ks[i])
             # a later chunk takes over only when strictly worse; NaN is worse than any number
             if name not in worst or np.argmax([worst[name][0], value]) == 1:
                 worst[name] = (value, k)
-    report = VerificationReport(title=title, seed=seed, trials=trials, tol=tol,
+    report = VerificationReport(title=suite.title, seed=seed, trials=trials, tol=tol,
                                 details=details or {})
     for name, (value, k) in worst.items():
         report.add(name, value, worst_trial=k)

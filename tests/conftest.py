@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from geomqm import algebra, distributions, dual, kahler
 from geomqm.kernel import dagger, eig_hermitian, random_hermitian
 
 PAULI_U = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# every declared suite row: its name -> the module that holds it
+SUITE_ROWS = {"JORDAN_LIE": algebra, "DUAL_GEOMETRY": dual, "COMMUTATION": distributions,
+              "INVOLUTIVITY": distributions, "PULLBACKS": kahler}
 
 
 def unitary_exp(a, t):

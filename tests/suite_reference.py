@@ -1,9 +1,9 @@
-"""Reference trial bodies for three randomized suites.
+"""Reference residuals for three randomized suites, drawn from the library's rows.
 
-The trials of ``algebra.verify_jordan_lie`` and ``dual.verify_dual_geometry``
-written as the identities read, with every product computed where it is
-used, and the involutivity evidence of the Lambda, Zero and One kinds computed
-one kind at a time, each at its own diagonal points, with
+The residuals of ``algebra.JORDAN_LIE`` and ``dual.DUAL_GEOMETRY`` written
+as the identities read, with every product computed where it is used, and
+the involutivity evidence of the Lambda, Zero and One kinds computed one
+kind at a time, each at its own diagonal points, with
 ``distributions._commutator_value`` and ``membership_residual``.  The library
 computes each repeated product once per chunk and reuses it, with the same
 formulas in the same evaluation order, so its reports must equal these bit
@@ -15,12 +15,14 @@ import numpy as np
 from geomqm import distributions as dist
 from geomqm.algebra import (
     CONVENTIONS,
+    JORDAN_LIE,
     associator_defect,
     jordan_product,
     lie_bracket,
     trace_form,
 )
 from geomqm.dual import (
+    DUAL_GEOMETRY,
     hat_eval,
     lambda_eval,
     r_eval,
@@ -28,16 +30,14 @@ from geomqm.dual import (
     star_eval,
     star_generators,
 )
-from geomqm.kernel import frobenius, make_rng, random_hermitian_stack, relative
-from geomqm.report import run_suite
+from geomqm.kernel import frobenius, relative
+from geomqm.report import Suite, run_suite
 
 
 def reference_jordan_lie(n, trials, seed, tol=1e-9):
     hbar = CONVENTIONS.hbar
-    rngs = [make_rng(seed, key) for key in (30, 31, 32)]
 
-    def trial(ks):
-        a, b, c = (random_hermitian_stack(n, len(ks), rng) for rng in rngs)
+    def residuals(a, b, c):
         na, nb, nc = frobenius(a), frobenius(b), frobenius(c)
 
         jac = lie_bracket(lie_bracket(a, b), c) + lie_bracket(lie_bracket(b, c), a) \
@@ -60,14 +60,12 @@ def reference_jordan_lie(n, trials, seed, tol=1e-9):
             "associator": relative(frobenius(assoc), na * nb * nc),
         }
 
-    return run_suite("Jordan-Lie identity suite", n, trials, seed, tol, trial, details={"dim": n})
+    suite = Suite("Jordan-Lie identity suite", JORDAN_LIE.inputs, residuals)
+    return run_suite(suite, n, trials, seed, tol, details={"dim": n})
 
 
 def reference_dual_geometry(n, trials, seed, tol=1e-9):
-    rngs = [make_rng(seed, key) for key in (40, 41, 42, 43)]
-
-    def trial(ks):
-        a, b, c, xi = (random_hermitian_stack(n, len(ks), rng) for rng in rngs)
+    def residuals(a, b, c, xi):
         size = frobenius(a) * frobenius(b) * frobenius(xi)
         star = star_eval(a, b, xi)
         sj, sl = star_generators(a, b)
@@ -87,20 +85,17 @@ def reference_dual_geometry(n, trials, seed, tol=1e-9):
             "r_flow_invariance": r_invariance_defect(c, a, b, xi),
         }
 
-    return run_suite("dual-space tensor identities", n, trials, seed, tol, trial,
-                     details={"dim": n})
+    suite = Suite("dual-space tensor identities", DUAL_GEOMETRY.inputs, residuals)
+    return run_suite(suite, n, trials, seed, tol, details={"dim": n})
 
 
 def reference_involutivity(kind, n, trials, seed, tol=1e-9):
     """One kind's check (Lambda, Zero or One) from its own points, masks and commutator values."""
-    spectrum_rng, a_rng, b_rng = (make_rng(seed, key) for key in (5, 1, 2))
 
-    def trial(ks):
-        spectrum = dist._generic_spectra(n, len(ks), spectrum_rng)
+    def residuals(spectrum, a, b):
         if kind == "One":  # D_One is proper only where an eigenvalue is 0
             spectrum[:, 0] = 0.0
         xi = dist._diagonal_points(spectrum)
-        a, b = (random_hermitian_stack(n, len(ks), rng) for rng in (a_rng, b_rng))
         if kind == "One":
             values = [dist._commutator_value("Lambda", xi, a, b),
                       dist._commutator_value("R", xi, a, b),
@@ -108,7 +103,9 @@ def reference_involutivity(kind, n, trials, seed, tol=1e-9):
         else:
             values = [dist._commutator_value(kind, xi, a, b)]
         mask = dist._pair_masks(spectrum)[kind]
-        residuals = [dist.membership_residual(v, mask) for v in values]
-        return {f"commutators_tangent_to_D_{kind}": np.max(residuals, axis=0)}
+        distances = [dist.membership_residual(v, mask) for v in values]
+        return {f"commutators_tangent_to_D_{kind}": np.max(distances, axis=0)}
 
-    return run_suite(f"involutivity evidence: D_{kind}", n, trials, seed, tol, trial)
+    inputs = {name: dist.INVOLUTIVITY.inputs[name] for name in ("spectrum", "a", "b")}
+    return run_suite(Suite(f"involutivity evidence: D_{kind}", inputs, residuals), n, trials,
+                     seed, tol)

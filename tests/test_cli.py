@@ -1,4 +1,5 @@
 import json
+import sys
 from importlib import resources
 
 import numpy as np
@@ -10,8 +11,8 @@ from geomqm import cli, dynamics
 from geomqm.algebra import CONVENTIONS
 from geomqm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow
-from geomqm.kernel import random_complex_vector, random_hermitian, serialize_matrix
-from conftest import PAULI_X, PAULI_Y, PAULI_Z
+from geomqm.kernel import make_rng, random_complex_vector, random_hermitian, serialize_matrix
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, SUITE_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -394,38 +395,21 @@ class TestDeterminism:
 
 
 def test_verify_suites_draw_from_disjoint_substreams(monkeypatch):
-    # every make_rng key of one verify call, by the suite that asked for it
-    from itertools import combinations
-    from geomqm import algebra, dual, distributions, kahler, kernel
-
-    make_rng, suite, keys = kernel.make_rng, [None], {}
-
-    def record(*key):
-        keys.setdefault(suite[0], set()).add(key)
-        return make_rng(*key)
-
-    for module in (algebra, dual, distributions, kahler, kernel):
-        monkeypatch.setattr(module, "make_rng", record)
-
-    def tagged(namespace, name):
-        fn = getattr(namespace, name)
-
-        def wrapper(*args, **kwargs):
-            suite[0] = name
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(namespace, name, wrapper)
-
-    for namespace, name in [(cli, "verify_jordan_lie"), (cli.dual, "verify_dual_geometry"),
-                            (cli.dist, "verify_commutation"), (cli.dist, "involutivity_evidence"),
-                            (cli.kahler, "verify_pullbacks")]:
-        tagged(namespace, name)
+    # the rows' keys are pairwise distinct and apart from the single draws' 33 (eigen's start
+    # vector), 77 and 88 (evolve's observables); a verify call makes a generator for every
+    # declared key and for no other
+    keys = [key for name, module in SUITE_ROWS.items()
+            for key, _ in getattr(module, name).inputs.values()]
+    assert len(set(keys)) == len(keys) and set(keys).isdisjoint({33, 77, 88})
+    made = set()
+    for module in [m for name, m in sys.modules.items() if name.startswith("geomqm")]:
+        if hasattr(module, "make_rng"):
+            monkeypatch.setattr(module, "make_rng", lambda *key: made.add(key) or make_rng(*key))
     for seed in (0, 3):
-        keys.clear()
+        made.clear()
         cli.cmd_verify(cli.build_parser().parse_args(
             ["verify", "--dim", "3", "--trials", "20", "--seed", str(seed)]))
-        assert len(keys) == 5 and None not in keys
-        for a, b in combinations(keys, 2):
-            assert keys[a].isdisjoint(keys[b]), (a, b, keys[a] & keys[b])
+        assert made == {(seed, key) for key in keys}
 
 
 def _declared_keys_written(node, instances, where="payload"):

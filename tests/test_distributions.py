@@ -4,8 +4,8 @@ import pytest
 from geomqm import distributions as dist
 from geomqm import report as report_module
 from geomqm.algebra import trace_form
-from geomqm.kernel import (dagger, eig_hermitian, make_rng, random_hermitian,
-                           random_hermitian_stack)
+from geomqm.kernel import dagger, eig_hermitian, make_rng, random_hermitian
+from geomqm.report import replay
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, closed_form_projection, unitary_from_seed
 import svd_oracle as oracle
 from suite_reference import reference_involutivity
@@ -227,12 +227,13 @@ class TestInvolutivity:
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_inputs_have_their_own_substreams(self, monkeypatch, seed):
-        # every input of one call has its own key; the R witness replays keys 1..3 afterwards
+        # every input of one call has its own key; the R witness replays all four afterwards
         keys = []
-        monkeypatch.setattr(dist, "make_rng", lambda *key: keys.append(key) or make_rng(*key))
+        monkeypatch.setattr(report_module, "make_rng",
+                            lambda *key: keys.append(key) or make_rng(*key))
         dist.involutivity_evidence(3, 20, seed)
         assert sorted(keys[:4]) == [(seed, key) for key in (1, 2, 3, 5)]
-        assert sorted(keys[4:]) == [(seed, key) for key in (1, 2, 3)]
+        assert sorted(keys[4:]) == [(seed, key) for key in (1, 2, 3, 5)]
 
     def test_no_eigendecomposition(self, monkeypatch):
         # every point is diag(lam) for a drawn spectrum, so its decomposition is known
@@ -265,16 +266,15 @@ class TestInvolutivity:
                                                              np.broadcast_to(off, (100, n, n)))
 
     def test_r_witness_is_first_worst_trial(self):
-        # one matrix at a time: trial k's inputs are the next rows of the inputs' substreams
+        # one trial at a time: each trial's inputs replayed on their own
         n, trials, seed = 3, 8, 5
-        a_rng, b_rng, spectrum_rng = (make_rng(seed, key) for key in (1, 2, 3))
         residuals, points = [], []
         for k in range(trials):
-            spectrum = dist._r_spectra(n, 1, spectrum_rng)
-            point = dist._diagonal_points(spectrum)
-            a, b = (random_hermitian_stack(n, 1, rng) for rng in (a_rng, b_rng))
-            value = dist._commutator_value("R", point, a, b)
-            residuals.append(dist.membership_residual(value, dist._pair_masks(spectrum)["R"])[0])
+            rows = replay(dist.INVOLUTIVITY, n, seed, k)
+            point = dist._diagonal_points(rows["r_spectrum"])
+            value = dist._commutator_value("R", point, rows["a"], rows["b"])
+            residuals.append(dist.membership_residual(
+                value, dist._pair_masks(rows["r_spectrum"])["R"])[0])
             points.append(point[0])
         k = int(np.argmax(residuals))
         report = involutivity("R", n, trials, seed)
@@ -290,12 +290,12 @@ class TestInvolutivity:
         assert [r.to_dict() for r in chunked] == whole
         k = chunked[1].checks[0].worst_trial
         assert k >= 10  # the witness comes from a later chunk than the first
-        # trial k's rows, drawn directly from the substreams in one stack each
-        xi = dist._diagonal_points(dist._r_spectra(n, trials, make_rng(seed, 3)))
-        a, b = (random_hermitian_stack(n, trials, make_rng(seed, key)) for key in (1, 2))
+        monkeypatch.undo()  # trial k's rows, replayed in one chunk
+        rows = replay(dist.INVOLUTIVITY, n, seed, k)
+        witness = {"xi": dist._diagonal_points(rows["r_spectrum"]), "a": rows["a"], "b": rows["b"]}
         assert chunked[1].details["witness_matrices"] == {
-            f"{name}_{part}": getattr(m[k], part).tolist()
-            for name, m in (("xi", xi), ("a", a), ("b", b)) for part in ("real", "imag")}
+            f"{name}_{part}": getattr(m[0], part).tolist()
+            for name, m in witness.items() for part in ("real", "imag")}
 
     def test_nan_membership_residual_fails(self, monkeypatch):
         # One checks three commutator values per trial stack; make the middle one NaN.  D_One

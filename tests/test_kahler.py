@@ -13,7 +13,6 @@ from geomqm.kernel import (
     random_complex_vector,
     random_complex_vector_stack,
     random_hermitian,
-    random_hermitian_stack,
 )
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
 from eigensolve_reference import reference_eigensolve
@@ -168,14 +167,14 @@ class TestPullbacks:
         assert all(v <= 1e-9 for v in residuals.values()), residuals
 
     def test_suite_is_worst_of_pointwise_checks(self):
-        # trial k's inputs are row k of the substreams (seed, 20), (seed, 21) and (seed, 22)
+        # trial k's inputs are row k of each declared input's substream (seed, key)
         n, trials, seed = 3, 10, 4
-        a_rng, b_rng, psi_rng = (make_rng(seed, key) for key in (20, 21, 22))
+        rngs = {name: (make_rng(seed, key), draw)
+                for name, (key, draw) in kahler.PULLBACKS.inputs.items()}
         worst = {}
         for k in range(trials):
-            point = kahler._pullback_residuals(random_hermitian_stack(n, 1, a_rng)[0],
-                                               random_hermitian_stack(n, 1, b_rng)[0],
-                                               random_complex_vector_stack(n, 1, psi_rng)[0])
+            point = kahler._pullback_residuals(**{name: draw(n, 1, rng)[0]
+                                                  for name, (rng, draw) in rngs.items()})
             for name, value in point.items():
                 worst[name] = max(worst.get(name, 0.0), value)
         report = kahler.verify_pullbacks(n, trials, seed)

@@ -5,20 +5,28 @@ import numpy as np
 import pytest
 
 from geomqm import report as report_module
-from geomqm.report import CONVENTIONS, run_suite
+from geomqm.report import CONVENTIONS, Suite, replay, run_suite
+from conftest import SUITE_ROWS
 
 
-def zeros(ks):
-    return {"a": np.zeros(len(ks))}
+def probe(residuals, draw=lambda n, m, rng: np.zeros(m)):
+    """A Suite of one input ``row`` from ``draw`` and residuals of those rows."""
+    return Suite("probe", {"row": (0, draw)}, lambda row: residuals(row))
+
+
+ZEROS = probe(lambda row: {"a": np.zeros(len(row))})
 
 
 def suite(values_by_trial, tol=1e-9):
     """run_suite over per-trial dicts, handed over as one residual array per check."""
-    def trial(ks):
-        return {name: np.array([values_by_trial[k][name] for k in ks])
-                for name in values_by_trial[0]}
+    trials = iter(range(len(values_by_trial)))
 
-    return run_suite("probe", 1, len(values_by_trial), 0, tol, trial)
+    def indices(n, m, rng):  # the next m trial indices
+        return [next(trials) for _ in range(m)]
+
+    return run_suite(probe(lambda ks: {name: np.array([values_by_trial[k][name] for k in ks])
+                                       for name in values_by_trial[0]}, indices),
+                     1, len(values_by_trial), 0, tol)
 
 
 class TestRunSuite:
@@ -39,29 +47,28 @@ class TestRunSuite:
         assert check.to_dict()["max_residual"] == "nan"
 
     def test_report_fields(self):
-        report = run_suite("probe", 1, 2, 7, 1e-3, zeros, details={"dim": 3})
+        report = run_suite(ZEROS, 1, 2, 7, 1e-3, details={"dim": 3})
         assert (report.title, report.seed, report.trials, report.tol) == ("probe", 7, 2, 1e-3)
         assert report.details == {"dim": 3}
         assert report.to_dict()["conventions"] == CONVENTIONS.to_dict()
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            run_suite("probe", 1, 0, 0, 1e-9, zeros)
+            run_suite(ZEROS, 1, 0, 0, 1e-9)
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_rejects_dim_below_one(self, dim):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
-            run_suite("probe", dim, 3, 0, 1e-9, zeros)
+            run_suite(ZEROS, dim, 3, 0, 1e-9)
 
     @pytest.mark.parametrize("dim", [0, -1])
     @pytest.mark.parametrize("suite", ["verify_jordan_lie", "verify_dual_geometry",
                                        "verify_commutation", "verify_pullbacks"])
     def test_suites_reject_dim_below_one_before_drawing(self, monkeypatch, suite, dim):
-        # the dimension is checked in run_suite, before any suite input is drawn
+        # the dimension is checked in run_suite, before any generator is made
         from geomqm import algebra, distributions, dual, kahler
         module = next(m for m in (algebra, dual, distributions, kahler) if hasattr(m, suite))
-        monkeypatch.setattr(module, "random_hermitian_stack",
-                            lambda *args: pytest.fail("drew an input"))
+        monkeypatch.setattr(report_module, "make_rng", lambda *key: pytest.fail("made an rng"))
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             getattr(module, suite)(dim, 3, 0)
 
@@ -72,11 +79,11 @@ class TestChunks:
                                       (200, 3, [1, 1, 1])):
             sizes = []
 
-            def trial(ks):
-                sizes.append(len(ks))
-                return zeros(ks)
+            def draw(n, m, rng):
+                sizes.append(m)
+                return np.zeros(m)
 
-            run_suite("probe", dim, trials, 0, 1e-9, trial)
+            run_suite(probe(ZEROS.residuals, draw), dim, trials, 0, 1e-9)
             assert sizes == expected
 
     @pytest.mark.parametrize("elements", [1, 2, 3])
@@ -91,7 +98,21 @@ class TestChunks:
 
     def test_residuals_must_match_chunk(self):
         with pytest.raises(ValueError):
-            run_suite("probe", 1, 3, 0, 1e-9, lambda ks: {"a": np.zeros(len(ks) + 1)})
+            run_suite(probe(lambda row: {"a": np.zeros(len(row) + 1)}), 1, 3, 0, 1e-9)
+
+
+@pytest.mark.parametrize("name", SUITE_ROWS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_replayed_inputs_give_each_worst_residual(monkeypatch, name, n):
+    # trial k's inputs, replayed alone, give each check's max_residual bit for bit
+    row, trials, seed = getattr(SUITE_ROWS[name], name), 12, 5
+    for elements in (1, 5 * n * n):  # chunks of 1 and of 5 trials
+        monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", elements)
+        for check in run_suite(row, n, trials, seed, 1e-9).checks:
+            inputs = replay(row, n, seed, check.worst_trial)
+            assert inputs.keys() == row.inputs.keys()
+            (value,) = row.residuals(**inputs)[check.name]
+            assert value == check.max_residual
 
 
 def reject_constant(name):
@@ -100,9 +121,9 @@ def reject_constant(name):
 
 class TestStrictJson:
     def test_non_finite_witness_residual_is_text(self):
-        report = run_suite("probe", 1, 1, 0, 1e-9, zeros,
+        report = run_suite(ZEROS, 1, 1, 0, 1e-9,
                            details={"witness_residual": float("nan"),
                                     "nested": {"values": [1.0, float("-inf")]}})
-        payload = json.loads(report.to_json(), parse_constant=reject_constant)
+        payload = json.loads(json.dumps(report.to_dict()), parse_constant=reject_constant)
         assert payload["details"] == {"witness_residual": "nan",
                                       "nested": {"values": [1.0, "-inf"]}}

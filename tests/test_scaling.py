@@ -15,23 +15,20 @@ from geomqm import algebra, dual, dynamics, kahler
 from geomqm import distributions as dist
 from geomqm.algebra import jordan_product
 from geomqm.kernel import random_complex_vector, random_hermitian
-from conftest import unitary_from_seed
+from geomqm.report import replay
+from conftest import SUITE_ROWS, unitary_from_seed
 
 POWERS = (-40, 0, 40)
 EVOLVE_POWERS = (-600, *POWERS, 600)  # 2^1200 overflows and 2^-1200 underflows a square
 N, TRIALS, SEED = 4, 40, 3
 
 
-def scale_draws(mp, module, scale, names=("random_hermitian_stack",)):
-    """Multiply every draw the module makes through ``names`` by ``scale``."""
-    for name in names:
-        draw = getattr(module, name)
-        mp.setattr(module, name, lambda *args, draw=draw: draw(*args) * scale)
-
-
-def scale_involutivity_draws(mp, scale):
-    """Scale the pairs and the spectrum of every point."""
-    scale_draws(mp, dist, scale, ("random_hermitian_stack", "_generic_spectra", "_r_spectra"))
+def scale_row(mp, name, scale):
+    """Multiply every declared input of the suite row ``name`` by ``scale``, in its module."""
+    module, row = SUITE_ROWS[name], getattr(SUITE_ROWS[name], name)
+    mp.setattr(module, name, row._replace(inputs={
+        key_name: (key, lambda n, m, rng, draw=draw: draw(n, m, rng) * scale)
+        for key_name, (key, draw) in row.inputs.items()}))
 
 
 def plant(mp, module, name, defect):
@@ -47,32 +44,26 @@ def relative_defect(f):
     return lambda *args: f(*args) * (1 + 1e-6)
 
 
-# name: (scale the draws, run the suite, plant a relative ~1e-6 defect)
+# name: (its row, run the suite, plant a relative ~1e-6 defect)
 SUITES = {
-    "jordan_lie": (lambda mp, s: scale_draws(mp, algebra, s),
-                   lambda: [algebra.verify_jordan_lie(N, TRIALS, SEED)],
+    "jordan_lie": ("JORDAN_LIE", lambda: [algebra.verify_jordan_lie(N, TRIALS, SEED)],
                    lambda mp: plant(mp, algebra, "lie_bracket", bracket_defect)),
-    "dual": (lambda mp, s: scale_draws(mp, dual, s),
-             lambda: [dual.verify_dual_geometry(N, TRIALS, SEED)],
+    "dual": ("DUAL_GEOMETRY", lambda: [dual.verify_dual_geometry(N, TRIALS, SEED)],
              lambda mp: plant(mp, dual, "star_eval", relative_defect)),
-    "commutation": (lambda mp, s: scale_draws(mp, dist, s),
-                    lambda: [dist.verify_commutation(N, TRIALS, SEED)],
+    "commutation": ("COMMUTATION", lambda: [dist.verify_commutation(N, TRIALS, SEED)],
                     lambda mp: plant(mp, dist, "rhat", relative_defect)),
-    "involutivity": (scale_involutivity_draws,
-                     lambda: [r for r in dist.involutivity_evidence(N, TRIALS, SEED)
-                              if r.details["kind"] != "R"],
+    "involutivity": ("INVOLUTIVITY", lambda: [r for r in dist.involutivity_evidence(N, TRIALS, SEED)
+                                              if r.details["kind"] != "R"],
                      lambda mp: plant(mp, dist, "lie_bracket", bracket_defect)),
-    "pullbacks": (lambda mp, s: scale_draws(mp, kahler, s, ("random_hermitian_stack",
-                                                            "random_complex_vector_stack")),
-                  lambda: [kahler.verify_pullbacks(N, TRIALS, SEED)],
+    "pullbacks": ("PULLBACKS", lambda: [kahler.verify_pullbacks(N, TRIALS, SEED)],
                   lambda mp: plant(mp, kahler, "f_quadratic", relative_defect)),
 }
 
 
 def suite_reports(name, scale, planted=False):
-    scale_inputs, run, plant_defect = SUITES[name]
+    row, run, plant_defect = SUITES[name]
     with pytest.MonkeyPatch.context() as mp:
-        scale_inputs(mp, scale)
+        scale_row(mp, row, scale)
         if planted:
             plant_defect(mp)
         return run()
@@ -91,11 +82,31 @@ def test_planted_defect_fails_at_every_power_of_two(name, k):
     assert not all(r.passed for r in suite_reports(name, 2.0**k, planted=True))
 
 
+@pytest.mark.parametrize("k", POWERS)
+@pytest.mark.parametrize("name", SUITE_ROWS)
+def test_scaled_row_scales_every_input(name, k):
+    # if scaling were a no-op, the equal reports above would compare a report with itself
+    row = getattr(SUITE_ROWS[name], name)
+    with pytest.MonkeyPatch.context() as mp:
+        scale_row(mp, name, 2.0**k)
+        scaled = replay(getattr(SUITE_ROWS[name], name), N, SEED, TRIALS - 1)
+    unscaled = replay(row, N, SEED, TRIALS - 1)
+    assert scaled.keys() == unscaled.keys() == row.inputs.keys()
+    for key in row.inputs:
+        assert np.array_equal(scaled[key], 2.0**k * unscaled[key])
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_suite_reads_the_scaled_row(name):
+    # NaN draws fail the reports only if the suite draws from the row put in place
+    assert not any(r.passed for r in suite_reports(name, float("nan")))
+
+
 def test_involutivity_r_witness_equal_at_every_power_of_two():
     with pytest.MonkeyPatch.context() as mp:
         witness = []
         for k in POWERS:
-            scale_involutivity_draws(mp, 2.0**k)
+            scale_row(mp, "INVOLUTIVITY", 2.0**k)
             report = dist.involutivity_evidence(N, TRIALS, SEED)[1]
             witness.append((report.passed, report.details["witness_residual"]))
             mp.undo()
@@ -147,7 +158,7 @@ def test_evolve_planted_defect_fails_at_every_power_of_two(picture, k):
 def test_planted_bracket_defect_fails_at_small_scale(s):
     # with a floor of 1 on the size, this defect passed at s = 1e-3 (jacobi 2.4e-11)
     with pytest.MonkeyPatch.context() as mp:
-        scale_draws(mp, algebra, s)
+        scale_row(mp, "JORDAN_LIE", s)
         plant(mp, algebra, "lie_bracket", bracket_defect)
         report = algebra.verify_jordan_lie(N, TRIALS, SEED)
     assert not {c.name: c for c in report.checks}["jacobi"].passed
@@ -169,6 +180,6 @@ def test_distribution_ranks_do_not_depend_on_scale(c):
 def test_involutivity_at_small_scale():
     # pairs and spectra at 1e-8, which is not a power of two
     with pytest.MonkeyPatch.context() as mp:
-        scale_involutivity_draws(mp, 1e-8)
+        scale_row(mp, "INVOLUTIVITY", 1e-8)
         reports = dist.involutivity_evidence(N, TRIALS, SEED)
     assert all(r.passed for r in reports)
