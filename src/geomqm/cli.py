@@ -6,9 +6,9 @@ input error.  Every command is deterministic given --seed (star and su2demo
 draw no random number and take no --seed); JSON reports conform to the schema
 shipped in geomqm/schema/report_schema.json.
 
-Each ``cmd_*`` reads and checks its inputs, calls the library and returns an
-``Outcome``.  ``run`` alone renders it (text, or JSON with ``--json``), writes
-it to stdout or ``--output`` through ``_write`` and decides the exit code.
+Each ``cmd_*`` reads and checks its inputs and hands them to the library, which
+builds every report; it returns an ``Outcome``.  ``run`` alone renders it (text,
+or JSON with ``--json``), writes it through ``_write`` and decides the exit code.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from . import distributions as dist
 from . import dual, dynamics, kahler
 from .algebra import CONVENTIONS, verify_jordan_lie
-from .kernel import (MatrixParseError, NumericalError, TAU_HERMITIAN, eig_hermitian, frobenius,
-                     is_hermitian, parse_matrix, parse_vector, random_complex_vector, relative)
+from .kernel import (DimensionError, MatrixParseError, NumericalError, TAU_HERMITIAN, is_hermitian,
+                     parse_matrix, parse_vector, require_same_dim)
 from .report import VerificationReport
 
 EXIT_OK = 0
@@ -203,7 +203,7 @@ def cmd_evolve(args) -> Outcome:
         if not initial.any():
             raise CliError(f"{args.initial}: initial state is zero")
     else:
-        initial = _read_hermitian(args.initial, "initial matrix")
+        initial = require_same_dim(h, _read_hermitian(args.initial, "initial matrix"))[1]
         if args.picture == "vonneumann" and not dual.is_state(initial, TAU_HERMITIAN):
             print("warning: initial dual element is not a density matrix; "
                   "evolving anyway", file=sys.stderr)
@@ -213,8 +213,7 @@ def cmd_evolve(args) -> Outcome:
     except ValueError as exc:
         raise CliError(str(exc))
 
-    flow = dynamics.rk4_flow if args.method == "rk4" else dynamics.exact_flow
-    traj = flow(spec, initial)
+    traj = dynamics.METHODS[args.method](spec, initial)
 
     reports = [dynamics.conserved_report(spec, traj, seed=args.seed, tol=args.tol)]
     if args.check_mu:
@@ -232,46 +231,17 @@ def cmd_evolve(args) -> Outcome:
 
 def cmd_eigen(args) -> Outcome:
     a = _read_hermitian(args.operator, "operator")
-    psi0 = random_complex_vector(a.shape[0], args.seed, 33)
-    res = kahler.eigensolve_gradient_flow(
-        a, psi0, tol=args.tol, max_iter=args.max_iter, direction=args.direction)
-
-    oracle = eig_hermitian(a).eigenvalues
-    reference = oracle[-1] if args.direction == "ascent" else oracle[0]
-    disp = kahler.dispersion(a, res.eigenvector)
-
-    rep = VerificationReport(title="gradient-flow eigensolve", seed=args.seed, trials=1,
-                             tol=args.tol,
-                             details={"direction": args.direction, "iterations": res.iterations})
-    size = frobenius(a)  # each check relative to ||A||_F, the dispersion to ||A||_F^2
-    rep.add("eigen_residual", relative(res.residual, size))
-    rep.add("oracle_agreement", relative(abs(res.eigenvalue - reference), size),
-            tol=max(args.tol, 1e-8))
-    rep.add("dispersion_at_convergence", relative(disp, size**2), tol=max(args.tol, 1e-8))
-    results = {"eigenvalue": res.eigenvalue, "oracle_eigenvalue": float(reference),
-               "iterations": res.iterations, "residual": res.residual,
-               "residual_history": res.residual_history, "dispersion": disp,
-               "eigenvector_re": res.eigenvector.real.tolist(),
-               "eigenvector_im": res.eigenvector.imag.tolist()}
-    return Outcome([rep], results, tail=f"\n  eigenvalue {float(res.eigenvalue)!r} (oracle "
-                                        f"{float(reference)!r}), {res.iterations} iterations")
+    rep, res = kahler.eigen_report(a, args.seed, args.tol, args.max_iter, args.direction)
+    tail = "\n  eigenvalue {eigenvalue!r} (oracle {oracle_eigenvalue!r}), {iterations} iterations"
+    return Outcome([rep], res, tail=tail.format(**res))
 
 
 def cmd_star(args) -> Outcome:
-    a, b, xi = (_read_hermitian(p, "matrix") for p in (args.a, args.b, args.xi))
-    value = dual.star_eval(a, b, xi)
-    jordan_part = dual.r_eval(a, b, xi) / 2
-    lie_part = dual.lambda_eval(a, b, xi) / 2
-    rep = VerificationReport(title="star product decomposition", seed=args.seed, trials=1,
-                             tol=args.tol)
-    rep.add("star_equals_r_half_plus_i_lambda_half",
-            relative(abs(value - (jordan_part + 1j * lie_part)),
-                     frobenius(a) * frobenius(b) * frobenius(xi)))
-    results = {"star_re": value.real, "star_im": value.imag,
-               "jordan_part": jordan_part, "lie_part": lie_part}
-    return Outcome([rep], results, tail=f"\n  (A*B)(xi) = {value.real!r} + {value.imag!r} i\n"
-                                        f"  Jordan (real) part {jordan_part!r}, "
-                                        f"Lie (imaginary) part {lie_part!r}")
+    a, b, xi = require_same_dim(*(_read_hermitian(p, "matrix") for p in (args.a, args.b, args.xi)))
+    rep, res = dual.star_report(a, b, xi, args.tol)
+    tail = ("\n  (A*B)(xi) = {star_re!r} + {star_im!r} i\n  Jordan (real) part {jordan_part!r}, "
+            "Lie (imaginary) part {lie_part!r}")
+    return Outcome([rep], res, tail=tail.format(**res))
 
 
 def cmd_distributions(args) -> Outcome:
@@ -288,29 +258,20 @@ def cmd_distributions(args) -> Outcome:
     return Outcome(reports, results, args.trials, head=head)
 
 
-def _terms(coeffs: dict, fmt: str) -> str:
-    """The nonzero terms of a coefficient table as ``fmt(value)*name``, joined by `` + ``."""
-    return " + ".join(f"{fmt.format(v)}*{k}" for k, v in coeffs.items() if abs(v) > 1e-12)
+def _terms(m, fmt: str) -> str:
+    """The nonzero su(2) coefficients of m as ``fmt(value)*name``, joined by `` + ``."""
+    return " + ".join(f"{fmt.format(v)}*{k}" for k, v in dual.su2_coefficients(m).items()
+                      if abs(v) > 1e-12)
 
 
 def cmd_su2demo(args) -> Outcome:
-    tables = dual.su2_golden_tables()
-    golden = {("z", "y"): {"x": -1j}, ("x", "y"): {"z": 1j}, ("z", "x"): {"y": 1j}}
-    rep = VerificationReport(title="2-level golden star values", seed=args.seed, trials=1,
-                             tol=args.tol)
-    for (na, nb), expected in golden.items():
-        coeffs = tables.star_coefficients(na, nb)
-        residual = max(abs(coeffs[name] - expected.get(name, 0.0)) for name in dual.SU2_NAMES)
-        rep.add(f"star_{na}_{nb}", residual)
-
-    pairs = [(na, nb) for na in dual.SU2_NAMES for nb in dual.SU2_NAMES]
-    lam_lines = [f"  Lambda(d{na}, d{nb}) = {terms}" for na, nb in pairs
-                 if (terms := _terms(tables.lambda_coefficients(na, nb), "{0.real:g}"))]
-    star_lines = [f"  {na} * {nb} = "
-                  + (_terms(tables.star_coefficients(na, nb), "({0.real:g}{0.imag:+g}i)") or "0")
-                  for na, nb in pairs]
+    rep, tables = dual.su2_report(args.tol)
+    lam_lines = [f"  Lambda(d{na}, d{nb}) = {terms}" for (na, nb), m in tables["lambda"].items()
+                 if (terms := _terms(m, "{0.real:g}"))]
+    star_lines = [f"  {na} * {nb} = " + (_terms(m, "({0.real:g}{0.imag:+g}i)") or "0")
+                  for (na, nb), m in tables["star"].items()]
     head = "\n".join(["Poisson coefficient table:", *lam_lines, "star table:", *star_lines])
-    return Outcome([rep], {"tables": tables.to_json_dict()}, head=head)
+    return Outcome([rep], {"tables": dual.su2_tables_json(tables)}, head=head)
 
 
 COMMANDS = {"verify": cmd_verify, "evolve": cmd_evolve, "eigen": cmd_eigen, "star": cmd_star,
@@ -334,7 +295,7 @@ def run(argv=None) -> int:
             text = "\n\n".join(filter(None, [out.head, *(r.summary() for r in out.reports)]))
             text += out.tail
         _write(args.output, text + "\n")
-    except CliError as exc:
+    except (CliError, DimensionError) as exc:  # DimensionError: input files of different n
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: geomqm {args.command} --help for options", file=sys.stderr)
         return EXIT_USAGE

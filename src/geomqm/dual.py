@@ -15,13 +15,12 @@ holds exactly and the 2-level golden values come out as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import jordan_product, lie_bracket, trace_form
-from .kernel import (dagger, eigvals_hermitian, frobenius, is_hermitian, random_hermitian_stack,
-                     relative, require_same_dim, scalar_or_stack, serialize_matrix)
+from .kernel import (TAU_HERMITIAN, dagger, eigvals_hermitian, frobenius, is_hermitian,
+                     random_hermitian_stack, relative, require_matrix, require_same_dim,
+                     scalar_or_stack, serialize_matrix)
 from .report import Suite, VerificationReport, run_suite
 
 
@@ -54,6 +53,25 @@ def star_generators(a, b) -> tuple[np.ndarray, np.ndarray]:
     hat(A o B) + i hat([A,B]_-/2); both parts are again linear functions.
     """
     return jordan_product(a, b), lie_bracket(a, b) / 2
+
+
+def star_decomposition(a, b, xi):
+    """|star - (r/2 + i lambda/2)| at xi, relative to ||A|| ||B|| ||xi||; an array over stacks."""
+    residual = star_eval(a, b, xi) - (r_eval(a, b, xi) / 2 + 1j * lambda_eval(a, b, xi) / 2)
+    return relative(abs(residual), frobenius(a) * frobenius(b) * frobenius(xi))
+
+
+def star_report(a, b, xi, tol: float = 1e-9) -> tuple[VerificationReport, dict]:
+    """(A*B)(xi) and its Jordan and Lie parts, for finite Hermitian A, B and xi of one dimension,
+    with a report that star = r/2 + i lambda/2."""
+    a, b, xi = require_same_dim(*map(require_matrix, (a, b, xi)))
+    if not all(is_hermitian(m, TAU_HERMITIAN) for m in (a, b, xi)):
+        raise ValueError("A, B and xi must be finite and Hermitian")
+    value = star_eval(a, b, xi)
+    rep = VerificationReport(title="star product decomposition", seed=0, trials=1, tol=tol)
+    rep.add("star_equals_r_half_plus_i_lambda_half", star_decomposition(a, b, xi))
+    return rep, {"star_re": value.real, "star_im": value.imag,
+                 "jordan_part": r_eval(a, b, xi) / 2, "lie_part": lambda_eval(a, b, xi) / 2}
 
 
 def hamiltonian_field_dual(h, xi) -> np.ndarray:
@@ -98,9 +116,11 @@ SU2_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 SU2_BASIS = {"u": SU2_U, "x": SU2_X, "y": SU2_Y, "z": SU2_Z}
 SU2_NAMES = ("u", "x", "y", "z")
+# the star entries su2_report pins, as coefficients over the basis; an absent name is 0
+SU2_GOLDEN_STAR = {("z", "y"): {"x": -1j}, ("x", "y"): {"z": 1j}, ("z", "x"): {"y": 1j}}
 
 
-def _basis_coefficients(m) -> dict[str, complex]:
+def su2_coefficients(m) -> dict[str, complex]:
     """Expand a 2x2 matrix over the orthonormal basis {U, X, Y, Z}.
 
     Coefficients are complex in general: the Hermitian and anti-Hermitian
@@ -114,41 +134,6 @@ def _basis_coefficients(m) -> dict[str, complex]:
     }
 
 
-@dataclass(frozen=True)
-class GoldenTables:
-    """Coordinate tables of the 2-level system.
-
-    Each table maps a coordinate pair (a, b) to the generator matrix of the
-    resulting linear function: Lambda(da, db) = hat of the table entry, and
-    likewise for R and (complex-valued) star.  The R generators follow the
-    defining contraction R(da, db) = hat(AB + BA), which fixes the
-    symmetrized-tensor-product constant: R(du, dx) has generator 2X, i.e.
-    coefficient 2x.
-    """
-
-    basis: dict
-    lambda_table: dict
-    r_table: dict
-    star_table: dict
-
-    def lambda_coefficients(self, a: str, b: str) -> dict[str, complex]:
-        return _basis_coefficients(self.lambda_table[(a, b)])
-
-    def star_coefficients(self, a: str, b: str) -> dict[str, complex]:
-        return _basis_coefficients(self.star_table[(a, b)])
-
-    def to_json_dict(self) -> dict:
-        def enc(table):
-            return {f"{a},{b}": serialize_matrix(m).decode() for (a, b), m in table.items()}
-
-        return {
-            "basis": {name: serialize_matrix(m).decode() for name, m in self.basis.items()},
-            "lambda": enc(self.lambda_table),
-            "r": enc(self.r_table),
-            "star": enc(self.star_table),
-        }
-
-
 def _dual_geometry_residuals(a, b, c, xi) -> dict:
     na, nxi = frobenius(a), frobenius(xi)
     size = na * frobenius(b) * nxi
@@ -160,7 +145,7 @@ def _dual_geometry_residuals(a, b, c, xi) -> dict:
            + lambda_eval(lie_bracket(c, a), b, xi))
     return {
         "hat_of_bracket": relative(abs(lam - hat_eval(lie_ab, xi)), size),
-        "star_decomposition": relative(abs(star - (r_eval(a, b, xi) / 2 + 1j * lam / 2)), size),
+        "star_decomposition": star_decomposition(a, b, xi),
         "nonlocal_closure": relative(abs(star - (hat_eval(sj, xi) + 1j * hat_eval(sl, xi))),
                                      size),
         "bilinearity_symmetry": relative(abs(hat_eval(a, xi) - hat_eval(xi, a)), na * nxi),
@@ -180,13 +165,35 @@ def verify_dual_geometry(n: int, trials: int, seed: int, tol: float = 1e-9) -> V
     return run_suite(DUAL_GEOMETRY, n, trials, seed, tol, details={"dim": n})
 
 
-def su2_golden_tables() -> GoldenTables:
-    """Full Lambda, R and star coefficient tables over {u, x, y, z}."""
-    lam, r, star = {}, {}, {}
-    for na in SU2_NAMES:
-        for nb in SU2_NAMES:
-            a, b = SU2_BASIS[na], SU2_BASIS[nb]
-            lam[(na, nb)] = lie_bracket(a, b)
-            r[(na, nb)] = a @ b + b @ a
-            star[(na, nb)] = a @ b
-    return GoldenTables(basis=dict(SU2_BASIS), lambda_table=lam, r_table=r, star_table=star)
+def su2_golden_tables() -> dict:
+    """Coordinate tables of the 2-level system: kind -> (a, b) -> generator matrix.
+
+    Each kind, "lambda", "r" and "star", maps a coordinate pair (a, b) over
+    {u, x, y, z} to the generator matrix of the resulting linear function:
+    Lambda(da, db) = hat of the table entry, and likewise for R and
+    (complex-valued) star.  The R generators follow the defining contraction
+    R(da, db) = hat(AB + BA), which fixes the symmetrized-tensor-product
+    constant: R(du, dx) has generator 2X, i.e. coefficient 2x.
+    """
+    products = {"lambda": lie_bracket, "r": lambda a, b: a @ b + b @ a, "star": np.matmul}
+    return {kind: {(na, nb): product(SU2_BASIS[na], SU2_BASIS[nb])
+                   for na in SU2_NAMES for nb in SU2_NAMES}
+            for kind, product in products.items()}
+
+
+def su2_tables_json(tables: dict) -> dict:
+    """The basis and each table of ``su2_golden_tables``, every matrix in the wire format."""
+    named = {"basis": SU2_BASIS, **{kind: {f"{a},{b}": m for (a, b), m in table.items()}
+                                    for kind, table in tables.items()}}
+    return {kind: {k: serialize_matrix(m).decode() for k, m in table.items()}
+            for kind, table in named.items()}
+
+
+def su2_report(tol: float) -> tuple[VerificationReport, dict]:
+    """The su(2) tables, and a report of their star entries against SU2_GOLDEN_STAR."""
+    tables = su2_golden_tables()
+    rep = VerificationReport(title="2-level golden star values", seed=0, trials=1, tol=tol)
+    for (na, nb), expected in SU2_GOLDEN_STAR.items():
+        coeffs = su2_coefficients(tables["star"][na, nb])
+        rep.add(f"star_{na}_{nb}", max(abs(coeffs[k] - expected.get(k, 0.0)) for k in SU2_NAMES))
+    return rep, tables

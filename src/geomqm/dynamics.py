@@ -34,7 +34,6 @@ from .report import VerificationReport
 from . import kahler
 
 PICTURES = ("schrodinger", "heisenberg", "vonneumann")
-METHODS = ("exact", "rk4")  # the CLI's --method: exact_flow or rk4_flow
 N_OBSERVABLES = 3  # seeded observables whose expectations mu_relatedness_check compares
 
 
@@ -127,8 +126,10 @@ def rk4_flow(spec: EvolutionSpec, initial) -> np.ndarray:
     Returns the samples like ``exact_flow``; ``conserved_report`` measures
     their drift from the quantities the exact flow conserves.
     """
-    rhs = _rhs(spec)
     y = np.asarray(initial, dtype=complex).copy()
+    if y.shape != spec.hamiltonian.shape[:1 if spec.picture == "schrodinger" else 2]:
+        raise DimensionError(f"initial shape {y.shape}, Hamiltonian dim {len(spec.hamiltonian)}")
+    rhs = _rhs(spec)
     dt = spec.t_final / spec.steps
     samples = [y.copy()]
     for _ in range(spec.steps):
@@ -139,6 +140,9 @@ def rk4_flow(spec: EvolutionSpec, initial) -> np.ndarray:
         y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         samples.append(y.copy())
     return np.array(samples)
+
+
+METHODS = {"exact": exact_flow, "rk4": rk4_flow}  # the CLI's --method
 
 
 def _max_deviation(values, size) -> float:

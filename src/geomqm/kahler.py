@@ -25,10 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import (DimensionError, NumericalError, TAU_HERMITIAN, dagger, frobenius,
-                     is_hermitian, random_complex_vector_stack, random_hermitian_stack,
-                     relative, require_matrix, require_same_dim, require_square, scalar_or_stack,
-                     unit_scale)
+from .kernel import (DimensionError, NumericalError, TAU_HERMITIAN, dagger, eig_hermitian,
+                     frobenius, is_hermitian, random_complex_vector, random_complex_vector_stack,
+                     random_hermitian_stack, relative, require_matrix, require_same_dim,
+                     require_square, scalar_or_stack, unit_scale)
 from .report import CONVENTIONS, Suite, VerificationReport, run_suite
 from . import dual
 
@@ -167,6 +167,7 @@ def _pullback_residuals(a, b, psi) -> dict:
 PULLBACKS = Suite("momentum-map pullback identities",
                   {"a": (20, random_hermitian_stack), "b": (21, random_hermitian_stack),
                    "psi": (22, random_complex_vector_stack)}, _pullback_residuals)
+EIGEN_START = 33  # eigen_report's start-vector substream (seed, 33): apart from every suite key
 
 
 def verify_pullbacks(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
@@ -294,3 +295,26 @@ def eigensolve_gradient_flow(
         psi = psi / math.sqrt(np.vdot(psi, psi).real)
         step = c[1:] @ kept[1:]  # the displacement less the old psi's component
     raise NumericalError("gradient flow did not converge", residual)
+
+
+def eigen_report(a, seed: int, tol: float, max_iter: int,
+                 direction: str) -> tuple[VerificationReport, dict]:
+    """The flow's eigenpair of A from the start vector (seed, EIGEN_START), against eig_hermitian:
+    the residual and the oracle gap relative to ||A||_F, the dispersion to ||A||_F^2."""
+    a = require_matrix(a)
+    psi0 = random_complex_vector(a.shape[0], seed, EIGEN_START)
+    res = eigensolve_gradient_flow(a, psi0, tol=tol, max_iter=max_iter, direction=direction)
+    reference = float(eig_hermitian(a).eigenvalues[-1 if direction == "ascent" else 0])
+    disp = dispersion(a, res.eigenvector)
+    rep = VerificationReport(title="gradient-flow eigensolve", seed=seed, trials=1, tol=tol,
+                             details={"direction": direction, "iterations": res.iterations})
+    size = frobenius(a)
+    rep.add("eigen_residual", relative(res.residual, size))
+    rep.add("oracle_agreement", relative(abs(res.eigenvalue - reference), size),
+            tol=max(tol, 1e-8))
+    rep.add("dispersion_at_convergence", relative(disp, size**2), tol=max(tol, 1e-8))
+    return rep, {"eigenvalue": res.eigenvalue, "oracle_eigenvalue": reference,
+                 "iterations": res.iterations, "residual": res.residual,
+                 "residual_history": res.residual_history, "dispersion": disp,
+                 "eigenvector_re": res.eigenvector.real.tolist(),
+                 "eigenvector_im": res.eigenvector.imag.tolist()}

@@ -7,11 +7,12 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from geomqm import cli, dynamics
+from geomqm import cli, dual, dynamics, kahler
 from geomqm.algebra import CONVENTIONS
 from geomqm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow
 from geomqm.kernel import make_rng, random_complex_vector, random_hermitian, serialize_matrix
+from geomqm.report import replay
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, SUITE_ROWS
 
 
@@ -147,6 +148,33 @@ class TestExitCodes:
         assert "Traceback" not in captured.err and captured.out == ""
 
 
+class TestDimensionMismatch:
+    # input files of different dimensions once raised an uncaught DimensionError (or, for rk4,
+    # numpy's ValueError) after the files were read; they exit 2 before any report is made, and
+    # before the "evolving anyway" warning on a von Neumann initial that is not a state
+    FILES = {"h4": random_hermitian(4, 1), "m3": random_hermitian(3, 2),
+             "psi3": random_complex_vector(3, 3), "rho3": np.eye(3) / 3}
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--hamiltonian", "h4", "--initial", "psi3"],
+        ["evolve", "--picture", "heisenberg", "--hamiltonian", "h4", "--initial", "m3"],
+        ["evolve", "--picture", "vonneumann", "--hamiltonian", "h4", "--initial", "rho3"],
+        ["evolve", "--picture", "vonneumann", "--hamiltonian", "h4", "--initial", "m3"],
+        ["evolve", "--method", "rk4", "--hamiltonian", "h4", "--initial", "psi3"],
+        ["star", "--a", "h4", "--b", "m3", "--xi", "h4"],
+    ], ids=["schrodinger", "heisenberg", "vonneumann", "vonneumann-non-state", "rk4", "star"])
+    def test_exits_2_before_any_report(self, capsys, tmp_path, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(dynamics, "conserved_report", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(dual, "star_report", lambda *a, **k: calls.append(a))
+        argv = [write_matrix(tmp_path / f"{arg}.json", self.FILES[arg]) if arg in self.FILES
+                else arg for arg in argv]
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, calls) == (EXIT_USAGE, "", [])
+        assert err.startswith("error: ") and "dim" in err.splitlines()[0]
+
+
 class TestJsonReports:
     def test_verify_schema(self, capsys, schema):
         code, payload = run_json(capsys, "verify", "--dim", "2", "--trials", "5")
@@ -221,6 +249,22 @@ class TestJsonReports:
         code = run(["su2demo", "--json", "--output", str(out)])
         assert code == EXIT_OK
         jsonschema.validate(json.loads(out.read_text()), schema)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [2, 4])
+def test_star_command_and_suite_share_one_residual(capsys, tmp_path, n, seed):
+    # star --json at the suite's worst star_decomposition trial gives its max_residual exactly
+    (check,) = [c for c in dual.verify_dual_geometry(n, 100, seed).checks
+                if c.name == "star_decomposition"]
+    rows = replay(dual.DUAL_GEOMETRY, n, seed, check.worst_trial)
+    argv = ["star"]
+    for name in ("a", "b", "xi"):
+        argv += [f"--{name}", write_matrix(tmp_path / f"{name}.json", rows[name][0])]
+    code, payload = run_json(capsys, *argv)
+    (star,) = payload["reports"][0]["checks"]
+    assert code == EXIT_OK and check.max_residual > 0
+    assert star["max_residual"] == check.max_residual
 
 
 class TestEvolve:
@@ -400,7 +444,7 @@ def test_verify_suites_draw_from_disjoint_substreams(monkeypatch):
     # declared key and for no other
     keys = [key for name, module in SUITE_ROWS.items()
             for key, _ in getattr(module, name).inputs.values()]
-    assert len(set(keys)) == len(keys) and set(keys).isdisjoint({33, 77, 88})
+    assert len(set(keys)) == len(keys) and set(keys).isdisjoint({kahler.EIGEN_START, 77, 88})
     made = set()
     for module in [m for name, m in sys.modules.items() if name.startswith("geomqm")]:
         if hasattr(module, "make_rng"):

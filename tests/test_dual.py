@@ -4,7 +4,7 @@ import pytest
 from geomqm import dual
 from geomqm import report as report_module
 from geomqm.algebra import lie_bracket
-from geomqm.kernel import dagger, make_rng, random_hermitian
+from geomqm.kernel import DimensionError, dagger, make_rng, random_hermitian
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
 from suite_reference import reference_dual_geometry
 
@@ -171,31 +171,61 @@ class TestStates:
 class TestGoldenTables:
     def test_lambda_xy_generator(self):
         tables = dual.su2_golden_tables()
-        assert np.allclose(tables.lambda_table[("x", "y")], 2 * PAULI_Z)
+        assert np.allclose(tables["lambda"][("x", "y")], 2 * PAULI_Z)
 
     def test_lambda_u_row_vanishes(self):
         tables = dual.su2_golden_tables()
         for name in dual.SU2_NAMES:
-            assert np.linalg.norm(tables.lambda_table[("u", name)]) == 0.0
+            assert np.linalg.norm(tables["lambda"][("u", name)]) == 0.0
 
     def test_star_zx_gives_iy(self):
         tables = dual.su2_golden_tables()
-        coeffs = tables.star_coefficients("z", "x")
+        coeffs = dual.su2_coefficients(tables["star"][("z", "x")])
         assert coeffs["y"] == pytest.approx(1j)
         assert all(abs(coeffs[k]) < 1e-15 for k in ("u", "x", "z"))
 
     def test_r_symmetrization_constant(self):
         # convention fixed by R(du, dx) = 2x: generator is UX + XU = 2X
         tables = dual.su2_golden_tables()
-        assert np.allclose(tables.r_table[("u", "x")], 2 * PAULI_X)
+        assert np.allclose(tables["r"][("u", "x")], 2 * PAULI_X)
 
     def test_json_export_round_trips(self):
         from geomqm.kernel import parse_matrix
 
         tables = dual.su2_golden_tables()
-        payload = tables.to_json_dict()
+        payload = dual.su2_tables_json(tables)
         m = parse_matrix(payload["lambda"]["x,y"].encode())
-        assert np.array_equal(m, tables.lambda_table[("x", "y")])
+        assert np.array_equal(m, tables["lambda"][("x", "y")])
+
+class TestStarReport:
+    def test_value_parts_and_check(self):
+        a, b, xi = (random_hermitian(3, 5, k) for k in range(3))
+        rep, results = dual.star_report(a, b, xi)
+        value = dual.star_eval(a, b, xi)
+        assert (results["star_re"], results["star_im"]) == (value.real, value.imag)
+        assert results["jordan_part"] == dual.r_eval(a, b, xi) / 2
+        assert results["lie_part"] == dual.lambda_eval(a, b, xi) / 2
+        assert rep.passed and rep.checks[0].name == "star_equals_r_half_plus_i_lambda_half"
+        assert rep.checks[0].max_residual == dual.star_decomposition(a, b, xi)
+
+    @pytest.mark.parametrize("which", ["a", "b", "xi"])
+    @pytest.mark.parametrize("defect", ["nan", "inf", "non_hermitian", "mismatched"])
+    def test_bad_input_rejected_before_evaluation(self, monkeypatch, which, defect):
+        for name in ("star_eval", "r_eval", "lambda_eval", "star_decomposition"):
+            monkeypatch.setattr(dual, name, lambda *a: pytest.fail("evaluated bad input"))
+        args = {name: random_hermitian(3, 6, k) for k, name in enumerate(("a", "b", "xi"))}
+        m = args[which]
+        if defect == "mismatched":
+            args[which] = random_hermitian(2, 6, 9)
+        else:
+            m[0, 1] = {"nan": np.nan, "inf": np.inf, "non_hermitian": m[0, 1] + 1e-6}[defect]
+        with pytest.raises(DimensionError if defect == "mismatched" else ValueError):
+            dual.star_report(**args)
+
+    def test_stack_rejected(self):
+        a = random_hermitian(3, 7)
+        with pytest.raises(DimensionError):
+            dual.star_report(np.stack([a, a]), a, a)
 
 
 class TestVerifyDualGeometry:

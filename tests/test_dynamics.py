@@ -213,6 +213,16 @@ class TestRk4:
         rep2 = conserved_report(spec2, rk4_flow(spec2, random_hermitian(2, 21)))
         assert {"trace", "spectrum"} <= {c.name for c in rep2.checks}
 
+    @pytest.mark.parametrize("picture", dynamics.PICTURES)
+    @pytest.mark.parametrize("flow", dynamics.METHODS.values(), ids=dynamics.METHODS)
+    def test_initial_of_another_dimension_rejected(self, picture, flow):
+        # every --method flow; rk4 once multiplied a length-3 state by a 4x4 H, raising numpy's
+        # ValueError, which the CLI does not map to exit 2
+        spec = make_spec(random_hermitian(4, 22), picture=picture)
+        init = random_complex_vector(3, 23) if picture == "schrodinger" else random_hermitian(3, 23)
+        with pytest.raises(DimensionError):
+            flow(spec, init)
+
 
 class TestMuRelatedness:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])

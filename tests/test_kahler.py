@@ -7,6 +7,7 @@ import pytest
 from geomqm import dual, kahler
 from geomqm.algebra import lie_bracket
 from geomqm.kernel import (
+    DimensionError,
     NumericalError,
     eig_hermitian,
     make_rng,
@@ -496,6 +497,26 @@ class TestEigensolver:
         assert len(history) == 64
         assert history[0] == pytest.approx(kahler.dispersion(a, psi0) ** 0.5, rel=1e-12)
         assert history[-1] == res.residual <= 1e-9 * np.linalg.norm(a)
+
+
+class TestEigenReport:
+    @pytest.mark.parametrize("direction", ["ascent", "descent"])
+    def test_solves_from_the_seeded_start_against_the_oracle(self, direction):
+        a = random_hermitian(6, 70)
+        rep, results = kahler.eigen_report(a, 3, 1e-10, 1000, direction)
+        res = kahler.eigensolve_gradient_flow(a, random_complex_vector(6, 3, kahler.EIGEN_START),
+                                              tol=1e-10, max_iter=1000, direction=direction)
+        oracle = eig_hermitian(a).eigenvalues[-1 if direction == "ascent" else 0]
+        assert (results["eigenvalue"], results["iterations"]) == (res.eigenvalue, res.iterations)
+        assert results["oracle_eigenvalue"] == oracle
+        assert rep.passed and [c.name for c in rep.checks] == [
+            "eigen_residual", "oracle_agreement", "dispersion_at_convergence"]
+
+    def test_stack_rejected_before_the_start_vector_is_drawn(self, monkeypatch):
+        monkeypatch.setattr(kahler, "random_complex_vector", lambda *a: pytest.fail("drew psi0"))
+        a = random_hermitian(3, 71)
+        with pytest.raises(DimensionError):
+            kahler.eigen_report(np.stack([a, a]), 0, 1e-9, 100, "descent")
 
 
 def assert_matches_reference(a, psi0, direction):
