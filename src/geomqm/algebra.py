@@ -62,7 +62,6 @@ def _jordan_lie_residuals(a, b, c) -> dict:
     size = na * nb * nc
     return {
         "jacobi": relative(frobenius(jac), size),
-        "jordan_commutativity": relative(frobenius(jor_ab - jordan_product(b, a)), na * nb),
         "jordan_identity": relative(frobenius(jid), na * na * na * nb),
         "trace_invariance_lie": relative(abs(inv_lie), size),
         "trace_invariance_jordan": relative(abs(inv_jor), size),

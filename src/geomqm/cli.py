@@ -252,8 +252,11 @@ def cmd_distributions(args) -> Outcome:
     reports = dist.involutivity_evidence(n, args.trials, args.seed, args.tol) if n >= 2 else []
     results = {"ranks": ranks, "spectrum": inv["spectrum"].tolist(), "rank": inv["rank"],
                "signature": inv["signature"]}
+    with np.errstate(over="ignore"):  # w 1e12 overflows only where rounding would not change w
+        shown = np.round(inv["spectrum"], 12)
     head = (f"distribution ranks at the given point: {ranks}\n"
-            f"unitary-orbit label (spectrum): {np.round(inv['spectrum'], 12).tolist()}\n"
+            f"unitary-orbit label (spectrum): "
+            f"{np.where(np.isfinite(shown), shown, inv['spectrum']).tolist()}\n"
             f"GL-orbit label: rank {inv['rank']}, signature {inv['signature']}")
     return Outcome(reports, results, args.trials, head=head)
 

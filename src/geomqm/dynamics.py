@@ -63,8 +63,10 @@ class EvolutionSpec:
     @cached_property
     def frame(self):
         """(V, phases): the eigenvectors of H and exp(-i t lam / hbar), (steps+1, n), once per spec."""
-        dec = eig_hermitian(self.hamiltonian)
-        return dec.eigenvectors, np.exp(-1j * np.outer(self.times(), dec.eigenvalues) / self.hbar)
+        unit = unit_scale(self.hamiltonian, (-2, -1)).item()  # exact: H 2^k for t 2^-k, one frame
+        dec = eig_hermitian(self.hamiltonian * unit)
+        return dec.eigenvectors, np.exp(-1j * np.outer(self.times(), dec.eigenvalues / unit)
+                                        / self.hbar)
 
     @cached_property
     def propagators(self) -> np.ndarray:
@@ -215,7 +217,7 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
         trials=traj.shape[0],
         tol=tol,
     )
-    h = spec.hamiltonian
+    h = spec.hamiltonian * unit_scale(spec.hamiltonian, (-2, -1))  # exact, as traj above
     nh = frobenius(h)
     if spec.picture == "schrodinger":
         norms = np.linalg.norm(traj, axis=1)

@@ -231,12 +231,12 @@ def eigensolve_gradient_flow(
 
     Each iteration minimizes (descent) or maximizes (ascent) e_A over the span
     of unit psi, its gradient 2 (A - e_A) psi and the previous step (LOBPCG with
-    no preconditioner), so the critical points stay the eigenvectors of A.  Stops
-    when ||A psi - e_A psi|| <= tol * ||A||_F, so the iterations do not depend on
-    the scale of A; raises NumericalError when the residual has not halved in
-    STALL_WINDOW iterations or max_iter runs out.  A must be finite and
-    Hermitian, psi0 finite and nonzero; psi0 of any scale gives the result of
-    its direction at unit scale.
+    no preconditioner), so the critical points stay the eigenvectors of A.  It runs on
+    A prescaled by an exact power of two, so A 2^k takes the same iterations to the
+    same eigenvector.  Stops when ||A psi - e_A psi|| <= tol * ||A||_F; raises
+    NumericalError when the residual has not halved in STALL_WINDOW iterations or
+    max_iter runs out.  A must be finite and Hermitian, psi0 finite and nonzero;
+    psi0 of any scale gives the result of its direction at unit scale.
     """
     a = require_matrix(a)
     if not is_hermitian(a, TAU_HERMITIAN):
@@ -251,7 +251,8 @@ def eigensolve_gradient_flow(
     psi, n2, _ = _unit(psi)
     psi = psi / np.sqrt(n2)
     unit = unit_scale(a, (-2, -1)).item()
-    stop = tol * frobenius(a * unit) / unit  # tol * ||A||_F, whose squares cannot overflow
+    a = a * unit  # scaled back on return
+    stop = tol * frobenius(a)
     pick = -1 if direction == "ascent" else 0
     step = np.zeros_like(psi)
     basis = np.empty((3, psi.shape[0]), dtype=complex)  # orthonormal rows, filled in place
@@ -262,14 +263,14 @@ def eigensolve_gradient_flow(
         ev = float(np.vdot(psi, apsi).real)
         r = apsi - ev * psi
         residual = math.sqrt(np.vdot(r, r).real)
-        history.append(residual)
+        history.append(residual / unit)
         if residual <= stop:
             keep = np.linspace(0, it, min(it + 1, HISTORY_POINTS)).round().astype(int)
-            return EigensolveResult(ev, psi, it, residual, [history[k] for k in keep])
+            return EigensolveResult(ev / unit, psi, it, residual / unit, [history[k] for k in keep])
         if residual < target:  # never for an inf or NaN residual
             halved_at, target = it, residual / 2
         elif it - halved_at >= STALL_WINDOW:
-            raise NumericalError(f"gradient flow stalled at iteration {it}", residual)
+            raise NumericalError(f"gradient flow stalled at iteration {it}", residual / unit)
         # orthonormal basis of span{psi, r, step} by Gram-Schmidt applied twice (twice is
         # enough), dropping a column whose norm falls below TAU_DEPENDENT of its own
         basis[0] = psi
@@ -294,27 +295,29 @@ def eigensolve_gradient_flow(
         psi = c @ kept
         psi = psi / math.sqrt(np.vdot(psi, psi).real)
         step = c[1:] @ kept[1:]  # the displacement less the old psi's component
-    raise NumericalError("gradient flow did not converge", residual)
+    raise NumericalError("gradient flow did not converge", residual / unit)
 
 
 def eigen_report(a, seed: int, tol: float, max_iter: int,
                  direction: str) -> tuple[VerificationReport, dict]:
     """The flow's eigenpair of A from the start vector (seed, EIGEN_START), against eig_hermitian:
-    the residual and the oracle gap relative to ||A||_F, the dispersion to ||A||_F^2."""
+    the residual and oracle gap relative to ||A||_F, the dispersion to ||A||_F^2, at unit scale."""
     a = require_matrix(a)
     psi0 = random_complex_vector(a.shape[0], seed, EIGEN_START)
     res = eigensolve_gradient_flow(a, psi0, tol=tol, max_iter=max_iter, direction=direction)
+    unit = unit_scale(a, (-2, -1)).item()
+    a = a * unit  # exact, so that no size under- or overflows
     reference = float(eig_hermitian(a).eigenvalues[-1 if direction == "ascent" else 0])
     disp = dispersion(a, res.eigenvector)
     rep = VerificationReport(title="gradient-flow eigensolve", seed=seed, trials=1, tol=tol,
                              details={"direction": direction, "iterations": res.iterations})
     size = frobenius(a)
-    rep.add("eigen_residual", relative(res.residual, size))
-    rep.add("oracle_agreement", relative(abs(res.eigenvalue - reference), size),
+    rep.add("eigen_residual", relative(res.residual * unit, size))
+    rep.add("oracle_agreement", relative(abs(res.eigenvalue * unit - reference), size),
             tol=max(tol, 1e-8))
     rep.add("dispersion_at_convergence", relative(disp, size**2), tol=max(tol, 1e-8))
-    return rep, {"eigenvalue": res.eigenvalue, "oracle_eigenvalue": reference,
+    return rep, {"eigenvalue": res.eigenvalue, "oracle_eigenvalue": reference / unit,
                  "iterations": res.iterations, "residual": res.residual,
-                 "residual_history": res.residual_history, "dispersion": disp,
+                 "residual_history": res.residual_history, "dispersion": disp / unit / unit,
                  "eigenvector_re": res.eigenvector.real.tolist(),
                  "eigenvector_im": res.eigenvector.imag.tolist()}

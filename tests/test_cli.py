@@ -641,6 +641,15 @@ class TestTextOutput:
             "unitary-orbit label (spectrum): [2.0]\n"
             "GL-orbit label: rank 1, signature 1\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_distributions_text_spectrum_at_huge_scale(self, capsys, tmp_path):
+        # rounding to 12 decimals multiplied the eigenvalues by 1e12, which overflowed to inf
+        path = write_matrix(tmp_path / "xi.json", 1e300 * random_hermitian(4, 1))
+        _, payload = run_json(capsys, "distributions", "--point", path, "--trials", "3")
+        assert run(["distributions", "--point", path, "--trials", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == (
+            f"unitary-orbit label (spectrum): {payload['results']['spectrum']}")
+
     def test_distributions_head_and_reports(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "xi.json", np.diag([1.0, -0.5]).astype(complex))
         assert run(["distributions", "--point", path, "--trials", "3"]) == EXIT_OK

@@ -3,7 +3,7 @@ import pytest
 
 from geomqm import dual
 from geomqm import report as report_module
-from geomqm.algebra import lie_bracket
+from geomqm.algebra import jordan_product, lie_bracket
 from geomqm.kernel import DimensionError, dagger, make_rng, random_hermitian
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
 from suite_reference import reference_dual_geometry
@@ -104,8 +104,9 @@ class TestStarEval:
     def test_nonlocal_closure(self):
         a, b = random_hermitian(3, 17, 0), random_hermitian(3, 17, 1)
         xi = random_hermitian(3, 17, 2)
-        sj, sl = dual.star_generators(a, b)
-        expected = dual.hat_eval(sj, xi) + 1j * dual.hat_eval(sl, xi)
+        # the star of two hat functions is hat(A o B) + i hat([A,B]_-/2)
+        expected = (dual.hat_eval(jordan_product(a, b), xi)
+                    + 1j * dual.hat_eval(lie_bracket(a, b) / 2, xi))
         assert dual.star_eval(a, b, xi) == pytest.approx(expected, abs=1e-13)
 
 

@@ -3,9 +3,11 @@
 Scaling by 2^k is exact in binary floating point, so when a suite's draws,
 or an evolution's initial value, are scaled by 2^k, every report must come
 out bit for bit the same, and a planted relative defect must fail at every
-k.  H is never scaled: that would rescale time.  At small scales that are
-not powers of two, where a floor of 1 on the size made checks blind, a
-planted defect must still fail and the distribution ranks must not move.
+k.  H scaled by 2^k runs for the time 2^-k, which is the same dynamics, and
+an operator scaled by 2^k has its eigenvalue scaled by 2^k.  At small scales
+that are not powers of two, where a floor of 1 on the size made checks
+blind, a planted defect must still fail and the distribution ranks must not
+move.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from conftest import SUITE_ROWS, unitary_from_seed
 
 POWERS = (-40, 0, 40)
 EVOLVE_POWERS = (-600, *POWERS, 600)  # 2^1200 overflows and 2^-1200 underflows a square
+EXTREME_POWERS = (-1000, -600, 600, 1000)  # an operator's squared norm leaves the float range
 N, TRIALS, SEED = 4, 40, 3
 
 
@@ -113,7 +116,30 @@ def test_involutivity_r_witness_equal_at_every_power_of_two():
     assert witness[0] == witness[1] == witness[2] and witness[0][0]
 
 
-# --- evolve reports: the initial value scaled, H fixed --------------------------
+# --- eigen: the operator scaled ----------------------------------------------------
+
+@pytest.mark.parametrize("direction", ["ascent", "descent"])
+@pytest.mark.parametrize("k", EXTREME_POWERS)
+def test_eigensolve_of_a_scaled_operator_scales_its_eigenvalue(k, direction):
+    # at 2^-600, <r, r> underflowed to 0 and the flow stopped at iteration 0
+    a, psi0 = random_hermitian(32, 32), random_complex_vector(32, 33)
+    unit = kahler.eigensolve_gradient_flow(a, psi0, direction=direction)
+    res = kahler.eigensolve_gradient_flow(2.0**k * a, psi0, direction=direction)
+    assert res.iterations == unit.iterations
+    assert np.array_equal(res.eigenvector, unit.eigenvector)
+    assert res.eigenvalue == 2.0**k * unit.eigenvalue
+    assert res.residual_history == [2.0**k * r for r in unit.residual_history]
+
+
+@pytest.mark.parametrize("direction", ["ascent", "descent"])
+@pytest.mark.parametrize("k", [-1000, -600])
+def test_eigen_report_passes_at_tiny_scale(k, direction):
+    # oracle_agreement read inf at 2^-600, because ||A||_F underflowed
+    rep, _ = kahler.eigen_report(2.0**k * random_hermitian(32, 32), 1, 1e-9, 100_000, direction)
+    assert rep.passed, rep.summary()
+
+
+# --- evolve reports: the initial value scaled, or H and time scaled inversely ------
 
 def initial_value(picture, scale):
     n = 5
@@ -122,9 +148,9 @@ def initial_value(picture, scale):
     return scale * random_hermitian(n, 92)
 
 
-def evolve_reports(picture, scale, planted=False):
-    spec = dynamics.EvolutionSpec(hamiltonian=random_hermitian(5, 90), t_final=2.0, steps=16,
-                                  picture=picture)
+def evolve_reports(picture, scale, planted=False, h_power=0):
+    spec = dynamics.EvolutionSpec(hamiltonian=2.0**h_power * random_hermitian(5, 90),
+                                  t_final=2.0 * 2.0**-h_power, steps=16, picture=picture)
     initial = initial_value(picture, scale)
     traj = dynamics.exact_flow(spec, initial)
     if planted:
@@ -141,6 +167,16 @@ def evolve_reports(picture, scale, planted=False):
 @pytest.mark.parametrize("picture", dynamics.PICTURES)
 def test_evolve_reports_equal_at_every_power_of_two(picture):
     reports = [[r.to_dict() for r in evolve_reports(picture, 2.0**k)] for k in EVOLVE_POWERS]
+    assert all(r == reports[0] for r in reports)
+    assert all(r["passed"] for r in reports[0])
+
+
+@pytest.mark.parametrize("picture", dynamics.PICTURES)
+def test_evolve_reports_equal_for_h_and_time_scaled_inversely(picture):
+    # H 2^k for the time 2^-k: at 2^-600 energy_expectation read inf, at 2^600
+    # hamiltonian_constant read NaN
+    reports = [[r.to_dict() for r in evolve_reports(picture, 1.0, h_power=k)]
+               for k in EVOLVE_POWERS]
     assert all(r == reports[0] for r in reports)
     assert all(r["passed"] for r in reports[0])
 
