@@ -13,7 +13,6 @@ from .algebra import (
     jordan_product,
     lie_bracket,
     trace_form,
-    verify_jordan_lie,
 )
 from .dual import (
     hat_eval,

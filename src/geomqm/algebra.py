@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import frobenius, random_hermitian_stack, relative, require_same_dim, scalar_or_stack
-from .report import CONVENTIONS, ConventionSet, Suite, VerificationReport, run_suite  # noqa: F401
+from .report import CONVENTIONS, ConventionSet, Suite  # noqa: F401
 
 
 def lie_bracket(a, b) -> np.ndarray:
@@ -51,14 +51,15 @@ def associator_defect(a, b, c) -> np.ndarray:
 def _jordan_lie_residuals(a, b, c) -> dict:
     na, nb, nc = frobenius(a), frobenius(b), frobenius(c)
     lie_ab, lie_bc, lie_ac = lie_bracket(a, b), lie_bracket(b, c), lie_bracket(a, c)
-    jor_ab, jor_bc = jordan_product(a, b), jordan_product(b, c)
-    jac = lie_bracket(lie_ab, c) + lie_bracket(lie_bc, a) + lie_bracket(lie_bracket(c, a), b)
+    jor_ab, jor_bc, lie_ac_b = jordan_product(a, b), jordan_product(b, c), lie_bracket(lie_ac, b)
+    jac = lie_bracket(lie_ab, c) + lie_bracket(lie_bc, a) - lie_ac_b  # [C, A]_- = -[A, C]_-
     a2 = jordan_product(a, a)
     jid = jordan_product(jor_ab, a2) - jordan_product(a, jordan_product(b, a2))
     inv_lie = trace_form(lie_ab, c) - trace_form(a, lie_bc)
     inv_jor = trace_form(jor_ab, c) - trace_form(a, jor_bc)
     leib = lie_bracket(a, jor_bc) - jordan_product(lie_ab, c) - jordan_product(b, lie_ac)
-    assoc = associator_defect(a, b, c) - (CONVENTIONS.hbar / 4) * lie_bracket(lie_ac, b)
+    assoc = (jordan_product(jor_ab, c) - jordan_product(a, jor_bc)  # associator_defect(a, b, c)
+             - (CONVENTIONS.hbar / 4) * lie_ac_b)
     size = na * nb * nc
     return {
         "jacobi": relative(frobenius(jac), size),
@@ -72,9 +73,4 @@ def _jordan_lie_residuals(a, b, c) -> dict:
 
 JORDAN_LIE = Suite("Jordan-Lie identity suite",
                    {name: (key, random_hermitian_stack) for name, key in zip("abc", (30, 31, 32))},
-                   _jordan_lie_residuals)
-
-
-def verify_jordan_lie(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
-    """Randomized residuals for the complete Jordan-Lie identity suite."""
-    return run_suite(JORDAN_LIE, n, trials, seed, tol, details={"dim": n})
+                   _jordan_lie_residuals, records_dim=True)

@@ -23,11 +23,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import distributions as dist
-from . import dual, dynamics, kahler
-from .algebra import CONVENTIONS, verify_jordan_lie
+from . import algebra, dual, dynamics, kahler
+from .algebra import CONVENTIONS
 from .kernel import (DimensionError, MatrixParseError, NumericalError, TAU_HERMITIAN, is_hermitian,
                      parse_matrix, parse_vector, require_same_dim)
-from .report import VerificationReport
+from .report import VerificationReport, _strict_json, verify_row
+
+# the declared suite rows that verify runs, in report order
+VERIFY_ROWS = (algebra.JORDAN_LIE, dual.DUAL_GEOMETRY, dist.COMMUTATION, dist.INVOLUTIVITY,
+               kahler.PULLBACKS)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -174,15 +178,9 @@ def _write(path: Path | None, text: str) -> None:
 
 
 def cmd_verify(args) -> Outcome:
-    n, trials, seed, tol = args.dim, args.trials, args.seed, args.tol
-    reports = [
-        verify_jordan_lie(n, trials, seed, tol),
-        dual.verify_dual_geometry(n, trials, seed, tol),
-        dist.verify_commutation(n, trials, seed, tol),
-        *dist.involutivity_evidence(max(2, n), trials, seed, tol),
-        kahler.verify_pullbacks(n, trials, seed, tol),
-    ]
-    return Outcome(reports, {}, trials)
+    reports = [report for row in VERIFY_ROWS
+               for report in verify_row(row, args.dim, args.trials, args.seed, args.tol)]
+    return Outcome(reports, {}, args.trials)
 
 
 def _trajectory_csv(times, traj) -> str:
@@ -293,7 +291,8 @@ def run(argv=None) -> int:
             text = json.dumps({"command": args.command, "seed": args.seed, "tol": args.tol,
                                "trials": out.trials, "conventions": CONVENTIONS.to_dict(),
                                "reports": [r.to_dict() for r in out.reports],
-                               "results": out.results, "passed": passed}, indent=2)
+                               "results": _strict_json(out.results), "passed": passed},
+                              indent=2, allow_nan=False)
         else:
             text = "\n\n".join(filter(None, [out.head, *(r.summary() for r in out.reports)]))
             text += out.tail

@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import jordan_product, lie_bracket
 from .kernel import (TAU_HERMITIAN, eig_hermitian, frobenius, is_hermitian, random_hermitian_stack,
                      relative, require_same_dim, require_square, scalar_or_stack)
-from .report import Suite, VerificationReport, replay, run_suite
+from .report import Suite, VerificationReport, replay, verify_row
 
 TAU_RANK = 1e-8
 
@@ -66,11 +66,6 @@ def _commutation_residuals(xi, a) -> dict:
 COMMUTATION = Suite("tensor commutation relation", {"xi": (10, random_hermitian_stack),
                                                     "a": (11, random_hermitian_stack)},
                     _commutation_residuals)
-
-
-def verify_commutation(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
-    """Scaled commutation defect of jhat and rhat at seeded random points."""
-    return run_suite(COMMUTATION, n, trials, seed, tol)
 
 
 KINDS = ("Lambda", "R", "Zero", "One")
@@ -178,10 +173,31 @@ def _involutivity_residuals(spectrum, r_spectrum, a, b) -> dict:
     }
 
 
+def _kind_reports(row: Suite, n: int, report: VerificationReport) -> list[VerificationReport]:
+    """The row's one report as the four kinds' reports, in KINDS order, with the R witness;
+    its matrices are the inputs of the R check's worst trial, replayed from ``row``."""
+    reports = [VerificationReport(f"involutivity evidence: D_{kind}", report.seed, report.trials,
+                                  report.tol, [check], {"dim": n, "kind": kind})
+               for kind, check in zip(KINDS, report.checks)]
+    best = reports[1].checks.pop()
+    res, k = best.max_residual, best.worst_trial
+    # passes when a witness with residual > 10*tol was found
+    reports[1].add("non_involutivity_witness_found", 0.0 if res > 10 * report.tol else float("inf"),
+                   worst_trial=k)
+    reports[1].details["witness_residual"] = res
+    rows = replay(row, n, report.seed, k)
+    reports[1].details["witness_matrices"] = {  # xi_real, xi_imag, a_real, ..., b_imag
+        f"{name}_{part}": getattr(m[0], part).tolist()
+        for name, m in zip(("xi", "a", "b"),
+                           (_diagonal_points(rows["r_spectrum"]), rows["a"], rows["b"]))
+        for part in ("real", "imag")}
+    return reports
+
+
 INVOLUTIVITY = Suite("involutivity evidence",
                      {"spectrum": (5, _generic_spectra), "r_spectrum": (3, _r_spectra),
                       "a": (1, random_hermitian_stack), "b": (2, random_hermitian_stack)},
-                     _involutivity_residuals)
+                     _involutivity_residuals, min_dim=2, split=_kind_reports)
 
 
 def involutivity_evidence(n: int, trials: int, seed: int,
@@ -194,27 +210,11 @@ def involutivity_evidence(n: int, trials: int, seed: int,
     exactly 0, where D_One misses one direction; at a point without a zero
     eigenvalue it is the whole tangent space.  R: the report instead records
     the best witness of non-involutivity at R-singular points (spectra of
-    ``_r_spectra``), passing when its residual exceeds 10*tol.  The witness
-    matrices are the inputs of the R check's worst trial, replayed.
+    ``_r_spectra``), passing when its residual exceeds 10*tol.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    checks = run_suite(INVOLUTIVITY, n, trials, seed, tol).checks
-    reports = [VerificationReport(f"involutivity evidence: D_{kind}", seed, trials, tol, [check],
-                                  {"dim": n, "kind": kind}) for kind, check in zip(KINDS, checks)]
-    best = reports[1].checks.pop()
-    res, k = best.max_residual, best.worst_trial
-    # passes when a witness with residual > 10*tol was found
-    reports[1].add("non_involutivity_witness_found", 0.0 if res > 10 * tol else float("inf"),
-                   worst_trial=k)
-    reports[1].details["witness_residual"] = res
-    rows = replay(INVOLUTIVITY, n, seed, k)
-    reports[1].details["witness_matrices"] = {  # xi_real, xi_imag, a_real, ..., b_imag
-        f"{name}_{part}": getattr(m[0], part).tolist()
-        for name, m in zip(("xi", "a", "b"),
-                           (_diagonal_points(rows["r_spectrum"]), rows["a"], rows["b"]))
-        for part in ("real", "imag")}
-    return reports
+    return verify_row(INVOLUTIVITY, n, trials, seed, tol)
 
 
 def orbit_invariants(xi) -> dict:

@@ -20,8 +20,8 @@ import numpy as np
 from .algebra import lie_bracket, trace_form
 from .kernel import (TAU_HERMITIAN, dagger, eigvals_hermitian, frobenius, is_hermitian,
                      random_hermitian_stack, relative, require_matrix, require_same_dim,
-                     scalar_or_stack, serialize_matrix)
-from .report import Suite, VerificationReport, run_suite
+                     scalar_or_stack, serialize_matrix, unit_scale)
+from .report import Suite, VerificationReport
 
 
 def hat_eval(a, xi) -> float:
@@ -54,15 +54,18 @@ def star_decomposition(a, b, xi):
 
 def star_report(a, b, xi, tol: float = 1e-9) -> tuple[VerificationReport, dict]:
     """(A*B)(xi) and its Jordan and Lie parts, for finite Hermitian A, B and xi of one dimension,
-    with a report that star = r/2 + i lambda/2."""
+    with a report that star = r/2 + i lambda/2, taken of A, B and xi each prescaled by
+    ``unit_scale``: exact, so the report at (2^a A, 2^b B, 2^c xi) is the one at (A, B, xi)."""
     a, b, xi = require_same_dim(*map(require_matrix, (a, b, xi)))
     if not all(is_hermitian(m, TAU_HERMITIAN) for m in (a, b, xi)):
         raise ValueError("A, B and xi must be finite and Hermitian")
-    value = star_eval(a, b, xi)
     rep = VerificationReport(title="star product decomposition", seed=0, trials=1, tol=tol)
-    rep.add("star_equals_r_half_plus_i_lambda_half", star_decomposition(a, b, xi))
-    return rep, {"star_re": value.real, "star_im": value.imag,
-                 "jordan_part": r_eval(a, b, xi) / 2, "lie_part": lambda_eval(a, b, xi) / 2}
+    rep.add("star_equals_r_half_plus_i_lambda_half",
+            star_decomposition(*(m * unit_scale(m, (-2, -1)) for m in (a, b, xi))))
+    with np.errstate(over="ignore", invalid="ignore"):  # the values may leave the float range
+        value = star_eval(a, b, xi)
+        return rep, {"star_re": value.real, "star_im": value.imag,
+                     "jordan_part": r_eval(a, b, xi) / 2, "lie_part": lambda_eval(a, b, xi) / 2}
 
 
 def hamiltonian_field_dual(h, xi) -> np.ndarray:
@@ -140,12 +143,7 @@ def _dual_geometry_residuals(a, b, c, xi) -> dict:
 DUAL_GEOMETRY = Suite("dual-space tensor identities",
                       {name: (key, random_hermitian_stack)
                        for name, key in (("a", 40), ("b", 41), ("c", 42), ("xi", 43))},
-                      _dual_geometry_residuals)
-
-
-def verify_dual_geometry(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
-    """Randomized residuals for the dual-space tensor identities."""
-    return run_suite(DUAL_GEOMETRY, n, trials, seed, tol, details={"dim": n})
+                      _dual_geometry_residuals, records_dim=True)
 
 
 def su2_golden_tables() -> dict:

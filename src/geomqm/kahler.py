@@ -13,7 +13,7 @@ tensors and lands on the pure states.  The expectation function e_A
 (Rayleigh quotient) drives the eigensolver, whose steps minimize e_A over
 span{psi, grad e_A, last step}: its critical points are eigenvectors and its
 critical values eigenvalues.  Every other function takes one vector or a
-(..., n) stack of them, and one matrix or a stack; ``verify_pullbacks``
+(..., n) stack of them, and one matrix or a stack; the row ``PULLBACKS``
 checks them on seeded inputs.
 """
 
@@ -29,7 +29,7 @@ from .kernel import (DimensionError, NumericalError, TAU_HERMITIAN, dagger, eig_
                      frobenius, is_hermitian, random_complex_vector, random_complex_vector_stack,
                      random_hermitian_stack, relative, require_matrix, require_same_dim,
                      require_square, scalar_or_stack, unit_scale)
-from .report import CONVENTIONS, Suite, VerificationReport, run_suite
+from .report import CONVENTIONS, Suite, VerificationReport
 from . import dual
 
 TAU_DEPENDENT = 1e-8  # relative norm below which a basis vector counts as dependent
@@ -168,12 +168,6 @@ PULLBACKS = Suite("momentum-map pullback identities",
                   {"a": (20, random_hermitian_stack), "b": (21, random_hermitian_stack),
                    "psi": (22, random_complex_vector_stack)}, _pullback_residuals)
 EIGEN_START = 33  # eigen_report's start-vector substream (seed, 33): apart from every suite key
-
-
-def verify_pullbacks(n: int, trials: int, seed: int, tol: float = 1e-9) -> VerificationReport:
-    """The momentum-map pullbacks, equivariance and image, the metric-length law and the
-    Kahler triple in real coordinates, at seeded random observables and points of C^n."""
-    return run_suite(PULLBACKS, n, trials, seed, tol)
 
 
 # --- expectation, dispersion, eigensolving -----------------------------------

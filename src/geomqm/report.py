@@ -118,6 +118,9 @@ class Suite(NamedTuple):
     title: str
     inputs: dict  # name -> (key, draw): substream (seed, key), draw(n, m, rng) its next m rows
     residuals: Callable[..., dict]  # rows by name -> {check name: one residual per row}
+    min_dim: int = 1  # verify_row runs the row at max(min_dim, n)
+    records_dim: bool = False  # the report's details record that dimension as "dim"
+    split: Callable[..., list] | None = None  # (row, dim, report) -> the reports published
 
 
 def _chunks(suite: Suite, dim: int, trials: int, seed: int):
@@ -163,3 +166,13 @@ def run_suite(suite: Suite, dim: int, trials: int, seed: int, tol: float,
     for name, (value, k) in worst.items():
         report.add(name, value, worst_trial=k)
     return report
+
+
+def verify_row(row: Suite, n: int, trials: int, seed: int, tol: float) -> list[VerificationReport]:
+    """The reports that verify publishes for a declared row, run at max(row.min_dim, n);
+    rejects n < 1 before any input is drawn, whatever the row's ``min_dim``."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    dim = max(row.min_dim, n)
+    report = run_suite(row, dim, trials, seed, tol, {"dim": dim} if row.records_dim else None)
+    return [report] if row.split is None else row.split(row, dim, report)

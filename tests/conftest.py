@@ -1,20 +1,30 @@
+import importlib
 import math
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 
-from geomqm import algebra, distributions, dual, kahler
+import geomqm
+from geomqm.cli import VERIFY_ROWS
 from geomqm.kernel import dagger, eig_hermitian, random_hermitian
+from geomqm.report import Suite
 
 PAULI_U = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# every declared suite row: its name -> the module that holds it
-SUITE_ROWS = {"JORDAN_LIE": algebra, "DUAL_GEOMETRY": dual, "COMMUTATION": distributions,
-              "INVOLUTIVITY": distributions, "PULLBACKS": kahler}
+# every Suite bound at the top level of a geomqm module: (module, name) -> the row
+SUITE_BINDINGS = {(module, name): value
+                  for module in (importlib.import_module(f"geomqm.{info.name}")
+                                 for info in pkgutil.iter_modules(geomqm.__path__))
+                  for name, value in vars(module).items() if isinstance(value, Suite)}
+
+# every row that verify runs, in its order: the row's name -> the module that binds it
+SUITE_ROWS = {name: module for row in VERIFY_ROWS
+              for (module, name), value in SUITE_BINDINGS.items() if value is row}
 
 
 def plant_everywhere(mp, f, defect):

@@ -9,9 +9,9 @@ from geomqm.algebra import (
     jordan_product,
     lie_bracket,
     trace_form,
-    verify_jordan_lie,
 )
 from geomqm.kernel import DimensionError, is_hermitian, random_hermitian
+from geomqm.report import verify_row
 from conftest import PAULI_X, PAULI_Y, PAULI_Z
 from suite_reference import reference_jordan_lie
 
@@ -84,7 +84,7 @@ class TestAssociator:
 
 class TestVerifySuite:
     def test_all_identities_pass(self):
-        report = verify_jordan_lie(2, trials=100, seed=3, tol=1e-9)
+        (report,) = verify_row(algebra.JORDAN_LIE, 2, 100, 3, 1e-9)
         assert report.passed
         assert {c.name for c in report.checks} == {
             "jacobi", "jordan_identity",
@@ -94,7 +94,7 @@ class TestVerifySuite:
 
     def test_one_by_one_matrices_near_exact(self):
         # scalars: every identity reduces to float arithmetic rounding
-        report = verify_jordan_lie(1, trials=10, seed=0)
+        (report,) = verify_row(algebra.JORDAN_LIE, 1, 10, 0, 1e-9)
         assert all(c.max_residual <= 1e-15 for c in report.checks)
 
     @staticmethod
@@ -106,14 +106,14 @@ class TestVerifySuite:
 
     def test_perturbed_bracket_trips_jacobi(self, monkeypatch):
         self.perturb_bracket(monkeypatch, 0.1)
-        report = verify_jordan_lie(3, trials=20, seed=1)
+        (report,) = verify_row(algebra.JORDAN_LIE, 3, 20, 1, 1e-9)
         failed = {c.name for c in report.checks if not c.passed}
         assert "jacobi" in failed
 
     def test_nan_residual_fails(self, monkeypatch):
         # a NaN residual is the worst value, never one that a max() drops
         self.perturb_bracket(monkeypatch, float("nan"))
-        report = verify_jordan_lie(2, trials=3, seed=0)
+        (report,) = verify_row(algebra.JORDAN_LIE, 2, 3, 0, 1e-9)
         assert not report.passed
         jacobi = next(c for c in report.checks if c.name == "jacobi")
         assert np.isnan(jacobi.max_residual)
@@ -123,20 +123,21 @@ class TestVerifySuite:
         # each product computed once per chunk gives the reports of the identities as written
         monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", 10 * n * n)  # chunks of 10 trials
         for seed in range(5):
-            assert verify_jordan_lie(n, 30, seed).to_dict() \
-                == reference_jordan_lie(n, 30, seed).to_dict()
+            (report,) = verify_row(algebra.JORDAN_LIE, n, 30, seed, 1e-9)
+            assert report.to_dict() == reference_jordan_lie(n, 30, seed).to_dict()
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_random_dimensions(self, n):
-        assert verify_jordan_lie(n, trials=20, seed=n).passed
+        assert verify_row(algebra.JORDAN_LIE, n, 20, n, 1e-9)[0].passed
 
     def test_conventions_recorded(self):
-        conventions = verify_jordan_lie(2, trials=1, seed=0).to_dict()["conventions"]
+        (report,) = verify_row(algebra.JORDAN_LIE, 2, 1, 0, 1e-9)
+        conventions = report.to_dict()["conventions"]
         assert conventions["hbar"] == CONVENTIONS.hbar
         assert "lie_sign" in conventions
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            verify_jordan_lie(0, trials=1, seed=0)
+            verify_row(algebra.JORDAN_LIE, 0, 1, 0, 1e-9)
         with pytest.raises(ValueError):
-            verify_jordan_lie(2, trials=0, seed=0)
+            verify_row(algebra.JORDAN_LIE, 2, 0, 0, 1e-9)

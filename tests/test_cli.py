@@ -12,8 +12,8 @@ from geomqm.algebra import CONVENTIONS
 from geomqm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow
 from geomqm.kernel import make_rng, random_complex_vector, random_hermitian, serialize_matrix
-from geomqm.report import replay
-from conftest import PAULI_X, PAULI_Y, PAULI_Z, SUITE_ROWS
+from geomqm.report import replay, verify_row
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, SUITE_BINDINGS, SUITE_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -251,11 +251,42 @@ class TestJsonReports:
         jsonschema.validate(json.loads(out.read_text()), schema)
 
 
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def scaled_argv(tmp_path, command, k):
+    """argv of ``command`` on input scaled by 2^k; verify and su2demo take no matrix."""
+    s = 2.0**k
+    write = {name: write_matrix(tmp_path / f"{name}.json", m) for name, m in {
+        "h": s * random_hermitian(4, 1), "psi": random_complex_vector(4, 2),
+        "op": s * random_hermitian(32, 0), "point": s * random_hermitian(4, 5),
+        **{name: s * random_hermitian(3, key) for name, key in (("a", 60), ("b", 61), ("xi", 62))},
+    }.items()}.get
+    return {"evolve": ["evolve", "--hamiltonian", write("h"), "--initial", write("psi"),
+                       "--t", repr(5 * 2.0**-k), "--check-mu"],
+            "eigen": ["eigen", "--operator", write("op")],
+            "star": ["star", "--a", write("a"), "--b", write("b"), "--xi", write("xi")],
+            "distributions": ["distributions", "--point", write("point"), "--trials", "3"],
+            "verify": ["verify", "--dim", "2", "--trials", "3"],
+            "su2demo": ["su2demo"]}[command]
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_json_output_is_strict_at_extreme_scales(capsys, schema, tmp_path, command, k):
+    # eigen's dispersion was written as Infinity at 2^600, and star's value as NaN (exit 1)
+    code = run([*scaled_argv(tmp_path, command, k), "--json"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    jsonschema.validate(payload, schema)
+    assert code == EXIT_OK and payload["passed"] is True
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("n", [2, 4])
 def test_star_command_and_suite_share_one_residual(capsys, tmp_path, n, seed):
     # star --json at the suite's worst star_decomposition trial gives its max_residual exactly
-    (check,) = [c for c in dual.verify_dual_geometry(n, 100, seed).checks
+    (check,) = [c for c in verify_row(dual.DUAL_GEOMETRY, n, 100, seed, 1e-9)[0].checks
                 if c.name == "star_decomposition"]
     rows = replay(dual.DUAL_GEOMETRY, n, seed, check.worst_trial)
     argv = ["star"]
@@ -436,6 +467,16 @@ class TestDeterminism:
             assert (payload["seed"], payload["tol"]) == (report["seed"], report["tol"])
             assert payload["seed"] == 0
         assert payload["tol"] == 1e-9 and run_json(capsys, "su2demo")[1]["tol"] == 1e-12
+
+
+def test_verify_rows_are_every_bound_suite():
+    # a Suite bound in a geomqm module but left out of VERIFY_ROWS would never run in verify
+    unlisted = [f"{module.__name__}.{name}" for (module, name), row in SUITE_BINDINGS.items()
+                if not any(row is listed for listed in cli.VERIFY_ROWS)]
+    unbound = [row.title for row in cli.VERIFY_ROWS
+               if not any(row is bound for bound in SUITE_BINDINGS.values())]
+    assert not unlisted and not unbound, (unlisted, unbound)
+    assert len(SUITE_ROWS) == len({id(row) for row in cli.VERIFY_ROWS}) == len(cli.VERIFY_ROWS)
 
 
 def test_verify_suites_draw_from_disjoint_substreams(monkeypatch):

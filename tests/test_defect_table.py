@@ -80,6 +80,7 @@ def defect_table():
 
 
 def test_every_defect_fails_a_check_and_every_check_fails_for_a_defect():
+    assert set(ROWS) <= SUITE_ROWS.keys()
     clean = reports()
     assert all(report.passed for report in clean.values())
     table = defect_table()

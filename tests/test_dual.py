@@ -5,6 +5,7 @@ from geomqm import dual
 from geomqm import report as report_module
 from geomqm.algebra import jordan_product, lie_bracket
 from geomqm.kernel import DimensionError, dagger, make_rng, random_hermitian
+from geomqm.report import verify_row
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
 from suite_reference import reference_dual_geometry
 
@@ -232,7 +233,7 @@ class TestStarReport:
 class TestVerifyDualGeometry:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_suite_passes(self, n):
-        report = dual.verify_dual_geometry(n, trials=25, seed=n, tol=1e-9)
+        (report,) = verify_row(dual.DUAL_GEOMETRY, n, 25, n, 1e-9)
         assert report.passed, report.summary()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
@@ -240,8 +241,8 @@ class TestVerifyDualGeometry:
         # each product computed once per chunk gives the reports of the identities as written
         monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", 10 * n * n)  # chunks of 10 trials
         for seed in range(5):
-            assert dual.verify_dual_geometry(n, 30, seed).to_dict() \
-                == reference_dual_geometry(n, 30, seed).to_dict()
+            (report,) = verify_row(dual.DUAL_GEOMETRY, n, 30, seed, 1e-9)
+            assert report.to_dict() == reference_dual_geometry(n, 30, seed).to_dict()
 
 
 class TestIsStateInputs:

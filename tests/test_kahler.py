@@ -14,6 +14,7 @@ from geomqm.kernel import (
     random_complex_vector_stack,
     random_hermitian,
 )
+from geomqm.report import verify_row
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, plant_everywhere, unitary_exp
 from eigensolve_reference import reference_eigensolve
 
@@ -177,7 +178,7 @@ class TestPullbacks:
                                                   for name, (rng, draw) in rngs.items()})
             for name, value in point.items():
                 worst[name] = max(worst.get(name, 0.0), value)
-        report = kahler.verify_pullbacks(n, trials, seed)
+        (report,) = verify_row(kahler.PULLBACKS, n, trials, seed, 1e-9)
         assert {c.name: c.max_residual for c in report.checks} == worst
         assert report.passed and report.trials == trials
 
@@ -201,13 +202,13 @@ DEFECTS = [(kahler.momentum_map, scaled), (kahler.f_quadratic, scaled),
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_every_defect_fails_a_check_and_every_check_fails_for_a_defect(n):
-    clean = kahler.verify_pullbacks(n, 20, n)
+    (clean,) = verify_row(kahler.PULLBACKS, n, 20, n, 1e-9)
     assert clean.passed, clean.summary()
     failed = {}
     for f, defect in DEFECTS:
         with pytest.MonkeyPatch.context() as mp:
             plant_everywhere(mp, f, defect)
-            report = kahler.verify_pullbacks(n, 20, n)
+            (report,) = verify_row(kahler.PULLBACKS, n, 20, n, 1e-9)
         failed[f.__name__] = {c.name for c in report.checks if not c.passed}
     assert all(failed.values()), failed
     assert set().union(*failed.values()) == {c.name for c in clean.checks}, failed

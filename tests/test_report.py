@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geomqm import report as report_module
-from geomqm.report import CONVENTIONS, Suite, replay, run_suite
+from geomqm.report import CONVENTIONS, Suite, replay, run_suite, verify_row
 from conftest import SUITE_ROWS
 
 
@@ -62,15 +62,13 @@ class TestRunSuite:
             run_suite(ZEROS, dim, 3, 0, 1e-9)
 
     @pytest.mark.parametrize("dim", [0, -1])
-    @pytest.mark.parametrize("suite", ["verify_jordan_lie", "verify_dual_geometry",
-                                       "verify_commutation", "verify_pullbacks"])
-    def test_suites_reject_dim_below_one_before_drawing(self, monkeypatch, suite, dim):
-        # the dimension is checked in run_suite, before any generator is made
-        from geomqm import algebra, distributions, dual, kahler
-        module = next(m for m in (algebra, dual, distributions, kahler) if hasattr(m, suite))
+    @pytest.mark.parametrize("name", SUITE_ROWS, ids=lambda name: f"verify_{name.lower()}")
+    def test_suites_reject_dim_below_one_before_drawing(self, monkeypatch, name, dim):
+        # verify_row checks the dimension before any generator is made, also for a row that
+        # runs at a larger min_dim
         monkeypatch.setattr(report_module, "make_rng", lambda *key: pytest.fail("made an rng"))
         with pytest.raises(ValueError, match="dimension must be >= 1"):
-            getattr(module, suite)(dim, 3, 0)
+            verify_row(getattr(SUITE_ROWS[name], name), dim, 3, 0, 1e-9)
 
 
 class TestChunks:

@@ -17,7 +17,7 @@ from geomqm import algebra, dual, dynamics, kahler
 from geomqm import distributions as dist
 from geomqm.algebra import jordan_product
 from geomqm.kernel import random_complex_vector, random_hermitian
-from geomqm.report import replay
+from geomqm.report import replay, verify_row
 from conftest import SUITE_ROWS, unitary_from_seed
 
 POWERS = (-40, 0, 40)
@@ -47,32 +47,33 @@ def relative_defect(f):
     return lambda *args: f(*args) * (1 + 1e-6)
 
 
-# name: (its row, run the suite, plant a relative ~1e-6 defect)
+# row name: (plant a relative ~1e-6 defect, the kinds whose reports are left out); the R
+# witness matrices scale with the draws, and a witness of non-involutivity survives a defect
 SUITES = {
-    "jordan_lie": ("JORDAN_LIE", lambda: [algebra.verify_jordan_lie(N, TRIALS, SEED)],
-                   lambda mp: plant(mp, algebra, "lie_bracket", bracket_defect)),
-    "dual": ("DUAL_GEOMETRY", lambda: [dual.verify_dual_geometry(N, TRIALS, SEED)],
-             lambda mp: plant(mp, dual, "star_eval", relative_defect)),
-    "commutation": ("COMMUTATION", lambda: [dist.verify_commutation(N, TRIALS, SEED)],
-                    lambda mp: plant(mp, dist, "rhat", relative_defect)),
-    "involutivity": ("INVOLUTIVITY", lambda: [r for r in dist.involutivity_evidence(N, TRIALS, SEED)
-                                              if r.details["kind"] != "R"],
-                     lambda mp: plant(mp, dist, "lie_bracket", bracket_defect)),
-    "pullbacks": ("PULLBACKS", lambda: [kahler.verify_pullbacks(N, TRIALS, SEED)],
-                  lambda mp: plant(mp, kahler, "f_quadratic", relative_defect)),
+    "JORDAN_LIE": (lambda mp: plant(mp, algebra, "lie_bracket", bracket_defect), ()),
+    "DUAL_GEOMETRY": (lambda mp: plant(mp, dual, "star_eval", relative_defect), ()),
+    "COMMUTATION": (lambda mp: plant(mp, dist, "rhat", relative_defect), ()),
+    "INVOLUTIVITY": (lambda mp: plant(mp, dist, "lie_bracket", bracket_defect), ("R",)),
+    "PULLBACKS": (lambda mp: plant(mp, kahler, "f_quadratic", relative_defect), ()),
 }
 
 
+def test_suites_cover_every_verify_row():
+    assert list(SUITES) == list(SUITE_ROWS)
+
+
 def suite_reports(name, scale, planted=False):
-    row, run, plant_defect = SUITES[name]
+    """The reports of the row ``name``, as its module binds it once scaled (and planted)."""
+    plant_defect, left_out = SUITES[name]
     with pytest.MonkeyPatch.context() as mp:
-        scale_row(mp, row, scale)
+        scale_row(mp, name, scale)
         if planted:
             plant_defect(mp)
-        return run()
+        reports = verify_row(getattr(SUITE_ROWS[name], name), N, TRIALS, SEED, 1e-9)
+    return [r for r in reports if r.details.get("kind") not in left_out]
 
 
-@pytest.mark.parametrize("name", SUITES)
+@pytest.mark.parametrize("name", SUITES, ids=str.lower)
 def test_suite_reports_equal_at_every_power_of_two(name):
     reports = [[r.to_dict() for r in suite_reports(name, 2.0**k)] for k in POWERS]
     assert reports[0] == reports[1] == reports[2]
@@ -80,7 +81,7 @@ def test_suite_reports_equal_at_every_power_of_two(name):
 
 
 @pytest.mark.parametrize("k", POWERS)
-@pytest.mark.parametrize("name", SUITES)
+@pytest.mark.parametrize("name", SUITES, ids=str.lower)
 def test_planted_defect_fails_at_every_power_of_two(name, k):
     assert not all(r.passed for r in suite_reports(name, 2.0**k, planted=True))
 
@@ -99,7 +100,7 @@ def test_scaled_row_scales_every_input(name, k):
         assert np.array_equal(scaled[key], 2.0**k * unscaled[key])
 
 
-@pytest.mark.parametrize("name", SUITES)
+@pytest.mark.parametrize("name", SUITES, ids=str.lower)
 def test_suite_reads_the_scaled_row(name):
     # NaN draws fail the reports only if the suite draws from the row put in place
     assert not any(r.passed for r in suite_reports(name, float("nan")))
@@ -107,13 +108,18 @@ def test_suite_reads_the_scaled_row(name):
 
 def test_involutivity_r_witness_equal_at_every_power_of_two():
     with pytest.MonkeyPatch.context() as mp:
-        witness = []
+        witness, matrices = [], []
         for k in POWERS:
             scale_row(mp, "INVOLUTIVITY", 2.0**k)
             report = dist.involutivity_evidence(N, TRIALS, SEED)[1]
             witness.append((report.passed, report.details["witness_residual"]))
+            matrices.append(report.details["witness_matrices"])
             mp.undo()
     assert witness[0] == witness[1] == witness[2] and witness[0][0]
+    # the witness is replayed from the scaled row, the one that ran
+    for k, scaled in zip(POWERS, matrices):
+        assert all(np.array_equal(scaled[name], 2.0**k * np.array(matrices[1][name]))
+                   for name in scaled)
 
 
 # --- eigen: the operator scaled ----------------------------------------------------
@@ -129,6 +135,21 @@ def test_eigensolve_of_a_scaled_operator_scales_its_eigenvalue(k, direction):
     assert np.array_equal(res.eigenvector, unit.eigenvector)
     assert res.eigenvalue == 2.0**k * unit.eigenvalue
     assert res.residual_history == [2.0**k * r for r in unit.residual_history]
+
+
+# --- star: A, B and xi scaled independently ------------------------------------------
+
+@pytest.mark.parametrize("c", [-600, 0, 600])
+@pytest.mark.parametrize("b", [-600, 0, 600])
+@pytest.mark.parametrize("a", [-600, 0, 600])
+def test_star_report_equal_at_independent_powers_of_two(a, b, c):
+    # at 2^400 each the residual read NaN (exit 1), and at 2^-600 each exactly 0
+    for n in (1, 2, 3, 5):
+        triple = [random_hermitian(n, 60 + n, key) for key in range(3)]
+        unit, _ = dual.star_report(*triple)
+        rep, _ = dual.star_report(*(2.0**k * m for k, m in zip((a, b, c), triple)))
+        assert rep.to_dict() == unit.to_dict() and unit.passed
+        assert n == 1 or unit.checks[0].max_residual > 0
 
 
 @pytest.mark.parametrize("direction", ["ascent", "descent"])
@@ -196,7 +217,7 @@ def test_planted_bracket_defect_fails_at_small_scale(s):
     with pytest.MonkeyPatch.context() as mp:
         scale_row(mp, "JORDAN_LIE", s)
         plant(mp, algebra, "lie_bracket", bracket_defect)
-        report = algebra.verify_jordan_lie(N, TRIALS, SEED)
+        (report,) = verify_row(algebra.JORDAN_LIE, N, TRIALS, SEED, 1e-9)
     assert not {c.name: c for c in report.checks}["jacobi"].passed
 
 

@@ -8,10 +8,9 @@ import pytest
 from geomqm import distributions as dist
 from geomqm import kahler
 from geomqm import report as report_module
-from geomqm.algebra import jordan_product, lie_bracket, trace_form, verify_jordan_lie
-from geomqm.dual import r_eval, star_eval, verify_dual_geometry
+from geomqm.algebra import jordan_product, lie_bracket, trace_form
+from geomqm.dual import r_eval, star_eval
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow, schrodinger_flow, vonneumann_flow
-from geomqm.kahler import verify_pullbacks
 from geomqm.kernel import (
     DimensionError,
     dagger,
@@ -25,7 +24,8 @@ from geomqm.kernel import (
     random_hermitian_stack,
     require_same_dim,
 )
-from conftest import unitary_exp
+from geomqm.report import verify_row
+from conftest import SUITE_ROWS, unitary_exp
 import svd_oracle as oracle
 
 
@@ -217,17 +217,16 @@ def test_commutation_defect_keeps_nan():
     assert np.isnan(dist.commutation_defect(xi[2], a[2]))
 
 
-def involutivity(kind, n, trials, seed):
-    return dist.involutivity_evidence(n, trials, seed)[dist.KINDS.index(kind)]
+def published(name, index, n, trials, seed):
+    """Report ``index`` of those that verify publishes for the row ``name``."""
+    return verify_row(getattr(SUITE_ROWS[name], name), n, trials, seed, 1e-9)[index]
 
 
-SUITES = {
-    "jordan_lie": verify_jordan_lie,
-    "dual_geometry": verify_dual_geometry,
-    "commutation": dist.verify_commutation,
-    **{f"involutivity_{kind}": partial(involutivity, kind) for kind in dist.KINDS},
-    "pullbacks": verify_pullbacks,
-}
+# every report that verify publishes: a row's one report, or one per kind of a split row
+SUITES = {label: partial(published, name, index) for name, module in SUITE_ROWS.items()
+          for index, label in enumerate(
+              [name.lower()] if getattr(module, name).split is None
+              else [f"{name.lower()}_{kind}" for kind in dist.KINDS])}
 
 
 def summary(report):
