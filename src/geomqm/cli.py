@@ -25,8 +25,8 @@ import numpy as np
 from . import distributions as dist
 from . import algebra, dual, dynamics, kahler
 from .algebra import CONVENTIONS
-from .kernel import (DimensionError, MatrixParseError, NumericalError, TAU_HERMITIAN, is_hermitian,
-                     parse_matrix, parse_vector, require_same_dim)
+from .kernel import (DimensionError, MatrixParseError, NumericalError, TAU_HERMITIAN,
+                     parse_matrix, parse_vector, require_observable, require_same_dim)
 from .report import VerificationReport, _strict_json, verify_row
 
 # the declared suite rows that verify runs, in report order
@@ -160,9 +160,10 @@ def _read(path: Path, vector: bool = False) -> np.ndarray:
 
 def _read_hermitian(path: Path, what: str) -> np.ndarray:
     m = _read(path)
-    if not is_hermitian(m, TAU_HERMITIAN):
+    try:
+        return require_observable(m, what)
+    except ValueError:
         raise CliError(f"{path}: {what} is not Hermitian")
-    return m
 
 
 def _write(path: Path | None, text: str) -> None:

@@ -32,8 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import jordan_product, lie_bracket
-from .kernel import (TAU_HERMITIAN, eig_hermitian, frobenius, is_hermitian, random_hermitian_stack,
-                     relative, require_same_dim, require_square, scalar_or_stack)
+from .kernel import (eig_hermitian, frobenius, random_hermitian_stack, relative,
+                     require_observable, require_same_dim, scalar_or_stack)
 from .report import Suite, VerificationReport, replay, verify_row
 
 TAU_RANK = 1e-8
@@ -69,13 +69,6 @@ COMMUTATION = Suite("tensor commutation relation", {"xi": (10, random_hermitian_
 
 
 KINDS = ("Lambda", "R", "Zero", "One")
-
-
-def _hermitian_point(xi) -> np.ndarray:
-    xi = require_square(xi)
-    if not np.all(is_hermitian(xi, TAU_HERMITIAN)):
-        raise ValueError("the point must be a finite Hermitian matrix")
-    return xi
 
 
 def _rank_cutoff(eigenvalues):
@@ -223,7 +216,7 @@ def orbit_invariants(xi) -> dict:
     The four distributions' ranks, in KINDS order, are functions of the
     spectrum, so one eigendecomposition gives every label.
     """
-    xi = _hermitian_point(xi)
+    xi = require_observable(xi, "the point")
     w = eig_hermitian(xi).eigenvalues
     cutoff = _rank_cutoff(w)
     npos = int(np.sum(w > cutoff))

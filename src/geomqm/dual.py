@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import lie_bracket, trace_form
-from .kernel import (TAU_HERMITIAN, dagger, eigvals_hermitian, frobenius, is_hermitian,
-                     random_hermitian_stack, relative, require_matrix, require_same_dim,
+from .kernel import (dagger, eigvals_hermitian, frobenius, is_hermitian, random_hermitian_stack,
+                     relative, require_matrix, require_observable, require_same_dim,
                      scalar_or_stack, serialize_matrix, unit_scale)
 from .report import Suite, VerificationReport
 
@@ -56,9 +56,8 @@ def star_report(a, b, xi, tol: float = 1e-9) -> tuple[VerificationReport, dict]:
     """(A*B)(xi) and its Jordan and Lie parts, for finite Hermitian A, B and xi of one dimension,
     with a report that star = r/2 + i lambda/2, taken of A, B and xi each prescaled by
     ``unit_scale``: exact, so the report at (2^a A, 2^b B, 2^c xi) is the one at (A, B, xi)."""
-    a, b, xi = require_same_dim(*map(require_matrix, (a, b, xi)))
-    if not all(is_hermitian(m, TAU_HERMITIAN) for m in (a, b, xi)):
-        raise ValueError("A, B and xi must be finite and Hermitian")
+    a, b, xi = require_same_dim(*(require_matrix(require_observable(m, what))
+                                  for m, what in ((a, "A"), (b, "B"), (xi, "xi"))))
     rep = VerificationReport(title="star product decomposition", seed=0, trials=1, tol=tol)
     rep.add("star_equals_r_half_plus_i_lambda_half",
             star_decomposition(*(m * unit_scale(m, (-2, -1)) for m in (a, b, xi))))

@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import jordan_product, lie_bracket
-from .kernel import (TAU_HERMITIAN, DimensionError, dagger, eig_hermitian, eigvals_hermitian,
-                     frobenius, is_hermitian, random_hermitian, relative, require_matrix,
+from .kernel import (DimensionError, dagger, eig_hermitian, eigvals_hermitian, frobenius,
+                     random_hermitian, relative, require_matrix, require_observable,
                      require_same_dim, unit_scale)
 from .report import VerificationReport
 from . import kahler
@@ -46,8 +46,7 @@ class EvolutionSpec:
     picture: str = "schrodinger"
 
     def __post_init__(self):
-        if not is_hermitian(require_matrix(self.hamiltonian), TAU_HERMITIAN):
-            raise ValueError("the Hamiltonian must be a finite Hermitian matrix")
+        require_matrix(require_observable(self.hamiltonian, "the Hamiltonian"))
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not np.isfinite(self.t_final):
@@ -75,41 +74,45 @@ class EvolutionSpec:
         return (v * phases[:, None, :]) @ dagger(v)
 
 
-def schrodinger_flow(spec: EvolutionSpec, psi0) -> np.ndarray:
-    """Samples of psi(t) = U(t) psi0, shape (steps+1, n)."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    n = require_matrix(spec.hamiltonian).shape[0]
+def _initial(spec: EvolutionSpec, value, picture: str) -> np.ndarray:
+    """The initial value of ``picture``, checked: a finite psi0 of H's length, or an observable
+    of H's dimension; both the exact and the RK4 flows take it so, before any work."""
+    if picture != "schrodinger":
+        return require_same_dim(spec.hamiltonian,
+                                require_matrix(require_observable(value, "the initial matrix")))[1]
+    psi0, n = np.asarray(value, dtype=complex), spec.hamiltonian.shape[0]
     if psi0.shape != (n,):
         raise DimensionError(f"state has shape {psi0.shape}, Hamiltonian dim {n}")
+    if not np.isfinite(psi0).all():
+        raise ValueError("the initial state must be finite")
+    return psi0
+
+
+def schrodinger_flow(spec: EvolutionSpec, psi0) -> np.ndarray:
+    """Samples of psi(t) = U(t) psi0, shape (steps+1, n)."""
+    psi0 = _initial(spec, psi0, "schrodinger")
     # psi(t) = V diag(phases(t)) V^dag psi0, all samples in one product
     v, phases = spec.frame
     return (phases * (dagger(v) @ psi0)) @ v.T
 
 
-def _check_dim(spec: EvolutionSpec, m) -> np.ndarray:
-    return require_same_dim(spec.hamiltonian, require_matrix(m))[1]
-
-
 def heisenberg_flow(spec: EvolutionSpec, a0) -> np.ndarray:
     """Samples of A(t) = U(t)^dag A0 U(t), shape (steps+1, n, n)."""
-    a0 = _check_dim(spec, a0)
+    a0 = _initial(spec, a0, "heisenberg")
     u = spec.propagators
     return dagger(u) @ a0 @ u
 
 
 def vonneumann_flow(spec: EvolutionSpec, xi0) -> np.ndarray:
     """Samples of xi(t) = U(t) xi0 U(t)^dag, shape (steps+1, n, n)."""
-    xi0 = _check_dim(spec, xi0)
+    xi0 = _initial(spec, xi0, "vonneumann")
     u = spec.propagators
     return u @ xi0 @ dagger(u)
 
 
 def exact_flow(spec: EvolutionSpec, initial) -> np.ndarray:
-    if spec.picture == "schrodinger":
-        return schrodinger_flow(spec, initial)
-    if spec.picture == "heisenberg":
-        return heisenberg_flow(spec, initial)
-    return vonneumann_flow(spec, initial)
+    return {"schrodinger": schrodinger_flow, "heisenberg": heisenberg_flow,
+            "vonneumann": vonneumann_flow}[spec.picture](spec, initial)
 
 
 def _rhs(spec: EvolutionSpec):
@@ -128,9 +131,7 @@ def rk4_flow(spec: EvolutionSpec, initial) -> np.ndarray:
     Returns the samples like ``exact_flow``; ``conserved_report`` measures
     their drift from the quantities the exact flow conserves.
     """
-    y = np.asarray(initial, dtype=complex).copy()
-    if y.shape != spec.hamiltonian.shape[:1 if spec.picture == "schrodinger" else 2]:
-        raise DimensionError(f"initial shape {y.shape}, Hamiltonian dim {len(spec.hamiltonian)}")
+    y = _initial(spec, initial, spec.picture).copy()
     rhs = _rhs(spec)
     dt = spec.t_final / spec.steps
     samples = [y.copy()]

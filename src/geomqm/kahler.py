@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import (DimensionError, NumericalError, TAU_HERMITIAN, dagger, eig_hermitian,
-                     frobenius, is_hermitian, random_complex_vector, random_complex_vector_stack,
-                     random_hermitian_stack, relative, require_matrix, require_same_dim,
+from .kernel import (DimensionError, NumericalError, dagger, eig_hermitian, frobenius,
+                     random_complex_vector, random_complex_vector_stack, random_hermitian_stack,
+                     relative, require_matrix, require_observable, require_same_dim,
                      require_square, scalar_or_stack, unit_scale)
 from .report import CONVENTIONS, Suite, VerificationReport
 from . import dual
@@ -232,9 +232,7 @@ def eigensolve_gradient_flow(
     max_iter runs out.  A must be finite and Hermitian, psi0 finite and nonzero;
     psi0 of any scale gives the result of its direction at unit scale.
     """
-    a = require_matrix(a)
-    if not is_hermitian(a, TAU_HERMITIAN):
-        raise ValueError("operator must be finite and Hermitian")
+    a = require_matrix(require_observable(a, "the operator"))
     if direction not in ("ascent", "descent"):
         raise ValueError(f"direction must be 'ascent' or 'descent', got {direction!r}")
     psi = _as_vectors(psi0)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-10
-TAU_HERMITIAN = 1e-8  # the Hermitian test of matrices read from input
+TAU_HERMITIAN = 1e-8  # the Hermitian test of observables taken from outside (require_observable)
 
 
 class DimensionError(ValueError):
@@ -114,6 +114,14 @@ def is_hermitian(m, tol: float = DEFAULT_TOL):
     m = m * unit_scale(m, (-2, -1))  # so that neither norm overflows or underflows
     close = frobenius(m - dagger(m)) <= tol * frobenius(m)
     return scalar_or_stack(finite & close, bool)
+
+
+def require_observable(m, what: str) -> np.ndarray:
+    """m as a complex array if square and each matrix is finite and Hermitian at TAU_HERMITIAN."""
+    m = require_square(m)
+    if not np.all(is_hermitian(m, TAU_HERMITIAN)):
+        raise ValueError(f"{what} must be a finite Hermitian matrix")
+    return m
 
 
 @dataclass(frozen=True)

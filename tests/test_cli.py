@@ -628,7 +628,7 @@ star table:
 def test_distributions_diagonalizes_the_point_once(capsys, monkeypatch, tmp_path):
     # one decomposition for the four ranks and the orbit invariants; the trials' points are
     # diagonal
-    calls = dict.fromkeys(["eig_hermitian", "is_hermitian"], 0)
+    calls = dict.fromkeys(["eig_hermitian", "require_observable"], 0)
     for name in calls:
         fn = getattr(cli.dist, name)
         monkeypatch.setattr(cli.dist, name,
@@ -636,7 +636,7 @@ def test_distributions_diagonalizes_the_point_once(capsys, monkeypatch, tmp_path
                             or fn(*a))
     path = write_matrix(tmp_path / "xi.json", random_hermitian(4, 12))
     assert run(["distributions", "--point", path]) == EXIT_OK
-    assert calls == {"eig_hermitian": 1, "is_hermitian": 1}
+    assert calls == {"eig_hermitian": 1, "require_observable": 1}
 
 
 class TestTextOutput:

@@ -223,6 +223,15 @@ class TestRk4:
         with pytest.raises(DimensionError):
             flow(spec, init)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("flow", dynamics.METHODS.values(), ids=dynamics.METHODS)
+    def test_nonfinite_state_rejected_before_any_work(self, flow, bad):
+        # both Schrodinger flows used to return a NaN trajectory for one non-finite entry
+        spec = make_spec(random_hermitian(3, 24))
+        with pytest.raises(ValueError, match="^the initial state must be finite$"):
+            flow(spec, np.array([bad, 1.0, 0.0]))
+        assert "frame" not in vars(spec)
+
 
 class TestMuRelatedness:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -234,15 +243,13 @@ class TestMuRelatedness:
             report = mu_relatedness_check(spec, psi0, seed=seed)
             assert report.passed, report.summary()
 
-    def test_nan_state_fails_both_checks(self):
-        # a NaN residual used to be dropped by max(0.0, nan), reporting 0.0 as a pass
+    def test_nan_state_rejected(self):
+        # a NaN residual used to be dropped by max(0.0, nan), reporting 0.0 as a pass; later the
+        # report read NaN and failed; the Schrodinger flow now rejects the state before any work
         spec = make_spec(random_hermitian(3, 65), t_final=1.0, steps=4)
-        report = mu_relatedness_check(spec, np.array([np.nan, 1.0, 0.0]))
-        assert [c.name for c in report.checks] == [
-            "mu_of_schrodinger_equals_vonneumann_of_mu",
-            "heisenberg_schrodinger_expectations_agree"]
-        assert all(np.isnan(c.max_residual) and not c.passed for c in report.checks)
-        assert not report.passed
+        with pytest.raises(ValueError, match="^the initial state must be finite$"):
+            mu_relatedness_check(spec, np.array([np.nan, 1.0, 0.0]))
+        assert "frame" not in vars(spec)
 
     def test_wrong_orientation_detected(self):
         # reversing time in one picture must break the relatedness

@@ -18,7 +18,7 @@ from geomqm.kernel import (
     random_hermitian,
     serialize_matrix,
 )
-from geomqm import dual, kernel
+from geomqm import distributions, dual, dynamics, kahler, kernel
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
 
 
@@ -90,6 +90,63 @@ class TestIsHermitian:
                 m = a + rel * tol * fro(a) / fro(d) / 2 * d
                 expected = fro(m - m.conj().T) <= tol * fro(m)
                 assert is_hermitian(m, tol) is bool(expected)
+
+
+def _spec(n, picture="schrodinger"):
+    return dynamics.EvolutionSpec(random_hermitian(n, 0, 0), 1.0, 4, picture=picture)
+
+
+def _others(n):
+    return random_hermitian(n, 0, 1), random_hermitian(n, 0, 2)
+
+
+# every entry point that takes an observable from outside: (the name its message gives the
+# input, a call with the observable m of dimension n in that place)
+GUARDED = {
+    "EvolutionSpec": ("the Hamiltonian", lambda m, n: dynamics.EvolutionSpec(m, 1.0, 4)),
+    "heisenberg_flow": ("the initial matrix", lambda m, n: dynamics.heisenberg_flow(_spec(n), m)),
+    "vonneumann_flow": ("the initial matrix", lambda m, n: dynamics.vonneumann_flow(_spec(n), m)),
+    "rk4_flow-heisenberg": ("the initial matrix",
+                            lambda m, n: dynamics.rk4_flow(_spec(n, "heisenberg"), m)),
+    "rk4_flow-vonneumann": ("the initial matrix",
+                            lambda m, n: dynamics.rk4_flow(_spec(n, "vonneumann"), m)),
+    "eigensolve_gradient_flow": ("the operator",
+                                 lambda m, n: kahler.eigensolve_gradient_flow(m, np.ones(n))),
+    "eigen_report": ("the operator", lambda m, n: kahler.eigen_report(m, 0, 1e-9, 100, "descent")),
+    "star_report-A": ("A", lambda m, n: dual.star_report(m, *_others(n))),
+    "star_report-B": ("B", lambda m, n: dual.star_report(_others(n)[0], m, _others(n)[1])),
+    "star_report-xi": ("xi", lambda m, n: dual.star_report(*_others(n), m)),
+    "orbit_invariants": ("the point", lambda m, n: distributions.orbit_invariants(m)),
+}
+
+
+class TestRequireObservable:
+    def test_returns_the_complex_array(self):
+        m = random_hermitian(3, 5)
+        assert kernel.require_observable(m, "m") is m
+        assert kernel.require_observable(m.real.tolist(), "m").dtype == complex
+        stack = np.stack([m, 2 * m])
+        assert kernel.require_observable(stack, "m") is stack
+
+    def test_one_bad_matrix_of_a_stack_rejects_it(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2)])
+        with pytest.raises(ValueError, match="^the stack must be a finite Hermitian matrix$"):
+            kernel.require_observable(stack, "the stack")
+        with pytest.raises(DimensionError):
+            kernel.require_observable(np.zeros((2, 3)), "m")
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("defect", ["non_hermitian", "nan"])
+    @pytest.mark.parametrize("entry", GUARDED)
+    def test_every_entry_point_rejects_and_names_its_input(self, entry, defect, n):
+        what, call = GUARDED[entry]
+        m = random_hermitian(n, 0, 9)
+        if defect == "nan":
+            m[0, -1] = np.nan
+        else:
+            m[0, -1] += 1j
+        with pytest.raises(ValueError, match=f"^{what} must be a finite Hermitian matrix$"):
+            call(m, n)
 
 
 class TestRelative:
