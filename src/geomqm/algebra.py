@@ -11,6 +11,12 @@ With these, the associator identity reads
   (A o B) o C - A o (B o C) = (hbar / 4) [[A, C]_-, B]_-   with hbar = 1,
 and the su(2) coordinate brackets come out as {x, y} = 2z and cyclic.
 
+Both products are parts of one associative product: ``pair`` forms AB and BA
+once, for ``lie_part`` and ``jordan_part`` and for the pair in both orders,
+and ``diagonal_pair`` takes the products with D = diag(lam) as the scalings
+A * lam[..., None, :] and lam[..., :, None] * A, equal to the matrix products
+entry for entry on finite input (a zero entry may differ in sign).
+
 The trace form is the contraction sum_ij A_ij B_ji, one einsum over a stack,
 which never forms the product AB; the dual evaluations and the von Neumann
 monitors take their traces of products the same way.
@@ -18,22 +24,60 @@ monitors take their traces of products the same way.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .kernel import frobenius, random_hermitian_stack, relative, require_same_dim, scalar_or_stack
 from .report import CONVENTIONS, ConventionSet, Suite  # noqa: F401
 
 
+class Pair(NamedTuple):
+    """An ordered pair (A, B) of matrices or stacks, with its two products AB and BA."""
+
+    a: np.ndarray
+    b: np.ndarray
+    ab: np.ndarray
+    ba: np.ndarray
+
+    def swapped(self) -> "Pair":
+        """The pair (B, A), from the same two products."""
+        return Pair(self.b, self.a, self.ba, self.ab)
+
+
+def pair(a, b) -> Pair:
+    """(A, B) with AB and BA, each formed once."""
+    a, b = require_same_dim(a, b)
+    return Pair(a, b, a @ b, b @ a)
+
+
+def diagonal_pair(a, d) -> Pair:
+    """(A, D) for D = diag(lam), or a stack of diagonal matrices, with AD and DA as the
+    column and row scalings of A by lam: equal to the matrix products entry for entry on
+    finite input, up to the sign of a zero entry."""
+    a, d = require_same_dim(a, d)
+    lam = np.diagonal(d, axis1=-2, axis2=-1)
+    return Pair(a, d, a * lam[..., None, :], lam[..., :, None] * a)
+
+
+def lie_part(p: Pair) -> np.ndarray:
+    """[A, B]_- = -i(AB - BA) of the pair (A, B)."""
+    return -1j * (p.ab - p.ba)
+
+
+def jordan_part(p: Pair) -> np.ndarray:
+    """A o B = (AB + BA)/2 of the pair (A, B)."""
+    return (p.ab + p.ba) / 2
+
+
 def lie_bracket(a, b) -> np.ndarray:
     """[A, B]_- = -i(AB - BA); Hermitian, antisymmetric."""
-    a, b = require_same_dim(a, b)
-    return -1j * (a @ b - b @ a)
+    return lie_part(pair(a, b))
 
 
 def jordan_product(a, b) -> np.ndarray:
     """A o B = (AB + BA)/2; Hermitian, commutative."""
-    a, b = require_same_dim(a, b)
-    return (a @ b + b @ a) / 2
+    return jordan_part(pair(a, b))
 
 
 def trace_form(a, b):
@@ -50,15 +94,19 @@ def associator_defect(a, b, c) -> np.ndarray:
 
 def _jordan_lie_residuals(a, b, c) -> dict:
     na, nb, nc = frobenius(a), frobenius(b), frobenius(c)
-    lie_ab, lie_bc, lie_ac = lie_bracket(a, b), lie_bracket(b, c), lie_bracket(a, c)
-    jor_ab, jor_bc, lie_ac_b = jordan_product(a, b), jordan_product(b, c), lie_bracket(lie_ac, b)
-    jac = lie_bracket(lie_ab, c) + lie_bracket(lie_bc, a) - lie_ac_b  # [C, A]_- = -[A, C]_-
-    a2 = jordan_product(a, a)
+    ab, bc, ac = pair(a, b), pair(b, c), pair(a, c)
+    lie_ab, lie_bc, lie_ac = lie_part(ab), lie_part(bc), lie_part(ac)
+    jor_ab, jor_bc = jordan_part(ab), jordan_part(bc)
+    ac_b, ab_c, a_bc = pair(lie_ac, b), pair(lie_ab, c), pair(a, jor_bc)
+    lie_ac_b = lie_part(ac_b)
+    jac = lie_part(ab_c) + lie_bracket(lie_bc, a) - lie_ac_b  # [C, A]_- = -[A, C]_-
+    aa = a @ a
+    a2 = jordan_part(Pair(a, a, aa, aa))  # A o A from its one product
     jid = jordan_product(jor_ab, a2) - jordan_product(a, jordan_product(b, a2))
     inv_lie = trace_form(lie_ab, c) - trace_form(a, lie_bc)
     inv_jor = trace_form(jor_ab, c) - trace_form(a, jor_bc)
-    leib = lie_bracket(a, jor_bc) - jordan_product(lie_ab, c) - jordan_product(b, lie_ac)
-    assoc = (jordan_product(jor_ab, c) - jordan_product(a, jor_bc)  # associator_defect(a, b, c)
+    leib = lie_part(a_bc) - jordan_part(ab_c) - jordan_part(ac_b.swapped())
+    assoc = (jordan_product(jor_ab, c) - jordan_part(a_bc)  # associator_defect(a, b, c)
              - (CONVENTIONS.hbar / 4) * lie_ac_b)
     size = na * nb * nc
     return {

@@ -23,15 +23,17 @@ commutator values are tested for pointwise membership at random points.
 One pass serves the four kinds, and each chunk of trials draws its pairs
 once.  Every point is a dense diag(lam), its spectrum drawn by a rule that
 fixes which eigenvalue sums and differences vanish, so membership is a
-masked norm.  The tensors and masks are U(n)-covariant and the pairs' law
-is unitarily invariant, so this is the law of the evidence at V diag(lam) V^dag.
+masked norm and a product with the point is a row or column scaling.  The
+tensors and masks are U(n)-covariant and the pairs' law is unitarily
+invariant, so this is the law of the evidence at V diag(lam) V^dag.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import jordan_product, lie_bracket
+from .algebra import (diagonal_pair, jordan_part, jordan_product, lie_bracket,
+                      lie_part, pair)
 from .kernel import (eig_hermitian, frobenius, random_hermitian_stack, relative,
                      require_observable, require_same_dim, scalar_or_stack)
 from .report import Suite, VerificationReport, replay, verify_row
@@ -52,8 +54,9 @@ def rhat(xi, a) -> np.ndarray:
 def commutation_defect(xi, a):
     """Residual of jhat o rhat = rhat o jhat = (1/2)[A, xi^2]_-; NaN stays NaN."""
     xi, a = require_same_dim(xi, a)
-    jr = jhat(xi, rhat(xi, a))
-    rj = rhat(xi, jhat(xi, a))
+    p = pair(a, xi)
+    jr = lie_bracket(jordan_part(p), xi)  # jhat(xi, rhat(xi, a))
+    rj = jordan_product(lie_part(p), xi)  # rhat(xi, jhat(xi, a))
     closed = lie_bracket(a, xi @ xi) / 2
     return scalar_or_stack(np.maximum(frobenius(jr - rj), frobenius(jr - closed)))
 
@@ -123,25 +126,29 @@ def _r_spectra(n, m, rng):
 
 
 def _commutator_value(kind, xi, a, b):
-    """Closed-form value at xi of the commutator of two spanning fields.
+    """Closed-form value at a diagonal point xi of the commutator of two spanning fields.
 
     Lambda and R are spanned by the linear fields xi -> jhat(xi, A) and
     xi -> rhat(xi, A); the commutator of linear fields is algebraic.
     Zero is spanned by the quadratic fields xi -> [A, xi^2]_- / 2, whose
     derivative along eta is [A, xi eta + eta xi]_- / 2.
     """
-    if kind == "Lambda":
-        return jhat(jhat(xi, a), b) - jhat(jhat(xi, b), a)
-    if kind == "R":
-        return rhat(rhat(xi, a), b) - rhat(rhat(xi, b), a)
+    if kind == "Lambda":  # jhat(jhat(xi, a), b) - jhat(jhat(xi, b), a)
+        return (lie_bracket(b, lie_part(diagonal_pair(a, xi)))
+                - lie_bracket(a, lie_part(diagonal_pair(b, xi))))
+    if kind == "R":  # rhat(rhat(xi, a), b) - rhat(rhat(xi, b), a)
+        return (jordan_product(b, jordan_part(diagonal_pair(a, xi)))
+                - jordan_product(a, jordan_part(diagonal_pair(b, xi))))
 
-    xi2 = xi @ xi  # Zero
+    lam = np.diagonal(xi, axis1=-2, axis2=-1)  # Zero
+    xi2 = _diagonal_points(lam * lam)  # xi @ xi
 
     def q(m):
-        return lie_bracket(m, xi2) / 2
+        return lie_part(diagonal_pair(m, xi2)) / 2
 
     def dq(m, eta):
-        return lie_bracket(m, xi @ eta + eta @ xi) / 2
+        p = diagonal_pair(eta, xi)
+        return lie_bracket(m, p.ba + p.ab) / 2  # xi eta + eta xi
 
     return dq(b, q(a)) - dq(a, q(b))
 
@@ -150,9 +157,12 @@ def _involutivity_residuals(spectrum, r_spectrum, a, b) -> dict:
     zero_spectrum = np.where(np.arange(spectrum.shape[-1]) == 0, 0.0, spectrum)
     masks, one_mask = _pair_masks(spectrum), _pair_masks(zero_spectrum)["One"]
     xi, xi0 = _diagonal_points(spectrum), _diagonal_points(zero_spectrum)
-    ja, rb = jhat(xi0, a), rhat(xi0, b)  # the factors that the One values share
-    one = [jhat(ja, b) - jhat(jhat(xi0, b), a), rhat(rhat(xi0, a), b) - rhat(rb, a),
-           rhat(ja, b) - jhat(rb, a)]  # the Lambda, R and mixed pairs' values
+    a0, b0 = diagonal_pair(a, xi0), diagonal_pair(b, xi0)
+    ja, rb = lie_part(a0), jordan_part(b0)  # jhat(xi0, a) and rhat(xi0, b)
+    b_ja, a_rb = pair(b, ja), pair(a, rb)  # the pairs that the One values share
+    one = [lie_part(b_ja) - lie_bracket(a, lie_part(b0)),  # the Lambda pair's value
+           jordan_product(b, jordan_part(a0)) - jordan_part(a_rb),  # the R pair's
+           jordan_part(b_ja) - lie_part(a_rb)]  # the mixed pair's: rhat(ja, b) - jhat(rb, a)
     return {  # np.max, unlike max(), propagates a NaN residual
         "commutators_tangent_to_D_Lambda":
             membership_residual(_commutator_value("Lambda", xi, a, b), masks["Lambda"]),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import lie_bracket, trace_form
+from .algebra import Pair, lie_bracket, lie_part, pair, trace_form
 from .kernel import (dagger, eigvals_hermitian, frobenius, is_hermitian, random_hermitian_stack,
                      relative, require_matrix, require_observable, require_same_dim,
                      scalar_or_stack, serialize_matrix, unit_scale)
@@ -31,13 +31,23 @@ def hat_eval(a, xi) -> float:
 
 def lambda_eval(a, b, xi) -> float:
     """Poisson bivector on hat differentials: hat([A,B]_-) at xi."""
-    return hat_eval(lie_bracket(a, b), xi)
+    return lambda_of(pair(a, b), xi)
 
 
 def r_eval(a, b, xi) -> float:
     """Symmetric Jordan tensor: Tr(xi (AB+BA))/2 = 2 hat(A o B) at xi."""
     a, b, xi = require_same_dim(a, b, xi)
-    return scalar_or_stack((np.einsum("...ij,...ji->...", xi, a @ b + b @ a) / 2).real)
+    return r_of(pair(a, b), xi)
+
+
+def lambda_of(p: Pair, xi) -> float:
+    """``lambda_eval`` of the pair (A, B), from its products."""
+    return hat_eval(lie_part(p), xi)
+
+
+def r_of(p: Pair, xi) -> float:
+    """``r_eval`` of the pair (A, B), from its products."""
+    return scalar_or_stack((np.einsum("...ij,...ji->...", xi, p.ab + p.ba) / 2).real)
 
 
 def star_eval(a, b, xi) -> complex:
@@ -48,8 +58,14 @@ def star_eval(a, b, xi) -> complex:
 
 def star_decomposition(a, b, xi):
     """|star - (r/2 + i lambda/2)| at xi, relative to ||A|| ||B|| ||xi||; an array over stacks."""
-    residual = star_eval(a, b, xi) - (r_eval(a, b, xi) / 2 + 1j * lambda_eval(a, b, xi) / 2)
-    return relative(abs(residual), frobenius(a) * frobenius(b) * frobenius(xi))
+    a, b, xi = require_same_dim(a, b, xi)
+    return _star_residual(pair(a, b), xi)
+
+
+def _star_residual(p: Pair, xi):
+    """``star_decomposition`` of the pair (A, B), from its products."""
+    residual = star_eval(p.a, p.b, xi) - (r_of(p, xi) / 2 + 1j * lambda_of(p, xi) / 2)
+    return relative(abs(residual), frobenius(p.a) * frobenius(p.b) * frobenius(xi))
 
 
 def star_report(a, b, xi, tol: float = 1e-9) -> tuple[VerificationReport, dict]:
@@ -81,10 +97,14 @@ def r_invariance_defect(h, a, b, xi) -> float:
     against a central finite difference of the dragged tensor.
     """
     h, a, b, xi = require_same_dim(h, a, b, xi)
-    adot = lie_bracket(h, a)
-    bdot = lie_bracket(h, b)
-    xidot = lie_bracket(h, xi)
-    total = r_eval(adot, b, xi) + r_eval(a, bdot, xi) + r_eval(a, b, xidot)
+    return _r_invariance(pair(h, a), pair(h, b), pair(h, xi), pair(a, b))
+
+
+def _r_invariance(ha: Pair, hb: Pair, hxi: Pair, ab: Pair):
+    """``r_invariance_defect`` from the pairs (H, A), (H, B), (H, xi) and (A, B)."""
+    h, a, b, xi = ha.a, ab.a, ab.b, hxi.b
+    total = (r_of(pair(lie_part(ha), b), xi) + r_of(pair(a, lie_part(hb)), xi)
+             + r_of(ab, lie_part(hxi)))
     return relative(abs(total), frobenius(h) * frobenius(a) * frobenius(b) * frobenius(xi))
 
 
@@ -128,14 +148,15 @@ def su2_coefficients(m) -> dict[str, complex]:
 
 
 def _dual_geometry_residuals(a, b, c, xi) -> dict:
-    cyc = (lambda_eval(lie_bracket(a, b), c, xi)
-           + lambda_eval(lie_bracket(b, c), a, xi)
-           + lambda_eval(lie_bracket(c, a), b, xi))
+    ab, bc, ca = pair(a, b), pair(b, c), pair(c, a)
+    cyc = (lambda_of(pair(lie_part(ab), c), xi)
+           + lambda_of(pair(lie_part(bc), a), xi)
+           + lambda_of(pair(lie_part(ca), b), xi))
     size = frobenius(a) * frobenius(b) * frobenius(xi) * frobenius(c)
     return {
-        "star_decomposition": star_decomposition(a, b, xi),
+        "star_decomposition": _star_residual(ab, xi),
         "function_bracket_jacobi": relative(abs(cyc), size),
-        "r_flow_invariance": r_invariance_defect(c, a, b, xi),
+        "r_flow_invariance": _r_invariance(ca, bc.swapped(), pair(c, xi), ab),
     }
 
 

@@ -1,13 +1,16 @@
-"""Reference residuals for three randomized suites, drawn from the library's rows.
+"""Reference residuals for the randomized suites, drawn from the library's rows.
 
-The residuals of ``algebra.JORDAN_LIE`` and ``dual.DUAL_GEOMETRY`` written
-as the identities read, with every product computed where it is used, and
-the involutivity evidence of the Lambda, Zero and One kinds computed one
-kind at a time, each at its own diagonal points, with
-``distributions._commutator_value`` and ``membership_residual``.  The library
-computes each repeated product once per chunk and reuses it, with the same
-formulas in the same evaluation order, so its reports must equal these bit
-for bit.
+The residuals of ``algebra.JORDAN_LIE``, ``dual.DUAL_GEOMETRY`` and
+``distributions.COMMUTATION`` written as the identities read, with every
+product computed where it is used, and the involutivity evidence of each
+kind (the R witness's residual included) computed one kind at a time, each
+at its own diagonal points.  Every product here is a matrix product, through
+``lie_bracket`` and ``jordan_product`` (and so ``jhat`` and ``rhat``), the
+dense points diag(lam) included.  The library forms each ordered pair's
+products once per chunk, takes both parts and the dual tensors from them,
+and takes each product with a diagonal point as a row or column scaling,
+with the same formulas in the same evaluation order, so its reports must
+equal these bit for bit.
 """
 
 import numpy as np
@@ -21,13 +24,7 @@ from geomqm.algebra import (
     lie_bracket,
     trace_form,
 )
-from geomqm.dual import (
-    DUAL_GEOMETRY,
-    lambda_eval,
-    r_eval,
-    r_invariance_defect,
-    star_eval,
-)
+from geomqm.dual import DUAL_GEOMETRY, lambda_eval, r_eval, star_eval
 from geomqm.kernel import frobenius, relative
 from geomqm.report import Suite, run_suite
 
@@ -71,30 +68,65 @@ def reference_dual_geometry(n, trials, seed, tol=1e-9):
                 abs(star_eval(a, b, xi) - (r_eval(a, b, xi) / 2 + 1j * lambda_eval(a, b, xi) / 2)),
                 size),
             "function_bracket_jacobi": relative(abs(cyc), size * frobenius(c)),
-            "r_flow_invariance": r_invariance_defect(c, a, b, xi),
+            "r_flow_invariance": relative(
+                abs(r_eval(lie_bracket(c, a), b, xi) + r_eval(a, lie_bracket(c, b), xi)
+                    + r_eval(a, b, lie_bracket(c, xi))),
+                frobenius(c) * frobenius(a) * frobenius(b) * frobenius(xi)),
         }
 
     suite = Suite("dual-space tensor identities", DUAL_GEOMETRY.inputs, residuals)
     return run_suite(suite, n, trials, seed, tol, details={"dim": n})
 
 
+def reference_commutation(n, trials, seed, tol=1e-9):
+    def residuals(xi, a):
+        jr = dist.jhat(xi, dist.rhat(xi, a))
+        rj = dist.rhat(xi, dist.jhat(xi, a))
+        closed = lie_bracket(a, xi @ xi) / 2
+        defect = np.maximum(frobenius(jr - rj), frobenius(jr - closed))
+        return {"jhat_rhat_commutation": relative(defect, frobenius(a) * frobenius(xi) ** 2)}
+
+    suite = Suite("tensor commutation relation", dist.COMMUTATION.inputs, residuals)
+    return run_suite(suite, n, trials, seed, tol)
+
+
+def commutator_value(kind, xi, a, b):
+    """``distributions._commutator_value`` with every product a matrix product."""
+    jhat, rhat = dist.jhat, dist.rhat
+    if kind == "Lambda":
+        return jhat(jhat(xi, a), b) - jhat(jhat(xi, b), a)
+    if kind == "R":
+        return rhat(rhat(xi, a), b) - rhat(rhat(xi, b), a)
+    xi2 = xi @ xi  # Zero
+
+    def q(m):
+        return lie_bracket(m, xi2) / 2
+
+    def dq(m, eta):
+        return lie_bracket(m, xi @ eta + eta @ xi) / 2
+
+    return dq(b, q(a)) - dq(a, q(b))
+
+
 def reference_involutivity(kind, n, trials, seed, tol=1e-9):
-    """One kind's check (Lambda, Zero or One) from its own points, masks and commutator values."""
+    """One kind's check from its own points, masks and commutator values: for Lambda, Zero and
+    One the published check, for R the residual and trial of the published witness."""
 
     def residuals(spectrum, a, b):
         if kind == "One":  # D_One is proper only where an eigenvalue is 0
             spectrum[:, 0] = 0.0
         xi = dist._diagonal_points(spectrum)
         if kind == "One":
-            values = [dist._commutator_value("Lambda", xi, a, b),
-                      dist._commutator_value("R", xi, a, b),
+            values = [commutator_value("Lambda", xi, a, b), commutator_value("R", xi, a, b),
                       dist.rhat(dist.jhat(xi, a), b) - dist.jhat(dist.rhat(xi, b), a)]
         else:
-            values = [dist._commutator_value(kind, xi, a, b)]
+            values = [commutator_value(kind, xi, a, b)]
         mask = dist._pair_masks(spectrum)[kind]
         distances = [dist.membership_residual(v, mask) for v in values]
         return {f"commutators_tangent_to_D_{kind}": np.max(distances, axis=0)}
 
-    inputs = {name: dist.INVOLUTIVITY.inputs[name] for name in ("spectrum", "a", "b")}
+    spectra = "r_spectrum" if kind == "R" else "spectrum"  # D_R is proper only at +/-a pairs
+    inputs = {"spectrum": dist.INVOLUTIVITY.inputs[spectra],
+              **{name: dist.INVOLUTIVITY.inputs[name] for name in ("a", "b")}}
     return run_suite(Suite(f"involutivity evidence: D_{kind}", inputs, residuals), n, trials,
                      seed, tol)

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -532,6 +533,19 @@ class TestNonFiniteEvolution:
         (spectrum,) = [c for c in payload["reports"][0]["checks"] if c["name"] == "spectrum"]
         assert spectrum["max_residual"] == "nan" and spectrum["passed"] is False
         assert payload["passed"] is False
+
+    def test_overflowing_rk4_state_fails_without_warnings(self, capsys, tmp_path):
+        # the monitors report the overflowed state as NaN; numpy's overflow and invalid-value
+        # warnings on the way are not written to stderr
+        h = write_matrix(tmp_path / "h.json", random_hermitian(3, 1))
+        psi = write_matrix(tmp_path / "psi.json", random_complex_vector(3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = run_json(capsys, "evolve", "--method", "rk4", "--hamiltonian", h,
+                                     "--initial", psi, "--t", "1e200", "--steps", "1")
+        assert code == EXIT_FAIL
+        (norm,) = [c for c in payload["reports"][0]["checks"] if c["name"] == "state_norm"]
+        assert norm["max_residual"] == "nan" and norm["passed"] is False
 
 
 class TestUnreadableInput:

@@ -2,6 +2,11 @@
 
 Each algebra and dual primitive f gets two planted defects f + 1e-6 g, one
 with g symmetric in f's two matrix arguments and one with g antisymmetric.
+The rows form each ordered pair's products once, with ``algebra.pair`` or
+``algebra.diagonal_pair``, and take both products and the dual tensors from
+it, so the defects of the products and of Lambda and R are planted on the
+pair's parts (``lie_part``, ``jordan_part``) and on the dual evaluators of a
+pair (``lambda_of``, ``r_of``), with g of the pair's two matrices.
 Every such g is built from a fixed projector P = diag(1, 0, ..., 0), so no
 unitary conjugation preserves it, and is bilinear in those arguments (and
 linear in xi), so it scales with them and the relative checks cannot divide
@@ -62,11 +67,6 @@ def trace_antisymmetric(a, b):
     return _trace(a) * b - _trace(b) * a
 
 
-def matrix_defect(g):
-    """For a matrix-valued f(a, b): add EPS g(a, b)."""
-    return lambda f: lambda a, b: f(a, b) + EPS * g(a, b)
-
-
 def pairing_defect(g):
     """For f(a, b): add EPS Tr(g(a, b))/2, a real bilinear form."""
     return lambda f: lambda a, b: f(a, b) + EPS * np.einsum("...ii->...", g(a, b)).real / 2
@@ -74,19 +74,33 @@ def pairing_defect(g):
 
 def tensor_defect(g):
     """For f(a, b, xi): add EPS Tr(xi g(a, b))/2, linear in xi."""
-    return lambda f: lambda a, b, xi: f(a, b, xi) + EPS * np.einsum(
-        "...ij,...ji->...", xi, g(a, b)).real / 2
+    return lambda f: lambda a, b, xi: f(a, b, xi) + EPS * _contract(xi, g(a, b))
 
 
-# each primitive of the three rows -> how a bilinear matrix g enters it
-PRIMITIVES = {algebra.lie_bracket: matrix_defect, algebra.jordan_product: matrix_defect,
+def part_defect(g):
+    """For a part f(p) of the pair p = (A, B): add EPS g(A, B)."""
+    return lambda f: lambda p: f(p) + EPS * g(p.a, p.b)
+
+
+def pair_tensor_defect(g):
+    """For f(p, xi) of the pair p = (A, B): add EPS Tr(xi g(A, B))/2, linear in xi."""
+    return lambda f: lambda p, xi: f(p, xi) + EPS * _contract(xi, g(p.a, p.b))
+
+
+def _contract(xi, m):
+    """Tr(xi M)/2, real, over stacks."""
+    return np.einsum("...ij,...ji->...", xi, m).real / 2
+
+
+# each primitive of the four rows -> how a bilinear matrix g enters it
+PRIMITIVES = {algebra.lie_part: part_defect, algebra.jordan_part: part_defect,
               algebra.trace_form: pairing_defect, dual.hat_eval: pairing_defect,
-              dual.lambda_eval: tensor_defect, dual.r_eval: tensor_defect,
+              dual.lambda_of: pair_tensor_defect, dual.r_of: pair_tensor_defect,
               dual.star_eval: tensor_defect}
 DEFECTS = {(f.__name__, g.__name__): (f, kind(g))
            for f, kind in PRIMITIVES.items() for g in (symmetric, antisymmetric)}
-DEFECTS |= {(f.__name__, g.__name__): (f, matrix_defect(g))
-            for f in (algebra.lie_bracket, algebra.jordan_product)
+DEFECTS |= {(f.__name__, g.__name__): (f, part_defect(g))
+            for f in (algebra.lie_part, algebra.jordan_part)
             for g in (trace_symmetric, trace_antisymmetric)}
 
 

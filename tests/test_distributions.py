@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from geomqm import algebra
 from geomqm import distributions as dist
 from geomqm import report as report_module
 from geomqm.algebra import trace_form
 from geomqm.kernel import dagger, eig_hermitian, make_rng, random_hermitian
-from geomqm.report import replay
-from conftest import PAULI_X, PAULI_Y, PAULI_Z, closed_form_projection, unitary_from_seed
+from geomqm.report import replay, verify_row
+from conftest import (PAULI_X, PAULI_Y, PAULI_Z, closed_form_projection, plant_everywhere,
+                      unitary_from_seed)
 import svd_oracle as oracle
-from suite_reference import reference_involutivity
+from suite_reference import reference_commutation, reference_involutivity
 
 
 class TestTensors:
@@ -47,6 +49,14 @@ class TestCommutation:
     def test_equal_arguments(self):
         xi = random_hermitian(3, 5)
         assert dist.commutation_defect(xi, xi) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_matches_reference_trials(self, monkeypatch, n):
+        # the pair (A, xi) formed once for both tensors gives the report of the identity as written
+        monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", 10 * n * n)  # chunks of 10 trials
+        for seed in range(5):
+            (report,) = verify_row(dist.COMMUTATION, n, 30, seed, 1e-9)
+            assert report.to_dict() == reference_commutation(n, 30, seed).to_dict()
 
 
 class TestHermitianBasis:
@@ -179,7 +189,8 @@ class TestInvolutivity:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_involutive_kinds_match_per_kind_reference(self, monkeypatch, n):
-        # one pass with shared products gives each kind's check as computed on its own
+        # one pass with shared products, and scalings for the products with a point, gives each
+        # kind's check, and the R witness, as computed on its own with matrix products
         monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", 10 * n * n)  # chunks of 10 trials
         for seed in range(5):
             reports = dist.involutivity_evidence(n, 30, seed)
@@ -187,6 +198,10 @@ class TestInvolutivity:
                 checks = reports[dist.KINDS.index(kind)].checks
                 assert [c.to_dict() for c in checks] \
                     == [c.to_dict() for c in reference_involutivity(kind, n, 30, seed).checks]
+            (witness,) = reference_involutivity("R", n, 30, seed).checks
+            r_report = reports[dist.KINDS.index("R")]
+            assert r_report.details["witness_residual"] == witness.max_residual
+            assert r_report.checks[0].worst_trial == witness.worst_trial
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_planted_rhat_defect_fails_d_one(self, monkeypatch, n):
@@ -194,9 +209,10 @@ class TestInvolutivity:
         # points can a commutator value leave it; unplanted, the check still reads nonzero
         clean = involutivity("One", n, trials=20, seed=n).checks[0].max_residual
         assert 0 < clean <= 1e-13
-        rhat = dist.rhat
-        monkeypatch.setattr(dist, "rhat", lambda xi, a: rhat(xi, a) + 1e-6 * np.trace(
-            xi, axis1=-2, axis2=-1)[..., None, None] * a)
+        # rhat(xi, A) + 1e-6 Tr(xi) A, planted on the Jordan part of the pair (A, xi) that the
+        # row forms once for both of its products
+        plant_everywhere(monkeypatch, algebra.jordan_part, lambda part: lambda p: part(p) + 1e-6
+                         * np.trace(p.b, axis1=-2, axis2=-1)[..., None, None] * p.a)
         assert not involutivity("One", n, trials=20, seed=n).passed
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])

@@ -52,7 +52,7 @@ def relative_defect(f):
 SUITES = {
     "JORDAN_LIE": (lambda mp: plant(mp, algebra, "lie_bracket", bracket_defect), ()),
     "DUAL_GEOMETRY": (lambda mp: plant(mp, dual, "star_eval", relative_defect), ()),
-    "COMMUTATION": (lambda mp: plant(mp, dist, "rhat", relative_defect), ()),
+    "COMMUTATION": (lambda mp: plant(mp, dist, "jordan_part", relative_defect), ()),
     "INVOLUTIVITY": (lambda mp: plant(mp, dist, "lie_bracket", bracket_defect), ("R",)),
     "PULLBACKS": (lambda mp: plant(mp, kahler, "f_quadratic", relative_defect), ()),
 }
