@@ -121,4 +121,4 @@ def _jordan_lie_residuals(a, b, c) -> dict:
 
 JORDAN_LIE = Suite("Jordan-Lie identity suite",
                    {name: (key, random_hermitian_stack) for name, key in zip("abc", (30, 31, 32))},
-                   _jordan_lie_residuals, records_dim=True)
+                   _jordan_lie_residuals)

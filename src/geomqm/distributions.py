@@ -35,7 +35,7 @@ import numpy as np
 from .algebra import (diagonal_pair, jordan_part, jordan_product, lie_bracket,
                       lie_part, pair)
 from .kernel import (eig_hermitian, frobenius, random_hermitian_stack, relative,
-                     require_observable, require_same_dim, scalar_or_stack)
+                     require_matrix, require_observable, require_same_dim, scalar_or_stack)
 from .report import Suite, VerificationReport, replay, verify_row
 
 TAU_RANK = 1e-8
@@ -226,7 +226,7 @@ def orbit_invariants(xi) -> dict:
     The four distributions' ranks, in KINDS order, are functions of the
     spectrum, so one eigendecomposition gives every label.
     """
-    xi = require_observable(xi, "the point")
+    xi = require_matrix(require_observable(xi, "the point"))
     w = eig_hermitian(xi).eigenvalues
     cutoff = _rank_cutoff(w)
     npos = int(np.sum(w > cutoff))

@@ -114,7 +114,8 @@ TAU_PSD = 1e-10
 
 
 def is_state(xi, tol: float = TAU_PSD) -> bool:
-    """True iff xi is Hermitian, positive semidefinite and unit trace within tol."""
+    """True iff xi, one matrix, is Hermitian, positive semidefinite and unit trace within tol."""
+    xi = require_matrix(xi)
     if not is_hermitian(xi, tol):
         return False
     return bool(eigvals_hermitian(xi)[0] >= -tol and abs(np.trace(xi).real - 1.0) <= tol)
@@ -163,7 +164,7 @@ def _dual_geometry_residuals(a, b, c, xi) -> dict:
 DUAL_GEOMETRY = Suite("dual-space tensor identities",
                       {name: (key, random_hermitian_stack)
                        for name, key in (("a", 40), ("b", 41), ("c", 42), ("xi", 43))},
-                      _dual_geometry_residuals, records_dim=True)
+                      _dual_geometry_residuals)
 
 
 def su2_golden_tables() -> dict:

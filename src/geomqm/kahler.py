@@ -29,6 +29,7 @@ from .kernel import (DimensionError, NumericalError, dagger, eig_hermitian, frob
                      random_complex_vector, random_complex_vector_stack, random_hermitian_stack,
                      relative, require_matrix, require_observable, require_same_dim,
                      require_square, scalar_or_stack, unit_scale)
+from .algebra import pair
 from .report import CONVENTIONS, Suite, VerificationReport
 from . import dual
 
@@ -135,7 +136,7 @@ def _pullback_residuals(a, b, psi) -> dict:
     rho = momentum_map(psi)
     na, nb, n2 = frobenius(a), frobenius(b), _inner(psi, psi).real
     size_ab = na * nb * n2  # the brackets' size; f_A does not involve B
-    brackets = function_brackets(a, b, psi)
+    ab, brackets = pair(a, b), function_brackets(a, b, psi)
     hat = abs(dual.hat_eval(a, rho) - f_quadratic(a, psi))
     # d mu_psi(X) = X psi^dag + psi X^dag along X = X_{f_B}, against the dual field of hat(B)
     x_psi = hamiltonian_field_f(b, psi)[..., :, None] * psi[..., None, :].conj()
@@ -152,9 +153,9 @@ def _pullback_residuals(a, b, psi) -> dict:
     triple = np.maximum(abs(g_eval(u, v) - g_real), abs(omega_eval(u, v) - omega_real))
     return {
         "pullback_hat_equals_quadratic": relative(hat, na * n2),
-        "pullback_poisson_bracket": relative(abs(dual.lambda_eval(a, b, rho) - brackets.poisson),
+        "pullback_poisson_bracket": relative(abs(dual.lambda_of(ab, rho) - brackets.poisson),
                                              size_ab),
-        "pullback_jordan_metric": relative(abs(dual.r_eval(a, b, rho) - brackets.symmetric),
+        "pullback_jordan_metric": relative(abs(dual.r_of(ab, rho) - brackets.symmetric),
                                            size_ab),
         "momentum_map_equivariance": relative(equivariance, nb * n2),
         "momentum_map_pure_state": np.maximum(idempotence, trace),

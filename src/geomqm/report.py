@@ -119,7 +119,6 @@ class Suite(NamedTuple):
     inputs: dict  # name -> (key, draw): substream (seed, key), draw(n, m, rng) its next m rows
     residuals: Callable[..., dict]  # rows by name -> {check name: one residual per row}
     min_dim: int = 1  # verify_row runs the row at max(min_dim, n)
-    records_dim: bool = False  # the report's details record that dimension as "dim"
     split: Callable[..., list] | None = None  # (row, dim, report) -> the reports published
 
 
@@ -152,27 +151,25 @@ def run_suite(suite: Suite, dim: int, trials: int, seed: int, tol: float,
     first chunk's order; NaN counts as worse than every number, so a suite
     that produces one fails.  The report records CONVENTIONS itself.
     """
-    worst: dict[str, tuple[float, int]] = {}
+    values: dict[str, list[np.ndarray]] = {}  # check name -> its residuals, chunk by chunk
     for ks, rows in _chunks(suite, dim, trials, seed):
-        for name, values in suite.residuals(**rows).items():
-            values = np.asarray(values, dtype=float).reshape(ks.shape)
-            i = int(np.argmax(values))  # the first NaN if there is one, else the first maximum
-            value, k = float(values[i]), int(ks[i])
-            # a later chunk takes over only when strictly worse; NaN is worse than any number
-            if name not in worst or np.argmax([worst[name][0], value]) == 1:
-                worst[name] = (value, k)
+        for name, chunk in suite.residuals(**rows).items():
+            values.setdefault(name, []).append(np.asarray(chunk, dtype=float).reshape(ks.shape))
     report = VerificationReport(title=suite.title, seed=seed, trials=trials, tol=tol,
                                 details=details or {})
-    for name, (value, k) in worst.items():
-        report.add(name, value, worst_trial=k)
+    for name, chunks in values.items():
+        trial_values = np.concatenate(chunks)
+        k = int(np.argmax(trial_values))  # the first NaN if there is one, else the first maximum
+        report.add(name, trial_values[k], worst_trial=k)
     return report
 
 
 def verify_row(row: Suite, n: int, trials: int, seed: int, tol: float) -> list[VerificationReport]:
-    """The reports that verify publishes for a declared row, run at max(row.min_dim, n);
-    rejects n < 1 before any input is drawn, whatever the row's ``min_dim``."""
+    """The reports that verify publishes for a declared row, run at max(row.min_dim, n), whose
+    details record that dimension as "dim"; rejects n < 1 before any input is drawn, whatever
+    the row's ``min_dim``."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     dim = max(row.min_dim, n)
-    report = run_suite(row, dim, trials, seed, tol, {"dim": dim} if row.records_dim else None)
+    report = run_suite(row, dim, trials, seed, tol, {"dim": dim})
     return [report] if row.split is None else row.split(row, dim, report)

@@ -87,7 +87,7 @@ def reference_commutation(n, trials, seed, tol=1e-9):
         return {"jhat_rhat_commutation": relative(defect, frobenius(a) * frobenius(xi) ** 2)}
 
     suite = Suite("tensor commutation relation", dist.COMMUTATION.inputs, residuals)
-    return run_suite(suite, n, trials, seed, tol)
+    return run_suite(suite, n, trials, seed, tol, details={"dim": n})
 
 
 def commutator_value(kind, xi, a, b):

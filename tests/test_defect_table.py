@@ -1,38 +1,37 @@
-"""The defect table of the Jordan-Lie, dual-space, commutation and involutivity rows.
+"""The defect table: every defect planted on every row that verify runs.
 
-Each algebra and dual primitive f gets two planted defects f + 1e-6 g, one
-with g symmetric in f's two matrix arguments and one with g antisymmetric.
-The rows form each ordered pair's products once, with ``algebra.pair`` or
-``algebra.diagonal_pair``, and take both products and the dual tensors from
-it, so the defects of the products and of Lambda and R are planted on the
-pair's parts (``lie_part``, ``jordan_part``) and on the dual evaluators of a
-pair (``lambda_of``, ``r_of``), with g of the pair's two matrices.
-Every such g is built from a fixed projector P = diag(1, 0, ..., 0), so no
-unitary conjugation preserves it, and is bilinear in those arguments (and
-linear in xi), so it scales with them and the relative checks cannot divide
-it away.  The two products also get two U(n)-invariant families, built from
-traces, which the projector families leave unexamined on D_One: at its
-points P xi = xi P = 0, so a projector defect vanishes there.  (On the
-pairing primitives the antisymmetric trace family's trace is identically 0.)
-Every defect must fail a check of the four rows, and every check must fail
-for some defect: a check that no defect trips adds no evidence.  The
-involutivity row's D_R check is left out, as in ``tests/test_scaling.py``: it
-passes when its witness of non-involutivity is large, so a defect cannot
-make it fail; its gate is the closed form of
+Each algebra and dual primitive f gets two defects f + 1e-6 g, with g symmetric and
+antisymmetric in f's two matrix arguments.  The rows take both products and the dual
+tensors from one pair (``algebra.pair``, ``algebra.diagonal_pair``), so the defects of the
+products and of Lambda and R are planted on the pair's parts (``lie_part``,
+``jordan_part``) and evaluators (``lambda_of``, ``r_of``), with g of the pair's matrices.
+Each g is bilinear (and linear in xi), so the relative checks cannot divide it away, and is
+built from P = diag(1, 0, ..., 0), which no unitary conjugation preserves.  At D_One's
+points P xi = xi P = 0, so a projector defect vanishes there: the two products also get two
+U(n)-invariant trace families (on a pairing, the antisymmetric one's trace is 0).  Each
+primitive of the C^n realization gets the relative defect f (1 + 1e-6).
+
+Every defect is planted on every row of ``cli.VERIFY_ROWS`` at n = 2, 3 and 4, seed n.
+Each defect must fail a check, and each check must fail for some defect: a check that no
+defect trips adds no evidence.  Which primitives trip which check must not depend on n; the
+README's check catalogue lists that map.  D_R is left out: it passes when its witness of
+non-involutivity is large, so a defect cannot make it fail; its gate is the closed form of
 ``tests/test_distributions.py::test_r_witness_matches_closed_form``.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
-from geomqm import algebra, dual
-from geomqm.report import run_suite
-from conftest import SUITE_ROWS, plant_everywhere
+from geomqm import algebra, dual, kahler
+from geomqm.cli import VERIFY_ROWS
+from geomqm.report import verify_row
+from conftest import plant_everywhere
 
 EPS = 1e-6
-ROWS = ("JORDAN_LIE", "DUAL_GEOMETRY", "COMMUTATION", "INVOLUTIVITY")
-LEFT_OUT = {("INVOLUTIVITY", "commutators_tangent_to_D_R")}
-N, TRIALS, SEED = 3, 20, 0
+LEFT_OUT = {("involutivity evidence: D_R", "non_involutivity_witness_found")}
+DIMS, TRIALS = (2, 3, 4), 20
 
 
 def _p_product(a, b):
@@ -92,39 +91,67 @@ def _contract(xi, m):
     return np.einsum("...ij,...ji->...", xi, m).real / 2
 
 
-# each primitive of the four rows -> how a bilinear matrix g enters it
+def scaled(f):
+    """f times 1 + EPS: a relative defect that keeps f bilinear, or sesquilinear."""
+    return lambda *args: f(*args) * (1 + EPS)
+
+
+def scaled_brackets(f):
+    return lambda *args: kahler.FunctionBrackets(*(x * (1 + EPS) for x in f(*args)))
+
+
+# each algebra and dual primitive -> how a bilinear matrix g enters it
 PRIMITIVES = {algebra.lie_part: part_defect, algebra.jordan_part: part_defect,
               algebra.trace_form: pairing_defect, dual.hat_eval: pairing_defect,
               dual.lambda_of: pair_tensor_defect, dual.r_of: pair_tensor_defect,
               dual.star_eval: tensor_defect}
+# (primitive name, family) -> (primitive, defect): planted as defect(primitive)
 DEFECTS = {(f.__name__, g.__name__): (f, kind(g))
            for f, kind in PRIMITIVES.items() for g in (symmetric, antisymmetric)}
 DEFECTS |= {(f.__name__, g.__name__): (f, part_defect(g))
             for f in (algebra.lie_part, algebra.jordan_part)
             for g in (trace_symmetric, trace_antisymmetric)}
+DEFECTS |= {(f.__name__, defect.__name__): (f, defect) for f, defect in (
+    (kahler.momentum_map, scaled), (kahler.f_quadratic, scaled),
+    (kahler.function_brackets, scaled_brackets), (kahler.hamiltonian_field_f, scaled),
+    (dual.hamiltonian_field_dual, scaled), (kahler.gradient_field_e, scaled),
+    (kahler.dispersion, scaled), (kahler.to_real, scaled), (kahler.g_eval, scaled),
+    (kahler.omega_eval, scaled))}
 
 
-def reports(defect=None):
-    """The four rows' reports by row name, with ``defect`` planted."""
+def reports(n, defect=None):
+    """Every verify row's published reports at n and seed n, with ``defect`` planted."""
     with pytest.MonkeyPatch.context() as mp:
         if defect is not None:
             plant_everywhere(mp, *DEFECTS[defect])
-        return {row: run_suite(getattr(SUITE_ROWS[row], row), N, TRIALS, SEED, 1e-9)
-                for row in ROWS}
+        return [report for row in VERIFY_ROWS for report in verify_row(row, n, TRIALS, n, 1e-9)]
 
 
-def defect_table():
-    """defect -> the (row, check) pairs it fails."""
-    return {defect: {(row, c.name) for row, report in reports(defect).items()
-                     for c in report.checks if not c.passed} - LEFT_OUT for defect in DEFECTS}
+@functools.cache
+def defect_table(n):
+    """defect -> the (report title, check) pairs it fails at n."""
+    return {defect: {(r.title, c.name) for r in reports(n, defect) for c in r.checks
+                     if not c.passed} - LEFT_OUT for defect in DEFECTS}
 
 
-def test_every_defect_fails_a_check_and_every_check_fails_for_a_defect():
-    assert set(ROWS) <= SUITE_ROWS.keys()
-    clean = reports()
-    checks = {(row, c.name) for row, report in clean.items() for c in report.checks} - LEFT_OUT
-    assert all(c.passed for row, report in clean.items() for c in report.checks
-               if (row, c.name) in checks)
-    table = defect_table()
+def tripped_by(n):
+    """(report title, check) -> the names of the primitives whose defects fail it at n."""
+    out = {}
+    for (name, _), failed in defect_table(n).items():
+        for check in failed:
+            out.setdefault(check, set()).add(name)
+    return out
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_every_defect_fails_a_check_and_every_check_fails_for_a_defect(n):
+    clean = reports(n)
+    assert all(r.passed for r in clean), [r.summary() for r in clean if not r.passed]
+    table = defect_table(n)
     assert all(table.values()), table
+    checks = {(r.title, c.name) for r in clean for c in r.checks} - LEFT_OUT
     assert set().union(*table.values()) == checks, checks - set().union(*table.values())
+
+
+def test_tripping_primitives_do_not_depend_on_n():
+    assert tripped_by(2) == tripped_by(3) == tripped_by(4)

@@ -5,7 +5,7 @@ from geomqm import algebra
 from geomqm import distributions as dist
 from geomqm import report as report_module
 from geomqm.algebra import trace_form
-from geomqm.kernel import dagger, eig_hermitian, make_rng, random_hermitian
+from geomqm.kernel import DimensionError, dagger, eig_hermitian, make_rng, random_hermitian
 from geomqm.report import replay, verify_row
 from conftest import (PAULI_X, PAULI_Y, PAULI_Z, closed_form_projection, plant_everywhere,
                       unitary_from_seed)
@@ -162,6 +162,15 @@ class TestInputGuards:
     def test_hermitian_within_cli_tolerance_accepted(self, entry):
         # the CLI accepts ||xi - xi^dag||_F <= 1e-8 * ||xi||_F
         entry(self.POINT + 1e-10 * np.triu(np.ones((3, 3)), 1))
+
+    @pytest.mark.parametrize("entry", [dist.orbit_invariants])
+    def test_stack_rejected_before_work(self, entry, monkeypatch):
+        # a stack ran an eigendecomposition, then failed to broadcast the ranks
+        calls = []
+        monkeypatch.setattr(dist, "eig_hermitian", lambda *a: calls.append(a))
+        with pytest.raises(DimensionError, match="one square matrix"):
+            entry(np.stack([self.POINT, self.POINT]))
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [dist.orbit_invariants])

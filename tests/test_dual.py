@@ -169,6 +169,14 @@ class TestStates:
     def test_wrong_trace_rejected(self):
         assert not dual.is_state(np.diag([0.7, 0.7]).astype(complex))
 
+    def test_stack_rejected_before_work(self, monkeypatch):
+        # a stack raised numpy's "truth value of an array ... is ambiguous"
+        calls = []
+        monkeypatch.setattr(dual, "eigvals_hermitian", lambda *a: calls.append(a))
+        with pytest.raises(DimensionError, match="one square matrix"):
+            dual.is_state(np.stack([np.eye(3) / 3, np.eye(3) / 3]))
+        assert calls == []
+
 
 class TestGoldenTables:
     def test_lambda_xy_generator(self):

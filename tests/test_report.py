@@ -86,12 +86,16 @@ class TestChunks:
 
     @pytest.mark.parametrize("elements", [1, 2, 3])
     def test_worst_trial_across_chunks(self, monkeypatch, elements):
-        values = [{"a": 1.0, "b": 5.0}, {"a": 3.0, "b": float("nan")}, {"a": 2.0, "b": 7.0},
-                  {"a": 3.0, "b": float("nan")}, {"a": 0.5, "b": 9.0}]
+        # a tie across a chunk boundary (a at trials 1 and 3) and a NaN first met in a later
+        # chunk (b at trial 3) give the one-chunk run's report
+        values = [{"a": 1.0, "b": 5.0}, {"a": 3.0, "b": 9.0}, {"a": 2.0, "b": 7.0},
+                  {"a": 3.0, "b": float("nan")}, {"a": 0.5, "b": float("nan")}]
+        one_chunk = suite(values).to_dict()
         monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", elements)
         report = suite(values)
+        assert report.to_dict() == one_chunk
         assert report.checks[0].max_residual == 3.0
-        assert [c.worst_trial for c in report.checks] == [1, 1]
+        assert [c.worst_trial for c in report.checks] == [1, 3]
         assert math.isnan(report.checks[1].max_residual)
 
     def test_residuals_must_match_chunk(self):

@@ -10,6 +10,8 @@ blind, a planted defect must still fail and the distribution ranks must not
 move.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from geomqm import distributions as dist
 from geomqm.algebra import jordan_product
 from geomqm.kernel import random_complex_vector, random_hermitian
 from geomqm.report import replay, verify_row
-from conftest import SUITE_ROWS, unitary_from_seed
+from conftest import SUITE_ROWS, plant_everywhere, unitary_from_seed
+from test_defect_table import DEFECTS, defect_table
 
 POWERS = (-40, 0, 40)
 EVOLVE_POWERS = (-600, *POWERS, 600)  # 2^1200 overflows and 2^-1200 underflows a square
@@ -47,30 +50,27 @@ def relative_defect(f):
     return lambda *args: f(*args) * (1 + 1e-6)
 
 
-# row name: (plant a relative ~1e-6 defect, the kinds whose reports are left out); the R
-# witness matrices scale with the draws, and a witness of non-involutivity survives a defect
-SUITES = {
-    "JORDAN_LIE": (lambda mp: plant(mp, algebra, "lie_bracket", bracket_defect), ()),
-    "DUAL_GEOMETRY": (lambda mp: plant(mp, dual, "star_eval", relative_defect), ()),
-    "COMMUTATION": (lambda mp: plant(mp, dist, "jordan_part", relative_defect), ()),
-    "INVOLUTIVITY": (lambda mp: plant(mp, dist, "lie_bracket", bracket_defect), ("R",)),
-    "PULLBACKS": (lambda mp: plant(mp, kahler, "f_quadratic", relative_defect), ()),
-}
+# row name -> the kinds whose reports are left out: the R witness matrices scale with the
+# draws, and a witness of non-involutivity survives a defect
+SUITES = {name: ("R",) if name == "INVOLUTIVITY" else () for name in SUITE_ROWS}
 
 
-def test_suites_cover_every_verify_row():
-    assert list(SUITES) == list(SUITE_ROWS)
+@functools.cache
+def planted_defect(name):
+    """The first defect of the defect table that fails the row ``name`` at n = N."""
+    titles = {r.title for r in verify_row(getattr(SUITE_ROWS[name], name), N, 1, SEED, 1e-9)}
+    return next(DEFECTS[defect] for defect, failed in defect_table(N).items()
+                if titles & {title for title, _ in failed})
 
 
 def suite_reports(name, scale, planted=False):
     """The reports of the row ``name``, as its module binds it once scaled (and planted)."""
-    plant_defect, left_out = SUITES[name]
     with pytest.MonkeyPatch.context() as mp:
         scale_row(mp, name, scale)
         if planted:
-            plant_defect(mp)
+            plant_everywhere(mp, *planted_defect(name))
         reports = verify_row(getattr(SUITE_ROWS[name], name), N, TRIALS, SEED, 1e-9)
-    return [r for r in reports if r.details.get("kind") not in left_out]
+    return [r for r in reports if r.details.get("kind") not in SUITES[name]]
 
 
 @pytest.mark.parametrize("name", SUITES, ids=str.lower)
