@@ -17,8 +17,6 @@ from .algebra import (
 from .dual import (
     hat_eval,
     is_state,
-    lambda_eval,
-    r_eval,
     star_eval,
     su2_golden_tables,
 )

@@ -248,7 +248,7 @@ def cmd_distributions(args) -> Outcome:
     n = xi.shape[0]
     inv = dist.orbit_invariants(xi)
     ranks = inv["ranks"]
-    reports = dist.involutivity_evidence(n, args.trials, args.seed, args.tol) if n >= 2 else []
+    reports = verify_row(dist.INVOLUTIVITY, n, args.trials, args.seed, args.tol) if n >= 2 else []
     results = {"ranks": ranks, "spectrum": inv["spectrum"].tolist(), "rank": inv["rank"],
                "signature": inv["signature"]}
     with np.errstate(over="ignore"):  # w 1e12 overflows only where rounding would not change w

@@ -36,19 +36,9 @@ from .algebra import (diagonal_pair, jordan_part, jordan_product, lie_bracket,
                       lie_part, pair)
 from .kernel import (eig_hermitian, frobenius, random_hermitian_stack, relative,
                      require_matrix, require_observable, require_same_dim, scalar_or_stack)
-from .report import Suite, VerificationReport, replay, verify_row
+from .report import Suite, VerificationReport, replay
 
 TAU_RANK = 1e-8
-
-
-def jhat(xi, a) -> np.ndarray:
-    """[A, xi]_- : the Poisson tensor contracted with the hat differential."""
-    return lie_bracket(a, xi)
-
-
-def rhat(xi, a) -> np.ndarray:
-    """A o xi : the Jordan tensor contracted with the hat differential."""
-    return jordan_product(a, xi)
 
 
 def commutation_defect(xi, a):
@@ -197,27 +187,13 @@ def _kind_reports(row: Suite, n: int, report: VerificationReport) -> list[Verifi
     return reports
 
 
+# Sampled involutivity evidence, verify_row's four reports in KINDS order: Lambda, Zero and One
+# (generic spectra; for One, lam_0 set to exactly 0 so D_One is proper) pass when every commutator
+# value lies in the distribution within tol, R when its witness at ``_r_spectra`` exceeds 10*tol.
 INVOLUTIVITY = Suite("involutivity evidence",
                      {"spectrum": (5, _generic_spectra), "r_spectrum": (3, _r_spectra),
                       "a": (1, random_hermitian_stack), "b": (2, random_hermitian_stack)},
                      _involutivity_residuals, min_dim=2, split=_kind_reports)
-
-
-def involutivity_evidence(n: int, trials: int, seed: int,
-                          tol: float = 1e-9) -> list[VerificationReport]:
-    """Sampled involutivity evidence: the four distributions' reports, in KINDS order.
-
-    Every point is diag(lam).  Lambda, Zero: all commutator values at
-    generic points (spectra of ``_generic_spectra``) lie in the pointwise
-    subspace within tol.  One: the same at those points with lam_0 set to
-    exactly 0, where D_One misses one direction; at a point without a zero
-    eigenvalue it is the whole tangent space.  R: the report instead records
-    the best witness of non-involutivity at R-singular points (spectra of
-    ``_r_spectra``), passing when its residual exceeds 10*tol.
-    """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    return verify_row(INVOLUTIVITY, n, trials, seed, tol)
 
 
 def orbit_invariants(xi) -> dict:

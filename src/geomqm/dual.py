@@ -29,24 +29,13 @@ def hat_eval(a, xi) -> float:
     return trace_form(a, xi)
 
 
-def lambda_eval(a, b, xi) -> float:
-    """Poisson bivector on hat differentials: hat([A,B]_-) at xi."""
-    return lambda_of(pair(a, b), xi)
-
-
-def r_eval(a, b, xi) -> float:
-    """Symmetric Jordan tensor: Tr(xi (AB+BA))/2 = 2 hat(A o B) at xi."""
-    a, b, xi = require_same_dim(a, b, xi)
-    return r_of(pair(a, b), xi)
-
-
 def lambda_of(p: Pair, xi) -> float:
-    """``lambda_eval`` of the pair (A, B), from its products."""
+    """Poisson bivector of the pair (A, B) on hat differentials: hat([A,B]_-) at xi."""
     return hat_eval(lie_part(p), xi)
 
 
 def r_of(p: Pair, xi) -> float:
-    """``r_eval`` of the pair (A, B), from its products."""
+    """Symmetric Jordan tensor of the pair (A, B): Tr(xi (AB+BA))/2 = 2 hat(A o B) at xi."""
     return scalar_or_stack((np.einsum("...ij,...ji->...", xi, p.ab + p.ba) / 2).real)
 
 
@@ -78,9 +67,9 @@ def star_report(a, b, xi, tol: float = 1e-9) -> tuple[VerificationReport, dict]:
     rep.add("star_equals_r_half_plus_i_lambda_half",
             star_decomposition(*(m * unit_scale(m, (-2, -1)) for m in (a, b, xi))))
     with np.errstate(over="ignore", invalid="ignore"):  # the values may leave the float range
-        value = star_eval(a, b, xi)
+        p, value = pair(a, b), star_eval(a, b, xi)
         return rep, {"star_re": value.real, "star_im": value.imag,
-                     "jordan_part": r_eval(a, b, xi) / 2, "lie_part": lambda_eval(a, b, xi) / 2}
+                     "jordan_part": r_of(p, xi) / 2, "lie_part": lambda_of(p, xi) / 2}
 
 
 def hamiltonian_field_dual(h, xi) -> np.ndarray:
@@ -88,20 +77,10 @@ def hamiltonian_field_dual(h, xi) -> np.ndarray:
     return lie_bracket(h, xi)
 
 
-def r_invariance_defect(h, a, b, xi) -> float:
-    """Invariance of the Jordan tensor along the Hamiltonian flow of hat(H).
-
-    The exact derivative at t = 0 of R(A(t), B(t))(xi(t)), with all three
-    arguments dragged by conjugation with exp(-itH): the Leibniz identity
-    contracted with xi, scaled by the input norms.  The test suite checks it
-    against a central finite difference of the dragged tensor.
-    """
-    h, a, b, xi = require_same_dim(h, a, b, xi)
-    return _r_invariance(pair(h, a), pair(h, b), pair(h, xi), pair(a, b))
-
-
 def _r_invariance(ha: Pair, hb: Pair, hxi: Pair, ab: Pair):
-    """``r_invariance_defect`` from the pairs (H, A), (H, B), (H, xi) and (A, B)."""
+    """Invariance of R along the Hamiltonian flow of hat(H), from the pairs (H, A), (H, B), (H, xi)
+    and (A, B): the exact d/dt at 0 of R(A(t), B(t))(xi(t)), all three dragged by exp(-itH), is
+    the Leibniz identity contracted with xi; relative to the input norms."""
     h, a, b, xi = ha.a, ab.a, ab.b, hxi.b
     total = (r_of(pair(lie_part(ha), b), xi) + r_of(pair(a, lie_part(hb)), xi)
              + r_of(ab, lie_part(hxi)))

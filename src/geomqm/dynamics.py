@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import jordan_product, lie_bracket
+from .algebra import jordan_part, lie_bracket, lie_part, pair
 from .kernel import (DimensionError, dagger, eig_hermitian, eigvals_hermitian, frobenius,
                      random_hermitian, relative, require_matrix, require_observable,
                      require_same_dim, unit_scale)
@@ -245,10 +245,9 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
     a = random_hermitian(n, seed, 88, 0)
     b = random_hermitian(n, seed, 88, 1)
     ua, ub = u @ a @ dagger(u), u @ b @ dagger(u)
-    size = frobenius(a) * frobenius(b)
+    ab, uab, size = pair(a, b), pair(ua, ub), frobenius(a) * frobenius(b)
     report.add("jordan_product_preserved",
-               relative(frobenius(u @ jordan_product(a, b) @ dagger(u) - jordan_product(ua, ub)),
-                        size))
+               relative(frobenius(u @ jordan_part(ab) @ dagger(u) - jordan_part(uab)), size))
     report.add("lie_bracket_preserved",
-               relative(frobenius(u @ lie_bracket(a, b) @ dagger(u) - lie_bracket(ua, ub)), size))
+               relative(frobenius(u @ lie_part(ab) @ dagger(u) - lie_part(uab)), size))
     return report

@@ -5,12 +5,13 @@ The residuals of ``algebra.JORDAN_LIE``, ``dual.DUAL_GEOMETRY`` and
 product computed where it is used, and the involutivity evidence of each
 kind (the R witness's residual included) computed one kind at a time, each
 at its own diagonal points.  Every product here is a matrix product, through
-``lie_bracket`` and ``jordan_product`` (and so ``jhat`` and ``rhat``), the
-dense points diag(lam) included.  The library forms each ordered pair's
-products once per chunk, takes both parts and the dual tensors from them,
-and takes each product with a diagonal point as a row or column scaling,
-with the same formulas in the same evaluation order, so its reports must
-equal these bit for bit.
+``lie_bracket`` and ``jordan_product``, the dense points diag(lam) included:
+the tensors at a point are jhat(xi, A) = [A, xi]_- and rhat(xi, A) = A o xi,
+and Lambda and R are ``lambda_of`` and ``r_of`` of a pair formed where it is
+used.  The library forms each ordered pair's products once per chunk, takes
+both parts and the dual tensors from them, and takes each product with a
+diagonal point as a row or column scaling, with the same formulas in the
+same evaluation order, so its reports must equal these bit for bit.
 """
 
 import numpy as np
@@ -22,9 +23,10 @@ from geomqm.algebra import (
     associator_defect,
     jordan_product,
     lie_bracket,
+    pair,
     trace_form,
 )
-from geomqm.dual import DUAL_GEOMETRY, lambda_eval, r_eval, star_eval
+from geomqm.dual import DUAL_GEOMETRY, lambda_of, r_of, star_eval
 from geomqm.kernel import frobenius, relative
 from geomqm.report import Suite, run_suite
 
@@ -60,17 +62,16 @@ def reference_jordan_lie(n, trials, seed, tol=1e-9):
 def reference_dual_geometry(n, trials, seed, tol=1e-9):
     def residuals(a, b, c, xi):
         size = frobenius(a) * frobenius(b) * frobenius(xi)
-        cyc = (lambda_eval(lie_bracket(a, b), c, xi)
-               + lambda_eval(lie_bracket(b, c), a, xi)
-               + lambda_eval(lie_bracket(c, a), b, xi))
+        cyc = (lambda_of(pair(lie_bracket(a, b), c), xi)
+               + lambda_of(pair(lie_bracket(b, c), a), xi)
+               + lambda_of(pair(lie_bracket(c, a), b), xi))
+        star_parts = r_of(pair(a, b), xi) / 2 + 1j * lambda_of(pair(a, b), xi) / 2
         return {
-            "star_decomposition": relative(
-                abs(star_eval(a, b, xi) - (r_eval(a, b, xi) / 2 + 1j * lambda_eval(a, b, xi) / 2)),
-                size),
+            "star_decomposition": relative(abs(star_eval(a, b, xi) - star_parts), size),
             "function_bracket_jacobi": relative(abs(cyc), size * frobenius(c)),
             "r_flow_invariance": relative(
-                abs(r_eval(lie_bracket(c, a), b, xi) + r_eval(a, lie_bracket(c, b), xi)
-                    + r_eval(a, b, lie_bracket(c, xi))),
+                abs(r_of(pair(lie_bracket(c, a), b), xi) + r_of(pair(a, lie_bracket(c, b)), xi)
+                    + r_of(pair(a, b), lie_bracket(c, xi))),
                 frobenius(c) * frobenius(a) * frobenius(b) * frobenius(xi)),
         }
 
@@ -80,8 +81,8 @@ def reference_dual_geometry(n, trials, seed, tol=1e-9):
 
 def reference_commutation(n, trials, seed, tol=1e-9):
     def residuals(xi, a):
-        jr = dist.jhat(xi, dist.rhat(xi, a))
-        rj = dist.rhat(xi, dist.jhat(xi, a))
+        jr = lie_bracket(jordan_product(a, xi), xi)  # jhat(xi, rhat(xi, a))
+        rj = jordan_product(lie_bracket(a, xi), xi)  # rhat(xi, jhat(xi, a))
         closed = lie_bracket(a, xi @ xi) / 2
         defect = np.maximum(frobenius(jr - rj), frobenius(jr - closed))
         return {"jhat_rhat_commutation": relative(defect, frobenius(a) * frobenius(xi) ** 2)}
@@ -92,11 +93,10 @@ def reference_commutation(n, trials, seed, tol=1e-9):
 
 def commutator_value(kind, xi, a, b):
     """``distributions._commutator_value`` with every product a matrix product."""
-    jhat, rhat = dist.jhat, dist.rhat
-    if kind == "Lambda":
-        return jhat(jhat(xi, a), b) - jhat(jhat(xi, b), a)
-    if kind == "R":
-        return rhat(rhat(xi, a), b) - rhat(rhat(xi, b), a)
+    if kind == "Lambda":  # jhat(jhat(xi, a), b) - jhat(jhat(xi, b), a)
+        return lie_bracket(b, lie_bracket(a, xi)) - lie_bracket(a, lie_bracket(b, xi))
+    if kind == "R":  # rhat(rhat(xi, a), b) - rhat(rhat(xi, b), a)
+        return jordan_product(b, jordan_product(a, xi)) - jordan_product(a, jordan_product(b, xi))
     xi2 = xi @ xi  # Zero
 
     def q(m):
@@ -118,7 +118,8 @@ def reference_involutivity(kind, n, trials, seed, tol=1e-9):
         xi = dist._diagonal_points(spectrum)
         if kind == "One":
             values = [commutator_value("Lambda", xi, a, b), commutator_value("R", xi, a, b),
-                      dist.rhat(dist.jhat(xi, a), b) - dist.jhat(dist.rhat(xi, b), a)]
+                      jordan_product(b, lie_bracket(a, xi))  # rhat(jhat(xi, a), b)
+                      - lie_bracket(a, jordan_product(b, xi))]  # - jhat(rhat(xi, b), a)
         else:
             values = [commutator_value(kind, xi, a, b)]
         mask = dist._pair_masks(spectrum)[kind]

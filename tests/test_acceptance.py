@@ -13,7 +13,7 @@ import pytest
 
 from geomqm import distributions as dist
 from geomqm import dual, kahler
-from geomqm.algebra import CONVENTIONS, JORDAN_LIE
+from geomqm.algebra import CONVENTIONS, JORDAN_LIE, pair
 from geomqm.cli import EXIT_OK, run
 from geomqm.dynamics import (
     EvolutionSpec,
@@ -77,7 +77,7 @@ def test_criterion_03_tensor_decomposition():
         a = random_hermitian(n, k, 0)
         b = random_hermitian(n, k, 1)
         xi = random_hermitian(n, k, 2)
-        lhs = dual.r_eval(a, b, xi) / 2 + 1j * dual.lambda_eval(a, b, xi) / 2
+        lhs = dual.r_of(pair(a, b), xi) / 2 + 1j * dual.lambda_of(pair(a, b), xi) / 2
         scale = frobenius(a) * frobenius(b) * frobenius(xi)
         worst = max(worst, abs(dual.star_eval(a, b, xi) - lhs) / scale)
     report_line(3, f"star = r/2 + i*lambda/2 over 200 triples, residual {worst:.3e}",
@@ -87,7 +87,8 @@ def test_criterion_03_tensor_decomposition():
 def test_criterion_04_distribution_claims():
     involutive_ok = witness_ok = True
     for n in (2, 3, 4):
-        reports = dict(zip(dist.KINDS, dist.involutivity_evidence(n, trials=50, seed=n, tol=1e-9)))
+        reports = dict(zip(dist.KINDS,
+                           verify_row(dist.INVOLUTIVITY, n, trials=50, seed=n, tol=1e-9)))
         for kind in ("Lambda", "Zero", "One"):
             report = reports[kind]
             involutive_ok = involutive_ok and report.passed

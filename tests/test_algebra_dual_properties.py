@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from geomqm import algebra, dual
 from geomqm.algebra import CONVENTIONS, jordan_product, lie_bracket, trace_form
 from geomqm.kernel import frobenius, random_hermitian, relative
-from test_dual import fd_r_invariance_defect
+from test_dual import fd_r_invariance_defect, r_invariance_defect
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 REL = 1e-12
@@ -95,7 +95,7 @@ def test_star_is_half_r_plus_i_half_lambda(n, sa, sb, sx, seed):
 @given(dims, scales, scales, scales, scales, seeds)
 def test_r_invariance_defect_agrees_with_finite_difference(n, sh, sa, sb, sx, seed):
     unit = observables(n, seed, 4)
-    assert at_every_scale(dual.r_invariance_defect, unit, (sh, sa, sb, sx)) <= REL
+    assert at_every_scale(r_invariance_defect, unit, (sh, sa, sb, sx)) <= REL
     # the central difference, at a step that is the same flow angle at every scale of H, is
     # O(step^2) off the derivative, which is exactly 0
     h, a, b, xi = (s * m for s, m in zip((sh, sa, sb, sx), unit))

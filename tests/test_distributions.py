@@ -4,7 +4,7 @@ import pytest
 from geomqm import algebra
 from geomqm import distributions as dist
 from geomqm import report as report_module
-from geomqm.algebra import trace_form
+from geomqm.algebra import jordan_product, lie_bracket, trace_form
 from geomqm.kernel import DimensionError, dagger, eig_hermitian, make_rng, random_hermitian
 from geomqm.report import replay, verify_row
 from conftest import (PAULI_X, PAULI_Y, PAULI_Z, closed_form_projection, plant_everywhere,
@@ -14,24 +14,25 @@ from suite_reference import reference_commutation, reference_involutivity
 
 
 class TestTensors:
+    # jhat(xi, A) = [A, xi]_- and rhat(xi, A) = A o xi, the tensors contracted with hat(A)
     def test_jhat_central_point(self):
         a = random_hermitian(3, 1)
-        assert np.linalg.norm(dist.jhat(np.eye(3), a)) == 0.0
+        assert np.linalg.norm(lie_bracket(a, np.eye(3))) == 0.0
 
     def test_jhat_pauli(self):
         # [X, Z]_- = -2Y by direct multiplication
-        assert np.allclose(dist.jhat(PAULI_Z, PAULI_X), -2 * PAULI_Y)
+        assert np.allclose(lie_bracket(PAULI_X, PAULI_Z), -2 * PAULI_Y)
 
     def test_rhat_identity_point(self):
         a = random_hermitian(3, 2)
-        assert np.allclose(dist.rhat(np.eye(3), a), a)
+        assert np.allclose(jordan_product(a, np.eye(3)), a)
 
     def test_rhat_zz(self):
-        assert np.allclose(dist.rhat(PAULI_Z, PAULI_Z), np.eye(2))
+        assert np.allclose(jordan_product(PAULI_Z, PAULI_Z), np.eye(2))
 
     def test_rhat_zero_point(self):
         a = random_hermitian(2, 3)
-        assert np.linalg.norm(dist.rhat(np.zeros((2, 2)), a)) == 0.0
+        assert np.linalg.norm(jordan_product(a, np.zeros((2, 2)))) == 0.0
 
 
 class TestCommutation:
@@ -185,8 +186,8 @@ SPECTRA = {"R": dist._r_spectra, "generic": dist._generic_spectra}
 
 
 def involutivity(kind, n, trials, seed, tol=1e-9):
-    """The report of one kind from the four that involutivity_evidence returns."""
-    return dist.involutivity_evidence(n, trials, seed, tol)[dist.KINDS.index(kind)]
+    """The report of one kind from the four that the INVOLUTIVITY row publishes."""
+    return verify_row(dist.INVOLUTIVITY, n, trials, seed, tol)[dist.KINDS.index(kind)]
 
 
 class TestInvolutivity:
@@ -202,7 +203,7 @@ class TestInvolutivity:
         # kind's check, and the R witness, as computed on its own with matrix products
         monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", 10 * n * n)  # chunks of 10 trials
         for seed in range(5):
-            reports = dist.involutivity_evidence(n, 30, seed)
+            reports = verify_row(dist.INVOLUTIVITY, n, 30, seed, 1e-9)
             for kind in ("Lambda", "Zero", "One"):
                 checks = reports[dist.KINDS.index(kind)].checks
                 assert [c.to_dict() for c in checks] \
@@ -256,7 +257,7 @@ class TestInvolutivity:
         keys = []
         monkeypatch.setattr(report_module, "make_rng",
                             lambda *key: keys.append(key) or make_rng(*key))
-        dist.involutivity_evidence(3, 20, seed)
+        verify_row(dist.INVOLUTIVITY, 3, 20, seed, 1e-9)
         assert sorted(keys[:4]) == [(seed, key) for key in (1, 2, 3, 5)]
         assert sorted(keys[4:]) == [(seed, key) for key in (1, 2, 3, 5)]
 
@@ -266,7 +267,7 @@ class TestInvolutivity:
             raise AssertionError("eig_hermitian called")
 
         monkeypatch.setattr(dist, "eig_hermitian", refuse)
-        assert all(r.passed for r in dist.involutivity_evidence(4, 30, 0))
+        assert all(r.passed for r in verify_row(dist.INVOLUTIVITY, 4, 30, 0, 1e-9))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_r_points_keep_their_exact_pair(self, n):
@@ -309,9 +310,9 @@ class TestInvolutivity:
 
     def test_reports_do_not_depend_on_chunking(self, monkeypatch):
         n, trials, seed = 3, 40, 0
-        whole = [r.to_dict() for r in dist.involutivity_evidence(n, trials, seed)]
+        whole = [r.to_dict() for r in verify_row(dist.INVOLUTIVITY, n, trials, seed, 1e-9)]
         monkeypatch.setattr(report_module, "CHUNK_ELEMENTS", 10 * n * n)  # 4 chunks of 10
-        chunked = dist.involutivity_evidence(n, trials, seed)
+        chunked = verify_row(dist.INVOLUTIVITY, n, trials, seed, 1e-9)
         assert [r.to_dict() for r in chunked] == whole
         k = chunked[1].checks[0].worst_trial
         assert k >= 10  # the witness comes from a later chunk than the first

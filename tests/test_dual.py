@@ -3,7 +3,7 @@ import pytest
 
 from geomqm import dual
 from geomqm import report as report_module
-from geomqm.algebra import jordan_product, lie_bracket
+from geomqm.algebra import jordan_product, lie_bracket, pair
 from geomqm.kernel import DimensionError, dagger, make_rng, random_hermitian
 from geomqm.report import verify_row
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
@@ -36,44 +36,44 @@ class TestHatEval:
 class TestLambdaEval:
     def test_xy_gives_2zhat(self):
         xi = random_hermitian(2, 3)
-        assert dual.lambda_eval(PAULI_X, PAULI_Y, xi) == pytest.approx(
+        assert dual.lambda_of(pair(PAULI_X, PAULI_Y), xi) == pytest.approx(
             2 * dual.hat_eval(PAULI_Z, xi))
 
     def test_yz_gives_2xhat(self):
         xi = random_hermitian(2, 4)
-        assert dual.lambda_eval(PAULI_Y, PAULI_Z, xi) == pytest.approx(
+        assert dual.lambda_of(pair(PAULI_Y, PAULI_Z), xi) == pytest.approx(
             2 * dual.hat_eval(PAULI_X, xi))
 
     def test_antisymmetric(self):
         a = random_hermitian(3, 5)
         xi = random_hermitian(3, 6)
-        assert dual.lambda_eval(a, a, xi) == 0.0
+        assert dual.lambda_of(pair(a, a), xi) == 0.0
 
     def test_hat_of_bracket(self):
         a, b = random_hermitian(4, 7, 0), random_hermitian(4, 7, 1)
         xi = random_hermitian(4, 7, 2)
-        assert dual.lambda_eval(a, b, xi) == pytest.approx(
+        assert dual.lambda_of(pair(a, b), xi) == pytest.approx(
             dual.hat_eval(lie_bracket(a, b), xi), abs=1e-12)
 
 
 class TestREval:
     def test_zz_gives_trace(self):
         xi = random_hermitian(2, 8)
-        assert dual.r_eval(PAULI_Z, PAULI_Z, xi) == pytest.approx(np.trace(xi).real)
+        assert dual.r_of(pair(PAULI_Z, PAULI_Z), xi) == pytest.approx(np.trace(xi).real)
 
     def test_xy_vanishes(self):
         xi = random_hermitian(2, 9)
-        assert dual.r_eval(PAULI_X, PAULI_Y, xi) == pytest.approx(0.0, abs=1e-14)
+        assert dual.r_of(pair(PAULI_X, PAULI_Y), xi) == pytest.approx(0.0, abs=1e-14)
 
     def test_jordan_unit(self):
         a = random_hermitian(3, 10)
         xi = random_hermitian(3, 11)
-        assert dual.r_eval(a, np.eye(3), xi) == pytest.approx(2 * dual.hat_eval(a, xi))
+        assert dual.r_of(pair(a, np.eye(3)), xi) == pytest.approx(2 * dual.hat_eval(a, xi))
 
     def test_symmetric(self):
         a, b = random_hermitian(3, 12, 0), random_hermitian(3, 12, 1)
         xi = random_hermitian(3, 12, 2)
-        assert dual.r_eval(a, b, xi) == pytest.approx(dual.r_eval(b, a, xi), abs=1e-13)
+        assert dual.r_of(pair(a, b), xi) == pytest.approx(dual.r_of(pair(b, a), xi), abs=1e-13)
 
 
 class TestStarEval:
@@ -99,7 +99,7 @@ class TestStarEval:
             a = random_hermitian(n, seed, 0)
             b = random_hermitian(n, seed, 1)
             xi = random_hermitian(n, seed, 2)
-            lhs = dual.r_eval(a, b, xi) / 2 + 1j * dual.lambda_eval(a, b, xi) / 2
+            lhs = dual.r_of(pair(a, b), xi) / 2 + 1j * dual.lambda_of(pair(a, b), xi) / 2
             assert abs(dual.star_eval(a, b, xi) - lhs) <= 1e-12
 
     def test_nonlocal_closure(self):
@@ -130,6 +130,11 @@ class TestHamiltonianFieldDual:
         assert dual.hat_eval(np.eye(4), v) == pytest.approx(0.0, abs=1e-12)
 
 
+def r_invariance_defect(h, a, b, xi):
+    """R's invariance along the flow of hat(H), read from the DUAL_GEOMETRY row with C = H."""
+    return dual.DUAL_GEOMETRY.residuals(a=a, b=b, c=h, xi=xi)["r_flow_invariance"]
+
+
 def fd_r_invariance_defect(h, a, b, xi, step=1e-4):
     """Oracle: central difference of R(A(t), B(t))(xi(t)), all dragged by exp(-itH)."""
 
@@ -137,7 +142,7 @@ def fd_r_invariance_defect(h, a, b, xi, step=1e-4):
         # pull back along the flow: hat(A) -> hat(U^dag A U), xi -> U^dag xi U
         u = unitary_exp(h, t)
         ud = dagger(u)
-        return dual.r_eval(ud @ a @ u, ud @ b @ u, ud @ xi @ u)
+        return dual.r_of(pair(ud @ a @ u, ud @ b @ u), ud @ xi @ u)
 
     return abs(dragged(step) - dragged(-step)) / (2 * step)
 
@@ -146,17 +151,17 @@ class TestRInvariance:
     def test_commuting_exact_zero(self):
         h = np.diag([1.0, 2.0]).astype(complex)
         a = np.diag([3.0, -1.0]).astype(complex)
-        assert dual.r_invariance_defect(h, a, a, h) == 0.0
+        assert r_invariance_defect(h, a, a, h) == 0.0
 
     def test_finite_difference(self):
         for n in (2, 3):
             h, a, b, xi = (random_hermitian(n, 20, k) for k in range(4))
             assert fd_r_invariance_defect(h, a, b, xi) <= 1e-6
-            assert dual.r_invariance_defect(h, a, b, xi) <= 1e-10
+            assert r_invariance_defect(h, a, b, xi) <= 1e-10
 
     def test_exact_algebraic(self):
         h, a, b, xi = (random_hermitian(3, 21, k) for k in range(4))
-        assert dual.r_invariance_defect(h, a, b, xi) <= 1e-10
+        assert r_invariance_defect(h, a, b, xi) <= 1e-10
 
 
 class TestStates:
@@ -213,15 +218,22 @@ class TestStarReport:
         rep, results = dual.star_report(a, b, xi)
         value = dual.star_eval(a, b, xi)
         assert (results["star_re"], results["star_im"]) == (value.real, value.imag)
-        assert results["jordan_part"] == dual.r_eval(a, b, xi) / 2
-        assert results["lie_part"] == dual.lambda_eval(a, b, xi) / 2
+        assert results["jordan_part"] == dual.r_of(pair(a, b), xi) / 2
+        assert results["lie_part"] == dual.lambda_of(pair(a, b), xi) / 2
         assert rep.passed and rep.checks[0].name == "star_equals_r_half_plus_i_lambda_half"
         assert rep.checks[0].max_residual == dual.star_decomposition(a, b, xi)
+
+    def test_pair_formed_once_per_input_triple(self, monkeypatch):
+        # one pair (A, B) gives both parts; the prescaled residual forms its own
+        calls = []
+        monkeypatch.setattr(dual, "pair", lambda a, b: calls.append(1) or pair(a, b))
+        dual.star_report(*(random_hermitian(3, 5, k) for k in range(3)))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("which", ["a", "b", "xi"])
     @pytest.mark.parametrize("defect", ["nan", "inf", "non_hermitian", "mismatched"])
     def test_bad_input_rejected_before_evaluation(self, monkeypatch, which, defect):
-        for name in ("star_eval", "r_eval", "lambda_eval", "star_decomposition"):
+        for name in ("pair", "r_of", "lambda_of", "star_eval", "star_decomposition"):
             monkeypatch.setattr(dual, name, lambda *a: pytest.fail("evaluated bad input"))
         args = {name: random_hermitian(3, 6, k) for k, name in enumerate(("a", "b", "xi"))}
         m = args[which]

@@ -111,7 +111,7 @@ def test_involutivity_r_witness_equal_at_every_power_of_two():
         witness, matrices = [], []
         for k in POWERS:
             scale_row(mp, "INVOLUTIVITY", 2.0**k)
-            report = dist.involutivity_evidence(N, TRIALS, SEED)[1]
+            report = verify_row(dist.INVOLUTIVITY, N, TRIALS, SEED, 1e-9)[1]
             witness.append((report.passed, report.details["witness_residual"]))
             matrices.append(report.details["witness_matrices"])
             mp.undo()
@@ -238,5 +238,5 @@ def test_involutivity_at_small_scale():
     # pairs and spectra at 1e-8, which is not a power of two
     with pytest.MonkeyPatch.context() as mp:
         scale_row(mp, "INVOLUTIVITY", 1e-8)
-        reports = dist.involutivity_evidence(N, TRIALS, SEED)
+        reports = verify_row(dist.INVOLUTIVITY, N, TRIALS, SEED, 1e-9)
     assert all(r.passed for r in reports)

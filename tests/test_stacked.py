@@ -8,8 +8,8 @@ import pytest
 from geomqm import distributions as dist
 from geomqm import kahler
 from geomqm import report as report_module
-from geomqm.algebra import jordan_product, lie_bracket, trace_form
-from geomqm.dual import r_eval, star_eval
+from geomqm.algebra import jordan_product, lie_bracket, pair, trace_form
+from geomqm.dual import r_of, star_eval
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow, schrodinger_flow, vonneumann_flow
 from geomqm.kernel import (
     DimensionError,
@@ -67,8 +67,8 @@ class TestCoordinates:
         basis = oracle.hermitian_basis(n)
         xi = random_hermitian(n, 3, n)
         mj, mr = oracle.map_matrix(xi, basis)
-        ref_j = np.column_stack([loop_vectorize(dist.jhat(xi, e), basis) for e in basis])
-        ref_r = np.column_stack([loop_vectorize(dist.rhat(xi, e), basis) for e in basis])
+        ref_j = np.column_stack([loop_vectorize(lie_bracket(e, xi), basis) for e in basis])
+        ref_r = np.column_stack([loop_vectorize(jordan_product(e, xi), basis) for e in basis])
         assert np.max(np.abs(mj - ref_j)) <= 1e-14
         assert np.max(np.abs(mr - ref_r)) <= 1e-14
 
@@ -149,7 +149,7 @@ class TestStackedProducts:
         scale = frobenius(a) * frobenius(b) * frobenius(xi)
         for value, reference in [
             (trace_form(a, b), np.trace(a @ b, axis1=-2, axis2=-1).real / 2),
-            (r_eval(a, b, xi), np.trace(xi @ (a @ b + b @ a), axis1=-2, axis2=-1).real / 2),
+            (r_of(pair(a, b), xi), np.trace(xi @ (a @ b + b @ a), axis1=-2, axis2=-1).real / 2),
             (star_eval(a, b, xi), np.trace(xi @ a @ b, axis1=-2, axis2=-1) / 2),
         ]:
             assert np.all(np.abs(value - reference) <= 1e-14 * scale)
