@@ -14,15 +14,18 @@ from .algebra import (
     lie_bracket,
     trace_form,
 )
+from .distributions import orbit_invariants
 from .dual import (
     hat_eval,
     is_state,
     star_eval,
+    star_report,
     su2_golden_tables,
 )
 from .dynamics import EvolutionSpec, schrodinger_flow, heisenberg_flow, vonneumann_flow
 from .kahler import (
     dispersion,
+    eigen_report,
     eigensolve_gradient_flow,
     expectation,
     f_quadratic,

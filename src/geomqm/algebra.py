@@ -2,6 +2,9 @@
 
 The two products, the invariant trace form and the associator defect, which
 also take (..., n, n) stacks, and a randomized identity-verification suite.
+Those four check their observables; library code and the suite read the same
+values, unchecked, from ``lie_part(pair(A, B))``, ``jordan_part`` and
+``_trace_form``.
 
 Sign conventions (ConventionSet, defined in .report and recorded in every report):
   [A, B]_- := -i (AB - BA)      Hermitian-valued Lie bracket
@@ -28,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import frobenius, random_hermitian_stack, relative, require_same_dim, scalar_or_stack
+from .kernel import (frobenius, random_hermitian_stack, relative, require_observables,
+                     require_same_dim, scalar_or_stack)
 from .report import CONVENTIONS, ConventionSet, Suite  # noqa: F401
 
 
@@ -72,24 +76,30 @@ def jordan_part(p: Pair) -> np.ndarray:
 
 def lie_bracket(a, b) -> np.ndarray:
     """[A, B]_- = -i(AB - BA); Hermitian, antisymmetric."""
-    return lie_part(pair(a, b))
+    return lie_part(pair(*require_observables(A=a, B=b)))
 
 
 def jordan_product(a, b) -> np.ndarray:
     """A o B = (AB + BA)/2; Hermitian, commutative."""
-    return jordan_part(pair(a, b))
+    return jordan_part(pair(*require_observables(A=a, B=b)))
 
 
 def trace_form(a, b):
     """<A, B> = Tr(AB)/2; symmetric, real on Hermitian inputs; an array over stacks."""
+    return _trace_form(*require_observables(A=a, B=b))
+
+
+def _trace_form(a, b):
+    """``trace_form`` of any two square matrices or stacks of one dimension."""
     a, b = require_same_dim(a, b)
     return scalar_or_stack((np.einsum("...ij,...ji->...", a, b) / 2).real)
 
 
 def associator_defect(a, b, c) -> np.ndarray:
     """(A o B) o C - A o (B o C); equals (1/4)[[A,C]_-, B]_- here."""
-    a, b, c = require_same_dim(a, b, c)
-    return jordan_product(jordan_product(a, b), c) - jordan_product(a, jordan_product(b, c))
+    a, b, c = require_observables(A=a, B=b, C=c)
+    return (jordan_part(pair(jordan_part(pair(a, b)), c))
+            - jordan_part(pair(a, jordan_part(pair(b, c)))))
 
 
 def _jordan_lie_residuals(a, b, c) -> dict:
@@ -99,14 +109,14 @@ def _jordan_lie_residuals(a, b, c) -> dict:
     jor_ab, jor_bc = jordan_part(ab), jordan_part(bc)
     ac_b, ab_c, a_bc = pair(lie_ac, b), pair(lie_ab, c), pair(a, jor_bc)
     lie_ac_b = lie_part(ac_b)
-    jac = lie_part(ab_c) + lie_bracket(lie_bc, a) - lie_ac_b  # [C, A]_- = -[A, C]_-
+    jac = lie_part(ab_c) + lie_part(pair(lie_bc, a)) - lie_ac_b  # [C, A]_- = -[A, C]_-
     aa = a @ a
     a2 = jordan_part(Pair(a, a, aa, aa))  # A o A from its one product
-    jid = jordan_product(jor_ab, a2) - jordan_product(a, jordan_product(b, a2))
-    inv_lie = trace_form(lie_ab, c) - trace_form(a, lie_bc)
-    inv_jor = trace_form(jor_ab, c) - trace_form(a, jor_bc)
+    jid = jordan_part(pair(jor_ab, a2)) - jordan_part(pair(a, jordan_part(pair(b, a2))))
+    inv_lie = _trace_form(lie_ab, c) - _trace_form(a, lie_bc)
+    inv_jor = _trace_form(jor_ab, c) - _trace_form(a, jor_bc)
     leib = lie_part(a_bc) - jordan_part(ab_c) - jordan_part(ac_b.swapped())
-    assoc = (jordan_product(jor_ab, c) - jordan_part(a_bc)  # associator_defect(a, b, c)
+    assoc = (jordan_part(pair(jor_ab, c)) - jordan_part(a_bc)  # associator_defect(a, b, c)
              - (CONVENTIONS.hbar / 4) * lie_ac_b)
     size = na * nb * nc
     return {

@@ -6,8 +6,9 @@ input error.  Every command is deterministic given --seed (star and su2demo
 draw no random number and take no --seed); JSON reports conform to the schema
 shipped in geomqm/schema/report_schema.json.
 
-Each ``cmd_*`` reads and checks its inputs and hands them to the library, which
-builds every report; it returns an ``Outcome``.  ``run`` alone renders it (text,
+Each ``cmd_*`` reads and checks its inputs, each observable once with a path in its
+error, and hands them to the library's private cores, which build every report and
+do not check them again; it returns an ``Outcome``.  ``run`` alone renders it (text,
 or JSON with ``--json``), writes it through ``_write`` and decides the exit code.
 """
 
@@ -206,13 +207,15 @@ def cmd_evolve(args) -> Outcome:
         if args.picture == "vonneumann" and not dual.is_state(initial, TAU_HERMITIAN):
             print("warning: initial dual element is not a density matrix; "
                   "evolving anyway", file=sys.stderr)
-    try:
-        spec = dynamics.EvolutionSpec(hamiltonian=h, t_final=args.t, steps=args.steps,
-                                      hbar=args.hbar, picture=args.picture)
+    try:  # H is checked above
+        spec = dynamics._CheckedSpec(hamiltonian=h, t_final=args.t, steps=args.steps,
+                                     hbar=args.hbar, picture=args.picture)
     except ValueError as exc:
         raise CliError(str(exc))
+    if args.picture == "schrodinger":
+        initial = dynamics._initial_state(spec, initial)
 
-    traj = dynamics.METHODS[args.method](spec, initial)
+    traj = dynamics._CORES[args.method](spec, initial)
 
     reports = [dynamics.conserved_report(spec, traj, seed=args.seed, tol=args.tol)]
     if args.check_mu:
@@ -230,14 +233,14 @@ def cmd_evolve(args) -> Outcome:
 
 def cmd_eigen(args) -> Outcome:
     a = _read_hermitian(args.operator, "operator")
-    rep, res = kahler.eigen_report(a, args.seed, args.tol, args.max_iter, args.direction)
+    rep, res = kahler._eigen_report(a, args.seed, args.tol, args.max_iter, args.direction)
     tail = "\n  eigenvalue {eigenvalue!r} (oracle {oracle_eigenvalue!r}), {iterations} iterations"
     return Outcome([rep], res, tail=tail.format(**res))
 
 
 def cmd_star(args) -> Outcome:
     a, b, xi = require_same_dim(*(_read_hermitian(p, "matrix") for p in (args.a, args.b, args.xi)))
-    rep, res = dual.star_report(a, b, xi, args.tol)
+    rep, res = dual._star_report(a, b, xi, args.tol)
     tail = ("\n  (A*B)(xi) = {star_re!r} + {star_im!r} i\n  Jordan (real) part {jordan_part!r}, "
             "Lie (imaginary) part {lie_part!r}")
     return Outcome([rep], res, tail=tail.format(**res))
@@ -246,7 +249,7 @@ def cmd_star(args) -> Outcome:
 def cmd_distributions(args) -> Outcome:
     xi = _read_hermitian(args.point, "matrix")
     n = xi.shape[0]
-    inv = dist.orbit_invariants(xi)
+    inv = dist._orbit_invariants(xi)
     ranks = inv["ranks"]
     reports = verify_row(dist.INVOLUTIVITY, n, args.trials, args.seed, args.tol) if n >= 2 else []
     results = {"ranks": ranks, "spectrum": inv["spectrum"].tolist(), "rank": inv["rank"],

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (diagonal_pair, jordan_part, jordan_product, lie_bracket,
-                      lie_part, pair)
+from .algebra import diagonal_pair, jordan_part, lie_part, pair
 from .kernel import (eig_hermitian, frobenius, random_hermitian_stack, relative,
                      require_matrix, require_observable, require_same_dim, scalar_or_stack)
 from .report import Suite, VerificationReport, replay
@@ -45,9 +44,9 @@ def commutation_defect(xi, a):
     """Residual of jhat o rhat = rhat o jhat = (1/2)[A, xi^2]_-; NaN stays NaN."""
     xi, a = require_same_dim(xi, a)
     p = pair(a, xi)
-    jr = lie_bracket(jordan_part(p), xi)  # jhat(xi, rhat(xi, a))
-    rj = jordan_product(lie_part(p), xi)  # rhat(xi, jhat(xi, a))
-    closed = lie_bracket(a, xi @ xi) / 2
+    jr = lie_part(pair(jordan_part(p), xi))  # jhat(xi, rhat(xi, a))
+    rj = jordan_part(pair(lie_part(p), xi))  # rhat(xi, jhat(xi, a))
+    closed = lie_part(pair(a, xi @ xi)) / 2
     return scalar_or_stack(np.maximum(frobenius(jr - rj), frobenius(jr - closed)))
 
 
@@ -124,11 +123,11 @@ def _commutator_value(kind, xi, a, b):
     derivative along eta is [A, xi eta + eta xi]_- / 2.
     """
     if kind == "Lambda":  # jhat(jhat(xi, a), b) - jhat(jhat(xi, b), a)
-        return (lie_bracket(b, lie_part(diagonal_pair(a, xi)))
-                - lie_bracket(a, lie_part(diagonal_pair(b, xi))))
+        return (lie_part(pair(b, lie_part(diagonal_pair(a, xi))))
+                - lie_part(pair(a, lie_part(diagonal_pair(b, xi)))))
     if kind == "R":  # rhat(rhat(xi, a), b) - rhat(rhat(xi, b), a)
-        return (jordan_product(b, jordan_part(diagonal_pair(a, xi)))
-                - jordan_product(a, jordan_part(diagonal_pair(b, xi))))
+        return (jordan_part(pair(b, jordan_part(diagonal_pair(a, xi))))
+                - jordan_part(pair(a, jordan_part(diagonal_pair(b, xi)))))
 
     lam = np.diagonal(xi, axis1=-2, axis2=-1)  # Zero
     xi2 = _diagonal_points(lam * lam)  # xi @ xi
@@ -138,7 +137,7 @@ def _commutator_value(kind, xi, a, b):
 
     def dq(m, eta):
         p = diagonal_pair(eta, xi)
-        return lie_bracket(m, p.ba + p.ab) / 2  # xi eta + eta xi
+        return lie_part(pair(m, p.ba + p.ab)) / 2  # xi eta + eta xi
 
     return dq(b, q(a)) - dq(a, q(b))
 
@@ -150,8 +149,8 @@ def _involutivity_residuals(spectrum, r_spectrum, a, b) -> dict:
     a0, b0 = diagonal_pair(a, xi0), diagonal_pair(b, xi0)
     ja, rb = lie_part(a0), jordan_part(b0)  # jhat(xi0, a) and rhat(xi0, b)
     b_ja, a_rb = pair(b, ja), pair(a, rb)  # the pairs that the One values share
-    one = [lie_part(b_ja) - lie_bracket(a, lie_part(b0)),  # the Lambda pair's value
-           jordan_product(b, jordan_part(a0)) - jordan_part(a_rb),  # the R pair's
+    one = [lie_part(b_ja) - lie_part(pair(a, lie_part(b0))),  # the Lambda pair's value
+           jordan_part(pair(b, jordan_part(a0))) - jordan_part(a_rb),  # the R pair's
            jordan_part(b_ja) - lie_part(a_rb)]  # the mixed pair's: rhat(ja, b) - jhat(rb, a)
     return {  # np.max, unlike max(), propagates a NaN residual
         "commutators_tangent_to_D_Lambda":
@@ -202,7 +201,11 @@ def orbit_invariants(xi) -> dict:
     The four distributions' ranks, in KINDS order, are functions of the
     spectrum, so one eigendecomposition gives every label.
     """
-    xi = require_matrix(require_observable(xi, "the point"))
+    return _orbit_invariants(require_matrix(require_observable(xi, "the point")))
+
+
+def _orbit_invariants(xi) -> dict:
+    """``orbit_invariants`` of one observable matrix, already checked."""
     w = eig_hermitian(xi).eigenvalues
     cutoff = _rank_cutoff(w)
     npos = int(np.sum(w > cutoff))

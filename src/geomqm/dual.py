@@ -17,30 +17,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Pair, lie_bracket, lie_part, pair, trace_form
+from .algebra import Pair, _trace_form, lie_part, pair
 from .kernel import (dagger, eigvals_hermitian, frobenius, is_hermitian, random_hermitian_stack,
-                     relative, require_matrix, require_observable, require_same_dim,
-                     scalar_or_stack, serialize_matrix, unit_scale)
+                     relative, require_matrix, require_observable, require_observables,
+                     require_same_dim, scalar_or_stack, serialize_matrix, unit_scale)
 from .report import Suite, VerificationReport
 
 
 def hat_eval(a, xi) -> float:
     """Linear function of the dual point: A(xi) = Tr(xi A)/2."""
-    return trace_form(a, xi)
+    return _hat_eval(*require_observables(A=a, xi=xi))
+
+
+def _hat_eval(a, xi):
+    """``hat_eval`` of any two square matrices or stacks of one dimension."""
+    return _trace_form(a, xi)
 
 
 def lambda_of(p: Pair, xi) -> float:
     """Poisson bivector of the pair (A, B) on hat differentials: hat([A,B]_-) at xi."""
-    return hat_eval(lie_part(p), xi)
+    return _hat_eval(lie_part(p), xi)
 
 
 def r_of(p: Pair, xi) -> float:
     """Symmetric Jordan tensor of the pair (A, B): Tr(xi (AB+BA))/2 = 2 hat(A o B) at xi."""
+    xi = require_same_dim(p.ab, xi)[1]
     return scalar_or_stack((np.einsum("...ij,...ji->...", xi, p.ab + p.ba) / 2).real)
 
 
 def star_eval(a, b, xi) -> complex:
     """Non-local product of hat functions: Tr(xi A B)/2."""
+    return _star_eval(*require_observables(A=a, B=b, xi=xi))
+
+
+def _star_eval(a, b, xi):
+    """``star_eval`` of any three square matrices or stacks of one dimension."""
     a, b, xi = require_same_dim(a, b, xi)
     return scalar_or_stack(np.einsum("...ij,...ji->...", xi @ a, b) / 2, complex)
 
@@ -53,7 +64,7 @@ def star_decomposition(a, b, xi):
 
 def _star_residual(p: Pair, xi):
     """``star_decomposition`` of the pair (A, B), from its products."""
-    residual = star_eval(p.a, p.b, xi) - (r_of(p, xi) / 2 + 1j * lambda_of(p, xi) / 2)
+    residual = _star_eval(p.a, p.b, xi) - (r_of(p, xi) / 2 + 1j * lambda_of(p, xi) / 2)
     return relative(abs(residual), frobenius(p.a) * frobenius(p.b) * frobenius(xi))
 
 
@@ -63,18 +74,23 @@ def star_report(a, b, xi, tol: float = 1e-9) -> tuple[VerificationReport, dict]:
     ``unit_scale``: exact, so the report at (2^a A, 2^b B, 2^c xi) is the one at (A, B, xi)."""
     a, b, xi = require_same_dim(*(require_matrix(require_observable(m, what))
                                   for m, what in ((a, "A"), (b, "B"), (xi, "xi"))))
+    return _star_report(a, b, xi, tol)
+
+
+def _star_report(a, b, xi, tol: float) -> tuple[VerificationReport, dict]:
+    """``star_report`` of three observable matrices of one dimension, already checked."""
     rep = VerificationReport(title="star product decomposition", seed=0, trials=1, tol=tol)
     rep.add("star_equals_r_half_plus_i_lambda_half",
             star_decomposition(*(m * unit_scale(m, (-2, -1)) for m in (a, b, xi))))
     with np.errstate(over="ignore", invalid="ignore"):  # the values may leave the float range
-        p, value = pair(a, b), star_eval(a, b, xi)
+        p, value = pair(a, b), _star_eval(a, b, xi)
         return rep, {"star_re": value.real, "star_im": value.imag,
                      "jordan_part": r_of(p, xi) / 2, "lie_part": lambda_of(p, xi) / 2}
 
 
 def hamiltonian_field_dual(h, xi) -> np.ndarray:
     """Value at xi of the Hamiltonian vector field of hat(H): [H, xi]_-."""
-    return lie_bracket(h, xi)
+    return lie_part(pair(h, xi))
 
 
 def _r_invariance(ha: Pair, hb: Pair, hxi: Pair, ab: Pair):
@@ -122,7 +138,7 @@ def su2_coefficients(m) -> dict[str, complex]:
     herm = (m + dagger(m)) / 2
     anti = (m - dagger(m)) / (2j)  # Hermitian matrix carrying the imaginary part
     return {
-        name: complex(trace_form(e, herm) + 1j * trace_form(e, anti))
+        name: complex(_trace_form(e, herm) + 1j * _trace_form(e, anti))
         for name, e in SU2_BASIS.items()
     }
 
@@ -156,7 +172,8 @@ def su2_golden_tables() -> dict:
     R(da, db) = hat(AB + BA), which fixes the symmetrized-tensor-product
     constant: R(du, dx) has generator 2X, i.e. coefficient 2x.
     """
-    products = {"lambda": lie_bracket, "r": lambda a, b: a @ b + b @ a, "star": np.matmul}
+    products = {"lambda": lambda a, b: lie_part(pair(a, b)), "r": lambda a, b: a @ b + b @ a,
+                "star": np.matmul}
     return {kind: {(na, nb): product(SU2_BASIS[na], SU2_BASIS[nb])
                    for na in SU2_NAMES for nb in SU2_NAMES}
             for kind, product in products.items()}

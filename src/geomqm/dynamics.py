@@ -26,10 +26,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import jordan_part, lie_bracket, lie_part, pair
+from .algebra import jordan_part, lie_part, pair
 from .kernel import (DimensionError, dagger, eig_hermitian, eigvals_hermitian, frobenius,
-                     random_hermitian, relative, require_matrix, require_observable,
-                     require_same_dim, unit_scale)
+                     random_hermitian, relative, require_finite, require_matrix,
+                     require_observable, require_same_dim, unit_scale)
 from .report import VerificationReport
 from . import kahler
 
@@ -46,7 +46,11 @@ class EvolutionSpec:
     picture: str = "schrodinger"
 
     def __post_init__(self):
-        require_matrix(require_observable(self.hamiltonian, "the Hamiltonian"))
+        object.__setattr__(self, "hamiltonian",  # frozen: the checked complex array is kept
+                           require_matrix(require_observable(self.hamiltonian, "the Hamiltonian")))
+        self._check_parameters()
+
+    def _check_parameters(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not np.isfinite(self.t_final):
@@ -74,23 +78,38 @@ class EvolutionSpec:
         return (v * phases[:, None, :]) @ dagger(v)
 
 
+class _CheckedSpec(EvolutionSpec):
+    """An EvolutionSpec whose Hamiltonian its maker has checked as one observable matrix, as
+    the CLI does with its path-labelled check: only the parameters are checked here."""
+
+    def __post_init__(self):
+        self._check_parameters()
+
+
 def _initial(spec: EvolutionSpec, value, picture: str) -> np.ndarray:
     """The initial value of ``picture``, checked: a finite psi0 of H's length, or an observable
     of H's dimension; both the exact and the RK4 flows take it so, before any work."""
     if picture != "schrodinger":
         return require_same_dim(spec.hamiltonian,
                                 require_matrix(require_observable(value, "the initial matrix")))[1]
-    psi0, n = np.asarray(value, dtype=complex), spec.hamiltonian.shape[0]
+    return _initial_state(spec, value)
+
+
+def _initial_state(spec: EvolutionSpec, psi0) -> np.ndarray:
+    """psi0 checked as a finite vector of H's length."""
+    psi0, n = np.asarray(psi0, dtype=complex), spec.hamiltonian.shape[0]
     if psi0.shape != (n,):
         raise DimensionError(f"state has shape {psi0.shape}, Hamiltonian dim {n}")
-    if not np.isfinite(psi0).all():
-        raise ValueError("the initial state must be finite")
-    return psi0
+    return require_finite(psi0, "the initial state")
 
 
 def schrodinger_flow(spec: EvolutionSpec, psi0) -> np.ndarray:
     """Samples of psi(t) = U(t) psi0, shape (steps+1, n)."""
-    psi0 = _initial(spec, psi0, "schrodinger")
+    return _schrodinger(spec, _initial(spec, psi0, "schrodinger"))
+
+
+def _schrodinger(spec: EvolutionSpec, psi0) -> np.ndarray:
+    """``schrodinger_flow`` of a psi0 already checked."""
     # psi(t) = V diag(phases(t)) V^dag psi0, all samples in one product
     v, phases = spec.frame
     return (phases * (dagger(v) @ psi0)) @ v.T
@@ -98,21 +117,34 @@ def schrodinger_flow(spec: EvolutionSpec, psi0) -> np.ndarray:
 
 def heisenberg_flow(spec: EvolutionSpec, a0) -> np.ndarray:
     """Samples of A(t) = U(t)^dag A0 U(t), shape (steps+1, n, n)."""
-    a0 = _initial(spec, a0, "heisenberg")
+    return _heisenberg(spec, _initial(spec, a0, "heisenberg"))
+
+
+def _heisenberg(spec: EvolutionSpec, a0) -> np.ndarray:
+    """``heisenberg_flow`` of an A0 already checked."""
     u = spec.propagators
     return dagger(u) @ a0 @ u
 
 
 def vonneumann_flow(spec: EvolutionSpec, xi0) -> np.ndarray:
     """Samples of xi(t) = U(t) xi0 U(t)^dag, shape (steps+1, n, n)."""
-    xi0 = _initial(spec, xi0, "vonneumann")
+    return _vonneumann(spec, _initial(spec, xi0, "vonneumann"))
+
+
+def _vonneumann(spec: EvolutionSpec, xi0) -> np.ndarray:
+    """``vonneumann_flow`` of a xi0 already checked."""
     u = spec.propagators
     return u @ xi0 @ dagger(u)
 
 
 def exact_flow(spec: EvolutionSpec, initial) -> np.ndarray:
-    return {"schrodinger": schrodinger_flow, "heisenberg": heisenberg_flow,
-            "vonneumann": vonneumann_flow}[spec.picture](spec, initial)
+    return _exact(spec, _initial(spec, initial, spec.picture))
+
+
+def _exact(spec: EvolutionSpec, initial) -> np.ndarray:
+    """``exact_flow`` of an initial value already checked."""
+    return {"schrodinger": _schrodinger, "heisenberg": _heisenberg,
+            "vonneumann": _vonneumann}[spec.picture](spec, initial)
 
 
 def _rhs(spec: EvolutionSpec):
@@ -121,8 +153,8 @@ def _rhs(spec: EvolutionSpec):
     if spec.picture == "schrodinger":
         return lambda y: (-1j / hbar) * (h @ y)
     if spec.picture == "heisenberg":
-        return lambda y: -lie_bracket(h, y) / hbar
-    return lambda y: lie_bracket(h, y) / hbar
+        return lambda y: -lie_part(pair(h, y)) / hbar
+    return lambda y: lie_part(pair(h, y)) / hbar
 
 
 def rk4_flow(spec: EvolutionSpec, initial) -> np.ndarray:
@@ -133,7 +165,12 @@ def rk4_flow(spec: EvolutionSpec, initial) -> np.ndarray:
     leaves the float range gives inf or NaN samples without a warning, and
     the monitors fail on them.
     """
-    y = _initial(spec, initial, spec.picture).copy()
+    return _rk4(spec, _initial(spec, initial, spec.picture))
+
+
+def _rk4(spec: EvolutionSpec, initial) -> np.ndarray:
+    """``rk4_flow`` of an initial value already checked."""
+    y = initial.copy()
     rhs = _rhs(spec)
     dt = spec.t_final / spec.steps
     samples = [y.copy()]
@@ -149,6 +186,7 @@ def rk4_flow(spec: EvolutionSpec, initial) -> np.ndarray:
 
 
 METHODS = {"exact": exact_flow, "rk4": rk4_flow}  # the CLI's --method
+_CORES = {"exact": _exact, "rk4": _rk4}  # the METHODS of an initial value already checked
 
 
 def _max_deviation(values, size) -> float:
@@ -174,18 +212,18 @@ def mu_relatedness_check(spec: EvolutionSpec, psi0, seed: int = 0,
     Each residual is an np.max over samples and observables, so a NaN one
     fails.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = _initial_state(spec, psi0)
     psi0 = psi0 * unit_scale(psi0)  # exact, so that no square of psi0 overflows or underflows
     n = spec.hamiltonian.shape[0]
-    psis = schrodinger_flow(spec, psi0)
-    rhos = vonneumann_flow(spec, kahler.momentum_map(psi0))
+    psis = _schrodinger(spec, psi0)
+    rhos = _vonneumann(spec, kahler._momentum_map(psi0))
     n2 = float(np.vdot(psi0, psi0).real)
-    mu_res = relative(np.max(frobenius(kahler.momentum_map(psis) - rhos)), n2)
+    mu_res = relative(np.max(frobenius(kahler._momentum_map(psis) - rhos)), n2)
 
     obs = [random_hermitian(n, seed, 77, j) for j in range(N_OBSERVABLES)]
     # <psi(t)|A0 psi(t)> against <psi0|A(t) psi0> at every sample, for every observable
     gaps = [relative(np.abs(np.einsum("ti,ij,tj->t", psis.conj(), a0, psis).real
-                            - np.einsum("i,tij,j->t", psi0.conj(), heisenberg_flow(spec, a0),
+                            - np.einsum("i,tij,j->t", psi0.conj(), _heisenberg(spec, a0),
                                         psi0).real), n2 * frobenius(a0)) for a0 in obs]
     exp_res = float(np.max(gaps, initial=0.0))
 
@@ -226,7 +264,7 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
     if spec.picture == "schrodinger":
         norms = np.linalg.norm(traj, axis=1)
         report.add("state_norm", _max_deviation(norms, norms[0]))
-        report.add("energy_expectation", _max_deviation(kahler.expectation(h, traj), nh))
+        report.add("energy_expectation", _max_deviation(kahler._expectation(h, traj), nh))
     elif spec.picture == "vonneumann":
         nx = frobenius(traj[0])
         report.add("trace", _max_deviation(np.trace(traj, axis1=-2, axis2=-1).real, nx))
@@ -236,7 +274,7 @@ def conserved_report(spec: EvolutionSpec, trajectory, seed: int = 0,
         report.add("purity", _max_deviation(np.einsum("...ij,...ji->...", traj, traj).real, nx**2))
     else:
         # Heisenberg: H itself and the spectrum of each observable are constant
-        drift = np.linalg.norm(heisenberg_flow(spec, h) - h, axis=(1, 2))
+        drift = np.linalg.norm(_heisenberg(spec, h) - h, axis=(1, 2))
         report.add("hamiltonian_constant", relative(np.max(drift), nh))
         report.add("spectrum", _spectrum_deviation(traj))
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .kernel import (DimensionError, NumericalError, dagger, eig_hermitian, frobenius,
                      random_complex_vector, random_complex_vector_stack, random_hermitian_stack,
-                     relative, require_matrix, require_observable, require_same_dim,
-                     require_square, scalar_or_stack, unit_scale)
+                     relative, require_finite, require_matrix, require_observable,
+                     require_same_dim, require_square, scalar_or_stack, unit_scale)
 from .algebra import pair
 from .report import CONVENTIONS, Suite, VerificationReport
 from . import dual
@@ -43,6 +43,20 @@ def _as_vectors(psi) -> np.ndarray:
     if psi.ndim < 1:
         raise DimensionError(f"expected a vector or a stack of them, got shape {psi.shape}")
     return psi
+
+
+def _state(psi) -> np.ndarray:
+    """psi, a vector or a (..., n) stack, checked finite: the guard of the exported functions."""
+    return require_finite(_as_vectors(psi), "psi")
+
+
+def _observable_and_state(a, psi):
+    """A, one matrix or a stack, checked by ``require_observable``, and psi by ``_state``, of
+    A's dimension."""
+    a, psi = require_observable(a, "A"), _state(psi)
+    if psi.shape[-1] != a.shape[-1]:
+        raise DimensionError(f"psi has length {psi.shape[-1]}, A dimension {a.shape[-1]}")
+    return a, psi
 
 
 def _inner(u, v):
@@ -93,6 +107,11 @@ def _apply(a, psi) -> np.ndarray:
 
 def f_quadratic(a, psi) -> float:
     """f_A(psi) = <psi|A psi>/2, whose gradient is A psi; arrays over stacks of A and psi."""
+    return _f_quadratic(*_observable_and_state(a, psi))
+
+
+def _f_quadratic(a, psi):
+    """``f_quadratic`` of any square A and psi of its length, unchecked."""
     psi = _as_vectors(psi)
     return _inner(psi, _apply(a, psi)).real / 2
 
@@ -124,7 +143,11 @@ def hamiltonian_field_f(a, psi) -> np.ndarray:
 
 def momentum_map(psi) -> np.ndarray:
     """psi -> |psi><psi| into the dual space; equivariant, trace = ||psi||^2; also over stacks."""
-    psi = _as_vectors(psi)
+    return _momentum_map(_state(psi))
+
+
+def _momentum_map(psi) -> np.ndarray:
+    """``momentum_map`` of a vector or a stack, unchecked."""
     return psi[..., :, None] * psi[..., None, :].conj()
 
 
@@ -133,18 +156,18 @@ def _pullback_residuals(a, b, psi) -> dict:
     Hamiltonian of the equivariance check, and the Kahler triple is taken at X_{f_A}, B psi."""
     a, b = require_same_dim(a, b)
     psi = _as_vectors(psi)
-    rho = momentum_map(psi)
+    rho = _momentum_map(psi)
     na, nb, n2 = frobenius(a), frobenius(b), _inner(psi, psi).real
     size_ab = na * nb * n2  # the brackets' size; f_A does not involve B
     ab, brackets = pair(a, b), function_brackets(a, b, psi)
-    hat = abs(dual.hat_eval(a, rho) - f_quadratic(a, psi))
+    hat = abs(dual._hat_eval(a, rho) - _f_quadratic(a, psi))
     # d mu_psi(X) = X psi^dag + psi X^dag along X = X_{f_B}, against the dual field of hat(B)
     x_psi = hamiltonian_field_f(b, psi)[..., :, None] * psi[..., None, :].conj()
     equivariance = frobenius(x_psi + dagger(x_psi) - dual.hamiltonian_field_dual(b, rho))
     idempotence = relative(frobenius(rho @ rho - np.expand_dims(n2, (-2, -1)) * rho), n2 * n2)
     trace = relative(abs(np.trace(rho, axis1=-2, axis2=-1).real - n2), n2)
     grad = gradient_field_e(a, psi)
-    metric_law = abs(g_eval(grad, grad) * n2 - CONVENTIONS.kappa * dispersion(a, psi))
+    metric_law = abs(g_eval(grad, grad) * n2 - CONVENTIONS.kappa * _dispersion(a, psi))
     u, v = hamiltonian_field_f(a, psi), _apply(b, psi)
     xu, xv, n = to_real(u), to_real(v), psi.shape[-1]
     # g and omega in the coordinates (q, p): x_u . x_v and x_u^T [[0, I], [-I, 0]] x_v
@@ -176,6 +199,11 @@ EIGEN_START = 33  # eigen_report's start-vector substream (seed, 33): apart from
 
 def expectation(a, psi):
     """Rayleigh quotient <psi|A psi>/<psi|psi>; scale invariant; arrays over stacks of A and psi."""
+    return _expectation(*_observable_and_state(a, psi))
+
+
+def _expectation(a, psi):
+    """``expectation`` of any square A and psi of its length, unchecked."""
     psi, n2, _ = _unit(psi)
     return _inner(psi, _apply(a, psi)).real / n2
 
@@ -193,6 +221,11 @@ def dispersion(a, psi):
     Evaluated as ||(A - <A>) psi||^2 / ||psi||^2, which is non-negative and
     free of the cancellation between <A^2> and <A>^2.
     """
+    return _dispersion(*_observable_and_state(a, psi))
+
+
+def _dispersion(a, psi):
+    """``dispersion`` of any square A and psi of its length, unchecked."""
     centered, n2, _ = _deviation(a, psi)
     return _inner(centered, centered).real / n2
 
@@ -233,14 +266,23 @@ def eigensolve_gradient_flow(
     max_iter runs out.  A must be finite and Hermitian, psi0 finite and nonzero;
     psi0 of any scale gives the result of its direction at unit scale.
     """
-    a = require_matrix(require_observable(a, "the operator"))
-    if direction not in ("ascent", "descent"):
-        raise ValueError(f"direction must be 'ascent' or 'descent', got {direction!r}")
+    a = _operator(a, direction)
     psi = _as_vectors(psi0)
     if psi.shape != a.shape[-1:]:
         raise DimensionError(f"expected one start vector of length {len(a)}, got {psi.shape}")
-    if not np.isfinite(psi).all():
-        raise ValueError("start vector must be finite")
+    return _eigensolve(a, require_finite(psi, "start vector"), tol, max_iter, direction)
+
+
+def _operator(a, direction: str) -> np.ndarray:
+    """The eigensolver's A, checked as one observable matrix, and its direction."""
+    a = require_matrix(require_observable(a, "the operator"))
+    if direction not in ("ascent", "descent"):
+        raise ValueError(f"direction must be 'ascent' or 'descent', got {direction!r}")
+    return a
+
+
+def _eigensolve(a, psi, tol: float, max_iter: int, direction: str) -> EigensolveResult:
+    """``eigensolve_gradient_flow`` of an operator and a start vector, already checked."""
     psi, n2, _ = _unit(psi)
     psi = psi / np.sqrt(n2)
     unit = unit_scale(a, (-2, -1)).item()
@@ -295,13 +337,18 @@ def eigen_report(a, seed: int, tol: float, max_iter: int,
                  direction: str) -> tuple[VerificationReport, dict]:
     """The flow's eigenpair of A from the start vector (seed, EIGEN_START), against eig_hermitian:
     the residual and oracle gap relative to ||A||_F, the dispersion to ||A||_F^2, at unit scale."""
-    a = require_matrix(a)
+    return _eigen_report(_operator(a, direction), seed, tol, max_iter, direction)
+
+
+def _eigen_report(a, seed: int, tol: float, max_iter: int,
+                  direction: str) -> tuple[VerificationReport, dict]:
+    """``eigen_report`` of an operator and direction, already checked."""
     psi0 = random_complex_vector(a.shape[0], seed, EIGEN_START)
-    res = eigensolve_gradient_flow(a, psi0, tol=tol, max_iter=max_iter, direction=direction)
+    res = _eigensolve(a, psi0, tol, max_iter, direction)
     unit = unit_scale(a, (-2, -1)).item()
     a = a * unit  # exact, so that no size under- or overflows
     reference = float(eig_hermitian(a).eigenvalues[-1 if direction == "ascent" else 0])
-    disp = dispersion(a, res.eigenvector)
+    disp = _dispersion(a, res.eigenvector)
     rep = VerificationReport(title="gradient-flow eigensolve", seed=seed, trials=1, tol=tol,
                              details={"direction": direction, "iterations": res.iterations})
     size = frobenius(a)

@@ -6,7 +6,9 @@ module and by the CLI.  Every residual, cutoff and stop test
 divides by its inputs' size (``relative``); scale-invariant quantities are
 taken of input prescaled by an exact power of two (``unit_scale``).  The
 validators, predicates and norms take a single matrix or a (..., n, n) stack
-and check a stack once.
+and check a stack once.  Each exported entry point checks its observables
+(``require_observable``) and psi (``require_finite``) once, before any work,
+then hands them to a private core that never checks them again.
 
 All functions are pure except the stacked draws, which advance the
 generator passed to them; the only other state is the seed passed explicitly.
@@ -122,6 +124,20 @@ def require_observable(m, what: str) -> np.ndarray:
     if not np.all(is_hermitian(m, TAU_HERMITIAN)):
         raise ValueError(f"{what} must be a finite Hermitian matrix")
     return m
+
+
+def require_observables(**named) -> list[np.ndarray]:
+    """Each named matrix or stack through ``require_observable`` under its name, then through
+    ``require_same_dim``: the guard of an entry point that takes several observables."""
+    return require_same_dim(*(require_observable(m, what) for what, m in named.items()))
+
+
+def require_finite(x, what: str) -> np.ndarray:
+    """x as a complex array if every entry is finite: the guard of a state vector psi."""
+    x = np.asarray(x, dtype=complex)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x
 
 
 @dataclass(frozen=True)

@@ -99,10 +99,9 @@ class TestVerifySuite:
 
     @staticmethod
     def perturb_bracket(monkeypatch, eps):
-        """Add eps times the Jordan product to the suite's Lie bracket."""
-        bracket = algebra.lie_bracket
-        monkeypatch.setattr(algebra, "lie_bracket",
-                            lambda a, b: bracket(a, b) + eps * jordan_product(a, b))
+        """Add eps times the Jordan product to the suite's Lie bracket, the Lie part of a pair."""
+        part = algebra.lie_part
+        monkeypatch.setattr(algebra, "lie_part", lambda p: part(p) + eps * algebra.jordan_part(p))
 
     def test_perturbed_bracket_trips_jacobi(self, monkeypatch):
         self.perturb_bracket(monkeypatch, 0.1)

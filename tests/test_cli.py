@@ -8,13 +8,13 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from geomqm import cli, dual, dynamics, kahler
+from geomqm import cli, dual, dynamics, kahler, kernel
 from geomqm.algebra import CONVENTIONS
 from geomqm.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
 from geomqm.dynamics import EvolutionSpec, heisenberg_flow
 from geomqm.kernel import make_rng, random_complex_vector, random_hermitian, serialize_matrix
 from geomqm.report import replay, verify_row
-from conftest import PAULI_X, PAULI_Y, PAULI_Z, SUITE_BINDINGS, SUITE_ROWS
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, SUITE_BINDINGS, SUITE_ROWS, plant_everywhere
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +167,7 @@ class TestDimensionMismatch:
     def test_exits_2_before_any_report(self, capsys, tmp_path, monkeypatch, argv):
         calls = []
         monkeypatch.setattr(dynamics, "conserved_report", lambda *a, **k: calls.append(a))
-        monkeypatch.setattr(dual, "star_report", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(dual, "_star_report", lambda *a, **k: calls.append(a))
         argv = [write_matrix(tmp_path / f"{arg}.json", self.FILES[arg]) if arg in self.FILES
                 else arg for arg in argv]
         code = run(argv)
@@ -639,18 +639,54 @@ star table:
 """
 
 
-def test_distributions_diagonalizes_the_point_once(capsys, monkeypatch, tmp_path):
-    # one decomposition for the four ranks and the orbit invariants; the trials' points are
-    # diagonal
-    calls = dict.fromkeys(["eig_hermitian", "require_observable"], 0)
+def counted(monkeypatch, calls):
+    """Count the calls of each kernel function named in ``calls``, at every geomqm binding."""
     for name in calls:
-        fn = getattr(cli.dist, name)
-        monkeypatch.setattr(cli.dist, name,
-                            lambda *a, fn=fn, name=name: calls.update({name: calls[name] + 1})
-                            or fn(*a))
+        plant_everywhere(monkeypatch, getattr(kernel, name),
+                         lambda fn, name=name: lambda *a: calls.update({name: calls[name] + 1})
+                         or fn(*a))
+
+
+def test_distributions_diagonalizes_the_point_once(capsys, monkeypatch, tmp_path):
+    # one decomposition for the four ranks and the orbit invariants, and one check of the
+    # point; the trials' points are diagonal
+    calls = dict.fromkeys(["eig_hermitian", "require_observable"], 0)
+    counted(monkeypatch, calls)
     path = write_matrix(tmp_path / "xi.json", random_hermitian(4, 12))
     assert run(["distributions", "--point", path]) == EXIT_OK
     assert calls == {"eig_hermitian": 1, "require_observable": 1}
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["verify", "--dim", "3", "--trials", "5"], 0),
+    (["evolve", "--hamiltonian", "h", "--initial", "psi", "--check-mu", "--csv", "csv"], 1),
+    (["evolve", "--picture", "heisenberg", "--hamiltonian", "h", "--initial", "obs"], 2),
+    (["evolve", "--picture", "vonneumann", "--hamiltonian", "h", "--initial", "rho"], 2),
+    (["evolve", "--method", "rk4", "--hamiltonian", "h", "--initial", "psi", "--check-mu"], 1),
+    (["evolve", "--method", "rk4", "--picture", "heisenberg", "--hamiltonian", "h",
+      "--initial", "obs"], 2),
+    (["evolve", "--method", "rk4", "--picture", "vonneumann", "--hamiltonian", "h",
+      "--initial", "rho"], 2),
+    (["eigen", "--operator", "obs"], 1),
+    (["eigen", "--operator", "obs", "--direction", "ascent"], 1),
+    (["star", "--a", "h", "--b", "obs", "--xi", "rho"], 3),
+    (["distributions", "--point", "obs", "--trials", "3"], 1),
+    (["su2demo"], 0),
+], ids=["verify", "schrodinger", "heisenberg", "vonneumann", "rk4-schrodinger",
+        "rk4-heisenberg", "rk4-vonneumann", "eigen-descent", "eigen-ascent", "star",
+        "distributions", "su2demo"])
+def test_each_observable_file_is_checked_once(capsys, monkeypatch, tmp_path, argv, files):
+    # the CLI checks each observable it reads, with the path in its error, and the library
+    # takes it from there unchecked: evolve once checked H twice and each initial matrix twice,
+    # and checked matrices the library made itself (15 checks over the three pictures)
+    inputs = {"h": random_hermitian(3, 1), "psi": random_complex_vector(3, 2),
+              "obs": random_hermitian(3, 3), "rho": np.diag([0.5, 0.3, 0.2]).astype(complex)}
+    paths = {name: write_matrix(tmp_path / f"{name}.json", m) for name, m in inputs.items()}
+    paths["csv"] = str(tmp_path / "traj.csv")
+    calls = {"require_observable": 0}
+    counted(monkeypatch, calls)
+    assert run([paths.get(arg, arg) for arg in argv] + ["--json"]) == EXIT_OK
+    assert calls["require_observable"] == files
 
 
 class TestTextOutput:

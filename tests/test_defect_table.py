@@ -5,7 +5,9 @@ antisymmetric in f's two matrix arguments.  The rows take both products and the 
 tensors from one pair (``algebra.pair``, ``algebra.diagonal_pair``), so the defects of the
 products and of Lambda and R are planted on the pair's parts (``lie_part``,
 ``jordan_part``) and evaluators (``lambda_of``, ``r_of``), with g of the pair's matrices.
-Each g is bilinear (and linear in xi), so the relative checks cannot divide it away, and is
+A primitive that the rows call through its unchecked core (``_trace_form``, ``_hat_eval``,
+``_star_eval``, ``_momentum_map``, ``_f_quadratic``, ``_dispersion``) is planted on the core
+and named by its public name.  Each g is bilinear (and linear in xi), so the relative checks cannot divide it away, and is
 built from P = diag(1, 0, ..., 0), which no unitary conjugation preserves.  At D_One's
 points P xi = xi P = 0, so a projector defect vanishes there: the two products also get two
 U(n)-invariant trace families (on a pairing, the antisymmetric one's trace is 0).  Each
@@ -100,22 +102,27 @@ def scaled_brackets(f):
     return lambda *args: kahler.FunctionBrackets(*(x * (1 + EPS) for x in f(*args)))
 
 
-# each algebra and dual primitive -> how a bilinear matrix g enters it
+def primitive_name(f):
+    """A primitive's name: the public one, also where the rows call its unchecked core."""
+    return f.__name__.lstrip("_")
+
+
+# each algebra and dual primitive, as the rows call it -> how a bilinear matrix g enters it
 PRIMITIVES = {algebra.lie_part: part_defect, algebra.jordan_part: part_defect,
-              algebra.trace_form: pairing_defect, dual.hat_eval: pairing_defect,
+              algebra._trace_form: pairing_defect, dual._hat_eval: pairing_defect,
               dual.lambda_of: pair_tensor_defect, dual.r_of: pair_tensor_defect,
-              dual.star_eval: tensor_defect}
+              dual._star_eval: tensor_defect}
 # (primitive name, family) -> (primitive, defect): planted as defect(primitive)
-DEFECTS = {(f.__name__, g.__name__): (f, kind(g))
+DEFECTS = {(primitive_name(f), g.__name__): (f, kind(g))
            for f, kind in PRIMITIVES.items() for g in (symmetric, antisymmetric)}
-DEFECTS |= {(f.__name__, g.__name__): (f, part_defect(g))
+DEFECTS |= {(primitive_name(f), g.__name__): (f, part_defect(g))
             for f in (algebra.lie_part, algebra.jordan_part)
             for g in (trace_symmetric, trace_antisymmetric)}
-DEFECTS |= {(f.__name__, defect.__name__): (f, defect) for f, defect in (
-    (kahler.momentum_map, scaled), (kahler.f_quadratic, scaled),
+DEFECTS |= {(primitive_name(f), defect.__name__): (f, defect) for f, defect in (
+    (kahler._momentum_map, scaled), (kahler._f_quadratic, scaled),
     (kahler.function_brackets, scaled_brackets), (kahler.hamiltonian_field_f, scaled),
     (dual.hamiltonian_field_dual, scaled), (kahler.gradient_field_e, scaled),
-    (kahler.dispersion, scaled), (kahler.to_real, scaled), (kahler.g_eval, scaled),
+    (kahler._dispersion, scaled), (kahler.to_real, scaled), (kahler.g_eval, scaled),
     (kahler.omega_eval, scaled))}
 
 

@@ -75,6 +75,12 @@ class TestREval:
         xi = random_hermitian(3, 12, 2)
         assert dual.r_of(pair(a, b), xi) == pytest.approx(dual.r_of(pair(b, a), xi), abs=1e-13)
 
+    @pytest.mark.parametrize("evaluate", [dual.lambda_of, dual.r_of], ids=["lambda", "r"])
+    def test_point_of_another_dimension_rejected(self, evaluate):
+        # r_of raised numpy's bare ValueError "operands could not be broadcast together"
+        with pytest.raises(DimensionError, match="dimension mismatch"):
+            evaluate(pair(np.eye(2), np.eye(2)), np.eye(3))
+
 
 class TestStarEval:
     def test_golden_zy(self):
@@ -233,7 +239,8 @@ class TestStarReport:
     @pytest.mark.parametrize("which", ["a", "b", "xi"])
     @pytest.mark.parametrize("defect", ["nan", "inf", "non_hermitian", "mismatched"])
     def test_bad_input_rejected_before_evaluation(self, monkeypatch, which, defect):
-        for name in ("pair", "r_of", "lambda_of", "star_eval", "star_decomposition"):
+        for name in ("pair", "r_of", "lambda_of", "_star_eval", "star_decomposition",
+                     "_star_report"):
             monkeypatch.setattr(dual, name, lambda *a: pytest.fail("evaluated bad input"))
         args = {name: random_hermitian(3, 6, k) for k, name in enumerate(("a", "b", "xi"))}
         m = args[which]

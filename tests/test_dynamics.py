@@ -56,6 +56,14 @@ class TestEvolutionSpec:
         with pytest.raises(ValueError, match="Hamiltonian"):
             make_spec(np.array(h, dtype=complex))
 
+    @pytest.mark.parametrize("flow", [schrodinger_flow, heisenberg_flow, vonneumann_flow])
+    def test_nested_list_hamiltonian_is_kept_as_checked(self, flow):
+        # the check's complex array was dropped, so every flow of a list H raised AttributeError
+        spec = make_spec([[1.0, 0.0], [0.0, -1.0]])
+        assert spec.hamiltonian.dtype == complex
+        initial = [1.0, 0.0] if flow is schrodinger_flow else [[1.0, 0.0], [0.0, 0.0]]
+        assert np.array_equal(flow(spec, initial), flow(make_spec(PAULI_Z), initial))
+
 
 class TestCachedFrame:
     """Each spec diagonalizes H once and builds its U(t) stack at most once."""
@@ -75,17 +83,16 @@ class TestCachedFrame:
         assert vars(spec)["propagators"] is stack
 
     def test_relatedness_goes_through_the_flows(self, monkeypatch):
-        # xi(t) and A(t) are formed by vonneumann_flow and heisenberg_flow alone
+        # xi(t) and A(t) are formed by the cores of vonneumann_flow and heisenberg_flow alone
         calls = []
-        for name in ("vonneumann_flow", "heisenberg_flow"):
+        for name in ("_vonneumann", "_heisenberg"):
             flow = getattr(dynamics, name)
             monkeypatch.setattr(dynamics, name,
                                 lambda spec, m, flow=flow, name=name: calls.append(name)
                                 or flow(spec, m))
         spec = make_spec(random_hermitian(3, 84), steps=6)
         assert mu_relatedness_check(spec, random_complex_vector(3, 85)).passed
-        assert sorted(calls) == (["heisenberg_flow"] * dynamics.N_OBSERVABLES
-                                 + ["vonneumann_flow"])
+        assert sorted(calls) == ["_heisenberg"] * dynamics.N_OBSERVABLES + ["_vonneumann"]
 
 
 class TestSchrodingerFlow:

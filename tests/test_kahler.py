@@ -154,8 +154,8 @@ class TestPullbacks:
 
     def test_hat_check_does_not_depend_on_b(self, monkeypatch):
         # f_A(psi) involves no B, so a planted relative defect in f_A reads the same at any B
-        f = kahler.f_quadratic
-        monkeypatch.setattr(kahler, "f_quadratic", lambda a, psi: f(a, psi) * (1 + 1e-6))
+        f = kahler._f_quadratic  # the unchecked core that the row calls
+        monkeypatch.setattr(kahler, "_f_quadratic", lambda a, psi: f(a, psi) * (1 + 1e-6))
         a, b = random_hermitian(6, 19, 0), random_hermitian(6, 19, 1)
         psi = random_complex_vector(6, 19, 2)
         hat = [kahler._pullback_residuals(a, s * b, psi)["pullback_hat_equals_quadratic"]

@@ -17,7 +17,6 @@ import pytest
 
 from geomqm import algebra, dual, dynamics, kahler
 from geomqm import distributions as dist
-from geomqm.algebra import jordan_product
 from geomqm.kernel import random_complex_vector, random_hermitian
 from geomqm.report import replay, verify_row
 from conftest import SUITE_ROWS, plant_everywhere, unitary_from_seed
@@ -43,7 +42,8 @@ def plant(mp, module, name, defect):
 
 
 def bracket_defect(f):
-    return lambda a, b: f(a, b) + 1e-6 * jordan_product(a, b)
+    """For the Lie part f(p) of a pair p: add 1e-6 times its Jordan part."""
+    return lambda p: f(p) + 1e-6 * algebra.jordan_part(p)
 
 
 def relative_defect(f):
@@ -180,7 +180,7 @@ def evolve_reports(picture, scale, planted=False, h_power=0):
     if picture == "schrodinger":
         with pytest.MonkeyPatch.context() as mp:
             if planted:
-                plant(mp, dynamics, "vonneumann_flow", relative_defect)
+                plant(mp, dynamics, "_vonneumann", relative_defect)
             reports.append(dynamics.mu_relatedness_check(spec, initial, seed=4))
     return reports
 
@@ -216,7 +216,7 @@ def test_planted_bracket_defect_fails_at_small_scale(s):
     # with a floor of 1 on the size, this defect passed at s = 1e-3 (jacobi 2.4e-11)
     with pytest.MonkeyPatch.context() as mp:
         scale_row(mp, "JORDAN_LIE", s)
-        plant(mp, algebra, "lie_bracket", bracket_defect)
+        plant(mp, algebra, "lie_part", bracket_defect)
         (report,) = verify_row(algebra.JORDAN_LIE, N, TRIALS, SEED, 1e-9)
     assert not {c.name: c for c in report.checks}["jacobi"].passed
 
