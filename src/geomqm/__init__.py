@@ -7,8 +7,6 @@ eigensolving and the three equivalent dynamical pictures.
 """
 
 from .algebra import (
-    CONVENTIONS,
-    ConventionSet,
     associator_defect,
     jordan_product,
     lie_bracket,
@@ -22,7 +20,7 @@ from .dual import (
     star_report,
     su2_golden_tables,
 )
-from .dynamics import EvolutionSpec, schrodinger_flow, heisenberg_flow, vonneumann_flow
+from .dynamics import EvolutionSpec, schrodinger_flow, heisenberg_flow, vonneumann_flow, rk4_flow
 from .kahler import (
     dispersion,
     eigen_report,
@@ -43,6 +41,6 @@ from .kernel import (
     random_hermitian,
     serialize_matrix,
 )
-from .report import IdentityCheck, VerificationReport
+from .report import CONVENTIONS, ConventionSet, IdentityCheck, VerificationReport
 
 __version__ = "0.1.0"

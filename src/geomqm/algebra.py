@@ -33,7 +33,7 @@ import numpy as np
 
 from .kernel import (frobenius, random_hermitian_stack, relative, require_observables,
                      require_same_dim, scalar_or_stack)
-from .report import CONVENTIONS, ConventionSet, Suite  # noqa: F401
+from .report import CONVENTIONS, Suite
 
 
 class Pair(NamedTuple):

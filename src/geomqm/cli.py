@@ -8,7 +8,7 @@ shipped in geomqm/schema/report_schema.json.
 
 Each ``cmd_*`` reads and checks its inputs, each observable once with a path in its
 error, and hands them to the library's private cores, which build every report and
-do not check them again; it returns an ``Outcome``.  ``run`` alone renders it (text,
+do not run that check again; it returns an ``Outcome``.  ``run`` alone renders it (text,
 or JSON with ``--json``), writes it through ``_write`` and decides the exit code.
 """
 
@@ -25,10 +25,9 @@ import numpy as np
 
 from . import distributions as dist
 from . import algebra, dual, dynamics, kahler
-from .algebra import CONVENTIONS
 from .kernel import (DimensionError, MatrixParseError, NumericalError, TAU_HERMITIAN,
                      parse_matrix, parse_vector, require_observable, require_same_dim)
-from .report import VerificationReport, _strict_json, verify_row
+from .report import CONVENTIONS, VerificationReport, _strict_json, verify_row
 
 # the declared suite rows that verify runs, in report order
 VERIFY_ROWS = (algebra.JORDAN_LIE, dual.DUAL_GEOMETRY, dist.COMMUTATION, dist.INVOLUTIVITY,
@@ -213,9 +212,9 @@ def cmd_evolve(args) -> Outcome:
     except ValueError as exc:
         raise CliError(str(exc))
     if args.picture == "schrodinger":
-        initial = dynamics._initial_state(spec, initial)
+        initial = dynamics._initial(spec, initial, "schrodinger")
 
-    traj = dynamics._CORES[args.method](spec, initial)
+    traj = dynamics.METHODS[args.method](spec, initial)
 
     reports = [dynamics.conserved_report(spec, traj, seed=args.seed, tol=args.tol)]
     if args.check_mu:

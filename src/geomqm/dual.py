@@ -56,14 +56,9 @@ def _star_eval(a, b, xi):
     return scalar_or_stack(np.einsum("...ij,...ji->...", xi @ a, b) / 2, complex)
 
 
-def star_decomposition(a, b, xi):
-    """|star - (r/2 + i lambda/2)| at xi, relative to ||A|| ||B|| ||xi||; an array over stacks."""
-    a, b, xi = require_same_dim(a, b, xi)
-    return _star_residual(pair(a, b), xi)
-
-
 def _star_residual(p: Pair, xi):
-    """``star_decomposition`` of the pair (A, B), from its products."""
+    """|star - (r/2 + i lambda/2)| of the pair (A, B) at xi, relative to ||A|| ||B|| ||xi||;
+    an array over stacks."""
     residual = _star_eval(p.a, p.b, xi) - (r_of(p, xi) / 2 + 1j * lambda_of(p, xi) / 2)
     return relative(abs(residual), frobenius(p.a) * frobenius(p.b) * frobenius(xi))
 
@@ -80,8 +75,8 @@ def star_report(a, b, xi, tol: float = 1e-9) -> tuple[VerificationReport, dict]:
 def _star_report(a, b, xi, tol: float) -> tuple[VerificationReport, dict]:
     """``star_report`` of three observable matrices of one dimension, already checked."""
     rep = VerificationReport(title="star product decomposition", seed=0, trials=1, tol=tol)
-    rep.add("star_equals_r_half_plus_i_lambda_half",
-            star_decomposition(*(m * unit_scale(m, (-2, -1)) for m in (a, b, xi))))
+    unit_a, unit_b, unit_xi = (m * unit_scale(m, (-2, -1)) for m in (a, b, xi))
+    rep.add("star_equals_r_half_plus_i_lambda_half", _star_residual(pair(unit_a, unit_b), unit_xi))
     with np.errstate(over="ignore", invalid="ignore"):  # the values may leave the float range
         p, value = pair(a, b), _star_eval(a, b, xi)
         return rep, {"star_re": value.real, "star_im": value.imag,
@@ -124,7 +119,6 @@ SU2_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SU2_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 SU2_BASIS = {"u": SU2_U, "x": SU2_X, "y": SU2_Y, "z": SU2_Z}
-SU2_NAMES = ("u", "x", "y", "z")
 # the star entries su2_report pins, as coefficients over the basis; an absent name is 0
 SU2_GOLDEN_STAR = {("z", "y"): {"x": -1j}, ("x", "y"): {"z": 1j}, ("z", "x"): {"y": 1j}}
 
@@ -172,11 +166,10 @@ def su2_golden_tables() -> dict:
     R(da, db) = hat(AB + BA), which fixes the symmetrized-tensor-product
     constant: R(du, dx) has generator 2X, i.e. coefficient 2x.
     """
-    products = {"lambda": lambda a, b: lie_part(pair(a, b)), "r": lambda a, b: a @ b + b @ a,
-                "star": np.matmul}
-    return {kind: {(na, nb): product(SU2_BASIS[na], SU2_BASIS[nb])
-                   for na in SU2_NAMES for nb in SU2_NAMES}
-            for kind, product in products.items()}
+    pairs = {(na, nb): pair(a, b) for na, a in SU2_BASIS.items() for nb, b in SU2_BASIS.items()}
+    return {"lambda": {k: lie_part(p) for k, p in pairs.items()},
+            "r": {k: p.ab + p.ba for k, p in pairs.items()},
+            "star": {k: p.ab for k, p in pairs.items()}}
 
 
 def su2_tables_json(tables: dict) -> dict:
@@ -188,10 +181,10 @@ def su2_tables_json(tables: dict) -> dict:
 
 
 def su2_report(tol: float) -> tuple[VerificationReport, dict]:
-    """The su(2) tables, and a report of their star entries against SU2_GOLDEN_STAR."""
-    tables = su2_golden_tables()
+    """The su(2) tables, and a report of the star product against SU2_GOLDEN_STAR: A*B has the
+    coefficient (A*B)(E) = Tr(E A B)/2 on each basis element E, orthonormal under the trace form."""
     rep = VerificationReport(title="2-level golden star values", seed=0, trials=1, tol=tol)
     for (na, nb), expected in SU2_GOLDEN_STAR.items():
-        coeffs = su2_coefficients(tables["star"][na, nb])
-        rep.add(f"star_{na}_{nb}", max(abs(coeffs[k] - expected.get(k, 0.0)) for k in SU2_NAMES))
-    return rep, tables
+        rep.add(f"star_{na}_{nb}", max(abs(_star_eval(SU2_BASIS[na], SU2_BASIS[nb], e)
+                                           - expected.get(k, 0.0)) for k, e in SU2_BASIS.items()))
+    return rep, su2_golden_tables()

@@ -21,6 +21,7 @@ drifting baseline for convergence measurements.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +52,11 @@ class EvolutionSpec:
         self._check_parameters()
 
     def _check_parameters(self):
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
+        for name, value in (("t_final", self.t_final), ("hbar", self.hbar)):
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not np.isfinite(self.t_final):
@@ -92,12 +98,7 @@ def _initial(spec: EvolutionSpec, value, picture: str) -> np.ndarray:
     if picture != "schrodinger":
         return require_same_dim(spec.hamiltonian,
                                 require_matrix(require_observable(value, "the initial matrix")))[1]
-    return _initial_state(spec, value)
-
-
-def _initial_state(spec: EvolutionSpec, psi0) -> np.ndarray:
-    """psi0 checked as a finite vector of H's length."""
-    psi0, n = np.asarray(psi0, dtype=complex), spec.hamiltonian.shape[0]
+    psi0, n = np.asarray(value, dtype=complex), spec.hamiltonian.shape[0]
     if psi0.shape != (n,):
         raise DimensionError(f"state has shape {psi0.shape}, Hamiltonian dim {n}")
     return require_finite(psi0, "the initial state")
@@ -137,12 +138,8 @@ def _vonneumann(spec: EvolutionSpec, xi0) -> np.ndarray:
     return u @ xi0 @ dagger(u)
 
 
-def exact_flow(spec: EvolutionSpec, initial) -> np.ndarray:
-    return _exact(spec, _initial(spec, initial, spec.picture))
-
-
 def _exact(spec: EvolutionSpec, initial) -> np.ndarray:
-    """``exact_flow`` of an initial value already checked."""
+    """The exact flow of the spec's picture, of an initial value already checked."""
     return {"schrodinger": _schrodinger, "heisenberg": _heisenberg,
             "vonneumann": _vonneumann}[spec.picture](spec, initial)
 
@@ -160,7 +157,7 @@ def _rhs(spec: EvolutionSpec):
 def rk4_flow(spec: EvolutionSpec, initial) -> np.ndarray:
     """Classic fourth-order integration of the picture's linear equation.
 
-    Returns the samples like ``exact_flow``; ``conserved_report`` measures
+    Returns the samples like the exact flows; ``conserved_report`` measures
     their drift from the quantities the exact flow conserves.  A step that
     leaves the float range gives inf or NaN samples without a warning, and
     the monitors fail on them.
@@ -185,8 +182,7 @@ def _rk4(spec: EvolutionSpec, initial) -> np.ndarray:
     return np.array(samples)
 
 
-METHODS = {"exact": exact_flow, "rk4": rk4_flow}  # the CLI's --method
-_CORES = {"exact": _exact, "rk4": _rk4}  # the METHODS of an initial value already checked
+METHODS = {"exact": _exact, "rk4": _rk4}  # the CLI's --method, of a checked initial value
 
 
 def _max_deviation(values, size) -> float:
@@ -212,7 +208,7 @@ def mu_relatedness_check(spec: EvolutionSpec, psi0, seed: int = 0,
     Each residual is an np.max over samples and observables, so a NaN one
     fails.
     """
-    psi0 = _initial_state(spec, psi0)
+    psi0 = _initial(spec, psi0, "schrodinger")
     psi0 = psi0 * unit_scale(psi0)  # exact, so that no square of psi0 overflows or underflows
     n = spec.hamiltonian.shape[0]
     psis = _schrodinger(spec, psi0)

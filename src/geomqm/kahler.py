@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,15 +44,10 @@ def _as_vectors(psi) -> np.ndarray:
     return psi
 
 
-def _state(psi) -> np.ndarray:
-    """psi, a vector or a (..., n) stack, checked finite: the guard of the exported functions."""
-    return require_finite(_as_vectors(psi), "psi")
-
-
 def _observable_and_state(a, psi):
-    """A, one matrix or a stack, checked by ``require_observable``, and psi by ``_state``, of
-    A's dimension."""
-    a, psi = require_observable(a, "A"), _state(psi)
+    """A, one matrix or a stack, checked by ``require_observable``, and psi, a vector or a
+    (..., n) stack, checked finite and of A's dimension."""
+    a, psi = require_observable(a, "A"), require_finite(_as_vectors(psi), "psi")
     if psi.shape[-1] != a.shape[-1]:
         raise DimensionError(f"psi has length {psi.shape[-1]}, A dimension {a.shape[-1]}")
     return a, psi
@@ -116,21 +110,14 @@ def _f_quadratic(a, psi):
     return _inner(psi, _apply(a, psi)).real / 2
 
 
-class FunctionBrackets(NamedTuple):
-    poisson: float
-    symmetric: float
-    hermitian: complex
+def function_brackets(a, b, psi) -> complex:
+    """The Hermitian bracket <A psi, B psi> of f_A and f_B at psi, from their exact gradients.
 
-
-def function_brackets(a, b, psi) -> FunctionBrackets:
-    """The Poisson, metric and Hermitian brackets of f_A and f_B at psi.
-
-    Evaluated from the exact gradients A psi and B psi.  The Hermitian bracket
-    is symmetric + i*poisson, twice the star product pulled back through the
-    momentum map; arrays over stacks of A, B and psi.
+    Its real part is the metric bracket and its imaginary part the Poisson
+    bracket; it is twice the star product pulled back through the momentum
+    map.  An array over stacks of A, B and psi.
     """
-    h = _inner(_apply(a, psi), _apply(b, psi))
-    return FunctionBrackets(poisson=h.imag, symmetric=h.real, hermitian=h)
+    return _inner(_apply(a, psi), _apply(b, psi))
 
 
 def hamiltonian_field_f(a, psi) -> np.ndarray:
@@ -143,7 +130,7 @@ def hamiltonian_field_f(a, psi) -> np.ndarray:
 
 def momentum_map(psi) -> np.ndarray:
     """psi -> |psi><psi| into the dual space; equivariant, trace = ||psi||^2; also over stacks."""
-    return _momentum_map(_state(psi))
+    return _momentum_map(require_finite(_as_vectors(psi), "psi"))
 
 
 def _momentum_map(psi) -> np.ndarray:
@@ -176,10 +163,9 @@ def _pullback_residuals(a, b, psi) -> dict:
     triple = np.maximum(abs(g_eval(u, v) - g_real), abs(omega_eval(u, v) - omega_real))
     return {
         "pullback_hat_equals_quadratic": relative(hat, na * n2),
-        "pullback_poisson_bracket": relative(abs(dual.lambda_of(ab, rho) - brackets.poisson),
+        "pullback_poisson_bracket": relative(abs(dual.lambda_of(ab, rho) - brackets.imag),
                                              size_ab),
-        "pullback_jordan_metric": relative(abs(dual.r_of(ab, rho) - brackets.symmetric),
-                                           size_ab),
+        "pullback_jordan_metric": relative(abs(dual.r_of(ab, rho) - brackets.real), size_ab),
         "momentum_map_equivariance": relative(equivariance, nb * n2),
         "momentum_map_pure_state": np.maximum(idempotence, trace),
         "metric_length_law": relative(metric_law, na * na),

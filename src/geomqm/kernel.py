@@ -8,7 +8,7 @@ taken of input prescaled by an exact power of two (``unit_scale``).  The
 validators, predicates and norms take a single matrix or a (..., n, n) stack
 and check a stack once.  Each exported entry point checks its observables
 (``require_observable``) and psi (``require_finite``) once, before any work,
-then hands them to a private core that never checks them again.
+then hands them to a private core that does not run those guards again.
 
 All functions are pure except the stacked draws, which advance the
 generator passed to them; the only other state is the seed passed explicitly.
@@ -191,15 +191,16 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _complex_gaussian_rows(rng, m: int, shape) -> np.ndarray:
-    """The next m rows of iid standard complex Gaussians, (m, *shape); Re then Im per row."""
+    """The next m rows of iid standard complex Gaussians, (m, *shape); Re then Im per row.
+    shape is (n,) or (n, n), and the dimension n must be at least 1."""
+    if shape[0] < 1:
+        raise ValueError(f"dimension must be >= 1, got {shape[0]}")
     xy = rng.standard_normal((m, 2, *shape))
     return (xy[:, 0] + 1j * xy[:, 1]) / math.sqrt(2.0)
 
 
 def random_hermitian_stack(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """The next m rows (G + G^dag)/2 of generator rng, (m, n, n); G iid standard complex."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
     g = _complex_gaussian_rows(rng, m, (n, n))
     return (g + dagger(g)) / 2
 

@@ -8,6 +8,7 @@ import pytest
 
 import geomqm
 from geomqm.cli import VERIFY_ROWS
+from geomqm.dynamics import heisenberg_flow, schrodinger_flow, vonneumann_flow
 from geomqm.kernel import dagger, eig_hermitian, random_hermitian
 from geomqm.report import Suite
 
@@ -32,6 +33,12 @@ def plant_everywhere(mp, f, defect):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "geomqm" and getattr(module, f.__name__, None) is f:
             mp.setattr(module, f.__name__, defect(f))
+
+
+def exact_flow(spec, initial):
+    """The exported exact flow of the spec's picture."""
+    return {"schrodinger": schrodinger_flow, "heisenberg": heisenberg_flow,
+            "vonneumann": vonneumann_flow}[spec.picture](spec, initial)
 
 
 def unitary_exp(a, t):

@@ -18,10 +18,10 @@ from geomqm.cli import EXIT_OK, run
 from geomqm.dynamics import (
     EvolutionSpec,
     conserved_report,
-    exact_flow,
     mu_relatedness_check,
     rk4_flow,
     schrodinger_flow,
+    vonneumann_flow,
 )
 from geomqm.kernel import (
     eig_hermitian,
@@ -62,7 +62,7 @@ def test_criterion_02_su2_golden_values():
     for (na, nb), expected in golden_star.items():
         coeffs = dual.su2_coefficients(tables["star"][(na, nb)])
         worst = max(worst, *(abs(coeffs[k] - expected.get(k, 0.0))
-                             for k in dual.SU2_NAMES))
+                             for k in dual.SU2_BASIS))
     golden_lambda = {("x", "y"): PAULI_Z, ("y", "z"): PAULI_X, ("z", "x"): PAULI_Y}
     for (na, nb), gen in golden_lambda.items():
         worst = max(worst, frobenius(tables["lambda"][(na, nb)] - 2 * gen))
@@ -185,7 +185,7 @@ def test_criterion_08_mu_relatedness_and_conservation():
         cons = conserved_report(spec, schrodinger_flow(spec, psi0), seed=k, tol=1e-9)
         vspec = EvolutionSpec(hamiltonian=h, t_final=t_final, steps=8,
                               picture="vonneumann")
-        vcons = conserved_report(vspec, exact_flow(vspec, kahler.momentum_map(psi0)),
+        vcons = conserved_report(vspec, vonneumann_flow(vspec, kahler.momentum_map(psi0)),
                                  seed=k, tol=1e-9)
         for rep in (rel, cons, vcons):
             ok = ok and rep.passed

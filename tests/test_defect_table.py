@@ -1,4 +1,5 @@
-"""The defect table: every defect planted on every row that verify runs.
+"""The defect table: every defect planted on every row that verify runs, and on the star and
+su2demo reports.
 
 Each algebra and dual primitive f gets two defects f + 1e-6 g, with g symmetric and
 antisymmetric in f's two matrix arguments.  The rows take both products and the dual
@@ -13,12 +14,13 @@ points P xi = xi P = 0, so a projector defect vanishes there: the two products a
 U(n)-invariant trace families (on a pairing, the antisymmetric one's trace is 0).  Each
 primitive of the C^n realization gets the relative defect f (1 + 1e-6).
 
-Every defect is planted on every row of ``cli.VERIFY_ROWS`` at n = 2, 3 and 4, seed n.
-Each defect must fail a check, and each check must fail for some defect: a check that no
-defect trips adds no evidence.  Which primitives trip which check must not depend on n; the
-README's check catalogue lists that map.  D_R is left out: it passes when its witness of
-non-involutivity is large, so a defect cannot make it fail; its gate is the closed form of
-``tests/test_distributions.py::test_r_witness_matches_closed_form``.
+Every defect is planted on every row of ``cli.VERIFY_ROWS`` at n = 2, 3 and 4, seed n, and
+on the reports of ``star`` (``dual._star_report`` at a seeded triple of dimension n) and
+``su2demo`` (``dual.su2_report``).  Each defect must fail a check, and each check must fail
+for some defect: a check that no defect trips adds no evidence.  Which primitives trip which
+check must not depend on n; the README's check catalogue lists that map.  D_R is left out: it
+passes when its witness of non-involutivity is large, so a defect cannot make it fail; its
+gate is the closed form of ``tests/test_distributions.py::test_r_witness_matches_closed_form``.
 """
 
 import functools
@@ -28,6 +30,7 @@ import pytest
 
 from geomqm import algebra, dual, kahler
 from geomqm.cli import VERIFY_ROWS
+from geomqm.kernel import random_hermitian
 from geomqm.report import verify_row
 from conftest import plant_everywhere
 
@@ -98,10 +101,6 @@ def scaled(f):
     return lambda *args: f(*args) * (1 + EPS)
 
 
-def scaled_brackets(f):
-    return lambda *args: kahler.FunctionBrackets(*(x * (1 + EPS) for x in f(*args)))
-
-
 def primitive_name(f):
     """A primitive's name: the public one, also where the rows call its unchecked core."""
     return f.__name__.lstrip("_")
@@ -120,18 +119,22 @@ DEFECTS |= {(primitive_name(f), g.__name__): (f, part_defect(g))
             for g in (trace_symmetric, trace_antisymmetric)}
 DEFECTS |= {(primitive_name(f), defect.__name__): (f, defect) for f, defect in (
     (kahler._momentum_map, scaled), (kahler._f_quadratic, scaled),
-    (kahler.function_brackets, scaled_brackets), (kahler.hamiltonian_field_f, scaled),
+    (kahler.function_brackets, scaled), (kahler.hamiltonian_field_f, scaled),
     (dual.hamiltonian_field_dual, scaled), (kahler.gradient_field_e, scaled),
     (kahler._dispersion, scaled), (kahler.to_real, scaled), (kahler.g_eval, scaled),
     (kahler.omega_eval, scaled))}
 
 
 def reports(n, defect=None):
-    """Every verify row's published reports at n and seed n, with ``defect`` planted."""
+    """Every verify row's published reports at n and seed n, the star report of a triple drawn
+    at n and seed n and the su2demo report, with ``defect`` planted."""
     with pytest.MonkeyPatch.context() as mp:
         if defect is not None:
             plant_everywhere(mp, *DEFECTS[defect])
-        return [report for row in VERIFY_ROWS for report in verify_row(row, n, TRIALS, n, 1e-9)]
+        star, _ = dual._star_report(*(random_hermitian(n, n, 90, k) for k in range(3)), 1e-9)
+        su2, _ = dual.su2_report(1e-12)  # su2demo's fixed tolerance
+        return [*(report for row in VERIFY_ROWS for report in verify_row(row, n, TRIALS, n, 1e-9)),
+                star, su2]
 
 
 @functools.cache

@@ -196,7 +196,7 @@ class TestGoldenTables:
 
     def test_lambda_u_row_vanishes(self):
         tables = dual.su2_golden_tables()
-        for name in dual.SU2_NAMES:
+        for name in dual.SU2_BASIS:
             assert np.linalg.norm(tables["lambda"][("u", name)]) == 0.0
 
     def test_star_zx_gives_iy(self):
@@ -227,7 +227,7 @@ class TestStarReport:
         assert results["jordan_part"] == dual.r_of(pair(a, b), xi) / 2
         assert results["lie_part"] == dual.lambda_of(pair(a, b), xi) / 2
         assert rep.passed and rep.checks[0].name == "star_equals_r_half_plus_i_lambda_half"
-        assert rep.checks[0].max_residual == dual.star_decomposition(a, b, xi)
+        assert rep.checks[0].max_residual == dual._star_residual(pair(a, b), xi)
 
     def test_pair_formed_once_per_input_triple(self, monkeypatch):
         # one pair (A, B) gives both parts; the prescaled residual forms its own
@@ -239,7 +239,7 @@ class TestStarReport:
     @pytest.mark.parametrize("which", ["a", "b", "xi"])
     @pytest.mark.parametrize("defect", ["nan", "inf", "non_hermitian", "mismatched"])
     def test_bad_input_rejected_before_evaluation(self, monkeypatch, which, defect):
-        for name in ("pair", "r_of", "lambda_of", "_star_eval", "star_decomposition",
+        for name in ("pair", "r_of", "lambda_of", "_star_eval", "_star_residual",
                      "_star_report"):
             monkeypatch.setattr(dual, name, lambda *a: pytest.fail("evaluated bad input"))
         args = {name: random_hermitian(3, 6, k) for k, name in enumerate(("a", "b", "xi"))}

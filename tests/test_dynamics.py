@@ -5,7 +5,6 @@ from geomqm import dynamics, kahler, kernel
 from geomqm.dynamics import (
     EvolutionSpec,
     conserved_report,
-    exact_flow,
     heisenberg_flow,
     mu_relatedness_check,
     rk4_flow,
@@ -13,7 +12,9 @@ from geomqm.dynamics import (
     vonneumann_flow,
 )
 from geomqm.kernel import DimensionError, frobenius, random_complex_vector, random_hermitian
-from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
+from conftest import PAULI_X, PAULI_Y, PAULI_Z, exact_flow, unitary_exp
+
+GUARDED_METHODS = {"exact": exact_flow, "rk4": rk4_flow}  # the exported flows of each --method
 
 
 def make_spec(h, t_final=1.0, steps=10, **kw):
@@ -42,6 +43,19 @@ class TestEvolutionSpec:
     def test_nonfinite_time(self):
         with pytest.raises(ValueError):
             make_spec(PAULI_Z, t_final=float("nan"))
+
+    @pytest.mark.parametrize("field, value", [("steps", 2.5), ("steps", np.float64(3.0)),
+                                              ("t_final", 1j), ("hbar", 1j)])
+    def test_non_integer_steps_or_complex_time_rejected(self, field, value):
+        # steps 2.5 made a spec whose first flow raised TypeError from np.linspace, after H was
+        # diagonalized; a complex t_final passed the finiteness test and ran every flow in
+        # imaginary time
+        with pytest.raises(ValueError, match=f"^{field} must be an? (integer|real number), got"):
+            make_spec(PAULI_Z, **{field: value})
+
+    def test_numpy_scalar_parameters_accepted(self):
+        spec = make_spec(PAULI_Z, t_final=np.float32(2.0), steps=np.int64(4), hbar=np.float64(1))
+        assert spec.times().tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     @pytest.mark.parametrize("hbar", [np.inf, np.nan])
     def test_nonfinite_hbar(self, hbar):
@@ -184,7 +198,7 @@ class TestVonNeumannFlow:
         h = random_hermitian(2, 12)
         xi0 = random_hermitian(2, 13)
         spec = make_spec(h, picture="vonneumann")
-        assert np.allclose(exact_flow(spec, xi0), vonneumann_flow(spec, xi0))
+        assert np.allclose(dynamics.METHODS["exact"](spec, xi0), vonneumann_flow(spec, xi0))
 
 
 class TestRk4:
@@ -221,7 +235,7 @@ class TestRk4:
         assert {"trace", "spectrum"} <= {c.name for c in rep2.checks}
 
     @pytest.mark.parametrize("picture", dynamics.PICTURES)
-    @pytest.mark.parametrize("flow", dynamics.METHODS.values(), ids=dynamics.METHODS)
+    @pytest.mark.parametrize("flow", GUARDED_METHODS.values(), ids=GUARDED_METHODS)
     def test_initial_of_another_dimension_rejected(self, picture, flow):
         # every --method flow; rk4 once multiplied a length-3 state by a 4x4 H, raising numpy's
         # ValueError, which the CLI does not map to exit 2
@@ -231,7 +245,7 @@ class TestRk4:
             flow(spec, init)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("flow", dynamics.METHODS.values(), ids=dynamics.METHODS)
+    @pytest.mark.parametrize("flow", GUARDED_METHODS.values(), ids=GUARDED_METHODS)
     def test_nonfinite_state_rejected_before_any_work(self, flow, bad):
         # both Schrodinger flows used to return a NaN trajectory for one non-finite entry
         spec = make_spec(random_hermitian(3, 24))

@@ -77,7 +77,7 @@ def test_hermitian_bracket_is_twice_star_of_momentum_map(n, a_scale, b_scale, ps
     a, a_norm = observable(n, seed, 0, a_scale)
     b, b_norm = observable(n, seed, 1, b_scale)
     psi, psi_norm = point(n, seed, psi_scale)
-    h = kahler.function_brackets(a, b, psi).hermitian
+    h = kahler.function_brackets(a, b, psi)
     star = dual.star_eval(a, b, kahler.momentum_map(psi))
     assert abs(h - 2 * star) <= REL * a_norm * b_norm * psi_norm**2
 

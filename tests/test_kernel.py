@@ -15,10 +15,11 @@ from geomqm.kernel import (
     make_rng,
     parse_matrix,
     parse_vector,
+    random_complex_vector,
     random_hermitian,
     serialize_matrix,
 )
-from geomqm import distributions, dual, dynamics, kahler, kernel
+from geomqm import dual, kernel
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, unitary_exp
 
 
@@ -92,34 +93,6 @@ class TestIsHermitian:
                 assert is_hermitian(m, tol) is bool(expected)
 
 
-def _spec(n, picture="schrodinger"):
-    return dynamics.EvolutionSpec(random_hermitian(n, 0, 0), 1.0, 4, picture=picture)
-
-
-def _others(n):
-    return random_hermitian(n, 0, 1), random_hermitian(n, 0, 2)
-
-
-# every entry point that takes an observable from outside: (the name its message gives the
-# input, a call with the observable m of dimension n in that place)
-GUARDED = {
-    "EvolutionSpec": ("the Hamiltonian", lambda m, n: dynamics.EvolutionSpec(m, 1.0, 4)),
-    "heisenberg_flow": ("the initial matrix", lambda m, n: dynamics.heisenberg_flow(_spec(n), m)),
-    "vonneumann_flow": ("the initial matrix", lambda m, n: dynamics.vonneumann_flow(_spec(n), m)),
-    "rk4_flow-heisenberg": ("the initial matrix",
-                            lambda m, n: dynamics.rk4_flow(_spec(n, "heisenberg"), m)),
-    "rk4_flow-vonneumann": ("the initial matrix",
-                            lambda m, n: dynamics.rk4_flow(_spec(n, "vonneumann"), m)),
-    "eigensolve_gradient_flow": ("the operator",
-                                 lambda m, n: kahler.eigensolve_gradient_flow(m, np.ones(n))),
-    "eigen_report": ("the operator", lambda m, n: kahler.eigen_report(m, 0, 1e-9, 100, "descent")),
-    "star_report-A": ("A", lambda m, n: dual.star_report(m, *_others(n))),
-    "star_report-B": ("B", lambda m, n: dual.star_report(_others(n)[0], m, _others(n)[1])),
-    "star_report-xi": ("xi", lambda m, n: dual.star_report(*_others(n), m)),
-    "orbit_invariants": ("the point", lambda m, n: distributions.orbit_invariants(m)),
-}
-
-
 class TestRequireObservable:
     def test_returns_the_complex_array(self):
         m = random_hermitian(3, 5)
@@ -134,19 +107,6 @@ class TestRequireObservable:
             kernel.require_observable(stack, "the stack")
         with pytest.raises(DimensionError):
             kernel.require_observable(np.zeros((2, 3)), "m")
-
-    @pytest.mark.parametrize("n", [1, 3])
-    @pytest.mark.parametrize("defect", ["non_hermitian", "nan"])
-    @pytest.mark.parametrize("entry", GUARDED)
-    def test_every_entry_point_rejects_and_names_its_input(self, entry, defect, n):
-        what, call = GUARDED[entry]
-        m = random_hermitian(n, 0, 9)
-        if defect == "nan":
-            m[0, -1] = np.nan
-        else:
-            m[0, -1] += 1j
-        with pytest.raises(ValueError, match=f"^{what} must be a finite Hermitian matrix$"):
-            call(m, n)
 
 
 class TestRelative:
@@ -262,6 +222,14 @@ class TestRandomHermitian:
         a = random_hermitian(3, 5, 0)
         b = random_hermitian(3, 5, 1)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("draw", [random_hermitian, random_complex_vector])
+    def test_dimension_below_one_rejected(self, draw, n):
+        # random_complex_vector(0, seed) returned an empty vector, and n = -1 gave numpy's
+        # "negative dimensions" message
+        with pytest.raises(ValueError, match=f"^dimension must be >= 1, got {n}$"):
+            draw(n, 0)
 
     def test_rng_substreams_independent_of_call_order(self):
         r1 = make_rng(3, 1).standard_normal(4)

@@ -19,7 +19,7 @@ from geomqm import algebra, dual, dynamics, kahler
 from geomqm import distributions as dist
 from geomqm.kernel import random_complex_vector, random_hermitian
 from geomqm.report import replay, verify_row
-from conftest import SUITE_ROWS, plant_everywhere, unitary_from_seed
+from conftest import SUITE_ROWS, exact_flow, plant_everywhere, unitary_from_seed
 from test_defect_table import DEFECTS, defect_table
 
 POWERS = (-40, 0, 40)
@@ -173,7 +173,7 @@ def evolve_reports(picture, scale, planted=False, h_power=0):
     spec = dynamics.EvolutionSpec(hamiltonian=2.0**h_power * random_hermitian(5, 90),
                                   t_final=2.0 * 2.0**-h_power, steps=16, picture=picture)
     initial = initial_value(picture, scale)
-    traj = dynamics.exact_flow(spec, initial)
+    traj = exact_flow(spec, initial)
     if planted:
         traj[-1] *= 1 + 1e-6
     reports = [dynamics.conserved_report(spec, traj, seed=4)]
