@@ -2,9 +2,10 @@
 
 The two products, the invariant trace form and the associator defect, which
 also take (..., n, n) stacks, and a randomized identity-verification suite.
-Those four check their observables; library code and the suite read the same
-values, unchecked, from ``lie_part(pair(A, B))``, ``jordan_part`` and
-``_trace_form``.
+Those four check their observables, shapes included; library code and the
+suite read the same values, unchecked, from ``lie_part(pair(A, B))``,
+``jordan_part`` and ``_trace_form`` (of the evaluators built on them, only
+``dual.lambda_of`` and ``dual.r_of`` check their xi).
 
 Sign conventions (ConventionSet, defined in .report and recorded in every report):
   [A, B]_- := -i (AB - BA)      Hermitian-valued Lie bracket
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import (frobenius, random_hermitian_stack, relative, require_observables,
-                     require_same_dim, scalar_or_stack)
+                     scalar_or_stack)
 from .report import CONVENTIONS, Suite
 
 
@@ -51,7 +52,6 @@ class Pair(NamedTuple):
 
 def pair(a, b) -> Pair:
     """(A, B) with AB and BA, each formed once."""
-    a, b = require_same_dim(a, b)
     return Pair(a, b, a @ b, b @ a)
 
 
@@ -59,7 +59,6 @@ def diagonal_pair(a, d) -> Pair:
     """(A, D) for D = diag(lam), or a stack of diagonal matrices, with AD and DA as the
     column and row scalings of A by lam: equal to the matrix products entry for entry on
     finite input, up to the sign of a zero entry."""
-    a, d = require_same_dim(a, d)
     lam = np.diagonal(d, axis1=-2, axis2=-1)
     return Pair(a, d, a * lam[..., None, :], lam[..., :, None] * a)
 
@@ -91,7 +90,6 @@ def trace_form(a, b):
 
 def _trace_form(a, b):
     """``trace_form`` of any two square matrices or stacks of one dimension."""
-    a, b = require_same_dim(a, b)
     return scalar_or_stack((np.einsum("...ij,...ji->...", a, b) / 2).real)
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Pair, _trace_form, lie_part, pair
-from .kernel import (dagger, eigvals_hermitian, frobenius, is_hermitian, random_hermitian_stack,
-                     relative, require_matrix, require_observable, require_observables,
-                     require_same_dim, scalar_or_stack, serialize_matrix, unit_scale)
+from .kernel import (eigvals_hermitian, frobenius, is_hermitian, random_hermitian_stack, relative,
+                     require_matrix, require_observable, require_observables, require_same_dim,
+                     scalar_or_stack, serialize_matrix, unit_scale)
 from .report import Suite, VerificationReport
 
 
@@ -36,7 +36,7 @@ def _hat_eval(a, xi):
 
 def lambda_of(p: Pair, xi) -> float:
     """Poisson bivector of the pair (A, B) on hat differentials: hat([A,B]_-) at xi."""
-    return _hat_eval(lie_part(p), xi)
+    return _hat_eval(lie_part(p), require_same_dim(p.ab, xi)[1])
 
 
 def r_of(p: Pair, xi) -> float:
@@ -52,7 +52,6 @@ def star_eval(a, b, xi) -> complex:
 
 def _star_eval(a, b, xi):
     """``star_eval`` of any three square matrices or stacks of one dimension."""
-    a, b, xi = require_same_dim(a, b, xi)
     return scalar_or_stack(np.einsum("...ij,...ji->...", xi @ a, b) / 2, complex)
 
 
@@ -124,17 +123,9 @@ SU2_GOLDEN_STAR = {("z", "y"): {"x": -1j}, ("x", "y"): {"z": 1j}, ("z", "x"): {"
 
 
 def su2_coefficients(m) -> dict[str, complex]:
-    """Expand a 2x2 matrix over the orthonormal basis {U, X, Y, Z}.
-
-    Coefficients are complex in general: the Hermitian and anti-Hermitian
-    parts are projected separately through the trace form.
-    """
-    herm = (m + dagger(m)) / 2
-    anti = (m - dagger(m)) / (2j)  # Hermitian matrix carrying the imaginary part
-    return {
-        name: complex(_trace_form(e, herm) + 1j * _trace_form(e, anti))
-        for name, e in SU2_BASIS.items()
-    }
+    """Expand a 2x2 matrix over the orthonormal basis {U, X, Y, Z}: the coefficient on E is
+    the contraction Tr(E M)/2, complex in general."""
+    return {name: complex(np.einsum("ij,ji->", e, m) / 2) for name, e in SU2_BASIS.items()}
 
 
 def _dual_geometry_residuals(a, b, c, xi) -> dict:

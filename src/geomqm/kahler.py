@@ -27,7 +27,7 @@ import numpy as np
 from .kernel import (DimensionError, NumericalError, dagger, eig_hermitian, frobenius,
                      random_complex_vector, random_complex_vector_stack, random_hermitian_stack,
                      relative, require_finite, require_matrix, require_observable,
-                     require_same_dim, require_square, scalar_or_stack, unit_scale)
+                     scalar_or_stack, unit_scale)
 from .algebra import pair
 from .report import CONVENTIONS, Suite, VerificationReport
 from . import dual
@@ -61,7 +61,6 @@ def _inner(u, v):
 def _unit(psi):
     """psi prescaled by unit_scale, its ||psi||^2 (at least 2^-106 unless psi is 0) and the
     scale, per row of a (..., n) stack; only a zero psi, or row, is rejected."""
-    psi = _as_vectors(psi)
     scale = unit_scale(psi)
     psi = psi * scale
     n2 = _inner(psi, psi).real
@@ -96,7 +95,7 @@ def j_apply(u) -> np.ndarray:
 
 def _apply(a, psi) -> np.ndarray:
     """A psi, the gradient of f_A at psi; over stacks of A and psi."""
-    return (require_square(a) @ _as_vectors(psi)[..., None])[..., 0]
+    return (a @ psi[..., None])[..., 0]
 
 
 def f_quadratic(a, psi) -> float:
@@ -106,7 +105,6 @@ def f_quadratic(a, psi) -> float:
 
 def _f_quadratic(a, psi):
     """``f_quadratic`` of any square A and psi of its length, unchecked."""
-    psi = _as_vectors(psi)
     return _inner(psi, _apply(a, psi)).real / 2
 
 
@@ -141,8 +139,6 @@ def _momentum_map(psi) -> np.ndarray:
 def _pullback_residuals(a, b, psi) -> dict:
     """The C^n suite's residuals at A, B and psi, or stacks of them; B is also the
     Hamiltonian of the equivariance check, and the Kahler triple is taken at X_{f_A}, B psi."""
-    a, b = require_same_dim(a, b)
-    psi = _as_vectors(psi)
     rho = _momentum_map(psi)
     na, nb, n2 = frobenius(a), frobenius(b), _inner(psi, psi).real
     size_ab = na * nb * n2  # the brackets' size; f_A does not involve B

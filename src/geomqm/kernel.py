@@ -8,7 +8,9 @@ taken of input prescaled by an exact power of two (``unit_scale``).  The
 validators, predicates and norms take a single matrix or a (..., n, n) stack
 and check a stack once.  Each exported entry point checks its observables
 (``require_observable``) and psi (``require_finite``) once, before any work,
-then hands them to a private core that does not run those guards again.
+shapes included, then hands them to a private core that computes on those
+arrays and runs none of those checks again; only ``dual.lambda_of`` and
+``dual.r_of`` still check a xi, which comes from outside the pair they evaluate.
 
 All functions are pure except the stacked draws, which advance the
 generator passed to them; the only other state is the seed passed explicitly.

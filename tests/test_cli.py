@@ -657,36 +657,61 @@ def test_distributions_diagonalizes_the_point_once(capsys, monkeypatch, tmp_path
     assert calls == {"eig_hermitian": 1, "require_observable": 1}
 
 
-@pytest.mark.parametrize("argv, files", [
-    (["verify", "--dim", "3", "--trials", "5"], 0),
-    (["evolve", "--hamiltonian", "h", "--initial", "psi", "--check-mu", "--csv", "csv"], 1),
-    (["evolve", "--picture", "heisenberg", "--hamiltonian", "h", "--initial", "obs"], 2),
-    (["evolve", "--picture", "vonneumann", "--hamiltonian", "h", "--initial", "rho"], 2),
-    (["evolve", "--method", "rk4", "--hamiltonian", "h", "--initial", "psi", "--check-mu"], 1),
-    (["evolve", "--method", "rk4", "--picture", "heisenberg", "--hamiltonian", "h",
-      "--initial", "obs"], 2),
-    (["evolve", "--method", "rk4", "--picture", "vonneumann", "--hamiltonian", "h",
-      "--initial", "rho"], 2),
-    (["eigen", "--operator", "obs"], 1),
-    (["eigen", "--operator", "obs", "--direction", "ascent"], 1),
-    (["star", "--a", "h", "--b", "obs", "--xi", "rho"], 3),
-    (["distributions", "--point", "obs", "--trials", "3"], 1),
-    (["su2demo"], 0),
-], ids=["verify", "schrodinger", "heisenberg", "vonneumann", "rk4-schrodinger",
-        "rk4-heisenberg", "rk4-vonneumann", "eigen-descent", "eigen-ascent", "star",
-        "distributions", "su2demo"])
-def test_each_observable_file_is_checked_once(capsys, monkeypatch, tmp_path, argv, files):
-    # the CLI checks each observable it reads, with the path in its error, and the library
-    # takes it from there unchecked: evolve once checked H twice and each initial matrix twice,
-    # and checked matrices the library made itself (15 checks over the three pictures)
+# the files h, psi, obs, rho and csv in argv -> (observable files read, require_same_dim
+# calls, require_square calls) per CLI call
+CLI_GRID = [
+    pytest.param(["verify", "--dim", "3", "--trials", "5"], 0, 10, 20, id="verify"),
+    pytest.param(["evolve", "--hamiltonian", "h", "--initial", "psi", "--check-mu", "--csv", "csv"],
+                 1, 0, 3, id="schrodinger"),
+    pytest.param(["evolve", "--picture", "heisenberg", "--hamiltonian", "h", "--initial", "obs"],
+                 2, 1, 8, id="heisenberg"),
+    pytest.param(["evolve", "--picture", "vonneumann", "--hamiltonian", "h", "--initial", "rho"],
+                 2, 1, 11, id="vonneumann"),
+    pytest.param(["evolve", "--method", "rk4", "--hamiltonian", "h", "--initial", "psi",
+                  "--check-mu"], 1, 0, 3, id="rk4-schrodinger"),
+    pytest.param(["evolve", "--method", "rk4", "--picture", "heisenberg", "--hamiltonian", "h",
+                  "--initial", "obs"], 2, 1, 8, id="rk4-heisenberg"),
+    pytest.param(["evolve", "--method", "rk4", "--picture", "vonneumann", "--hamiltonian", "h",
+                  "--initial", "rho"], 2, 1, 11, id="rk4-vonneumann"),
+    pytest.param(["eigen", "--operator", "obs"], 1, 0, 3, id="eigen-descent"),
+    pytest.param(["eigen", "--operator", "obs", "--direction", "ascent"], 1, 0, 3,
+                 id="eigen-ascent"),
+    pytest.param(["star", "--a", "h", "--b", "obs", "--xi", "rho"], 3, 5, 17, id="star"),
+    pytest.param(["distributions", "--point", "obs", "--trials", "3"], 1, 0, 3, id="distributions"),
+    pytest.param(["su2demo"], 0, 0, 0, id="su2demo"),
+]
+
+
+def grid_calls(monkeypatch, tmp_path, argv, names):
+    """The calls of each kernel function in ``names`` in one CLI call over the grid's files."""
     inputs = {"h": random_hermitian(3, 1), "psi": random_complex_vector(3, 2),
               "obs": random_hermitian(3, 3), "rho": np.diag([0.5, 0.3, 0.2]).astype(complex)}
     paths = {name: write_matrix(tmp_path / f"{name}.json", m) for name, m in inputs.items()}
     paths["csv"] = str(tmp_path / "traj.csv")
-    calls = {"require_observable": 0}
+    calls = dict.fromkeys(names, 0)
     counted(monkeypatch, calls)
     assert run([paths.get(arg, arg) for arg in argv] + ["--json"]) == EXIT_OK
+    return calls
+
+
+@pytest.mark.parametrize("argv, files, same_dim, square", CLI_GRID)
+def test_each_observable_file_is_checked_once(capsys, monkeypatch, tmp_path, argv, files,
+                                              same_dim, square):
+    # the CLI checks each observable it reads, with the path in its error, and the library
+    # takes it from there unchecked: evolve once checked H twice and each initial matrix twice,
+    # and checked matrices the library made itself (15 checks over the three pictures)
+    calls = grid_calls(monkeypatch, tmp_path, argv, ["require_observable"])
     assert calls["require_observable"] == files
+
+
+@pytest.mark.parametrize("argv, files, same_dim, square", CLI_GRID)
+def test_each_shape_is_checked_once(capsys, monkeypatch, tmp_path, argv, files, same_dim, square):
+    # the private cores compute on the arrays their callers checked or drew: verify once ran
+    # require_same_dim 64 times and require_square 137 times, the RK4 Heisenberg flow 403 and
+    # 812 times (a check per product) and su2demo 284 and 580 times.  What is left is the
+    # CLI's and the kernel's own checks, and the xi of each lambda_of and r_of call
+    calls = grid_calls(monkeypatch, tmp_path, argv, ["require_same_dim", "require_square"])
+    assert (calls["require_same_dim"], calls["require_square"]) == (same_dim, square)
 
 
 class TestTextOutput:

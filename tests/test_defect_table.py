@@ -1,5 +1,5 @@
-"""The defect table: every defect planted on every row that verify runs, and on the star and
-su2demo reports.
+"""The defect table: every defect planted on every row that verify runs, on the star and
+su2demo reports and on the conservation monitors of the three pictures.
 
 Each algebra and dual primitive f gets two defects f + 1e-6 g, with g symmetric and
 antisymmetric in f's two matrix arguments.  The rows take both products and the dual
@@ -14,13 +14,14 @@ points P xi = xi P = 0, so a projector defect vanishes there: the two products a
 U(n)-invariant trace families (on a pairing, the antisymmetric one's trace is 0).  Each
 primitive of the C^n realization gets the relative defect f (1 + 1e-6).
 
-Every defect is planted on every row of ``cli.VERIFY_ROWS`` at n = 2, 3 and 4, seed n, and
-on the reports of ``star`` (``dual._star_report`` at a seeded triple of dimension n) and
-``su2demo`` (``dual.su2_report``).  Each defect must fail a check, and each check must fail
-for some defect: a check that no defect trips adds no evidence.  Which primitives trip which
-check must not depend on n; the README's check catalogue lists that map.  D_R is left out: it
-passes when its witness of non-involutivity is large, so a defect cannot make it fail; its
-gate is the closed form of ``tests/test_distributions.py::test_r_witness_matches_closed_form``.
+Every defect is planted on every row of ``cli.VERIFY_ROWS`` at n = 2, 3 and 4, seed n, on
+the reports of ``star`` (``dual._star_report`` at a seeded triple of dimension n) and
+``su2demo`` (``dual.su2_report``), and on ``dynamics.conserved_report`` of the exact flow in
+each picture.  Each defect must fail a check, and each check must fail for some defect: a
+check that no defect trips adds no evidence.  Which primitives trip which check must not
+depend on n; the README's check catalogue lists that map.  D_R is left out: it passes when
+its witness of non-involutivity is large, so a defect cannot make it fail; its gate is the
+closed form of ``tests/test_distributions.py::test_r_witness_matches_closed_form``.
 """
 
 import functools
@@ -28,14 +29,21 @@ import functools
 import numpy as np
 import pytest
 
-from geomqm import algebra, dual, kahler
+from geomqm import algebra, dual, dynamics, kahler
 from geomqm.cli import VERIFY_ROWS
-from geomqm.kernel import random_hermitian
+from geomqm.kernel import random_complex_vector, random_hermitian
 from geomqm.report import verify_row
-from conftest import plant_everywhere
+from conftest import exact_flow, plant_everywhere
 
 EPS = 1e-6
+# the conservation monitors' drift checks (norms, traces, spectra and energies of the flow's
+# samples) call no planted primitive, so no defect can make them fail
+DRIFT_MONITORS = {"schrodinger": ("state_norm", "energy_expectation"),
+                  "heisenberg": ("hamiltonian_constant", "spectrum"),
+                  "vonneumann": ("trace", "spectrum", "energy_expectation", "purity")}
 LEFT_OUT = {("involutivity evidence: D_R", "non_involutivity_witness_found")}
+LEFT_OUT |= {(f"conservation monitors ({picture})", check)
+             for picture, checks in DRIFT_MONITORS.items() for check in checks}
 DIMS, TRIALS = (2, 3, 4), 20
 
 
@@ -125,16 +133,28 @@ DEFECTS |= {(primitive_name(f), defect.__name__): (f, defect) for f, defect in (
     (kahler.omega_eval, scaled))}
 
 
+def conserved_reports(n):
+    """``conserved_report`` of the exact flow in each picture, seed n, of an H drawn at (n, 91)
+    and the initial values psi, A and xi drawn at keys 92, 93 and 94."""
+    h = random_hermitian(n, n, 91)
+    initial = {"schrodinger": random_complex_vector(n, n, 92),
+               "heisenberg": random_hermitian(n, n, 93), "vonneumann": random_hermitian(n, n, 94)}
+    specs = [dynamics.EvolutionSpec(h, t_final=1.0, steps=8, picture=p) for p in initial]
+    return [dynamics.conserved_report(spec, exact_flow(spec, initial[spec.picture]), seed=n)
+            for spec in specs]
+
+
 def reports(n, defect=None):
     """Every verify row's published reports at n and seed n, the star report of a triple drawn
-    at n and seed n and the su2demo report, with ``defect`` planted."""
+    at n and seed n, the su2demo report and the conservation monitors of the exact flows, with
+    ``defect`` planted."""
     with pytest.MonkeyPatch.context() as mp:
         if defect is not None:
             plant_everywhere(mp, *DEFECTS[defect])
         star, _ = dual._star_report(*(random_hermitian(n, n, 90, k) for k in range(3)), 1e-9)
         su2, _ = dual.su2_report(1e-12)  # su2demo's fixed tolerance
         return [*(report for row in VERIFY_ROWS for report in verify_row(row, n, TRIALS, n, 1e-9)),
-                star, su2]
+                star, su2, *conserved_reports(n)]
 
 
 @functools.cache
